@@ -8,6 +8,7 @@ import (
 	"byteslice/internal/core"
 	"byteslice/internal/kernel"
 	"byteslice/internal/layout"
+	"byteslice/internal/obs"
 )
 
 // Aggregates over columns, optionally restricted to a filter Result.
@@ -53,7 +54,7 @@ func (t *Table) aggColumn(name string, kind Kind) (*Column, error) {
 func (t *Table) sumCodes(c *Column, mask *bitvec.Vector, cfg *queryConfig) (uint64, int, error) {
 	if cc, ok := compressedOf(c.data); ok && cfg.native() {
 		st, finish := cfg.aggStage("sum("+c.Name()+")", "sum")
-		sum, count, err := kernel.ParallelSumCompressedObs(cfg.ctx, cc, mask, cfg.nativeWorkers(cc.Segments()), st)
+		sum, count, err := kernel.SumCompressed(cfg.exec(st, cc.Segments()), cc, mask)
 		err = queryErr(err)
 		finish(err)
 		return sum, count, err
@@ -61,7 +62,7 @@ func (t *Table) sumCodes(c *Column, mask *bitvec.Vector, cfg *queryConfig) (uint
 	if bs, ok := byteSliceOf(c.data); ok {
 		if cfg.native() {
 			st, finish := cfg.aggStage("sum("+c.Name()+")", "sum")
-			sum, count, err := kernel.ParallelSumObs(cfg.ctx, bs, mask, cfg.nativeWorkers(bs.Segments()), st)
+			sum, count, err := kernel.Sum(cfg.exec(st, bs.Segments()), bs, mask)
 			err = queryErr(err)
 			finish(err)
 			return sum, count, err
@@ -96,7 +97,7 @@ func (t *Table) extremeCode(c *Column, mask *bitvec.Vector, cfg *queryConfig, is
 			name = "min(" + c.Name() + ")"
 		}
 		st, finish := cfg.aggStage(name, "extreme")
-		v, found, err := kernel.ParallelExtremeCompressedObs(cfg.ctx, cc, mask, isMin, cfg.nativeWorkers(cc.Segments()), st)
+		v, found, err := kernel.ExtremeCompressed(cfg.exec(st, cc.Segments()), cc, mask, isMin)
 		err = queryErr(err)
 		finish(err)
 		return v, found, err
@@ -108,7 +109,7 @@ func (t *Table) extremeCode(c *Column, mask *bitvec.Vector, cfg *queryConfig, is
 				name = "min(" + c.Name() + ")"
 			}
 			st, finish := cfg.aggStage(name, "extreme")
-			v, found, err := kernel.ParallelExtremeObs(cfg.ctx, bs, mask, isMin, cfg.nativeWorkers(bs.Segments()), st)
+			v, found, err := kernel.Extreme(cfg.exec(st, bs.Segments()), bs, mask, isMin)
 			err = queryErr(err)
 			finish(err)
 			return v, found, err
@@ -318,7 +319,7 @@ func (t *Table) SumIntWhere(valCol string, f Filter, opts ...QueryOption) (int64
 	}
 	if ok {
 		st, finish := cfg.aggStage("scan_sum("+f.Col+"→"+valCol+")", "scan_sum")
-		sum, count, err := kernel.ScanSumObs(cfg.ctx, bsF, pred, bsV, cfg.nativeWorkers(bsF.Segments()), st)
+		sum, count, err := kernel.ScanSum(cfg.exec(st, bsF.Segments()), bsF, pred, bsV)
 		err = queryErr(err)
 		finish(err)
 		if err != nil {
@@ -349,7 +350,7 @@ func (t *Table) SumDecimalWhere(valCol string, f Filter, opts ...QueryOption) (f
 	}
 	if ok {
 		st, finish := cfg.aggStage("scan_sum("+f.Col+"→"+valCol+")", "scan_sum")
-		sum, count, err := kernel.ScanSumObs(cfg.ctx, bsF, pred, bsV, cfg.nativeWorkers(bsF.Segments()), st)
+		sum, count, err := kernel.ScanSum(cfg.exec(st, bsF.Segments()), bsF, pred, bsV)
 		err = queryErr(err)
 		finish(err)
 		if err != nil {
@@ -442,7 +443,7 @@ func (t *Table) fusedExtreme(c *Column, f Filter, opts []QueryOption, isMin bool
 		return 0, false, false, err
 	}
 	st, finish := cfg.aggStage("scan_extreme("+f.Col+"→"+c.Name()+")", "scan_extreme")
-	code, ok, err = kernel.ScanExtremeObs(cfg.ctx, bsF, pred, bsV, isMin, cfg.nativeWorkers(bsF.Segments()), st)
+	code, ok, err = kernel.ScanExtreme(cfg.exec(st, bsF.Segments()), bsF, pred, bsV, isMin)
 	err = queryErr(err)
 	finish(err)
 	if err != nil {
@@ -529,18 +530,33 @@ func (t *Table) sumBy(v *Column, byCol string, res *Result, opts []QueryOption,
 	if valIsBS && grpIsBS && g.Width() <= groupScanMaxWidth {
 		// Grouping by scanning: one equality scan per candidate group code
 		// (early stopping makes misses cheap), one masked SIMD sum each.
-		// Unprofiled runs use the native kernels for both.
+		// Unprofiled runs use the native kernels for both, under the
+		// query's context and worker pool, recording into one stage.
+		var x kernel.Exec
+		finish := func(error) {}
+		if cfg.native() {
+			var st *obs.Stage
+			st, finish = cfg.aggStage("sum_by("+v.Name()+" by "+g.Name()+")", "sum_by")
+			x = cfg.exec(st, bsGrp.Segments())
+		}
+		fail := func(err error) ([]GroupSum, error) {
+			finish(err)
+			return nil, err
+		}
 		groupMask := bitvec.New(t.n)
 		for code := uint32(0); code <= g.maxCode(); code++ {
 			// One cancellation point per candidate group: each iteration
 			// runs a full scan plus a masked sum.
 			if err := cfg.ctxErr(); err != nil {
-				return nil, err
+				return fail(err)
 			}
+			pred := layout.Predicate{Op: Eq, C1: code}
 			if cfg.native() {
-				kernel.Scan(bsGrp, layout.Predicate{Op: Eq, C1: code}, groupMask)
+				if _, err := kernel.Scan(x, bsGrp, pred, nil, false, groupMask); err != nil {
+					return fail(queryErr(err))
+				}
 			} else {
-				bsGrp.Scan(e, layout.Predicate{Op: Eq, C1: code}, groupMask)
+				bsGrp.Scan(e, pred, groupMask)
 			}
 			if mask != nil {
 				groupMask.And(mask)
@@ -551,7 +567,10 @@ func (t *Table) sumBy(v *Column, byCol string, res *Result, opts []QueryOption,
 			}
 			var codeSum uint64
 			if cfg.native() {
-				codeSum, _ = kernel.Sum(bsVal, groupMask)
+				var err error
+				if codeSum, _, err = kernel.Sum(x, bsVal, groupMask); err != nil {
+					return fail(queryErr(err))
+				}
 			} else {
 				codeSum, _ = bsVal.Sum(e, groupMask)
 			}
@@ -560,6 +579,7 @@ func (t *Table) sumBy(v *Column, byCol string, res *Result, opts []QueryOption,
 			step := decode(1) - decode(0)
 			groups[code] = &agg{sum: float64(count)*decode(0) + float64(codeSum)*step, count: count}
 		}
+		finish(nil)
 	} else {
 		for i := 0; i < t.n; i++ {
 			if i%8192 == 0 {

@@ -401,7 +401,9 @@ func BenchmarkNativeScan(b *testing.B) {
 			out := bitvec.New(col.Len())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				kernel.Scan(col, p, out)
+				if _, err := kernel.Scan(kernel.Exec{}, col, p, nil, false, out); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.ReportMetric(float64(col.Len()*b.N)/b.Elapsed().Seconds()/1e6, "Mrows/s")
 		})
@@ -417,7 +419,9 @@ func BenchmarkNativeScanParallel(b *testing.B) {
 			out := bitvec.New(col.Len())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				kernel.ParallelScan(col, p, workers, out)
+				if _, err := kernel.Scan(kernel.Exec{Workers: workers}, col, p, nil, false, out); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.ReportMetric(float64(col.Len()*b.N)/b.Elapsed().Seconds()/1e6, "Mrows/s")
 		})

@@ -167,7 +167,10 @@ func zoneReport(codes []uint32, k int, p layout.Predicate) string {
 	// The sample column has no histogram, so the planner sees the exact
 	// selectivity of the predicate over the given values.
 	out := bitvec.New(len(codes))
-	kernel.Scan(bs, p, out)
+	if _, err := kernel.Scan(kernel.Exec{}, bs, p, nil, false, out); err != nil {
+		fmt.Fprintf(&b, "scan failed: %v\n", err)
+		return b.String()
+	}
 	d := plan.Plan(
 		plan.Query{Rows: len(codes), Segments: bs.Segments(), Workers: 1, MaxWorkers: 1},
 		[]plan.Pred{{

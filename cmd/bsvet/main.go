@@ -1,7 +1,7 @@
 // Command bsvet runs the ByteSlice static-analysis suite from
-// internal/analysis — hotloop, kernelparity, atomicfield, boundedalloc,
-// epochsafe, goroutinelife, ctxflow, and errsentinel — plus the
-// compiler-output BCE/escape gate.
+// internal/analysis — hotloop, atomicfield, boundedalloc, epochsafe,
+// goroutinelife, ctxflow, and errsentinel — plus the compiler-output
+// BCE/escape gate.
 //
 // Standalone (the common case):
 //

@@ -65,19 +65,6 @@ func TestSeededHotloopAllocationFails(t *testing.T) {
 	}
 }
 
-// TestSeededMissingCtxVariantFails covers acceptance criterion (b): a
-// kernel entry point without its Ctx variant must fail the suite.
-func TestSeededMissingCtxVariantFails(t *testing.T) {
-	bin := buildTool(t)
-	out, code := runTool(t, bin, "./internal/analysis/testdata/src/kernelparity")
-	if code == 0 {
-		t.Fatalf("bsvet passed the seeded kernelparity fixture:\n%s", out)
-	}
-	if !strings.Contains(out, "has an Obs variant but no SoloCtx") {
-		t.Errorf("output does not name the missing Ctx variant:\n%s", out)
-	}
-}
-
 // TestSeededFixturesFail runs the suite over each remaining seeded
 // fixture and checks the diagnostic class it must surface.
 func TestSeededFixturesFail(t *testing.T) {

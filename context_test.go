@@ -142,6 +142,44 @@ func TestQueryWorkerPanicIsError(t *testing.T) {
 	if _, _, err := tab.MaxIntWhere("v", bs.IntFilter("v", bs.Lt, 500)); !errors.Is(err, bs.ErrQueryFault) {
 		t.Fatalf("MaxIntWhere err = %v, want ErrQueryFault", err)
 	}
+	if _, err := tab.SumIntBy("v", "v", nil); !errors.Is(err, bs.ErrQueryFault) {
+		t.Fatalf("SumIntBy err = %v, want ErrQueryFault", err)
+	}
+}
+
+// TestCompressedProjectPanicIsError: the compressed layout's block-decoding
+// lookup runs under the same protected row batches as the other layouts,
+// so a fault while materialising a projection or an ORDER BY surfaces as
+// ErrQueryFault instead of escaping the library.
+func TestCompressedProjectPanicIsError(t *testing.T) {
+	const n = 1 << 14
+	sorted := make([]int64, n)
+	for i := range sorted {
+		sorted[i] = int64(i / 8)
+	}
+	c, err := bs.NewIntColumn("v", sorted, 0, n/8, bs.WithCompression())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Format() != bs.FormatByteSliceC {
+		t.Fatalf("sorted column stayed %s, want %s", c.Format(), bs.FormatByteSliceC)
+	}
+	tab, err := bs.NewTable(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := tab.Filter([]bs.Filter{bs.IntFilter("v", bs.Lt, n/16)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kernel.BatchHook = func(int, int) { panic("corrupt block") }
+	defer func() { kernel.BatchHook = nil }()
+	if _, _, err := tab.ProjectInt("v", res); !errors.Is(err, bs.ErrQueryFault) {
+		t.Fatalf("ProjectInt err = %v, want ErrQueryFault", err)
+	}
+	if _, err := tab.OrderBy("v", res); !errors.Is(err, bs.ErrQueryFault) {
+		t.Fatalf("OrderBy err = %v, want ErrQueryFault", err)
+	}
 }
 
 // TestQueryContextLiveIsNoop: attaching a live context changes nothing

@@ -7,7 +7,6 @@ import (
 	"byteslice/internal/core"
 	"byteslice/internal/kernel"
 	"byteslice/internal/layout"
-	"byteslice/internal/obs"
 )
 
 // layoutKernel is one storage layout's native-execution dispatch entry:
@@ -22,20 +21,21 @@ type layoutKernel struct {
 	// scanKind labels the obs stage for a plain scan of this layout.
 	scanKind func(c *Column) string
 	// scan evaluates pred over the whole column into out, returning how
-	// many segments metadata pruning resolved without touching data.
-	scan func(ctx context.Context, c *Column, pred layout.Predicate, workers int, out *bitvec.Vector, st *obs.Stage) (pruned int, err error)
-	// scanPipelined, when non-nil, fuses the running result into the scan
-	// (column-first Algorithm 2): segments already decided by prev are
-	// skipped. Layouts without a native pipelined kernel leave it nil and
-	// run an independent scan combined through the bit vector.
-	scanPipelined func(ctx context.Context, c *Column, pred layout.Predicate, prev *bitvec.Vector, disjunct bool, workers int, out *bitvec.Vector, st *obs.Stage) (pruned int, err error)
+	// many segments metadata pruning resolved without touching data. A
+	// non-nil prev — passed only to pipelined layouts — fuses the running
+	// result into the scan (column-first Algorithm 2): segments already
+	// decided by prev are skipped, and disjunct selects prev OR pred over
+	// prev AND pred.
+	scan func(x kernel.Exec, c *Column, pred layout.Predicate, prev *bitvec.Vector, disjunct bool, out *bitvec.Vector) (pruned int, err error)
+	// pipelined reports whether scan accepts a prev gate. Layouts without
+	// a native pipelined kernel run an independent scan combined through
+	// the bit vector.
+	pipelined bool
 	// lookupMany gathers the codes of rows (ascending) into codes — the
-	// projection / ORDER-BY materialisation path.
-	lookupMany func(ctx context.Context, c *Column, rows []int32, codes []uint32, st *obs.Stage) error
-	// lookupChunkable reports whether disjoint row ranges may be handed
-	// to lookupMany concurrently. Block-decoding layouts keep the whole
-	// ascending row list so each block decodes once.
-	lookupChunkable bool
+	// projection / ORDER-BY materialisation path. Block-decoding layouts
+	// ignore x.Workers and keep the whole row list on one walker so each
+	// block decodes once.
+	lookupMany func(x kernel.Exec, c *Column, rows []int32, codes []uint32) error
 	// segments sizes the worker pool: the column's 32-code segment count.
 	segments func(c *Column) int
 }
@@ -45,30 +45,20 @@ type layoutKernel struct {
 var nativeKernels = map[Format]*layoutKernel{
 	FormatByteSlice: {
 		scanKind: func(c *Column) string {
-			if bs, _ := byteSliceOf(c.data); bs.HasZoneMaps() {
+			if c.HasZoneMaps() {
 				return "scan_zoned"
 			}
 			return "scan"
 		},
-		scan: func(ctx context.Context, c *Column, pred layout.Predicate, workers int, out *bitvec.Vector, st *obs.Stage) (int, error) {
+		scan: func(x kernel.Exec, c *Column, pred layout.Predicate, prev *bitvec.Vector, disjunct bool, out *bitvec.Vector) (int, error) {
 			bs, _ := byteSliceOf(c.data)
-			if bs.HasZoneMaps() {
-				return kernel.ParallelScanZonedObs(ctx, bs, pred, workers, out, st)
-			}
-			return 0, kernel.ParallelScanObs(ctx, bs, pred, workers, out, st)
+			return kernel.Scan(x, bs, pred, prev, disjunct, out)
 		},
-		scanPipelined: func(ctx context.Context, c *Column, pred layout.Predicate, prev *bitvec.Vector, disjunct bool, workers int, out *bitvec.Vector, st *obs.Stage) (int, error) {
+		pipelined: true,
+		lookupMany: func(x kernel.Exec, c *Column, rows []int32, codes []uint32) error {
 			bs, _ := byteSliceOf(c.data)
-			if bs.HasZoneMaps() {
-				return kernel.ParallelScanPipelinedZonedObs(ctx, bs, pred, prev, disjunct, workers, out, st)
-			}
-			return 0, kernel.ParallelScanPipelinedObs(ctx, bs, pred, prev, disjunct, workers, out, st)
+			return kernel.LookupMany(x, bs, rows, codes)
 		},
-		lookupMany: func(ctx context.Context, c *Column, rows []int32, codes []uint32, st *obs.Stage) error {
-			bs, _ := byteSliceOf(c.data)
-			return kernel.LookupManyObs(ctx, bs, rows, codes, st)
-		},
-		lookupChunkable: true,
 		segments: func(c *Column) int {
 			bs, _ := byteSliceOf(c.data)
 			return bs.Segments()
@@ -76,19 +66,13 @@ var nativeKernels = map[Format]*layoutKernel{
 	},
 	FormatByteSliceC: {
 		scanKind: func(c *Column) string { return "scan_compressed" },
-		scan: func(ctx context.Context, c *Column, pred layout.Predicate, workers int, out *bitvec.Vector, st *obs.Stage) (int, error) {
+		scan: func(x kernel.Exec, c *Column, pred layout.Predicate, _ *bitvec.Vector, _ bool, out *bitvec.Vector) (int, error) {
 			cc, _ := compressedOf(c.data)
-			return kernel.ParallelScanCompressedObs(ctx, cc, pred, workers, out, st)
+			return kernel.ScanCompressed(x, cc, pred, out)
 		},
-		lookupMany: func(ctx context.Context, c *Column, rows []int32, codes []uint32, st *obs.Stage) error {
-			// Rows arrive ascending, so each 512-code block decodes at most
-			// once into a stack buffer and serves every row it contains.
+		lookupMany: func(x kernel.Exec, c *Column, rows []int32, codes []uint32) error {
 			cc, _ := compressedOf(c.data)
-			bytes := kernel.LookupManyCompressed(cc, rows, codes)
-			if st != nil {
-				st.AddRows(int64(len(rows)), bytes)
-			}
-			return ctxErrOf(ctx)
+			return kernel.LookupManyCompressed(x, cc, rows, codes)
 		},
 		segments: func(c *Column) int {
 			cc, _ := compressedOf(c.data)
@@ -97,15 +81,14 @@ var nativeKernels = map[Format]*layoutKernel{
 	},
 	FormatHBP: {
 		scanKind: func(c *Column) string { return "scan_hbp" },
-		scan: func(ctx context.Context, c *Column, pred layout.Predicate, workers int, out *bitvec.Vector, st *obs.Stage) (int, error) {
+		scan: func(x kernel.Exec, c *Column, pred layout.Predicate, _ *bitvec.Vector, _ bool, out *bitvec.Vector) (int, error) {
 			h, _ := hbpOf(c.data)
-			return 0, kernel.ParallelScanHBPObs(ctx, h, pred, workers, out, st)
+			return 0, kernel.ScanHBP(x, h, pred, out)
 		},
-		lookupMany: func(ctx context.Context, c *Column, rows []int32, codes []uint32, st *obs.Stage) error {
+		lookupMany: func(x kernel.Exec, c *Column, rows []int32, codes []uint32) error {
 			h, _ := hbpOf(c.data)
-			return kernel.LookupManyHBPObs(ctx, h, rows, codes, st)
+			return kernel.LookupManyHBP(x, h, rows, codes)
 		},
-		lookupChunkable: true,
 		segments: func(c *Column) int {
 			return (c.Len() + core.SegmentSize - 1) / core.SegmentSize
 		},
@@ -117,15 +100,6 @@ var nativeKernels = map[Format]*layoutKernel{
 // VBP) and must run through the engine.
 func nativeKernelOf(c *Column) *layoutKernel {
 	return nativeKernels[c.Format()]
-}
-
-// ctxErrOf mirrors queryConfig.ctxErr for dispatch entries that finish
-// synchronously without an internal cancellation loop.
-func ctxErrOf(ctx context.Context) error {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Err()
 }
 
 // materializeCodes stitches every row's code back out of the column using
@@ -141,7 +115,7 @@ func materializeCodes(ctx context.Context, c *Column) ([]uint32, error) {
 	}
 	codes := make([]uint32, n)
 	if lk := nativeKernelOf(c); lk != nil {
-		if err := lk.lookupMany(ctx, c, rows, codes, nil); err != nil {
+		if err := lk.lookupMany(kernel.Exec{Ctx: ctx}, c, rows, codes); err != nil {
 			return nil, err
 		}
 		return codes, nil

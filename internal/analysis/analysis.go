@@ -1,14 +1,12 @@
 // Package analysis is bsvet's static-analysis suite: a small, stdlib-only
 // re-implementation of the golang.org/x/tools/go/analysis driver model
 // (this module is dependency-free by policy, so the framework is grown
-// here rather than imported) plus the eight analyzers that mechanise the
+// here rather than imported) plus the seven analyzers that mechanise the
 // kernel's hand-checked performance, safety and lifecycle invariants:
 //
 //   - hotloop: functions annotated //bsvet:hotloop must stay tight — no
 //     heap allocations, interface conversions, defers, closures, or calls
 //     to non-annotated/non-intrinsic functions.
-//   - kernelparity: an exported kernel entry point with a *Ctx or *Obs
-//     variant must have both, and their parameter cores must agree.
 //   - atomicfield: a struct field updated through sync/atomic must never
 //     be read or written plainly outside its constructor, and 64-bit
 //     fields must be alignment-safe on 32-bit platforms.
@@ -90,7 +88,7 @@ type Analyzer struct {
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		HotloopAnalyzer, KernelParityAnalyzer, AtomicFieldAnalyzer, BoundedAllocAnalyzer,
+		HotloopAnalyzer, AtomicFieldAnalyzer, BoundedAllocAnalyzer,
 		EpochSafeAnalyzer, GoroutineLifeAnalyzer, CtxFlowAnalyzer, ErrSentinelAnalyzer,
 	}
 }

@@ -28,7 +28,6 @@ func runFixture(t *testing.T, name string, analyzers ...*Analyzer) {
 }
 
 func TestHotloop(t *testing.T)       { runFixture(t, "hotloop", HotloopAnalyzer) }
-func TestKernelParity(t *testing.T)  { runFixture(t, "kernelparity", KernelParityAnalyzer) }
 func TestAtomicField(t *testing.T)   { runFixture(t, "atomicfield", AtomicFieldAnalyzer) }
 func TestBoundedAlloc(t *testing.T)  { runFixture(t, "boundedalloc", BoundedAllocAnalyzer) }
 func TestEpochSafe(t *testing.T)     { runFixture(t, "epochsafe", EpochSafeAnalyzer) }
@@ -58,8 +57,8 @@ func TestSuiteOnOwnTree(t *testing.T) {
 
 func TestByName(t *testing.T) {
 	all, err := ByName("")
-	if err != nil || len(all) != 8 {
-		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 8, nil", len(all), err)
+	if err != nil || len(all) != 7 {
+		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 7, nil", len(all), err)
 	}
 	two, err := ByName("hotloop, atomicfield")
 	if err != nil || len(two) != 2 || two[0].Name != "hotloop" || two[1].Name != "atomicfield" {

@@ -51,14 +51,14 @@ func LookupBench(cfg Config) []ScanBenchEntry {
 			gatherAsc    func()
 		}{
 			{"ByteSlice",
-				func() { kernel.LookupMany(bs, random, got) },
-				func() { kernel.LookupMany(bs, asc, got) }},
+				func() { check(kernel.LookupMany(kernel.Exec{}, bs, random, got)) },
+				func() { check(kernel.LookupMany(kernel.Exec{}, bs, asc, got)) }},
 			{"HBP",
-				func() { kernel.LookupManyHBP(h, random, got) },
-				func() { kernel.LookupManyHBP(h, asc, got) }},
+				func() { check(kernel.LookupManyHBP(kernel.Exec{}, h, random, got)) },
+				func() { check(kernel.LookupManyHBP(kernel.Exec{}, h, asc, got)) }},
 			{"ByteSliceC",
-				func() { kernel.LookupManyCompressed(cc, asc, got) },
-				func() { kernel.LookupManyCompressed(cc, asc, got) }},
+				func() { check(kernel.LookupManyCompressed(kernel.Exec{}, cc, asc, got)) },
+				func() { check(kernel.LookupManyCompressed(kernel.Exec{}, cc, asc, got)) }},
 		}
 		e := simd.New(perf.NewProfileNoCache())
 		for _, arm := range arms {

@@ -74,7 +74,7 @@ func ScanBench(cfg Config, workerCounts []int) *ScanBenchResult {
 		ns := measureScan(func() { b.Scan(e, p, out) })
 		res.Results = append(res.Results, entry(k, "engine", 1, ns, cfg.N))
 
-		ns = measureScan(func() { kernel.Scan(b, p, out) })
+		ns = measureScan(func() { check2(kernel.Scan(kernel.Exec{}, b, p, nil, false, out)) })
 		res.Results = append(res.Results, entry(k, "native", 1, ns, cfg.N))
 
 		for _, w := range workerCounts {
@@ -82,7 +82,7 @@ func ScanBench(cfg Config, workerCounts []int) *ScanBenchResult {
 				continue
 			}
 			w := w
-			ns = measureScan(func() { kernel.ParallelScan(b, p, w, out) })
+			ns = measureScan(func() { check2(kernel.Scan(kernel.Exec{Workers: w}, b, p, nil, false, out)) })
 			res.Results = append(res.Results, entry(k, "native", w, ns, cfg.N))
 		}
 	}
@@ -101,9 +101,9 @@ func entry(k int, path string, workers int, ns float64, n int) ScanBenchEntry {
 
 // ZonedScanBench measures zone-map pruning on the acceptance scenario: a
 // 12-bit column at 1% selectivity, sorted and clustered distributions,
-// plain ParallelScan versus ParallelScanZoned at each worker count (plus
-// serial). Both paths scan the same zone-mapped column, so the delta is
-// purely the pruning.
+// plain scan versus zoned scan at each worker count (plus serial). The
+// plain arm scans a copy of the same codes built without zone maps, so
+// the delta is purely the pruning.
 func ZonedScanBench(cfg Config, workerCounts []int) []ScanBenchEntry {
 	const (
 		k   = 12
@@ -119,18 +119,19 @@ func ZonedScanBench(cfg Config, workerCounts []int) []ScanBenchEntry {
 	}
 	var out []ScanBenchEntry
 	for _, s := range sets {
-		b := core.New(s.codes, k, nil)
-		b.BuildZoneMaps()
+		plain := core.New(s.codes, k, nil)
+		zoned := core.New(s.codes, k, nil)
+		zoned.BuildZoneMaps()
 		p := constFor(s.codes, k, layout.Lt, sel)
 		res := bitvec.New(cfg.N)
 		for _, w := range append([]int{1}, workerCounts...) {
-			w := w
-			ns := measureScan(func() { kernel.ParallelScan(b, p, w, res) })
+			x := kernel.Exec{Workers: w}
+			ns := measureScan(func() { check2(kernel.Scan(x, plain, p, nil, false, res)) })
 			e := entry(k, "native", w, ns, cfg.N)
 			e.Data, e.Mode = s.name, "scan"
 			out = append(out, e)
 
-			ns = measureScan(func() { kernel.ParallelScanZoned(b, p, w, res) })
+			ns = measureScan(func() { check2(kernel.Scan(x, zoned, p, nil, false, res)) })
 			e = entry(k, "native", w, ns, cfg.N)
 			e.Data, e.Mode = s.name, "scan_zoned"
 			out = append(out, e)
@@ -144,8 +145,8 @@ func ZonedScanBench(cfg Config, workerCounts []int) []ScanBenchEntry {
 // a 12-bit filter column at 10% selectivity and a uniform 16-bit value
 // column. Two filter shapes run: uniform without zone maps, and the sorted
 // zone-mapped date-range shape the fused path is built for. On the zoned
-// column the two-pass arm uses the zoned scan — the same kernel the facade
-// picks — so the delta is purely the fusion, not the pruning.
+// column both arms use the zone maps — as the facade does — so the delta
+// is purely the fusion, not the pruning.
 func AggBench(cfg Config, workerCounts []int) []ScanBenchEntry {
 	const (
 		kf  = 12
@@ -171,20 +172,20 @@ func AggBench(cfg Config, workerCounts []int) []ScanBenchEntry {
 		}
 		p := constFor(s.codes, kf, layout.Lt, sel)
 		for _, w := range append([]int{1}, workerCounts...) {
-			w := w
+			x := kernel.Exec{Workers: w}
 			ns := measureScan(func() {
-				if s.zoned {
-					kernel.ParallelScanZoned(f, p, w, mask)
-				} else {
-					kernel.ParallelScan(f, p, w, mask)
-				}
-				kernel.ParallelSum(v, mask, w)
+				check2(kernel.Scan(x, f, p, nil, false, mask))
+				_, _, err := kernel.Sum(x, v, mask)
+				check(err)
 			})
 			e := entry(kv, "native", w, ns, cfg.N)
 			e.Data, e.Mode = s.name, "agg_two_pass"
 			out = append(out, e)
 
-			ns = measureScan(func() { kernel.ScanSum(f, p, v, w) })
+			ns = measureScan(func() {
+				_, _, err := kernel.ScanSum(x, f, p, v)
+				check(err)
+			})
 			e = entry(kv, "native", w, ns, cfg.N)
 			e.Data, e.Mode = s.name, "agg_fused"
 			out = append(out, e)
@@ -220,13 +221,13 @@ func CompressedScanBench(cfg Config, workerCounts []int) []ScanBenchEntry {
 		p := constFor(s.codes, k, layout.Lt, sel)
 		res := bitvec.New(cfg.N)
 		for _, w := range append([]int{1}, workerCounts...) {
-			w := w
-			ns := measureScan(func() { kernel.ParallelScan(raw, p, w, res) })
+			x := kernel.Exec{Workers: w}
+			ns := measureScan(func() { check2(kernel.Scan(x, raw, p, nil, false, res)) })
 			e := entry(k, "native", w, ns, cfg.N)
 			e.Data, e.Mode, e.Compression = s.name, "scan", "raw"
 			out = append(out, e)
 
-			ns = measureScan(func() { kernel.ParallelScanCompressed(cc, p, w, res) })
+			ns = measureScan(func() { check2(kernel.ScanCompressed(x, cc, p, res)) })
 			e = entry(k, "native", w, ns, cfg.N)
 			e.Data, e.Mode, e.Compression = s.name, "scan", "compressed"
 			out = append(out, e)
@@ -255,11 +256,11 @@ func MultiPredBench(cfg Config, npreds int, workerCounts []int) []ScanBenchEntry
 	acc, cur := bitvec.New(cfg.N), bitvec.New(cfg.N)
 	var out []ScanBenchEntry
 	for _, w := range append([]int{1}, workerCounts...) {
-		w := w
+		x := kernel.Exec{Workers: w}
 		ns := measureScan(func() {
-			kernel.ParallelScan(cols[0], preds[0], w, acc)
+			check2(kernel.Scan(x, cols[0], preds[0], nil, false, acc))
 			for i := 1; i < npreds; i++ {
-				kernel.ParallelScanPipelined(cols[i], preds[i], acc, false, w, cur)
+				check2(kernel.Scan(x, cols[i], preds[i], acc, false, cur))
 				acc, cur = cur, acc
 			}
 		})
@@ -267,13 +268,25 @@ func MultiPredBench(cfg Config, npreds int, workerCounts []int) []ScanBenchEntry
 		e.Mode, e.Preds = "multi_column_first", npreds
 		out = append(out, e)
 
-		ns = measureScan(func() { kernel.ParallelScanMulti(cols, preds, false, w, acc) })
+		ns = measureScan(func() { check2(kernel.ScanMulti(x, cols, preds, false, acc)) })
 		e = entry(k, "native", w, ns, cfg.N)
 		e.Mode, e.Preds = "multi_pred_first", npreds
 		out = append(out, e)
 	}
 	return out
 }
+
+// check re-raises a kernel failure. The benchmarks run uncancellable
+// kernels over well-formed columns, so the only possible error is a
+// recovered worker panic — a bug, not a measurement.
+func check(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
+// check2 is check for kernels that also return a count.
+func check2(_ int, err error) { check(err) }
 
 // measureScan times f with benchmark-style adaptive repetition: doubling
 // rounds until one round runs at least 50ms, then the minimum ns per call

@@ -96,17 +96,29 @@ func sumRange(b *core.ByteSlice, mask *bitvec.Vector, segLo, segHi int) uint64 {
 }
 
 // Sum returns the sum of the codes of the rows set in mask (every row when
-// mask is nil) and the number of rows aggregated.
-func Sum(b *core.ByteSlice, mask *bitvec.Vector) (sum uint64, count int) {
-	return ParallelSum(b, mask, 1)
-}
-
-// ParallelSum is Sum with the segment range fanned out across workers,
-// merging the per-chunk partial sums. workers <= 1 runs serially.
-func ParallelSum(b *core.ByteSlice, mask *bitvec.Vector, workers int) (sum uint64, count int) {
-	sum, count, err := ParallelSumCtx(nil, b, mask, workers)
-	mustCtx(err)
-	return sum, count
+// mask is nil) and the number of rows aggregated. Aggregate kernels have
+// no early stop, so stage bytes count every byte slice of every segment.
+func Sum(x Exec, b *core.ByteSlice, mask *bitvec.Vector) (sum uint64, count int, err error) {
+	if mask != nil && mask.Len() != b.Len() {
+		panic("kernel: aggregate mask length mismatch")
+	}
+	count = b.Len()
+	if mask != nil {
+		count = mask.Count()
+	}
+	pad := uint(8*b.NumSlices() - b.Width())
+	segBytes := int64(core.SegmentSize * b.NumSlices())
+	st := x.Stage
+	padded, err := parallelRanges(x, b.Segments(), func(lo, hi int) uint64 {
+		if st != nil {
+			st.AddSegments(int64(hi-lo), int64(hi-lo)*segBytes)
+		}
+		return sumRange(b, mask, lo, hi)
+	}, addUint64)
+	if err != nil {
+		return 0, 0, err
+	}
+	return padded >> pad, count, nil
 }
 
 // extremeRange scans segments [segLo, segHi) for the extreme code among
@@ -150,24 +162,25 @@ func extremeRange(b *core.ByteSlice, mask *bitvec.Vector, isMin bool, segLo, seg
 	return best, found
 }
 
-// Min returns the smallest code among the rows set in mask (all rows when
-// nil); ok is false when no row is selected.
-func Min(b *core.ByteSlice, mask *bitvec.Vector) (uint32, bool) {
-	return ParallelExtreme(b, mask, true, 1)
-}
-
-// Max returns the largest code among the rows set in mask (all rows when
-// nil); ok is false when no row is selected.
-func Max(b *core.ByteSlice, mask *bitvec.Vector) (uint32, bool) {
-	return ParallelExtreme(b, mask, false, 1)
-}
-
-// ParallelExtreme computes Min (isMin) or Max with the segment range
-// chunked across workers and the per-chunk extremes merged.
-func ParallelExtreme(b *core.ByteSlice, mask *bitvec.Vector, isMin bool, workers int) (uint32, bool) {
-	v, ok, err := ParallelExtremeCtx(nil, b, mask, isMin, workers)
-	mustCtx(err)
-	return v, ok
+// Extreme returns the smallest (isMin) or largest code among the rows set
+// in mask (all rows when nil); ok is false when no row is selected.
+func Extreme(x Exec, b *core.ByteSlice, mask *bitvec.Vector, isMin bool) (uint32, bool, error) {
+	if mask != nil && mask.Len() != b.Len() {
+		panic("kernel: aggregate mask length mismatch")
+	}
+	segBytes := int64(core.SegmentSize * b.NumSlices())
+	st := x.Stage
+	best, err := parallelRanges(x, b.Segments(), func(lo, hi int) extPartial {
+		if st != nil {
+			st.AddSegments(int64(hi-lo), int64(hi-lo)*segBytes)
+		}
+		v, ok := extremeRange(b, mask, isMin, lo, hi)
+		return extPartial{v, ok}
+	}, mergeExtreme(isMin))
+	if err != nil {
+		return 0, false, err
+	}
+	return best.v, best.ok, nil
 }
 
 // Lookup stitches code i back together from its byte slices — the native
@@ -184,11 +197,26 @@ func Lookup(b *core.ByteSlice, i int) uint32 {
 }
 
 // LookupMany stitches the codes of rows into out (len(out) must equal
-// len(rows)); the projection fast path. Disjoint row ranges may be filled
-// concurrently.
+// len(rows)) — the projection fast path — with disjoint row ranges filled
+// by x.Workers goroutines. Each looked-up row reads one byte per byte
+// slice.
+func LookupMany(x Exec, b *core.ByteSlice, rows []int32, out []uint32) error {
+	if len(out) != len(rows) {
+		panic("kernel: LookupMany output length mismatch")
+	}
+	nb := int64(b.NumSlices())
+	return parallelRows(x, len(rows), func(lo, hi int) {
+		lookupRange(b, rows[lo:hi], out[lo:hi])
+		if st := x.Stage; st != nil {
+			st.AddRows(int64(hi-lo), int64(hi-lo)*nb)
+		}
+	})
+}
+
+// lookupRange is LookupMany's stitch loop over one row range.
 //
 //bsvet:hotloop
-func LookupMany(b *core.ByteSlice, rows []int32, out []uint32) {
+func lookupRange(b *core.ByteSlice, rows []int32, out []uint32) {
 	nb := b.NumSlices()
 	pad := uint(8*nb - b.Width())
 	var slices [4][]byte

@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"context"
 	"encoding/binary"
 	"math/bits"
 
@@ -118,7 +117,7 @@ func decodePlanes(ctl, data []byte, ref uint32, delta bool, nb int, pad uint, pl
 // histogram; zone-resolved segments count as depth 0 and the no-decode
 // uniform path as depth 1, mirroring the raw zoned scan's accounting.
 //
-// Like ScanRange, the prepare work (scanner construction, stream headers)
+// Like Scan, the prepare work (scanner construction, stream headers)
 // happens here, outside the annotated block loop.
 func scanCompressedRange(c *compress.Column, p layout.Predicate, blo, bhi int, out *bitvec.Vector, dh *obs.DepthCounts) (pruned int, bytes int64) {
 	nb := c.NumSlices()
@@ -191,32 +190,19 @@ func (sc *scanner) scanCompressedBlocks(p layout.Predicate, ctl, data []byte, of
 	return pruned, bytes
 }
 
-// ParallelScanCompressed evaluates p over a compressed column with the
-// given number of workers, fusing decompression into the scan: pruned and
-// uniform blocks never decode, and decoded blocks live only in a worker's
-// scratch buffer. It returns the number of segments resolved from block
-// metadata alone. out must have length c.Len() and is overwritten.
-func ParallelScanCompressed(c *compress.Column, p layout.Predicate, workers int, out *bitvec.Vector) int {
-	pruned, err := ParallelScanCompressedCtx(nil, c, p, workers, out)
-	mustCtx(err)
-	return pruned
-}
-
-// ParallelScanCompressedCtx is ParallelScanCompressed under ctx:
-// cancellation is observed at block-batch granularity and worker panics
-// return as *PanicError.
-func ParallelScanCompressedCtx(ctx context.Context, c *compress.Column, p layout.Predicate, workers int, out *bitvec.Vector) (int, error) {
-	return ParallelScanCompressedObs(ctx, c, p, workers, out, nil)
-}
-
-// ParallelScanCompressedObs is ParallelScanCompressedCtx with per-stage
-// statistics.
-func ParallelScanCompressedObs(ctx context.Context, c *compress.Column, p layout.Predicate, workers int, out *bitvec.Vector, st *obs.Stage) (int, error) {
+// ScanCompressed evaluates p over a compressed column, fusing
+// decompression into the scan: pruned and uniform blocks never decode, and
+// decoded blocks live only in a worker's scratch buffer. Cancellation is
+// observed at block-batch granularity. It returns the number of segments
+// resolved from block metadata alone. out must have length c.Len() and is
+// overwritten.
+func ScanCompressed(x Exec, c *compress.Column, p layout.Predicate, out *bitvec.Vector) (int, error) {
 	layout.CheckPredicate(p, c.Width())
 	if out.Len() != c.Len() {
 		panic("kernel: result vector length mismatch")
 	}
-	return parallelRanges(ctx, c.Blocks(), workers, st, func(lo, hi int) int {
+	st := x.Stage
+	return parallelRanges(x, c.Blocks(), func(lo, hi int) int {
 		if st == nil {
 			pruned, _ := scanCompressedRange(c, p, lo, hi, out, nil)
 			return pruned
@@ -274,23 +260,10 @@ func sumCompressedRange(c *compress.Column, mask *bitvec.Vector, blo, bhi int) (
 	return sum, segs, bytes
 }
 
-// ParallelSumCompressed sums a compressed column's codes (restricted to
-// mask when non-nil) and returns the contributing row count, decoding
-// only blocks with live rows.
-func ParallelSumCompressed(c *compress.Column, mask *bitvec.Vector, workers int) (uint64, int) {
-	sum, count, err := ParallelSumCompressedCtx(nil, c, mask, workers)
-	mustCtx(err)
-	return sum, count
-}
-
-// ParallelSumCompressedCtx is ParallelSumCompressed under ctx.
-func ParallelSumCompressedCtx(ctx context.Context, c *compress.Column, mask *bitvec.Vector, workers int) (sum uint64, count int, err error) {
-	return ParallelSumCompressedObs(ctx, c, mask, workers, nil)
-}
-
-// ParallelSumCompressedObs is ParallelSumCompressedCtx with per-stage
-// statistics.
-func ParallelSumCompressedObs(ctx context.Context, c *compress.Column, mask *bitvec.Vector, workers int, st *obs.Stage) (sum uint64, count int, err error) {
+// SumCompressed sums a compressed column's codes (restricted to mask when
+// non-nil) and returns the contributing row count, decoding only blocks
+// with live rows.
+func SumCompressed(x Exec, c *compress.Column, mask *bitvec.Vector) (sum uint64, count int, err error) {
 	if mask != nil && mask.Len() != c.Len() {
 		panic("kernel: aggregate mask length mismatch")
 	}
@@ -298,13 +271,14 @@ func ParallelSumCompressedObs(ctx context.Context, c *compress.Column, mask *bit
 	if mask != nil {
 		count = mask.Count()
 	}
-	sum, err = parallelRanges(ctx, c.Blocks(), workers, st, func(lo, hi int) uint64 {
+	st := x.Stage
+	sum, err = parallelRanges(x, c.Blocks(), func(lo, hi int) uint64 {
 		s, segs, bytes := sumCompressedRange(c, mask, lo, hi)
 		if st != nil {
 			st.AddSegments(segs, bytes)
 		}
 		return s
-	}, func(a, b uint64) uint64 { return a + b })
+	}, addUint64)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -355,27 +329,14 @@ func extremeCompressedRange(c *compress.Column, mask *bitvec.Vector, isMin bool,
 	return best, ok, segs, bytes
 }
 
-// ParallelExtremeCompressed returns the min (isMin) or max code of a
-// compressed column restricted to mask. A nil mask answers from the exact
-// per-block bounds without decoding anything; ok is false when no row
-// qualifies.
-func ParallelExtremeCompressed(c *compress.Column, mask *bitvec.Vector, isMin bool, workers int) (uint32, bool) {
-	v, ok, err := ParallelExtremeCompressedCtx(nil, c, mask, isMin, workers)
-	mustCtx(err)
-	return v, ok
-}
-
-// ParallelExtremeCompressedCtx is ParallelExtremeCompressed under ctx.
-func ParallelExtremeCompressedCtx(ctx context.Context, c *compress.Column, mask *bitvec.Vector, isMin bool, workers int) (uint32, bool, error) {
-	return ParallelExtremeCompressedObs(ctx, c, mask, isMin, workers, nil)
-}
-
-// ParallelExtremeCompressedObs is ParallelExtremeCompressedCtx with
-// per-stage statistics.
-func ParallelExtremeCompressedObs(ctx context.Context, c *compress.Column, mask *bitvec.Vector, isMin bool, workers int, st *obs.Stage) (uint32, bool, error) {
+// ExtremeCompressed returns the min (isMin) or max code of a compressed
+// column restricted to mask. A nil mask answers from the exact per-block
+// bounds without decoding anything; ok is false when no row qualifies.
+func ExtremeCompressed(x Exec, c *compress.Column, mask *bitvec.Vector, isMin bool) (uint32, bool, error) {
 	if mask != nil && mask.Len() != c.Len() {
 		panic("kernel: aggregate mask length mismatch")
 	}
+	st := x.Stage
 	if mask == nil {
 		if st != nil {
 			st.SetWorkers(1)
@@ -393,7 +354,7 @@ func ParallelExtremeCompressedObs(ctx context.Context, c *compress.Column, mask 
 		}
 		return best, ok, nil
 	}
-	best, err := parallelRanges(ctx, c.Blocks(), workers, st, func(lo, hi int) extPartial {
+	best, err := parallelRanges(x, c.Blocks(), func(lo, hi int) extPartial {
 		v, ok, segs, bytes := extremeCompressedRange(c, mask, isMin, lo, hi)
 		if st != nil {
 			st.AddSegments(segs, bytes)
@@ -407,26 +368,45 @@ func ParallelExtremeCompressedObs(ctx context.Context, c *compress.Column, mask 
 }
 
 // LookupManyCompressed stitches the codes of the given rows out of a
-// compressed column, decoding each 512-code block at most once per visit
-// into a stack buffer (rows in ascending order decode every block exactly
-// once). It returns the number of compressed bytes touched — the facade
-// feeds this to the projection stage's byte counter.
-func LookupManyCompressed(c *compress.Column, rows []int32, out []uint32) int64 {
+// compressed column in protected row batches. It always runs on one
+// worker, whatever x.Workers says: rows arrive ascending, so one walker
+// decodes each 512-code block exactly once and serves every row it
+// contains, across batch boundaries too. Stage bytes are the compressed
+// bytes touched.
+func LookupManyCompressed(x Exec, c *compress.Column, rows []int32, out []uint32) error {
 	if len(rows) != len(out) {
 		panic("kernel: LookupManyCompressed rows/out length mismatch")
 	}
-	var buf [compress.BlockCodes]uint32
+	x.Workers = 1
+	cur := blockCursor{last: -1}
+	return parallelRows(x, len(rows), func(lo, hi int) {
+		bytes := cur.gather(c, rows[lo:hi], out[lo:hi])
+		if st := x.Stage; st != nil {
+			st.AddRows(int64(hi-lo), bytes)
+		}
+	})
+}
+
+// blockCursor holds the most recently decoded block of a serial
+// compressed gather.
+type blockCursor struct {
+	buf  [compress.BlockCodes]uint32
+	last int
+}
+
+// gather stitches rows into out, decoding a block only when the row walk
+// leaves the cursor's block; it returns the compressed bytes touched.
+func (cur *blockCursor) gather(c *compress.Column, rows []int32, out []uint32) int64 {
 	offs := c.DataOffs()
-	last := -1
 	var bytes int64
 	for i, r := range rows {
 		b := int(r) / compress.BlockCodes
-		if b != last {
-			c.DecodeBlock(b, &buf)
-			last = b
+		if b != cur.last {
+			c.DecodeBlock(b, &cur.buf)
+			cur.last = b
 			bytes += int64(compress.CtlBlockBytes) + int64(offs[b+1]-offs[b])
 		}
-		out[i] = buf[int(r)%compress.BlockCodes]
+		out[i] = cur.buf[int(r)%compress.BlockCodes]
 	}
 	return bytes
 }

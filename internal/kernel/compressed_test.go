@@ -68,6 +68,39 @@ func predConstants(codes []uint32, k int) [][2]uint32 {
 	}
 }
 
+// mustScanCompressed runs ScanCompressed under x and fails the test on an
+// error.
+func mustScanCompressed(t testing.TB, x Exec, c *compress.Column, p layout.Predicate, out *bitvec.Vector) int {
+	t.Helper()
+	pruned, err := ScanCompressed(x, c, p, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pruned
+}
+
+// mustSumCompressed runs SumCompressed under x and fails the test on an
+// error.
+func mustSumCompressed(t testing.TB, x Exec, c *compress.Column, mask *bitvec.Vector) (uint64, int) {
+	t.Helper()
+	sum, count, err := SumCompressed(x, c, mask)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sum, count
+}
+
+// mustExtremeCompressed runs ExtremeCompressed under x and fails the test
+// on an error.
+func mustExtremeCompressed(t testing.TB, x Exec, c *compress.Column, mask *bitvec.Vector, isMin bool) (uint32, bool) {
+	t.Helper()
+	v, ok, err := ExtremeCompressed(x, c, mask, isMin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v, ok
+}
+
 func TestScanCompressedMatchesRaw(t *testing.T) {
 	for _, k := range []int{1, 8, 13, 16, 21, 32} {
 		for name, codes := range compressedShapes(k) {
@@ -82,10 +115,10 @@ func TestScanCompressedMatchesRaw(t *testing.T) {
 						c2 = c1
 					}
 					p := layout.Predicate{Op: op, C1: c1, C2: c2}
-					ParallelScan(raw, p, 1, want)
+					mustScan(t, Exec{}, raw, p, nil, false, want)
 					for _, workers := range []int{1, 3} {
 						got.Fill()
-						ParallelScanCompressed(cc, p, workers, got)
+						mustScanCompressed(t, Exec{Workers: workers}, cc, p, got)
 						if !got.Equal(want) {
 							t.Fatalf("k=%d %s %v workers=%d: compressed scan diverged", k, name, p, workers)
 						}
@@ -103,19 +136,16 @@ func TestScanCompressedObsAccounting(t *testing.T) {
 	raw := core.New(codes, 16, nil)
 	p := layout.Predicate{Op: layout.Le, C1: datagen.SelectivityConstant(codes, 0.1)}
 	want := bitvec.New(len(codes))
-	ParallelScan(raw, p, 1, want)
+	mustScan(t, Exec{}, raw, p, nil, false, want)
 
 	got := bitvec.New(len(codes))
 	st := &obs.Stage{}
-	pruned, err := ParallelScanCompressedObs(context.Background(), cc, p, 2, got, st)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pruned := mustScanCompressed(t, Exec{Workers: 2, Stage: st}, cc, p, got)
 	if !got.Equal(want) {
 		t.Fatal("instrumented compressed scan diverged from raw")
 	}
 	plain := bitvec.New(len(codes))
-	prunedPlain := ParallelScanCompressed(cc, p, 2, plain)
+	prunedPlain := mustScanCompressed(t, Exec{Workers: 2}, cc, p, plain)
 	if !plain.Equal(want) {
 		t.Fatal("plain compressed scan diverged from raw")
 	}
@@ -147,7 +177,7 @@ func TestSumCompressed(t *testing.T) {
 				wantAll += uint64(v)
 			}
 			for _, workers := range []int{1, 3} {
-				sum, count := ParallelSumCompressed(cc, nil, workers)
+				sum, count := mustSumCompressed(t, Exec{Workers: workers}, cc, nil)
 				if sum != wantAll || count != len(codes) {
 					t.Fatalf("k=%d %s workers=%d: sum=%d count=%d, want %d/%d",
 						k, name, workers, sum, count, wantAll, len(codes))
@@ -163,13 +193,13 @@ func TestSumCompressed(t *testing.T) {
 					wantCount++
 				}
 			}
-			sum, count := ParallelSumCompressed(cc, mask, 2)
+			sum, count := mustSumCompressed(t, Exec{Workers: 2}, cc, mask)
 			if sum != wantMasked || count != wantCount {
 				t.Fatalf("k=%d %s masked: sum=%d count=%d, want %d/%d",
 					k, name, sum, count, wantMasked, wantCount)
 			}
 			empty := bitvec.New(len(codes))
-			if sum, count := ParallelSumCompressed(cc, empty, 2); sum != 0 || count != 0 {
+			if sum, count := mustSumCompressed(t, Exec{Workers: 2}, cc, empty); sum != 0 || count != 0 {
 				t.Fatalf("k=%d %s empty mask: sum=%d count=%d", k, name, sum, count)
 			}
 		}
@@ -189,10 +219,10 @@ func TestExtremeCompressed(t *testing.T) {
 					mx = v
 				}
 			}
-			if v, ok := ParallelExtremeCompressed(cc, nil, true, 2); !ok || v != mn {
+			if v, ok := mustExtremeCompressed(t, Exec{Workers: 2}, cc, nil, true); !ok || v != mn {
 				t.Fatalf("k=%d %s: min=%d ok=%v, want %d", k, name, v, ok, mn)
 			}
-			if v, ok := ParallelExtremeCompressed(cc, nil, false, 2); !ok || v != mx {
+			if v, ok := mustExtremeCompressed(t, Exec{Workers: 2}, cc, nil, false); !ok || v != mx {
 				t.Fatalf("k=%d %s: max=%d ok=%v, want %d", k, name, v, ok, mx)
 			}
 			mask := bitvec.New(len(codes))
@@ -214,15 +244,15 @@ func TestExtremeCompressed(t *testing.T) {
 				continue
 			}
 			for _, workers := range []int{1, 3} {
-				if v, ok := ParallelExtremeCompressed(cc, mask, true, workers); !ok || v != mmn {
+				if v, ok := mustExtremeCompressed(t, Exec{Workers: workers}, cc, mask, true); !ok || v != mmn {
 					t.Fatalf("k=%d %s masked min=%d ok=%v, want %d", k, name, v, ok, mmn)
 				}
-				if v, ok := ParallelExtremeCompressed(cc, mask, false, workers); !ok || v != mmx {
+				if v, ok := mustExtremeCompressed(t, Exec{Workers: workers}, cc, mask, false); !ok || v != mmx {
 					t.Fatalf("k=%d %s masked max=%d ok=%v, want %d", k, name, v, ok, mmx)
 				}
 			}
 			empty := bitvec.New(len(codes))
-			if _, ok := ParallelExtremeCompressed(cc, empty, true, 2); ok {
+			if _, ok := mustExtremeCompressed(t, Exec{Workers: 2}, cc, empty, true); ok {
 				t.Fatalf("k=%d %s: empty mask reported an extreme", k, name)
 			}
 		}
@@ -238,21 +268,21 @@ func TestCompressedKernelsCancelAndIsolate(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ParallelScanCompressedCtx(ctx, cc, p, 2, out); err == nil {
+	if _, err := ScanCompressed(Exec{Ctx: ctx, Workers: 2}, cc, p, out); err == nil {
 		t.Fatal("cancelled compressed scan returned nil error")
 	}
-	if _, _, err := ParallelSumCompressedCtx(ctx, cc, nil, 2); err == nil {
+	if _, _, err := SumCompressed(Exec{Ctx: ctx, Workers: 2}, cc, nil); err == nil {
 		t.Fatal("cancelled compressed sum returned nil error")
 	}
 	mask := bitvec.New(len(codes))
 	mask.Fill()
-	if _, _, err := ParallelExtremeCompressedCtx(ctx, cc, mask, true, 2); err == nil {
+	if _, _, err := ExtremeCompressed(Exec{Ctx: ctx, Workers: 2}, cc, mask, true); err == nil {
 		t.Fatal("cancelled compressed extreme returned nil error")
 	}
 
 	BatchHook = func(segLo, segHi int) { panic("injected kernel fault") }
 	defer func() { BatchHook = nil }()
-	if _, err := ParallelScanCompressedCtx(context.Background(), cc, p, 2, out); err == nil {
+	if _, err := ScanCompressed(Exec{Workers: 2}, cc, p, out); err == nil {
 		t.Fatal("worker panic did not surface as an error")
 	} else if _, isPanic := err.(*PanicError); !isPanic {
 		t.Fatalf("want *PanicError, got %T: %v", err, err)

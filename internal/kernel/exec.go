@@ -8,31 +8,39 @@ import (
 	"sync/atomic"
 	"time"
 
-	"byteslice/internal/bitvec"
 	"byteslice/internal/core"
-	"byteslice/internal/layout"
 	"byteslice/internal/obs"
 )
 
-// Fault-isolated kernel execution. Every *Ctx entry point in this file runs
-// the corresponding kernel under two guarantees the bare fan-out loops do
-// not give:
+// Fault-isolated kernel execution. Every exported column or row-batch
+// kernel takes an Exec and runs through parallelRanges, which gives three
+// guarantees the bare range loops do not:
 //
-//   - Cancellation: the segment range is processed in batches of
+//   - Cancellation: the work range is processed in batches of
 //     batchSegments; between batches every worker observes the context, so
 //     a cancelled query stops within one batch (~8K rows per worker)
 //     instead of running the column to completion.
 //   - Panic isolation: each batch runs under recover. A panic inside a
 //     kernel — a latent bug, a corrupt layout — becomes a *PanicError
-//     naming the failing segment range and is returned as an error from
-//     the calling goroutine, instead of killing the process from a worker
+//     naming the failing range and is returned as an error from the
+//     calling goroutine, instead of killing the process from a worker
 //     goroutine no caller can defend.
+//   - Accounting: with a Stage attached, every batch's wall time and the
+//     fan-out width actually used are recorded.
 //
 // The first failure wins; the other workers drain at their next batch
-// boundary. A nil context means "never cancelled" — the legacy exported
-// kernels (ParallelScan, ...) route through this file with a nil context,
-// so they too isolate worker panics (re-panicking on the caller's
-// goroutine, where a defer can catch them).
+// boundary.
+
+// Exec describes how one kernel invocation runs. The zero value is a
+// serial, never-cancelled, uninstrumented run.
+type Exec struct {
+	// Ctx is observed between batches; nil means never cancelled.
+	Ctx context.Context
+	// Workers is the fan-out width; <= 1 runs on the calling goroutine.
+	Workers int
+	// Stage collects the invocation's statistics; nil disables them.
+	Stage *obs.Stage
+}
 
 // batchSegments is the cancellation granularity: 256 segments = 8192 codes
 // per check, coarse enough to stay invisible in scan throughput and fine
@@ -53,9 +61,9 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("kernel: worker panic in segments [%d,%d): %v", e.SegLo, e.SegHi, e.Value)
 }
 
-// exec coordinates one fan-out: the first error (cancellation or panic)
-// stops every worker at its next batch boundary.
-type exec struct {
+// fanout coordinates one parallelRanges call: the first error
+// (cancellation or panic) stops every worker at its next batch boundary.
+type fanout struct {
 	ctx     context.Context
 	st      *obs.Stage // nil = observability disabled
 	stopped atomic.Bool
@@ -63,33 +71,33 @@ type exec struct {
 	err     error
 }
 
-func (x *exec) fail(err error) {
-	x.mu.Lock()
-	if x.err == nil {
-		x.err = err
+func (f *fanout) fail(err error) {
+	f.mu.Lock()
+	if f.err == nil {
+		f.err = err
 	}
-	x.mu.Unlock()
-	x.stopped.Store(true)
+	f.mu.Unlock()
+	f.stopped.Store(true)
 }
 
 // stop reports whether workers should cease scheduling new batches,
 // folding a freshly-cancelled context into the recorded error.
-func (x *exec) stop() bool {
-	if x.stopped.Load() {
+func (f *fanout) stop() bool {
+	if f.stopped.Load() {
 		return true
 	}
-	if x.ctx != nil && x.ctx.Err() != nil {
-		x.fail(x.ctx.Err())
+	if f.ctx != nil && f.ctx.Err() != nil {
+		f.fail(f.ctx.Err())
 		return true
 	}
 	return false
 }
 
-func (x *exec) finish() error {
-	x.stop() // fold in a cancellation that raced the last batch
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.err
+func (f *fanout) finish() error {
+	f.stop() // fold in a cancellation that raced the last batch
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.err
 }
 
 // protect runs fn over one batch under recover.
@@ -111,15 +119,16 @@ var BatchHook func(segLo, segHi int)
 
 // runRange executes fn over [lo, hi) in cancellation batches with panic
 // isolation, merging per-batch results via combine.
-func runRange[T any](x *exec, lo, hi int, fn func(segLo, segHi int) T, combine func(T, T) T) T {
+func runRange[T any](f *fanout, lo, hi int, fn func(segLo, segHi int) T, combine func(T, T) T) T {
 	run := fn
-	if hook := BatchHook; hook != nil {
+	hook := BatchHook
+	if hook != nil {
 		run = func(segLo, segHi int) T {
 			hook(segLo, segHi)
 			return fn(segLo, segHi)
 		}
 	}
-	if st := x.st; st != nil {
+	if st := f.st; st != nil {
 		inner := run
 		run = func(segLo, segHi int) T {
 			t0 := time.Now()
@@ -128,18 +137,24 @@ func runRange[T any](x *exec, lo, hi int, fn func(segLo, segHi int) T, combine f
 			return v
 		}
 	}
+	step := batchSegments
+	if f.ctx == nil && f.st == nil && hook == nil {
+		// Nothing to observe between batches: run the range in one
+		// protected call, as the bare range loop would.
+		step = hi - lo
+	}
 	var acc T
-	for b := lo; b < hi; b += batchSegments {
-		if x.stop() {
+	for b := lo; b < hi; b += step {
+		if f.stop() {
 			return acc
 		}
-		bhi := b + batchSegments
+		bhi := b + step
 		if bhi > hi {
 			bhi = hi
 		}
 		v, err := protect(b, bhi, run)
 		if err != nil {
-			x.fail(err)
+			f.fail(err)
 			return acc
 		}
 		acc = combine(acc, v)
@@ -148,26 +163,26 @@ func runRange[T any](x *exec, lo, hi int, fn func(segLo, segHi int) T, combine f
 }
 
 // parallelRanges partitions [0, segs) into even-aligned chunks across
-// workers (inline when one suffices), running fn batch-wise under the
-// context with panic isolation and merging results via combine. On error
-// the zero T is returned: partial results of a failed fan-out are
+// x.Workers goroutines (inline when one suffices), running fn batch-wise
+// under x.Ctx with panic isolation and merging results via combine. On
+// error the zero T is returned: partial results of a failed fan-out are
 // meaningless because an arbitrary suffix of the work never ran.
-func parallelRanges[T any](ctx context.Context, segs, workers int, st *obs.Stage, fn func(segLo, segHi int) T, combine func(T, T) T) (T, error) {
-	x := &exec{ctx: ctx, st: st}
+func parallelRanges[T any](x Exec, segs int, fn func(segLo, segHi int) T, combine func(T, T) T) (T, error) {
+	f := &fanout{ctx: x.Ctx, st: x.Stage}
 	var zero T
+	workers := x.Workers
 	if workers > segs {
 		workers = segs
 	}
-	if st != nil {
-		if workers <= 1 {
-			st.SetWorkers(1)
-		} else {
-			st.SetWorkers(workers)
-		}
+	if workers < 1 {
+		workers = 1
 	}
-	if workers <= 1 {
-		v := runRange(x, 0, segs, fn, combine)
-		if err := x.finish(); err != nil {
+	if x.Stage != nil {
+		x.Stage.SetWorkers(workers)
+	}
+	if workers == 1 {
+		v := runRange(f, 0, segs, fn, combine)
+		if err := f.finish(); err != nil {
 			return zero, err
 		}
 		return v, nil
@@ -183,11 +198,11 @@ func parallelRanges[T any](ctx context.Context, segs, workers int, st *obs.Stage
 		wg.Add(1)
 		go func(i, lo, hi int) {
 			defer wg.Done()
-			partials[i] = runRange(x, lo, hi, fn, combine)
+			partials[i] = runRange(f, lo, hi, fn, combine)
 		}(i, lo, hi)
 	}
 	wg.Wait()
-	if err := x.finish(); err != nil {
+	if err := f.finish(); err != nil {
 		return zero, err
 	}
 	acc := partials[0]
@@ -197,51 +212,27 @@ func parallelRanges[T any](ctx context.Context, segs, workers int, st *obs.Stage
 	return acc, nil
 }
 
+// parallelRows runs fn over the row-index ranges of an n-row lookup.
+// Rows are grouped SegmentSize to a work unit, so lookups fan out, batch
+// (8192 rows), cancel and isolate panics exactly like the segment kernels.
+func parallelRows(x Exec, n int, fn func(lo, hi int)) error {
+	units := (n + core.SegmentSize - 1) / core.SegmentSize
+	_, err := parallelRanges(x, units, func(lo, hi int) struct{} {
+		lo, hi = lo*core.SegmentSize, hi*core.SegmentSize
+		if hi > n {
+			hi = n
+		}
+		fn(lo, hi)
+		return struct{}{}
+	}, dropUnit)
+	return err
+}
+
 func addInt(a, b int) int { return a + b }
 
-// mustCtx adapts a Ctx kernel for the legacy context-free API: with a nil
-// context the only possible error is a recovered worker panic, which is
-// re-raised — on the caller's goroutine, where a defer can still catch it,
-// instead of an unrecoverable worker-goroutine crash.
-func mustCtx(err error) {
-	if err != nil {
-		panic(err)
-	}
-}
+func addUint64(a, b uint64) uint64 { return a + b }
 
 func dropUnit(a, _ struct{}) struct{} { return a }
-
-// ParallelScanCtx is ParallelScan under ctx: cancellation is observed at
-// segment-batch granularity and worker panics return as *PanicError. A nil
-// ctx disables cancellation but keeps panic isolation.
-func ParallelScanCtx(ctx context.Context, b *core.ByteSlice, p layout.Predicate, workers int, out *bitvec.Vector) error {
-	return ParallelScanObs(ctx, b, p, workers, out, nil)
-}
-
-// ParallelScanZonedCtx is ParallelScanZoned under ctx.
-func ParallelScanZonedCtx(ctx context.Context, b *core.ByteSlice, p layout.Predicate, workers int, out *bitvec.Vector) (int, error) {
-	return ParallelScanZonedObs(ctx, b, p, workers, out, nil)
-}
-
-// ParallelScanPipelinedCtx is ParallelScanPipelined under ctx.
-func ParallelScanPipelinedCtx(ctx context.Context, b *core.ByteSlice, p layout.Predicate, prev *bitvec.Vector, negate bool, workers int, out *bitvec.Vector) error {
-	return ParallelScanPipelinedObs(ctx, b, p, prev, negate, workers, out, nil)
-}
-
-// ParallelScanPipelinedZonedCtx is ParallelScanPipelinedZoned under ctx.
-func ParallelScanPipelinedZonedCtx(ctx context.Context, b *core.ByteSlice, p layout.Predicate, prev *bitvec.Vector, negate bool, workers int, out *bitvec.Vector) (int, error) {
-	return ParallelScanPipelinedZonedObs(ctx, b, p, prev, negate, workers, out, nil)
-}
-
-// ParallelScanMultiCtx is ParallelScanMulti under ctx.
-func ParallelScanMultiCtx(ctx context.Context, cols []*core.ByteSlice, preds []layout.Predicate, disjunct bool, workers int, out *bitvec.Vector) (int, error) {
-	return ParallelScanMultiObs(ctx, cols, preds, disjunct, workers, out, nil)
-}
-
-// ParallelSumCtx is ParallelSum under ctx.
-func ParallelSumCtx(ctx context.Context, b *core.ByteSlice, mask *bitvec.Vector, workers int) (sum uint64, count int, err error) {
-	return ParallelSumObs(ctx, b, mask, workers, nil)
-}
 
 // extPartial carries one range's extreme candidate through the merge.
 type extPartial struct {
@@ -262,26 +253,4 @@ func mergeExtreme(isMin bool) func(a, b extPartial) extPartial {
 			return a
 		}
 	}
-}
-
-// ParallelExtremeCtx is ParallelExtreme under ctx.
-func ParallelExtremeCtx(ctx context.Context, b *core.ByteSlice, mask *bitvec.Vector, isMin bool, workers int) (uint32, bool, error) {
-	return ParallelExtremeObs(ctx, b, mask, isMin, workers, nil)
-}
-
-// ScanSumCtx is ScanSum under ctx. Each batch prepares its own scanner —
-// a few broadcasts per 8K rows, invisible next to the scan itself.
-func ScanSumCtx(ctx context.Context, f *core.ByteSlice, p layout.Predicate, v *core.ByteSlice, workers int) (sum uint64, count int, err error) {
-	return ScanSumObs(ctx, f, p, v, workers, nil)
-}
-
-// ScanExtremeCtx is ScanExtreme under ctx.
-func ScanExtremeCtx(ctx context.Context, f *core.ByteSlice, p layout.Predicate, v *core.ByteSlice, isMin bool, workers int) (uint32, bool, error) {
-	return ScanExtremeObs(ctx, f, p, v, isMin, workers, nil)
-}
-
-// LookupManyCtx is LookupMany chunked under ctx with panic isolation; rows
-// are processed in row batches of batchSegments·SegmentSize.
-func LookupManyCtx(ctx context.Context, b *core.ByteSlice, rows []int32, out []uint32) error {
-	return LookupManyObs(ctx, b, rows, out, nil)
 }

@@ -28,13 +28,15 @@ func execPred(t *testing.T, b *core.ByteSlice) layout.Predicate {
 	return layout.Predicate{Op: layout.Lt, C1: 500}
 }
 
+// TestCtxScanMatchesSerial asserts a scan under a live context on four
+// workers matches the serial, context-free scan.
 func TestCtxScanMatchesSerial(t *testing.T) {
 	b := execColumn(t, 10_000)
 	p := execPred(t, b)
 	want := bitvec.New(b.Len())
-	Scan(b, p, want)
+	mustScan(t, Exec{}, b, p, nil, false, want)
 	got := bitvec.New(b.Len())
-	if err := ParallelScanCtx(context.Background(), b, p, 4, got); err != nil {
+	if _, err := Scan(Exec{Ctx: context.Background(), Workers: 4}, b, p, nil, false, got); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < b.Len(); i++ {
@@ -68,7 +70,10 @@ func TestCancelStopsEarly(t *testing.T) {
 
 	done := make(chan error, 1)
 	workers := 4
-	go func() { done <- ParallelScanCtx(ctx, b, p, workers, out) }()
+	go func() {
+		_, err := Scan(Exec{Ctx: ctx, Workers: workers}, b, p, nil, false, out)
+		done <- err
+	}()
 	<-started
 	cancel()
 	err := <-done
@@ -91,7 +96,7 @@ func TestCancelledBeforeStart(t *testing.T) {
 	var batches atomic.Int32
 	BatchHook = func(int, int) { batches.Add(1) }
 	defer func() { BatchHook = nil }()
-	if err := ParallelScanCtx(ctx, b, p, 4, out); !errors.Is(err, context.Canceled) {
+	if _, err := Scan(Exec{Ctx: ctx, Workers: 4}, b, p, nil, false, out); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if n := batches.Load(); n != 0 {
@@ -112,7 +117,7 @@ func TestWorkerPanicBecomesError(t *testing.T) {
 		}
 	}
 	defer func() { BatchHook = nil }()
-	err := ParallelScanCtx(context.Background(), b, p, 2, out)
+	_, err := Scan(Exec{Workers: 2}, b, p, nil, false, out)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PanicError", err)
@@ -128,77 +133,59 @@ func TestWorkerPanicBecomesError(t *testing.T) {
 	}
 }
 
-// TestLegacyWrapperRepanics: the context-free API re-raises worker panics
-// on the caller's goroutine, where a defer can catch them.
-func TestLegacyWrapperRepanics(t *testing.T) {
-	b := execColumn(t, 4*batchSegments*core.SegmentSize)
-	p := execPred(t, b)
-	out := bitvec.New(b.Len())
-	BatchHook = func(int, int) { panic("boom") }
-	defer func() { BatchHook = nil }()
-	defer func() {
-		v := recover()
-		if v == nil {
-			t.Fatal("legacy ParallelScan swallowed the worker panic")
-		}
-		if _, ok := v.(*PanicError); !ok {
-			t.Fatalf("recovered %T, want *PanicError", v)
-		}
-	}()
-	ParallelScan(b, p, 2, out)
-}
-
-// TestCtxAggregates: cancellation and panic isolation hold for every Ctx
-// kernel, not just the plain scan.
+// TestCtxAggregates: cancellation holds for every kernel entry, not just
+// the plain scan, and a live context changes no result.
 func TestCtxAggregates(t *testing.T) {
 	b := execColumn(t, 10_000)
 	p := execPred(t, b)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
+	x := Exec{Ctx: ctx, Workers: 4}
 
-	if _, _, err := ParallelSumCtx(ctx, b, nil, 4); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ParallelSumCtx: %v", err)
+	if _, _, err := Sum(x, b, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Sum: %v", err)
 	}
-	if _, _, err := ParallelExtremeCtx(ctx, b, nil, true, 4); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ParallelExtremeCtx: %v", err)
+	if _, _, err := Extreme(x, b, nil, true); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Extreme: %v", err)
 	}
-	if _, _, err := ScanSumCtx(ctx, b, p, b, 4); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ScanSumCtx: %v", err)
+	if _, _, err := ScanSum(x, b, p, b); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ScanSum: %v", err)
 	}
-	if _, _, err := ScanExtremeCtx(ctx, b, p, b, false, 4); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ScanExtremeCtx: %v", err)
+	if _, _, err := ScanExtreme(x, b, p, b, false); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ScanExtreme: %v", err)
 	}
 	out := bitvec.New(b.Len())
-	if _, err := ParallelScanMultiCtx(ctx, []*core.ByteSlice{b}, []layout.Predicate{p}, false, 4, out); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ParallelScanMultiCtx: %v", err)
+	if _, err := ScanMulti(x, []*core.ByteSlice{b}, []layout.Predicate{p}, false, out); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ScanMulti: %v", err)
 	}
 	rows := []int32{0, 1, 2}
 	codes := make([]uint32, len(rows))
-	if err := LookupManyCtx(ctx, b, rows, codes); !errors.Is(err, context.Canceled) {
-		t.Fatalf("LookupManyCtx: %v", err)
+	if err := LookupMany(x, b, rows, codes); !errors.Is(err, context.Canceled) {
+		t.Fatalf("LookupMany: %v", err)
 	}
 
-	// And with a live context they agree with the legacy kernels.
-	sum, n, err := ParallelSumCtx(context.Background(), b, nil, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSum, wantN := Sum(b, nil)
+	// And with a live context they agree with the serial kernels.
+	live := Exec{Ctx: context.Background(), Workers: 4}
+	sum, n := mustSum(t, live, b, nil)
+	wantSum, wantN := mustSum(t, Exec{}, b, nil)
 	if sum != wantSum || n != wantN {
-		t.Fatalf("ParallelSumCtx = (%d, %d), want (%d, %d)", sum, n, wantSum, wantN)
+		t.Fatalf("Sum = (%d, %d), want (%d, %d)", sum, n, wantSum, wantN)
 	}
-	v, ok, err := ScanExtremeCtx(context.Background(), b, p, b, false, 4)
+	v, ok, err := ScanExtreme(live, b, p, b, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantV, wantOK := ScanExtreme(b, p, b, false, 1)
+	wantV, wantOK, err := ScanExtreme(Exec{}, b, p, b, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if v != wantV || ok != wantOK {
-		t.Fatalf("ScanExtremeCtx = (%d, %v), want (%d, %v)", v, ok, wantV, wantOK)
+		t.Fatalf("ScanExtreme = (%d, %v), want (%d, %v)", v, ok, wantV, wantOK)
 	}
 }
 
-// TestCtxZonedScans: the zoned variants propagate cancellation and still
-// report prune counts when live.
+// TestCtxZonedScans: the zoned and pipelined scan shapes propagate
+// cancellation and still report prune counts when live.
 func TestCtxZonedScans(t *testing.T) {
 	b := execColumn(t, 10_000)
 	b.BuildZoneMaps()
@@ -206,23 +193,22 @@ func TestCtxZonedScans(t *testing.T) {
 	out := bitvec.New(b.Len())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ParallelScanZonedCtx(ctx, b, p, 4, out); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ParallelScanZonedCtx: %v", err)
+	x := Exec{Ctx: ctx, Workers: 4}
+	if _, err := Scan(x, b, p, nil, false, out); !errors.Is(err, context.Canceled) {
+		t.Fatalf("zoned Scan: %v", err)
 	}
 	prev := bitvec.New(b.Len())
 	prev.Fill()
-	if _, err := ParallelScanPipelinedZonedCtx(ctx, b, p, prev, false, 4, out); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ParallelScanPipelinedZonedCtx: %v", err)
+	if _, err := Scan(x, b, p, prev, false, out); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pipelined zoned Scan: %v", err)
 	}
-	if err := ParallelScanPipelinedCtx(ctx, b, p, prev, false, 4, out); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ParallelScanPipelinedCtx: %v", err)
+	unzoned := execColumn(t, 10_000)
+	if _, err := Scan(x, unzoned, p, prev, false, out); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pipelined Scan: %v", err)
 	}
 
-	got, err := ParallelScanZonedCtx(context.Background(), b, p, 4, out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ScanZoned(b, p, bitvec.New(b.Len()))
+	got := mustScan(t, Exec{Ctx: context.Background(), Workers: 4}, b, p, nil, false, out)
+	want := mustScan(t, Exec{}, b, p, nil, false, bitvec.New(b.Len()))
 	if got != want {
 		t.Fatalf("zoned prune count %d, want %d", got, want)
 	}

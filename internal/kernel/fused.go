@@ -27,9 +27,9 @@ import (
 // truncates the final segment's padding bits.
 //
 //bsvet:hotloop
-func segMask(sc *scanner, z *zoneInfo, seg int) uint32 {
+func segMask(sc *scanner, seg int) uint32 {
 	var r uint32
-	switch z.decide(sc.op, seg) {
+	switch sc.zone.decide(sc.op, seg) {
 	case 1:
 		r = ^uint32(0)
 	case -1:
@@ -43,12 +43,12 @@ func segMask(sc *scanner, z *zoneInfo, seg int) uint32 {
 	return r
 }
 
-// scanSumRange fuses predicate evaluation on f with the slice-wise SWAR
-// sum over v for segments [segLo, segHi), returning the padded
+// scanSumRange fuses the prepared filter predicate sc with the slice-wise
+// SWAR sum over v for segments [segLo, segHi), returning the padded
 // byte-weighted partial sum (as sumRange) and the matching row count.
 //
 //bsvet:hotloop
-func scanSumRange(f *core.ByteSlice, sc *scanner, z *zoneInfo, v *core.ByteSlice, segLo, segHi int) (uint64, int) {
+func scanSumRange(sc *scanner, v *core.ByteSlice, segLo, segHi int) (uint64, int) {
 	nbv := v.NumSlices()
 	var vslices [4][]byte
 	for j := 0; j < nbv; j++ {
@@ -57,7 +57,7 @@ func scanSumRange(f *core.ByteSlice, sc *scanner, z *zoneInfo, v *core.ByteSlice
 	var acc, tot [4]uint64
 	cnt, count := 0, 0
 	for seg := segLo; seg < segHi; seg++ {
-		r := segMask(sc, z, seg)
+		r := segMask(sc, seg)
 		if r == 0 {
 			continue
 		}
@@ -107,18 +107,38 @@ func scanSumRange(f *core.ByteSlice, sc *scanner, z *zoneInfo, v *core.ByteSlice
 // ScanSum evaluates p on f and sums v's codes over the matching rows in
 // one pass, returning (Σ codes, match count). It is the fused counterpart
 // of Scan + Sum and never materialises the full-table bit vector. Zone
-// maps on f are used when built.
-func ScanSum(f *core.ByteSlice, p layout.Predicate, v *core.ByteSlice, workers int) (sum uint64, count int) {
-	sum, count, err := ScanSumCtx(nil, f, p, v, workers)
-	mustCtx(err)
-	return sum, count
+// maps on f are used when built. Stage bytes count the filter-column
+// segments plus the value-column bytes of the fused aggregate.
+func ScanSum(x Exec, f *core.ByteSlice, p layout.Predicate, v *core.ByteSlice) (sum uint64, count int, err error) {
+	if f.Len() != v.Len() {
+		panic("kernel: ScanSum columns have different lengths")
+	}
+	type part struct {
+		padded uint64
+		count  int
+	}
+	sc := prepare(f, p)
+	padv := uint(8*v.NumSlices() - v.Width())
+	segBytes := int64(core.SegmentSize * (f.NumSlices() + v.NumSlices()))
+	st := x.Stage
+	res, err := parallelRanges(x, f.Segments(), func(lo, hi int) part {
+		if st != nil {
+			st.AddSegments(int64(hi-lo), int64(hi-lo)*segBytes)
+		}
+		padded, n := scanSumRange(&sc, v, lo, hi)
+		return part{padded, n}
+	}, func(a, b part) part { return part{a.padded + b.padded, a.count + b.count} })
+	if err != nil {
+		return 0, 0, err
+	}
+	return res.padded >> padv, res.count, nil
 }
 
-// scanExtremeRange fuses predicate evaluation on f with the extreme stitch
-// over v for segments [segLo, segHi).
+// scanExtremeRange fuses the prepared filter predicate sc with the extreme
+// stitch over v for segments [segLo, segHi).
 //
 //bsvet:hotloop
-func scanExtremeRange(f *core.ByteSlice, sc *scanner, z *zoneInfo, v *core.ByteSlice, isMin bool, segLo, segHi int) (uint32, bool) {
+func scanExtremeRange(sc *scanner, v *core.ByteSlice, isMin bool, segLo, segHi int) (uint32, bool) {
 	nbv := v.NumSlices()
 	padv := uint(8*nbv - v.Width())
 	var vslices [4][]byte
@@ -128,7 +148,7 @@ func scanExtremeRange(f *core.ByteSlice, sc *scanner, z *zoneInfo, v *core.ByteS
 	var best uint32
 	found := false
 	for seg := segLo; seg < segHi; seg++ {
-		r := segMask(sc, z, seg)
+		r := segMask(sc, seg)
 		off := seg * core.SegmentSize
 		for r != 0 {
 			i := off + bits.TrailingZeros32(r)
@@ -150,8 +170,22 @@ func scanExtremeRange(f *core.ByteSlice, sc *scanner, z *zoneInfo, v *core.ByteS
 // ScanExtreme evaluates p on f and returns the extreme (min when isMin,
 // else max) of v's codes over the matching rows in one pass; ok is false
 // when no row matches. Zone maps on f are used when built.
-func ScanExtreme(f *core.ByteSlice, p layout.Predicate, v *core.ByteSlice, isMin bool, workers int) (uint32, bool) {
-	v2, ok, err := ScanExtremeCtx(nil, f, p, v, isMin, workers)
-	mustCtx(err)
-	return v2, ok
+func ScanExtreme(x Exec, f *core.ByteSlice, p layout.Predicate, v *core.ByteSlice, isMin bool) (uint32, bool, error) {
+	if f.Len() != v.Len() {
+		panic("kernel: ScanExtreme columns have different lengths")
+	}
+	sc := prepare(f, p)
+	segBytes := int64(core.SegmentSize * (f.NumSlices() + v.NumSlices()))
+	st := x.Stage
+	best, err := parallelRanges(x, f.Segments(), func(lo, hi int) extPartial {
+		if st != nil {
+			st.AddSegments(int64(hi-lo), int64(hi-lo)*segBytes)
+		}
+		val, ok := scanExtremeRange(&sc, v, isMin, lo, hi)
+		return extPartial{val, ok}
+	}, mergeExtreme(isMin))
+	if err != nil {
+		return 0, false, err
+	}
+	return best.v, best.ok, nil
 }

@@ -67,19 +67,21 @@ func FuzzNativeVsEngine(f *testing.F) {
 			}
 		}
 
+		x := Exec{Workers: workers}
+
 		// Plain scan: native (serial and worker-pool) vs engine.
 		want := bitvec.New(n)
 		b.Scan(layouttest.Engine(), p, want)
 		got := bitvec.New(n)
 		got.Fill()
-		Scan(b, p, got)
+		mustScan(t, Exec{}, b, p, nil, false, got)
 		if !got.Equal(want) {
 			t.Fatalf("k=%d %v n=%d: native Scan differs from engine", k, p, n)
 		}
 		got.Fill()
-		ParallelScan(b, p, workers, got)
+		mustScan(t, x, b, p, nil, false, got)
 		if !got.Equal(want) {
-			t.Fatalf("k=%d %v n=%d workers=%d: native ParallelScan differs", k, p, n, workers)
+			t.Fatalf("k=%d %v n=%d workers=%d: native parallel scan differs", k, p, n, workers)
 		}
 
 		// Pipelined scans, both polarities.
@@ -88,7 +90,7 @@ func FuzzNativeVsEngine(f *testing.F) {
 			b.ScanPipelined(layouttest.Engine(), p, prev, negate, wantP)
 			gotP := bitvec.New(n)
 			gotP.Fill()
-			ParallelScanPipelined(b, p, prev, negate, workers, gotP)
+			mustScan(t, x, b, p, prev, negate, gotP)
 			if !gotP.Equal(wantP) {
 				t.Fatalf("k=%d %v n=%d negate=%v workers=%d: native pipelined scan differs", k, p, n, negate, workers)
 			}
@@ -97,17 +99,17 @@ func FuzzNativeVsEngine(f *testing.F) {
 		// Aggregates under a NULL-style mask (and unmasked) vs the engine.
 		for _, mask := range []*bitvec.Vector{nil, prev} {
 			wantSum, wantN := b.Sum(layouttest.Engine(), mask)
-			gotSum, gotN := ParallelSum(b, mask, workers)
+			gotSum, gotN := mustSum(t, x, b, mask)
 			if gotSum != wantSum || gotN != wantN {
 				t.Fatalf("k=%d n=%d: native Sum = %d/%d, engine %d/%d", k, n, gotSum, gotN, wantSum, wantN)
 			}
 			wantMin, wantOK := b.Min(layouttest.Engine(), mask)
-			gotMin, gotOK := ParallelExtreme(b, mask, true, workers)
+			gotMin, gotOK := mustExtreme(t, x, b, mask, true)
 			if gotOK != wantOK || (wantOK && gotMin != wantMin) {
 				t.Fatalf("k=%d n=%d: native Min = %d/%v, engine %d/%v", k, n, gotMin, gotOK, wantMin, wantOK)
 			}
 			wantMax, wantOK2 := b.Max(layouttest.Engine(), mask)
-			gotMax, gotOK2 := ParallelExtreme(b, mask, false, workers)
+			gotMax, gotOK2 := mustExtreme(t, x, b, mask, false)
 			if gotOK2 != wantOK2 || (wantOK2 && gotMax != wantMax) {
 				t.Fatalf("k=%d n=%d: native Max = %d/%v, engine %d/%v", k, n, gotMax, gotOK2, wantMax, wantOK2)
 			}
@@ -118,7 +120,7 @@ func FuzzNativeVsEngine(f *testing.F) {
 		bz := core.New(codes, k, nil)
 		bz.BuildZoneMaps()
 		got.Fill()
-		ParallelScanZoned(bz, p, workers, got)
+		mustScan(t, x, bz, p, nil, false, got)
 		if !got.Equal(want) {
 			t.Fatalf("k=%d %v n=%d workers=%d: zoned scan differs from engine", k, p, n, workers)
 		}
@@ -127,7 +129,7 @@ func FuzzNativeVsEngine(f *testing.F) {
 			b.ScanPipelined(layouttest.Engine(), p, prev, negate, wantP)
 			gotP := bitvec.New(n)
 			gotP.Fill()
-			ParallelScanPipelinedZoned(bz, p, prev, negate, workers, gotP)
+			mustScan(t, x, bz, p, prev, negate, gotP)
 			if !gotP.Equal(wantP) {
 				t.Fatalf("k=%d %v n=%d negate=%v workers=%d: zoned pipelined scan differs", k, p, n, negate, workers)
 			}
@@ -156,7 +158,9 @@ func FuzzNativeVsEngine(f *testing.F) {
 			}
 			gotM := bitvec.New(n)
 			gotM.Fill()
-			ParallelScanMulti(cols, preds, disjunct, workers, gotM)
+			if _, err := ScanMulti(x, cols, preds, disjunct, gotM); err != nil {
+				t.Fatal(err)
+			}
 			if !gotM.Equal(wantM) {
 				t.Fatalf("k=%d %v/%v n=%d disjunct=%v workers=%d: multi scan differs", k, p, p2, n, disjunct, workers)
 			}
@@ -165,7 +169,10 @@ func FuzzNativeVsEngine(f *testing.F) {
 		// Fused filter→aggregate vs the two-pass engine path (scan to a
 		// mask, then masked aggregates), with the zone-mapped filter column.
 		wantSumF, wantNF := b.Sum(layouttest.Engine(), want)
-		gotSumF, gotNF := ScanSum(bz, p, b, workers)
+		gotSumF, gotNF, err := ScanSum(x, bz, p, b)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if gotSumF != wantSumF || gotNF != wantNF {
 			t.Fatalf("k=%d %v n=%d: fused ScanSum = %d/%d, two-pass %d/%d", k, p, n, gotSumF, gotNF, wantSumF, wantNF)
 		}
@@ -177,7 +184,10 @@ func FuzzNativeVsEngine(f *testing.F) {
 			} else {
 				wantX, wantOK = b.Max(layouttest.Engine(), want)
 			}
-			gotX, gotOK := ScanExtreme(bz, p, b, isMin, workers)
+			gotX, gotOK, err := ScanExtreme(x, bz, p, b, isMin)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if gotOK != wantOK || (wantOK && gotX != wantX) {
 				t.Fatalf("k=%d %v n=%d isMin=%v: fused extreme = %d/%v, two-pass %d/%v", k, p, n, isMin, gotX, gotOK, wantX, wantOK)
 			}
@@ -188,13 +198,13 @@ func FuzzNativeVsEngine(f *testing.F) {
 		// mix of FOR, delta and uniform-1 blocks the codes produce.
 		cc := compress.New(codes, k, nil)
 		got.Fill()
-		ParallelScanCompressed(cc, p, workers, got)
+		mustScanCompressed(t, x, cc, p, got)
 		if !got.Equal(want) {
 			t.Fatalf("k=%d %v n=%d workers=%d: compressed scan differs from engine", k, p, n, workers)
 		}
 		for _, mask := range []*bitvec.Vector{nil, prev} {
 			wantSum, wantN := b.Sum(layouttest.Engine(), mask)
-			gotSum, gotN := ParallelSumCompressed(cc, mask, workers)
+			gotSum, gotN := mustSumCompressed(t, x, cc, mask)
 			if gotSum != wantSum || gotN != wantN {
 				t.Fatalf("k=%d n=%d: compressed Sum = %d/%d, engine %d/%d", k, n, gotSum, gotN, wantSum, wantN)
 			}
@@ -206,7 +216,7 @@ func FuzzNativeVsEngine(f *testing.F) {
 				} else {
 					wantX, wantOK = b.Max(layouttest.Engine(), mask)
 				}
-				gotX, gotOK := ParallelExtremeCompressed(cc, mask, isMin, workers)
+				gotX, gotOK := mustExtremeCompressed(t, x, cc, mask, isMin)
 				if gotOK != wantOK || (wantOK && gotX != wantX) {
 					t.Fatalf("k=%d n=%d isMin=%v: compressed extreme = %d/%v, engine %d/%v", k, n, isMin, gotX, gotOK, wantX, wantOK)
 				}
@@ -217,7 +227,9 @@ func FuzzNativeVsEngine(f *testing.F) {
 		// bit-identical to the engine results on the same codes.
 		hb := hbp.New(codes, k, nil)
 		got.Fill()
-		ParallelScanHBP(hb, p, workers, got)
+		if err := ScanHBP(x, hb, p, got); err != nil {
+			t.Fatal(err)
+		}
 		if !got.Equal(want) {
 			t.Fatalf("k=%d %v n=%d workers=%d: HBP scan differs from engine", k, p, n, workers)
 		}
@@ -226,7 +238,9 @@ func FuzzNativeVsEngine(f *testing.F) {
 			hbRows[i] = int32(n - 1 - i)
 		}
 		hbOut := make([]uint32, n)
-		LookupManyHBP(hb, hbRows, hbOut)
+		if err := LookupManyHBP(x, hb, hbRows, hbOut); err != nil {
+			t.Fatal(err)
+		}
 		for x, r := range hbRows {
 			if hbOut[x] != codes[r] {
 				t.Fatalf("k=%d: LookupManyHBP row %d = %d, want %d", k, r, hbOut[x], codes[r])

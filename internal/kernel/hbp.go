@@ -9,16 +9,12 @@
 package kernel
 
 import (
-	"context"
 	"encoding/binary"
 	"math/bits"
-	"time"
 
 	"byteslice/internal/bitvec"
-	"byteslice/internal/core"
 	"byteslice/internal/layout"
 	"byteslice/internal/layout/hbp"
-	"byteslice/internal/obs"
 )
 
 // hbpBankBytes is the column data one HBP lookup touches: a single 64-bit
@@ -84,67 +80,25 @@ func LookupHBP(h *hbp.HBP, i int) uint32 {
 }
 
 // LookupManyHBP gathers the codes of rows into out (len(out) must equal
-// len(rows)); the projection fast path for HBP columns. Disjoint row
-// ranges may be filled concurrently.
-func LookupManyHBP(h *hbp.HBP, rows []int32, out []uint32) {
+// len(rows)) — the projection fast path for HBP columns — with disjoint row
+// ranges filled by x.Workers goroutines. Each looked-up row reads one
+// 8-byte bank.
+func LookupManyHBP(x Exec, h *hbp.HBP, rows []int32, out []uint32) error {
 	if len(out) != len(rows) {
 		panic("kernel: LookupMany output length mismatch")
 	}
 	pb := h.PerBank()
 	mask := hbpMask(h.Width())
-	if pb == 1 {
-		hbpLookupRange1(h.Data(), mask, rows, out)
-		return
-	}
-	hbpLookupRange(h.Data(), h.Width()+1, hbpRecip(pb), uint64(pb), mask, rows, out)
-}
-
-// LookupManyHBPCtx is LookupManyHBP chunked under ctx with panic
-// isolation; rows are processed in row batches of
-// batchSegments·SegmentSize.
-func LookupManyHBPCtx(ctx context.Context, h *hbp.HBP, rows []int32, out []uint32) error {
-	return LookupManyHBPObs(ctx, h, rows, out, nil)
-}
-
-// LookupManyHBPObs is LookupManyHBPCtx with per-stage statistics: each
-// looked-up row reads one 8-byte bank.
-func LookupManyHBPObs(ctx context.Context, h *hbp.HBP, rows []int32, out []uint32, st *obs.Stage) error {
-	if len(out) != len(rows) {
-		panic("kernel: LookupMany output length mismatch")
-	}
-	x := &exec{ctx: ctx}
-	if st != nil {
-		st.SetWorkers(1)
-	}
-	step := batchSegments * core.SegmentSize
-	for lo := 0; lo < len(rows); lo += step {
-		if x.stop() {
-			break
+	return parallelRows(x, len(rows), func(lo, hi int) {
+		if pb == 1 {
+			hbpLookupRange1(h.Data(), mask, rows[lo:hi], out[lo:hi])
+		} else {
+			hbpLookupRange(h.Data(), h.Width()+1, hbpRecip(pb), uint64(pb), mask, rows[lo:hi], out[lo:hi])
 		}
-		hi := lo + step
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		var t0 time.Time
-		if st != nil {
-			t0 = time.Now()
-		}
-		if _, err := protect(lo, hi, func(lo, hi int) struct{} {
-			if hook := BatchHook; hook != nil {
-				hook(lo, hi)
-			}
-			LookupManyHBP(h, rows[lo:hi], out[lo:hi])
-			return struct{}{}
-		}); err != nil {
-			x.fail(err)
-			break
-		}
-		if st != nil {
-			st.ObserveBatch(time.Since(t0).Nanoseconds())
+		if st := x.Stage; st != nil {
 			st.AddRows(int64(hi-lo), int64(hi-lo)*hbpBankBytes)
 		}
-	}
-	return x.finish()
+	})
 }
 
 // hbpScanner carries the predicate constants of one HBP scan: the guard
@@ -247,29 +201,20 @@ func hbpSupers(h *hbp.HBP) int {
 	return (banks + hbpSuperBanks - 1) / hbpSuperBanks
 }
 
-// ParallelScanHBP evaluates the predicate over an HBP column with the bank
-// range chunked across workers — the native counterpart of the modelled
+// ScanHBP evaluates the predicate over an HBP column with the bank range
+// chunked across workers — the native counterpart of the modelled
 // hbp.HBP.Scan. HBP has no early stopping or zone maps: every bit of every
 // code is examined by construction, which is why the layout planner only
-// chooses HBP for lookup-dominated columns.
-func ParallelScanHBP(h *hbp.HBP, p layout.Predicate, workers int, out *bitvec.Vector) {
-	mustCtx(ParallelScanHBPCtx(nil, h, p, workers, out))
-}
-
-// ParallelScanHBPCtx is ParallelScanHBP under ctx.
-func ParallelScanHBPCtx(ctx context.Context, h *hbp.HBP, p layout.Predicate, workers int, out *bitvec.Vector) error {
-	return ParallelScanHBPObs(ctx, h, p, workers, out, nil)
-}
-
-// ParallelScanHBPObs is ParallelScanHBPCtx with per-stage statistics: a
-// super-bank is perBank 32-code segments and reads 32 banks of 8 bytes.
-func ParallelScanHBPObs(ctx context.Context, h *hbp.HBP, p layout.Predicate, workers int, out *bitvec.Vector, st *obs.Stage) error {
+// chooses HBP for lookup-dominated columns. For the stage, a super-bank is
+// perBank 32-code segments and reads 32 banks of 8 bytes.
+func ScanHBP(x Exec, h *hbp.HBP, p layout.Predicate, out *bitvec.Vector) error {
 	if out.Len() != h.Len() {
 		panic("kernel: result vector length mismatch")
 	}
 	sc := prepareHBP(h, p)
 	perSuper := int64(hbpSuperBanks * hbpBankBytes)
-	_, err := parallelRanges(ctx, hbpSupers(h), workers, st, func(lo, hi int) struct{} {
+	st := x.Stage
+	_, err := parallelRanges(x, hbpSupers(h), func(lo, hi int) struct{} {
 		sc.scanSuperBanks(lo, hi, out)
 		if st != nil {
 			st.AddSegments(int64(hi-lo)*int64(sc.perBank), int64(hi-lo)*perSuper)

@@ -28,7 +28,9 @@ func TestLookupHBPParity(t *testing.T) {
 				rows[i] = int32(rng.IntN(n))
 			}
 			out := make([]uint32, n)
-			LookupManyHBP(h, rows, out)
+			if err := LookupManyHBP(Exec{}, h, rows, out); err != nil {
+				t.Fatal(err)
+			}
 			for x, r := range rows {
 				if out[x] != codes[r] {
 					t.Fatalf("k=%d n=%d LookupManyHBP row %d: got %d want %d", k, n, r, out[x], codes[r])
@@ -67,7 +69,9 @@ func TestParallelScanHBPParity(t *testing.T) {
 					want := bitvec.New(n)
 					h.Scan(e, p, want)
 					got := bitvec.New(n)
-					ParallelScanHBP(h, p, 3, got)
+					if err := ScanHBP(Exec{Workers: 3}, h, p, got); err != nil {
+						t.Fatal(err)
+					}
 					if !got.Equal(want) {
 						t.Fatalf("k=%d n=%d dist=%s op=%v c1=%d c2=%d: native scan != modelled", k, n, dist, op, c1, c2)
 					}
@@ -77,8 +81,8 @@ func TestParallelScanHBPParity(t *testing.T) {
 	}
 }
 
-// TestParallelScanHBPObsStats checks that the Obs variant records workers,
-// segment counts, and bytes touched.
+// TestParallelScanHBPObsStats checks that a scan with a stage attached
+// records workers, segment counts, and bytes touched.
 func TestParallelScanHBPObsStats(t *testing.T) {
 	codes := make([]uint32, 10_000)
 	for i := range codes {
@@ -88,7 +92,7 @@ func TestParallelScanHBPObsStats(t *testing.T) {
 	q := obs.NewQuery()
 	st := q.NewStage("scan", "scan")
 	out := bitvec.New(len(codes))
-	if err := ParallelScanHBPObs(context.Background(), h, layout.Predicate{Op: layout.Lt, C1: 100}, 2, out, st); err != nil {
+	if err := ScanHBP(Exec{Workers: 2, Stage: st}, h, layout.Predicate{Op: layout.Lt, C1: 100}, out); err != nil {
 		t.Fatal(err)
 	}
 	s := st.Snapshot()
@@ -114,7 +118,7 @@ func TestLookupManyHBPObsCancel(t *testing.T) {
 	out := make([]uint32, len(codes))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := LookupManyHBPCtx(ctx, h, rows, out); !errors.Is(err, context.Canceled) {
+	if err := LookupManyHBP(Exec{Ctx: ctx}, h, rows, out); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v want context.Canceled", err)
 	}
 }
@@ -126,7 +130,7 @@ func TestLookupManyHBPLengthMismatch(t *testing.T) {
 			t.Fatal("no panic on length mismatch")
 		}
 	}()
-	LookupManyHBP(h, make([]int32, 2), make([]uint32, 3))
+	_ = LookupManyHBP(Exec{}, h, make([]int32, 2), make([]uint32, 3))
 }
 
 // --- benchmarks: the lookup-heavy case the HBP layout exists for ---
@@ -151,14 +155,18 @@ func BenchmarkLookupMany(b *testing.B) {
 		bs := core.New(codes, k, nil)
 		b.SetBytes(int64(lookups))
 		for i := 0; i < b.N; i++ {
-			LookupMany(bs, rows, out)
+			if err := LookupMany(Exec{}, bs, rows, out); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.Run("HBP", func(b *testing.B) {
 		h := hbp.New(codes, k, nil)
 		b.SetBytes(int64(lookups))
 		for i := 0; i < b.N; i++ {
-			LookupManyHBP(h, rows, out)
+			if err := LookupManyHBP(Exec{}, h, rows, out); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }
@@ -174,14 +182,16 @@ func BenchmarkScanHBP(b *testing.B) {
 		bs := core.New(codes, k, nil)
 		b.SetBytes(int64(n))
 		for i := 0; i < b.N; i++ {
-			ParallelScan(bs, p, 1, out)
+			mustScan(b, Exec{}, bs, p, nil, false, out)
 		}
 	})
 	b.Run("HBP", func(b *testing.B) {
 		h := hbp.New(codes, k, nil)
 		b.SetBytes(int64(n))
 		for i := 0; i < b.N; i++ {
-			ParallelScanHBP(h, p, 1, out)
+			if err := ScanHBP(Exec{}, h, p, out); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

@@ -138,6 +138,8 @@ func movemask4(m0, m1, m2, m3 uint64) uint32 {
 // scanner holds a prepared predicate: the broadcast constant bytes and the
 // byte-slice buffers. Preparing once per scan mirrors Algorithm 1 lines
 // 1–3 (the broadcast registers stay "register-resident" for the scan).
+// The scan options — zone maps and the pipelined gate — are resolved here
+// too, so the range loop a scan runs is fixed before the first segment.
 type scanner struct {
 	op     layout.Op
 	nb     int
@@ -145,14 +147,22 @@ type scanner struct {
 	slices [4][]byte
 	c1     [4]uint64 // byte j of the padded C1, broadcast to all lanes
 	c2     [4]uint64 // byte j of the padded C2 (Between only)
+	zone   zoneInfo  // zone.ok when the column carries zone maps
+
+	// prev, when non-nil, gates the scan with a previous predicate's
+	// result (column-first Algorithm 2); negate selects the disjunctive
+	// form (see gatedRange).
+	prev   *bitvec.Vector
+	negate bool
 }
 
-// prepare validates p against b and broadcasts its constant bytes.
+// prepare validates p against b, broadcasts its constant bytes and picks
+// up the column's zone maps when it has them.
 func prepare(b *core.ByteSlice, p layout.Predicate) scanner {
 	layout.CheckPredicate(p, b.Width())
 	nb := b.NumSlices()
 	pad := uint(8*nb - b.Width())
-	sc := scanner{op: p.Op, nb: nb, n: b.Len()}
+	sc := scanner{op: p.Op, nb: nb, n: b.Len(), zone: zoneFor(b, p)}
 	pc1, pc2 := p.C1<<pad, p.C2<<pad
 	for j := 0; j < nb; j++ {
 		sh := uint(8 * (nb - 1 - j))
@@ -312,18 +322,6 @@ func (sc *scanner) segBetween(off int) (uint32, int) {
 	}
 	return movemask4((g0|e10)&(l0|e20), (g1|e11)&(l1|e21),
 		(g2|e12)&(l2|e22), (g3|e13)&(l3|e23)), d
-}
-
-// ScanRange evaluates p over segments [segLo, segHi), writing each
-// segment's 32 result bits into the aligned block of out via SetWord32.
-// Ranges must not overlap across concurrent callers.
-//
-// Full-range scans run op-specialised monolithic loops rather than calling
-// segment() per segment: hoisting the op dispatch, slice headers and
-// broadcast constants out of the segment loop is worth ~2x wall clock.
-func ScanRange(b *core.ByteSlice, p layout.Predicate, segLo, segHi int, out *bitvec.Vector) {
-	sc := prepare(b, p)
-	sc.scanRange(segLo, segHi, out, nil)
 }
 
 // scanRange dispatches the monolithic range loops. dh, when non-nil,
@@ -716,68 +714,4 @@ func (sc *scanner) rangeCmp(segLo, segHi int, lt, orEq bool, out *bitvec.Vector,
 			out.SetWord64(off-core.SegmentSize, acc|uint64(r)<<32)
 		}
 	}
-}
-
-// Scan evaluates p over the whole column into out, which must have length
-// b.Len() and is overwritten.
-func Scan(b *core.ByteSlice, p layout.Predicate, out *bitvec.Vector) {
-	if out.Len() != b.Len() {
-		panic("kernel: result vector length mismatch")
-	}
-	ScanRange(b, p, 0, b.Segments(), out)
-}
-
-// ParallelScan evaluates p over the whole column with the given number of
-// worker goroutines, partitioning the segment range with the same
-// even-segment chunk alignment as core.ParallelScan so no two workers
-// share a result word. workers <= 1 scans serially. out must have length
-// b.Len() and is overwritten.
-func ParallelScan(b *core.ByteSlice, p layout.Predicate, workers int, out *bitvec.Vector) {
-	mustCtx(ParallelScanCtx(nil, b, p, workers, out))
-}
-
-// ScanPipelinedRange is the native column-first pipelined scan (Algorithm
-// 2) over segments [segLo, segHi): the previous predicate's condensed
-// result gates each segment — a segment with no live rows is skipped
-// without touching the data. With negate=false the output is prev AND
-// result; with negate=true the scan considers rows where prev is unset and
-// outputs prev OR result.
-func ScanPipelinedRange(b *core.ByteSlice, p layout.Predicate, prev *bitvec.Vector, negate bool, segLo, segHi int, out *bitvec.Vector) {
-	sc := prepare(b, p)
-	for seg := segLo; seg < segHi; seg++ {
-		off := seg * core.SegmentSize
-		var rprev uint32
-		if off < sc.n {
-			rprev = prev.Word32(off)
-		}
-		gate := rprev
-		if negate {
-			gate = ^rprev
-		}
-		if gate == 0 {
-			if negate {
-				out.SetWord32(off, rprev)
-			} else {
-				out.SetWord32(off, 0)
-			}
-			continue
-		}
-		r := sc.segment(seg)
-		if negate {
-			out.SetWord32(off, r|rprev)
-		} else {
-			out.SetWord32(off, r&rprev)
-		}
-	}
-}
-
-// ScanPipelined runs ScanPipelinedRange over the whole column.
-func ScanPipelined(b *core.ByteSlice, p layout.Predicate, prev *bitvec.Vector, negate bool, out *bitvec.Vector) {
-	ParallelScanPipelined(b, p, prev, negate, 1, out)
-}
-
-// ParallelScanPipelined is ScanPipelined fanned out across workers with
-// word-aligned segment chunks. workers <= 1 scans serially.
-func ParallelScanPipelined(b *core.ByteSlice, p layout.Predicate, prev *bitvec.Vector, negate bool, workers int, out *bitvec.Vector) {
-	mustCtx(ParallelScanPipelinedCtx(nil, b, p, prev, negate, workers, out))
 }

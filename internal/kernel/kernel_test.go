@@ -154,6 +154,37 @@ func testPredicates(rng *rand.Rand, k int) []layout.Predicate {
 	return ps
 }
 
+// mustScan runs Scan under x and fails the test on an error; it returns
+// the zone-pruned segment count.
+func mustScan(t testing.TB, x Exec, b *core.ByteSlice, p layout.Predicate, prev *bitvec.Vector, negate bool, out *bitvec.Vector) int {
+	t.Helper()
+	pruned, err := Scan(x, b, p, prev, negate, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pruned
+}
+
+// mustSum runs Sum under x and fails the test on an error.
+func mustSum(t testing.TB, x Exec, b *core.ByteSlice, mask *bitvec.Vector) (uint64, int) {
+	t.Helper()
+	sum, count, err := Sum(x, b, mask)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sum, count
+}
+
+// mustExtreme runs Extreme under x and fails the test on an error.
+func mustExtreme(t testing.TB, x Exec, b *core.ByteSlice, mask *bitvec.Vector, isMin bool) (uint32, bool) {
+	t.Helper()
+	v, ok, err := Extreme(x, b, mask, isMin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v, ok
+}
+
 func TestScanMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0x5EED, 7)) //nolint:gosec
 	for _, k := range layouttest.Widths {
@@ -162,7 +193,7 @@ func TestScanMatchesOracle(t *testing.T) {
 			b := core.New(codes, k, nil)
 			for _, p := range testPredicates(rng, k) {
 				out := bitvec.New(len(codes))
-				Scan(b, p, out)
+				mustScan(t, Exec{}, b, p, nil, false, out)
 				for i, v := range codes {
 					if out.Get(i) != p.Eval(v) {
 						t.Fatalf("k=%d dist=%s %v: row %d (code %d) got %v", k, dist, p, i, v, out.Get(i))
@@ -184,7 +215,7 @@ func TestScanTinyAndEmpty(t *testing.T) {
 			{Op: layout.Between, C1: 100, C2: 5000},
 		} {
 			out := bitvec.New(n)
-			ParallelScan(b, p, 4, out)
+			mustScan(t, Exec{Workers: 4}, b, p, nil, false, out)
 			for i, v := range codes {
 				if out.Get(i) != p.Eval(v) {
 					t.Fatalf("n=%d %v: row %d (code %d) got %v", n, p, i, v, out.Get(i))
@@ -202,11 +233,11 @@ func TestParallelScanMatchesSerial(t *testing.T) {
 	b := core.New(codes, 17, nil)
 	p := layout.Predicate{Op: layout.Ge, C1: 40_000}
 	want := bitvec.New(len(codes))
-	Scan(b, p, want)
+	mustScan(t, Exec{}, b, p, nil, false, want)
 	got := bitvec.New(len(codes))
 	got.Fill() // stale bits must be overwritten
 	for _, workers := range []int{1, 2, 3, 4, 7, 16, 100} {
-		ParallelScan(b, p, workers, got)
+		mustScan(t, Exec{Workers: workers}, b, p, nil, false, got)
 		if !got.Equal(want) {
 			t.Fatalf("workers=%d: parallel scan differs from serial", workers)
 		}
@@ -232,7 +263,7 @@ func TestScanPipelinedMatchesEngine(t *testing.T) {
 					want := bitvec.New(len(codes))
 					b.ScanPipelined(layouttest.Engine(), p, prev, negate, want)
 					got := bitvec.New(len(codes))
-					ParallelScanPipelined(b, p, prev, negate, 4, got)
+					mustScan(t, Exec{Workers: 4}, b, p, prev, negate, got)
 					if !got.Equal(want) {
 						t.Fatalf("k=%d %v negate=%v density=%.3f: pipelined kernel differs", k, p, negate, density)
 					}
@@ -279,12 +310,13 @@ func TestAggregatesMatchScalar(t *testing.T) {
 					found = true
 				}
 				for _, workers := range []int{1, 4} {
-					sum, count := ParallelSum(b, mask, workers)
+					x := Exec{Workers: workers}
+					sum, count := mustSum(t, x, b, mask)
 					if sum != wantSum || count != wantCount {
 						t.Fatalf("k=%d n=%d workers=%d: Sum = %d/%d, want %d/%d", k, n, workers, sum, count, wantSum, wantCount)
 					}
-					mn, okMin := ParallelExtreme(b, mask, true, workers)
-					mx, okMax := ParallelExtreme(b, mask, false, workers)
+					mn, okMin := mustExtreme(t, x, b, mask, true)
+					mx, okMax := mustExtreme(t, x, b, mask, false)
 					if okMin != found || okMax != found {
 						t.Fatalf("k=%d n=%d workers=%d: extreme ok = %v/%v, want %v", k, n, workers, okMin, okMax, found)
 					}
@@ -307,7 +339,9 @@ func TestLookup(t *testing.T) {
 			rows[i] = int32(i)
 		}
 		out := make([]uint32, len(rows))
-		LookupMany(b, rows, out)
+		if err := LookupMany(Exec{}, b, rows, out); err != nil {
+			t.Fatal(err)
+		}
 		for i, v := range codes {
 			if got := Lookup(b, i); got != v {
 				t.Fatalf("k=%d: Lookup(%d) = %d, want %d", k, i, got, v)
@@ -328,7 +362,7 @@ func TestSumLongColumn(t *testing.T) {
 		codes[i] = 0xFF
 	}
 	b := core.New(codes, 8, nil)
-	sum, count := Sum(b, nil)
+	sum, count := mustSum(t, Exec{}, b, nil)
 	if sum != uint64(n)*0xFF || count != n {
 		t.Fatalf("Sum = %d/%d, want %d/%d", sum, count, uint64(n)*0xFF, n)
 	}

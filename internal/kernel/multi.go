@@ -4,6 +4,7 @@ import (
 	"byteslice/internal/bitvec"
 	"byteslice/internal/core"
 	"byteslice/internal/layout"
+	"byteslice/internal/obs"
 )
 
 // Native predicate-first evaluation (§3.1.2 strategy 2, on the SWAR path):
@@ -20,24 +21,42 @@ import (
 // resolves its conjunct from the segment's first-byte bounds whenever they
 // decide it, without loading the column's data.
 
-// ScanMultiRange evaluates the conjunction (disjunct=false) or disjunction
-// (disjunct=true) of preds over segments [segLo, segHi), writing each
-// segment's combined result bits into out. All columns must have the same
-// length. It returns the number of per-predicate segment evaluations the
-// zone maps resolved.
-func ScanMultiRange(cols []*core.ByteSlice, preds []layout.Predicate, disjunct bool, segLo, segHi int, out *bitvec.Vector) int {
+// ScanMulti evaluates the conjunction (disjunct=false) or disjunction
+// (disjunct=true) of preds over the whole column set into out. All columns
+// must have the same length. It returns the number of per-predicate
+// segment evaluations the zone maps resolved. Stage segment and depth
+// counts are per predicate evaluation too: a conjunction over k columns
+// contributes up to k entries per 32-code segment.
+func ScanMulti(x Exec, cols []*core.ByteSlice, preds []layout.Predicate, disjunct bool, out *bitvec.Vector) (int, error) {
 	if len(cols) == 0 || len(cols) != len(preds) {
-		panic("kernel: ScanMultiRange needs matching columns and predicates")
+		panic("kernel: ScanMulti needs matching columns and predicates")
+	}
+	if out.Len() != cols[0].Len() {
+		panic("kernel: result vector length mismatch")
 	}
 	scs := make([]scanner, len(cols))
-	zs := make([]zoneInfo, len(cols))
 	for i, b := range cols {
 		if b.Len() != cols[0].Len() {
-			panic("kernel: ScanMultiRange columns have different lengths")
+			panic("kernel: ScanMulti columns have different lengths")
 		}
 		scs[i] = prepare(b, preds[i])
-		zs[i] = zoneFor(b, preds[i])
 	}
+	st := x.Stage
+	return parallelRanges(x, cols[0].Segments(), func(lo, hi int) int {
+		if st == nil {
+			return scanMultiRange(scs, disjunct, lo, hi, out, nil)
+		}
+		var dh obs.DepthCounts
+		pruned := scanMultiRange(scs, disjunct, lo, hi, out, &dh)
+		st.AddDepths(&dh)
+		return pruned
+	}, addInt)
+}
+
+// scanMultiRange is the predicate-first loop over segments [segLo, segHi);
+// dh, when non-nil, accumulates per-predicate-evaluation depths
+// (zone-resolved conjuncts count as depth 0).
+func scanMultiRange(scs []scanner, disjunct bool, segLo, segHi int, out *bitvec.Vector, dh *obs.DepthCounts) int {
 	pruned := 0
 	for seg := segLo; seg < segHi; seg++ {
 		off := seg * core.SegmentSize
@@ -46,7 +65,8 @@ func ScanMultiRange(cols []*core.ByteSlice, preds []layout.Predicate, disjunct b
 			m = ^uint32(0)
 		}
 		for i := range scs {
-			d := zs[i].decide(scs[i].op, seg)
+			sc := &scs[i]
+			d := sc.zone.decide(sc.op, seg)
 			if d != 0 {
 				pruned++
 			}
@@ -60,7 +80,11 @@ func ScanMultiRange(cols []*core.ByteSlice, preds []layout.Predicate, disjunct b
 				if d < 0 {
 					continue
 				}
-				m |= scs[i].segment(seg)
+				r, dep := sc.segmentDepth(seg)
+				if dh != nil {
+					dh[dep]++
+				}
+				m |= r
 				if m == ^uint32(0) {
 					break
 				}
@@ -72,7 +96,11 @@ func ScanMultiRange(cols []*core.ByteSlice, preds []layout.Predicate, disjunct b
 					m = 0
 					break
 				}
-				m &= scs[i].segment(seg)
+				r, dep := sc.segmentDepth(seg)
+				if dh != nil {
+					dh[dep]++
+				}
+				m &= r
 				if m == 0 {
 					break
 				}
@@ -80,18 +108,8 @@ func ScanMultiRange(cols []*core.ByteSlice, preds []layout.Predicate, disjunct b
 		}
 		out.SetWord32(off, m)
 	}
-	return pruned
-}
-
-// ScanMulti runs ScanMultiRange over the whole column set.
-func ScanMulti(cols []*core.ByteSlice, preds []layout.Predicate, disjunct bool, out *bitvec.Vector) int {
-	return ParallelScanMulti(cols, preds, disjunct, 1, out)
-}
-
-// ParallelScanMulti is ScanMulti fanned out across workers with
-// word-aligned segment chunks. workers <= 1 scans serially.
-func ParallelScanMulti(cols []*core.ByteSlice, preds []layout.Predicate, disjunct bool, workers int, out *bitvec.Vector) int {
-	pruned, err := ParallelScanMultiCtx(nil, cols, preds, disjunct, workers, out)
-	mustCtx(err)
+	if dh != nil {
+		dh[0] += int64(pruned)
+	}
 	return pruned
 }

@@ -1,0 +1,210 @@
+package kernel
+
+import (
+	"byteslice/internal/bitvec"
+	"byteslice/internal/core"
+	"byteslice/internal/layout"
+	"byteslice/internal/obs"
+)
+
+// The single-column ByteSlice scan. One entry point, Scan, covers the four
+// shapes the facade runs — plain, zone-map-pruned, pipelined (gated by a
+// previous result) and pipelined with zone maps — choosing the range loop
+// once, when the scanner is prepared.
+//
+// A zone map (internal/core/zonemap.go) keeps the per-segment min/max of
+// the first byte slice; when that pair already decides the predicate —
+// every first byte below the constant's, say — the segment's 32 result
+// bits are written without loading a single data byte. This is strictly
+// stronger than early stopping, which still pays for the first slice: on
+// sorted or clustered columns nearly every segment resolves from two
+// metadata bytes, and the scan degenerates to a walk over the zone arrays
+// (64 bytes of metadata per 2048 codes — one cache line per 64 segments).
+//
+// Every range loop takes a nil-able *obs.DepthCounts: with a Stage
+// attached each worker batch accumulates a local early-stop depth
+// histogram (one plain increment per 32-code segment; zone-resolved
+// segments count as depth 0) and flushes it into the shared Stage with a
+// handful of atomic adds. Byte accounting follows the layout: 32 column
+// bytes per byte slice examined, 2 zone-metadata bytes per zone-consulted
+// segment, and 4 gate-mask bytes per segment a pipelined scan inspects.
+
+// zoneMetaBytes is the zone-map metadata cost per consulted segment: one
+// min and one max byte.
+const zoneMetaBytes = 2
+
+// gateMaskBytes is the previous-result word a pipelined scan reads per
+// segment.
+const gateMaskBytes = 4
+
+// zoneInfo snapshots a column's zone arrays and the predicate's first
+// constant bytes for the per-segment decision test.
+type zoneInfo struct {
+	mn, mx []byte
+	c1, c2 byte
+	ok     bool
+}
+
+func zoneFor(b *core.ByteSlice, p layout.Predicate) zoneInfo {
+	mn, mx := b.ZoneBounds()
+	if mn == nil {
+		return zoneInfo{}
+	}
+	c1, c2 := b.ZoneFirstBytes(p)
+	return zoneInfo{mn: mn, mx: mx, c1: c1, c2: c2, ok: true}
+}
+
+// decide classifies one segment: -1 no row matches, +1 all rows match,
+// 0 undecided (or no zone map).
+//
+//bsvet:hotloop
+func (z *zoneInfo) decide(op layout.Op, seg int) int {
+	if !z.ok {
+		return 0
+	}
+	return core.ZoneDecisionBytes(op, z.mn[seg], z.mx[seg], z.c1, z.c2)
+}
+
+// Scan evaluates p over the whole column into out, which must have length
+// b.Len() and is overwritten. Zone maps are used whenever the column has
+// them. A non-nil prev gates the scan (column-first Algorithm 2): with
+// negate=false the output is prev AND p, and segments with no live prev
+// row are skipped without touching the data; with negate=true the scan
+// considers the rows prev leaves unset and outputs prev OR p. It returns
+// the number of segments the zone map decided.
+func Scan(x Exec, b *core.ByteSlice, p layout.Predicate, prev *bitvec.Vector, negate bool, out *bitvec.Vector) (int, error) {
+	if out.Len() != b.Len() {
+		panic("kernel: result vector length mismatch")
+	}
+	if prev != nil && prev.Len() != b.Len() {
+		panic("kernel: pipelined scan with mismatched previous result length")
+	}
+	sc := prepare(b, p)
+	sc.prev, sc.negate = prev, negate
+	var meta int64
+	if sc.zone.ok {
+		meta += zoneMetaBytes
+	}
+	if prev != nil {
+		meta += gateMaskBytes
+	}
+	st := x.Stage
+	return parallelRanges(x, b.Segments(), func(lo, hi int) int {
+		if st == nil {
+			pruned, _ := sc.run(lo, hi, out, nil)
+			return pruned
+		}
+		var dh obs.DepthCounts
+		pruned, masked := sc.run(lo, hi, out, &dh)
+		// Workers share the stage's counters: skip atomic adds of zero.
+		st.AddDepths(&dh)
+		if masked > 0 {
+			st.AddMaskSkipped(int64(masked))
+		}
+		if meta > 0 {
+			st.AddBytes(int64(hi-lo) * meta)
+		}
+		return pruned
+	}, addInt)
+}
+
+// run evaluates segments [segLo, segHi) with the range loop the prepared
+// options select, returning the zone-resolved and gate-skipped segment
+// counts.
+func (sc *scanner) run(segLo, segHi int, out *bitvec.Vector, dh *obs.DepthCounts) (pruned, masked int) {
+	switch {
+	case sc.prev != nil:
+		return sc.gatedRange(segLo, segHi, out, dh)
+	case sc.zone.ok:
+		return sc.zonedRange(segLo, segHi, out, dh), 0
+	}
+	sc.scanRange(segLo, segHi, out, dh)
+	return 0, 0
+}
+
+// zonedRange is the zone-map-pruned scan loop over segments
+// [segLo, segHi); it returns the number of segments the zone map decided.
+func (sc *scanner) zonedRange(segLo, segHi int, out *bitvec.Vector, dh *obs.DepthCounts) int {
+	// Hoisting the zone arrays and constants lets ZoneDecisionBytes inline
+	// into the loop: the decided case is then two byte loads and a couple of
+	// compares per segment, with no call.
+	mn, mx := sc.zone.mn, sc.zone.mx
+	op, c1, c2 := sc.op, sc.zone.c1, sc.zone.c2
+	pruned := 0
+	for seg := segLo; seg < segHi; seg++ {
+		off := seg * core.SegmentSize
+		switch core.ZoneDecisionBytes(op, mn[seg], mx[seg], c1, c2) {
+		case 1:
+			out.SetWord32(off, ^uint32(0))
+			pruned++
+		case -1:
+			out.SetWord32(off, 0)
+			pruned++
+		default:
+			r, d := sc.segmentDepth(seg)
+			out.SetWord32(off, r)
+			if dh != nil {
+				dh[d]++
+			}
+		}
+	}
+	if dh != nil {
+		dh[0] += int64(pruned)
+	}
+	return pruned
+}
+
+// gatedRange is the pipelined scan loop over segments [segLo, segHi): the
+// previous result gates each segment, and a segment whose gate word has no
+// live row keeps its previous word without touching the data (0 for a
+// conjunction, all ones for a disjunction — the gate word either way).
+// Live segments consult the zone map first when the column has one. It
+// returns the zone-resolved and gate-skipped segment counts.
+func (sc *scanner) gatedRange(segLo, segHi int, out *bitvec.Vector, dh *obs.DepthCounts) (pruned, masked int) {
+	prev, negate, zoned := sc.prev, sc.negate, sc.zone.ok
+	mn, mx := sc.zone.mn, sc.zone.mx
+	op, c1, c2 := sc.op, sc.zone.c1, sc.zone.c2
+	for seg := segLo; seg < segHi; seg++ {
+		off := seg * core.SegmentSize
+		var rprev uint32
+		if off < sc.n {
+			rprev = prev.Word32(off)
+		}
+		gate := rprev
+		if negate {
+			gate = ^rprev
+		}
+		if gate == 0 {
+			out.SetWord32(off, rprev)
+			masked++
+			continue
+		}
+		decided := 0
+		if zoned {
+			decided = core.ZoneDecisionBytes(op, mn[seg], mx[seg], c1, c2)
+		}
+		var r uint32
+		switch decided {
+		case 1:
+			r = ^uint32(0)
+			pruned++
+		case -1:
+			pruned++
+		default:
+			var d int
+			r, d = sc.segmentDepth(seg)
+			if dh != nil {
+				dh[d]++
+			}
+		}
+		if negate {
+			out.SetWord32(off, r|rprev)
+		} else {
+			out.SetWord32(off, r&rprev)
+		}
+	}
+	if dh != nil {
+		dh[0] += int64(pruned)
+	}
+	return pruned, masked
+}

@@ -45,7 +45,8 @@ func TestZonedKernelsOnShapedData(t *testing.T) {
 					for _, workers := range []int{1, 4} {
 						got := bitvec.New(n)
 						got.Fill()
-						pruned := ParallelScanZoned(b, p, workers, got)
+						x := Exec{Workers: workers}
+						pruned := mustScan(t, x, b, p, nil, false, got)
 						if !got.Equal(want) {
 							t.Fatalf("workers=%d: zoned scan differs", workers)
 						}
@@ -56,7 +57,10 @@ func TestZonedKernelsOnShapedData(t *testing.T) {
 
 						// Fused sum against the two-pass composition.
 						wantSum, wantN := b.Sum(layouttest.Engine(), want)
-						gotSum, gotN := ScanSum(b, p, b, workers)
+						gotSum, gotN, err := ScanSum(x, b, p, b)
+						if err != nil {
+							t.Fatal(err)
+						}
 						if gotSum != wantSum || gotN != wantN {
 							t.Fatalf("workers=%d: fused sum %d/%d, two-pass %d/%d", workers, gotSum, gotN, wantSum, wantN)
 						}
@@ -69,7 +73,7 @@ func TestZonedKernelsOnShapedData(t *testing.T) {
 						b.ScanPipelined(layouttest.Engine(), p, want, negate, wantP)
 						gotP := bitvec.New(n)
 						gotP.Fill()
-						ParallelScanPipelinedZoned(b, p, want, negate, 4, gotP)
+						mustScan(t, Exec{Workers: 4}, b, p, want, negate, gotP)
 						if !gotP.Equal(wantP) {
 							t.Fatalf("negate=%v: zoned pipelined scan differs", negate)
 						}
@@ -93,7 +97,10 @@ func TestZonedKernelsOnShapedData(t *testing.T) {
 				}
 				gotM := bitvec.New(n)
 				gotM.Fill()
-				pruned := ParallelScanMulti([]*core.ByteSlice{b, b, b}, preds, disjunct, 4, gotM)
+				pruned, err := ScanMulti(Exec{Workers: 4}, []*core.ByteSlice{b, b, b}, preds, disjunct, gotM)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if !gotM.Equal(wantM) {
 					t.Fatalf("disjunct=%v: multi scan differs", disjunct)
 				}

@@ -225,6 +225,39 @@ func TestStatsProjectionStage(t *testing.T) {
 	}
 }
 
+// TestStatsProjectionWorkers pins the projection stage's Workers to the
+// fan-out width the lookup actually ran with: four on an explicit
+// WithParallelism(4) over a large selection, one by default.
+func TestStatsProjectionWorkers(t *testing.T) {
+	tbl, _, _, _ := planTable(t, 1<<17)
+	res, err := tbl.Filter([]byteslice.Filter{
+		byteslice.IntFilter("a", byteslice.Lt, 9000),
+	}, byteslice.WithParallelism(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	projectWorkers := func(opts ...byteslice.QueryOption) int {
+		t.Helper()
+		if _, _, err := tbl.ProjectInt("c", res, opts...); err != nil {
+			t.Fatal(err)
+		}
+		qs := res.Stats()
+		for i := len(qs.Stages) - 1; i >= 0; i-- {
+			if qs.Stages[i].Kind == "project" {
+				return qs.Stages[i].Workers
+			}
+		}
+		t.Fatalf("projection stage missing: %+v", qs.Stages)
+		return 0
+	}
+	if w := projectWorkers(byteslice.WithParallelism(4)); w != 4 {
+		t.Fatalf("parallel projection workers = %d, want 4", w)
+	}
+	if w := projectWorkers(); w != 1 {
+		t.Fatalf("default projection workers = %d, want 1", w)
+	}
+}
+
 // TestRegistryAggregation pins the process-wide fold: query counts and
 // segment counters advance across evaluations, and aggregates register
 // their own stages.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"byteslice/internal/bitvec"
@@ -111,22 +110,15 @@ func (t *Table) WithCompression(names ...string) (*Table, error) {
 // withCompression re-encodes a raw ByteSlice column through the build-time
 // compression decision, sharing the encoders, NULL vector and histogram of
 // the receiver. Already-compressed columns pass through unchanged.
-//
-//bsvet:rootctx build-time re-encode with no caller-facing cancellation; table construction is synchronous
 func (c *Column) withCompression() (*Column, error) {
 	if _, ok := compressedOf(c.data); ok {
 		return c, nil
 	}
-	bs, ok := byteSliceOf(c.data)
-	if !ok {
+	if _, ok := byteSliceOf(c.data); !ok {
 		return nil, fmt.Errorf("byteslice: column %s: format %s does not support compression", c.name, c.Format())
 	}
-	rows := make([]int32, c.Len())
-	for i := range rows {
-		rows[i] = int32(i)
-	}
-	codes := make([]uint32, c.Len())
-	if err := kernel.LookupManyObs(context.Background(), bs, rows, codes, nil); err != nil {
+	codes, err := materializeCodes(nil, c) // nil ctx: build-time re-encode, no caller cancellation
+	if err != nil {
 		return nil, queryErr(err)
 	}
 	nc := *c
@@ -377,6 +369,13 @@ func (c *queryConfig) nativeWorkers(segs int) int {
 	return w
 }
 
+// exec is the kernel execution descriptor for a native invocation over
+// segs segments: the query's context, the nativeWorkers pool size and the
+// stage (nil = uninstrumented).
+func (c *queryConfig) exec(st *obs.Stage, segs int) kernel.Exec {
+	return kernel.Exec{Ctx: c.ctx, Workers: c.nativeWorkers(segs), Stage: st}
+}
+
 // WithProfile records the evaluation's modelled execution metrics.
 func WithProfile(p *Profile) QueryOption {
 	return func(c *queryConfig) { c.profile = p }
@@ -574,7 +573,7 @@ func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig,
 			}
 			if cfg.native() {
 				st, done := cfg.stage(q, "scan(multi)", "scan_multi")
-				pruned, err := kernel.ParallelScanMultiObs(cfg.ctx, cols, preds, disjunct, cfg.nativeWorkers(cols[0].Segments()), out, st)
+				pruned, err := kernel.ScanMulti(cfg.exec(st, cols[0].Segments()), cols, preds, disjunct, out)
 				done()
 				if err != nil {
 					return nil, queryErr(err)
@@ -622,7 +621,7 @@ func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig,
 				// layout carries — zone maps on ByteSlice, exact block
 				// bounds on compressed, none on HBP.
 				st, done := cfg.stage(q, "scan("+r.col.Name()+")", lk.scanKind(r.col))
-				pruned, err := lk.scan(cfg.ctx, r.col, r.pred, cfg.nativeWorkers(lk.segments(r.col)), acc, st)
+				pruned, err := lk.scan(cfg.exec(st, lk.segments(r.col)), r.col, r.pred, nil, false, acc)
 				done()
 				if err != nil {
 					return nil, queryErr(err)
@@ -654,9 +653,9 @@ func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig,
 			// disjunction is scanned separately. Layouts without a native
 			// pipelined kernel (compressed, HBP) fall through to an
 			// independent scan combined through the bit vector.
-			if lk := nativeKernelOf(r.col); lk != nil && lk.scanPipelined != nil && cfg.native() && !(disjunct && r.col.nulls != nil) {
+			if lk := nativeKernelOf(r.col); lk != nil && lk.pipelined && cfg.native() && !(disjunct && r.col.nulls != nil) {
 				st, done := cfg.stage(q, "scan("+r.col.Name()+")", "pipelined")
-				pruned, err := lk.scanPipelined(cfg.ctx, r.col, r.pred, acc, disjunct, cfg.nativeWorkers(lk.segments(r.col)), cur, st)
+				pruned, err := lk.scan(cfg.exec(st, lk.segments(r.col)), r.col, r.pred, acc, disjunct, cur)
 				done()
 				if err != nil {
 					return nil, queryErr(err)
@@ -681,7 +680,7 @@ func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig,
 			// Independent native scan through the layout dispatch table;
 			// the result combines through the bit vector.
 			st, done := cfg.stage(q, "scan("+r.col.Name()+")", lk.scanKind(r.col))
-			pruned, err := lk.scan(cfg.ctx, r.col, r.pred, cfg.nativeWorkers(lk.segments(r.col)), cur, st)
+			pruned, err := lk.scan(cfg.exec(st, lk.segments(r.col)), r.col, r.pred, nil, false, cur)
 			done()
 			if err != nil {
 				return nil, queryErr(err)
@@ -867,38 +866,16 @@ func (t *Table) projectCodes(c *Column, res *Result, opts []QueryOption) ([]int3
 		if err := cfg.ctxErr(); err != nil {
 			return nil, nil, err
 		}
+		// Row-chunk fan-out only on an explicit WithParallelism, and only
+		// while every worker still gets minSegmentsPerWorker segments' worth
+		// of rows.
 		workers := cfg.workers
-		if !lk.lookupChunkable {
-			workers = 1
-		}
 		if max := len(rows) / (minSegmentsPerWorker * core.SegmentSize); workers > max {
 			workers = max
 		}
-		if workers <= 1 {
-			if err := lk.lookupMany(cfg.ctx, c, rows, codes, st); err != nil {
-				return nil, nil, queryErr(err)
-			}
-			return rows, codes, nil
-		}
-		chunk := (len(rows) + workers - 1) / workers
-		errs := make([]error, (len(rows)+chunk-1)/chunk)
-		var wg sync.WaitGroup
-		for i, lo := 0, 0; lo < len(rows); i, lo = i+1, lo+chunk {
-			hi := lo + chunk
-			if hi > len(rows) {
-				hi = len(rows)
-			}
-			wg.Add(1)
-			go func(i, lo, hi int) {
-				defer wg.Done()
-				errs[i] = lk.lookupMany(cfg.ctx, c, rows[lo:hi], codes[lo:hi], st)
-			}(i, lo, hi)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, nil, queryErr(err)
-			}
+		x := kernel.Exec{Ctx: cfg.ctx, Workers: workers, Stage: st}
+		if err := lk.lookupMany(x, c, rows, codes); err != nil {
+			return nil, nil, queryErr(err)
 		}
 		return rows, codes, nil
 	}
@@ -967,7 +944,7 @@ func (t *Table) OrderBy(col string, res *Result, opts ...QueryOption) ([]int32, 
 		// instead of modelled per-row lookups — then radix-sort the small
 		// materialised ByteSlice column; the permutation maps back to rows.
 		codes := make([]uint32, len(rows))
-		if err := lk.lookupMany(cfg.ctx, c, rows, codes, nil); err != nil {
+		if err := lk.lookupMany(kernel.Exec{Ctx: cfg.ctx}, c, rows, codes); err != nil {
 			return nil, queryErr(err)
 		}
 		sub := core.New(codes, c.Width(), nil)
