@@ -40,6 +40,7 @@ import (
 	"byteslice/internal/layout/hbp"
 	"byteslice/internal/layouts"
 	"byteslice/internal/perf"
+	"byteslice/internal/plan"
 	"byteslice/internal/simd"
 )
 
@@ -107,6 +108,22 @@ func (p *Profile) Cycles() float64 { return p.p.Cycles() }
 // Instructions is the modelled instruction count accumulated so far.
 func (p *Profile) Instructions() uint64 { return p.p.Instructions() }
 
+// L2Misses is the number of line accesses the modelled L2 cache has not
+// served so far (the paper's "L2 cache misses").
+func (p *Profile) L2Misses() uint64 {
+	st := p.p.Cache.Stats()
+	return st.MissesBelow(cache.L2)
+}
+
+// ChargeScalar records n scalar instructions a caller executes beside the
+// package's operators, such as a comparison per looked-up row. A nil
+// profile discards the charge.
+func (p *Profile) ChargeScalar(n int) {
+	if p != nil {
+		simd.New(p.p).Scalar(n)
+	}
+}
+
 // Reset clears the accumulated counters (cache contents stay warm).
 func (p *Profile) Reset() { p.p.Reset() }
 
@@ -121,24 +138,24 @@ func (p *Profile) engine() *simd.Engine {
 }
 
 // Strategy selects how multi-column filters are evaluated (§3.1.2 of the
-// paper). The default for ByteSlice tables is the column-first pipelined
-// evaluation the paper recommends.
-type Strategy int
+// paper); it is the planner's strategy type.
+type Strategy = plan.Strategy
 
 // Evaluation strategies.
 const (
-	// StrategyAuto picks column-first for ByteSlice tables and the
-	// baseline for other formats, matching the paper's setup.
-	StrategyAuto Strategy = iota
+	// StrategyAuto lets the cost-based planner choose on the native path
+	// and evaluates column-first on the modelled (WithProfile) path, the
+	// paper's recommendation.
+	StrategyAuto = plan.Auto
 	// StrategyBaseline evaluates every predicate independently and
 	// combines result bit vectors.
-	StrategyBaseline
+	StrategyBaseline = plan.Baseline
 	// StrategyColumnFirst pipelines each predicate's condensed result into
 	// the next column's scan (Algorithm 2).
-	StrategyColumnFirst
+	StrategyColumnFirst = plan.ColumnFirst
 	// StrategyPredicateFirst evaluates all predicates per 32-row segment,
 	// pipelining the uncondensed bank masks (ByteSlice only).
-	StrategyPredicateFirst
+	StrategyPredicateFirst = plan.PredicateFirst
 )
 
 // arena is the process-wide simulated address allocator: every column built

@@ -3,6 +3,7 @@ package byteslice_test
 import (
 	"math/rand/v2"
 	"strings"
+	"sync"
 	"testing"
 
 	"byteslice"
@@ -252,6 +253,95 @@ func TestStrategiesAgreePublic(t *testing.T) {
 		}
 		if and.Count() != baseAnd || or.Count() != baseOr {
 			t.Fatalf("strategy %d disagrees: %d/%d vs %d/%d", s, and.Count(), or.Count(), baseAnd, baseOr)
+		}
+	}
+}
+
+// TestStrategiesAgreeAllFormats checks every strategy against a scalar
+// oracle on every format, on the native and the modelled path, for a
+// three-column conjunction and disjunction.
+func TestStrategiesAgreeAllFormats(t *testing.T) {
+	rng := rand.New(rand.NewPCG(21, 12)) //nolint:gosec
+	const n = 4567
+	names, widths := []string{"a", "b", "c"}, []int{12, 17, 6}
+	raw := make([][]uint32, len(widths))
+	for i, k := range widths {
+		raw[i] = make([]uint32, n)
+		for j := range raw[i] {
+			raw[i][j] = uint32(rng.Uint64N(1 << uint(k)))
+		}
+	}
+	filters := []byteslice.Filter{
+		byteslice.CodeFilter("a", byteslice.Lt, 2000),
+		byteslice.CodeFilter("b", byteslice.Gt, 60000),
+		byteslice.CodeFilter("c", byteslice.Between, 10, 40),
+	}
+	want := func(row int, disjunct bool) bool {
+		a, b, c := raw[0][row] < 2000, raw[1][row] > 60000, raw[2][row] >= 10 && raw[2][row] <= 40
+		if disjunct {
+			return a || b || c
+		}
+		return a && b && c
+	}
+	for _, f := range append(byteslice.Formats(), byteslice.FormatByteSliceC) {
+		cols := make([]*byteslice.Column, len(names))
+		for i, name := range names {
+			c, err := byteslice.NewCodeColumn(name, raw[i], widths[i], byteslice.WithFormat(f))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cols[i] = c
+		}
+		tbl, err := byteslice.NewTable(cols...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, disjunct := range []bool{false, true} {
+			eval := tbl.Filter
+			if disjunct {
+				eval = tbl.FilterAny
+			}
+			for _, s := range []byteslice.Strategy{byteslice.StrategyBaseline, byteslice.StrategyColumnFirst, byteslice.StrategyPredicateFirst} {
+				for _, prof := range []*byteslice.Profile{nil, byteslice.NewProfile()} {
+					res, err := eval(filters, byteslice.WithStrategy(s), byteslice.WithProfile(prof))
+					if err != nil {
+						t.Fatalf("%s/%v: %v", f, s, err)
+					}
+					for row := 0; row < n; row++ {
+						if res.Contains(row) != want(row, disjunct) {
+							t.Fatalf("%s/%v disjunct=%v profiled=%v: row %d wrong", f, s, disjunct, prof != nil, row)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestConcurrentColumnBuilds builds columns from several goroutines at
+// once: every constructor, re-layout and background merge allocates its
+// simulated address region from one process-wide arena, so building must
+// be race-free (this test is meant for -race).
+func TestConcurrentColumnBuilds(t *testing.T) {
+	codes := make([]uint32, 1000)
+	for i := range codes {
+		codes[i] = uint32(i % 256)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 4)
+	for g := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50 && errs[g] == nil; i++ {
+				_, errs[g] = byteslice.NewCodeColumn("c", codes, 8)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -15,12 +15,9 @@ import (
 	"fmt"
 	"os"
 
-	"byteslice/internal/cache"
-	"byteslice/internal/exec"
+	"byteslice"
 	"byteslice/internal/layouts"
-	"byteslice/internal/perf"
 	"byteslice/internal/realdata"
-	"byteslice/internal/table"
 	"byteslice/internal/tpch"
 )
 
@@ -36,46 +33,41 @@ func main() {
 
 	if *real {
 		for _, d := range []*realdata.Dataset{realdata.Adult(*seed), realdata.Baseball(*seed)} {
-			fmt.Printf("== %s (%d rows) ==\n", d.Name, len(d.Raw[d.Specs[0].Name]))
-			runSuite(d.Queries, func(name string) *table.Table {
-				return d.Build(layouts.Builders[name], cache.NewArena(64))
-			}, len(d.Raw[d.Specs[0].Name]), nil)
+			fmt.Printf("== %s (%d rows) ==\n", d.Name, len(d.Specs[0].Codes))
+			runSuite(d.Queries, d.Specs, d.Raw, *validate)
 		}
 		return
 	}
 
 	d := tpch.Generate(tpch.Config{Rows: *rows, Skew: *skew, Seed: *seed})
 	fmt.Printf("== TPC-H wide table: %d rows, skew %.1f ==\n", *rows, *skew)
-	var check func(q tpch.Query, matches int) error
-	if *validate {
-		check = func(q tpch.Query, matches int) error { return tpch.Validate(d, q, matches) }
-	}
-	runSuite(tpch.Queries(d), func(name string) *table.Table {
-		return d.Build(layouts.Builders[name], cache.NewArena(64))
-	}, *rows, check)
+	runSuite(tpch.Queries(d), d.Specs, d.Raw, *validate)
 }
 
-func runSuite(queries []tpch.Query, build func(string) *table.Table, n int,
-	check func(tpch.Query, int) error) {
-
+// runSuite builds the table in every layout, runs the queries on the
+// modelled path and prints the per-tuple costs; with validate, every match
+// count is checked against the scalar oracle over raw.
+func runSuite(queries []tpch.Query, specs []tpch.ColumnSpec, raw map[string][]uint32, validate bool) {
+	fail := func(msg string, err error) {
+		fmt.Fprintln(os.Stderr, msg, err)
+		os.Exit(1)
+	}
+	n := len(specs[0].Codes)
 	results := map[string]map[string]tpch.Result{}
 	for _, name := range layouts.Names {
-		tb := build(name)
+		tb, err := tpch.BuildTable(specs, byteslice.WithFormat(byteslice.Format(name)))
+		if err != nil {
+			fail("tpch:", err)
+		}
 		results[name] = map[string]tpch.Result{}
 		for _, q := range queries {
-			strategy := exec.Baseline
-			if name == "ByteSlice" {
-				strategy = exec.ColumnFirst
-			}
-			res, err := tpch.Run(tb, q, strategy, perf.NewProfile())
+			res, err := tpch.Run(tb, q, tpch.StrategyFor(name), byteslice.NewProfile())
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "tpch:", err)
-				os.Exit(1)
+				fail("tpch:", err)
 			}
-			if check != nil {
-				if err := check(q, res.Matches); err != nil {
-					fmt.Fprintln(os.Stderr, "tpch: validation failed:", err)
-					os.Exit(1)
+			if validate {
+				if err := tpch.Validate(raw, q, res.Matches); err != nil {
+					fail("tpch: validation failed:", err)
 				}
 			}
 			results[name][q.Name] = res

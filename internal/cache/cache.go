@@ -14,7 +14,10 @@
 // Figure 19b of the paper measure exactly that).
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Level is the outcome of a single line access: the component of the
 // hierarchy that served the line.
@@ -370,10 +373,10 @@ func (h *Hierarchy) prefill(line uint64) {
 
 // Arena hands out disjoint simulated address ranges. Regions are aligned
 // to cache lines and separated by one guard line so that accesses to
-// different regions never share a line.
+// different regions never share a line. Alloc is safe for concurrent use.
 type Arena struct {
 	lineSize uint64
-	next     uint64
+	next     atomic.Uint64
 }
 
 // NewArena returns an arena whose regions are aligned to lineSize.
@@ -381,12 +384,13 @@ func NewArena(lineSize uint64) *Arena {
 	if lineSize == 0 {
 		lineSize = 64
 	}
-	return &Arena{lineSize: lineSize, next: lineSize}
+	a := &Arena{lineSize: lineSize}
+	a.next.Store(lineSize)
+	return a
 }
 
 // Alloc reserves size bytes and returns the region's base address.
 func (a *Arena) Alloc(size uint64) uint64 {
-	base := a.next
-	a.next += (size + 2*a.lineSize - 1) / a.lineSize * a.lineSize
-	return base
+	step := (size + 2*a.lineSize - 1) / a.lineSize * a.lineSize
+	return a.next.Add(step) - step
 }

@@ -1,16 +1,9 @@
 package experiments
 
 import (
-	"byteslice/internal/bitvec"
-	"byteslice/internal/cache"
-	"byteslice/internal/core"
+	"byteslice"
 	"byteslice/internal/datagen"
-	"byteslice/internal/exec"
-	"byteslice/internal/layout"
-	"byteslice/internal/layouts"
-	"byteslice/internal/perf"
-	"byteslice/internal/simd"
-	"byteslice/internal/table"
+	"byteslice/internal/tpch"
 )
 
 func init() {
@@ -28,16 +21,18 @@ func complexPredicate(cfg Config, disjunct bool) []*Report {
 	rng := datagen.NewRand(cfg.Seed + 12)
 	codes1 := datagen.Uniform(rng, cfg.N, k)
 	codes2 := datagen.Uniform(rng, cfg.N, k)
-	specs := []table.ColumnSpec{
+	tables := buildAll([]tpch.ColumnSpec{
 		{Name: "col1", K: k, Codes: codes1},
 		{Name: "col2", K: k, Codes: codes2},
-	}
+	})
 
 	id, title, op := "Fig12", "Conjunction", "AND"
 	sels := []float64{0.5, 0.1, 0.05, 0.01, 0.005, 0.001}
+	eval := (*byteslice.Table).Filter
 	if disjunct {
 		id, title, op = "Fig19", "Disjunction", "OR"
 		sels = []float64{0.999, 0.99, 0.95, 0.90, 0.50, 0.10}
+		eval = (*byteslice.Table).FilterAny
 	}
 	series := []string{"Bit-Packed", "HBP", "VBP", "BS(Baseline)", "BS(Predicate-First)", "BS(Column-First)"}
 	rc := &Report{ID: id, Title: title + " col1 < c1 " + op + " col2 > c2 — cycles/tuple",
@@ -45,69 +40,32 @@ func complexPredicate(cfg Config, disjunct bool) []*Report {
 	rm := &Report{ID: id, Title: title + " — L2 cache misses/tuple",
 		Columns: append([]string{"sel(col1)"}, series...)}
 
-	type combo struct {
-		builder  layout.Builder
-		strategy exec.Strategy
+	combos := []struct {
+		layout   string
+		strategy byteslice.Strategy
+	}{
+		{"BitPacked", byteslice.StrategyBaseline},
+		{"HBP", byteslice.StrategyBaseline},
+		{"VBP", byteslice.StrategyBaseline},
+		{"ByteSlice", byteslice.StrategyBaseline},
+		{"ByteSlice", byteslice.StrategyPredicateFirst},
+		{"ByteSlice", byteslice.StrategyColumnFirst},
 	}
-	combos := []combo{
-		{layouts.Builders["BitPacked"], exec.Baseline},
-		{layouts.Builders["HBP"], exec.Baseline},
-		{layouts.Builders["VBP"], exec.Baseline},
-		{core.NewBuilder, exec.Baseline},
-		{core.NewBuilder, exec.PredicateFirst},
-		{core.NewBuilder, exec.ColumnFirst},
-	}
-
-	// Pre-build one table per distinct builder.
-	tables := map[string]*table.Table{}
-	for i, name := range []string{"BitPacked", "HBP", "VBP", "ByteSlice"} {
-		_ = i
-		tables[name] = table.MustBuild("t", specs, layouts.Builders[name], cache.NewArena(64))
-	}
-	tableFor := func(i int) *table.Table {
-		switch i {
-		case 0:
-			return tables["BitPacked"]
-		case 1:
-			return tables["HBP"]
-		case 2:
-			return tables["VBP"]
-		default:
-			return tables["ByteSlice"]
-		}
-	}
-
 	for _, sel := range sels {
-		filters := []exec.Filter{
-			{Col: "col1", Pred: layout.Predicate{Op: layout.Lt, C1: datagen.SelectivityConstant(codes1, sel)}},
-			{Col: "col2", Pred: layout.Predicate{Op: layout.Gt, C1: datagen.SelectivityConstant(codes2, 0.5)}},
+		filters := []byteslice.Filter{
+			byteslice.CodeFilter("col1", byteslice.Lt, datagen.SelectivityConstant(codes1, sel)),
+			byteslice.CodeFilter("col2", byteslice.Gt, datagen.SelectivityConstant(codes2, 0.5)),
 		}
 		cyc := []string{fpct(sel)}
 		mis := []string{fpct(sel)}
-		for i, cb := range combos {
-			tb := tableFor(i)
-			run := func() (*bitvec.Vector, *perf.Profile) {
-				prof := perf.NewProfile()
-				e := simd.New(prof)
-				var out *bitvec.Vector
-				var err error
-				if disjunct {
-					out, err = exec.Disjunction(e, tb, filters, cb.strategy)
-				} else {
-					out, err = exec.Conjunction(e, tb, filters, cb.strategy)
-				}
-				if err != nil {
-					panic(err)
-				}
-				return out, prof
+		for _, cb := range combos {
+			prof := byteslice.NewProfile()
+			if _, err := eval(tables[cb.layout], filters, byteslice.WithProfile(prof),
+				byteslice.WithStrategy(cb.strategy), byteslice.WithFilterOrder(byteslice.OrderAsWritten)); err != nil {
+				panic(err)
 			}
-			run() // warm-up: trains predictor, warms cache
-			out, prof := run()
-			_ = out
 			cyc = append(cyc, ff(prof.Cycles()/float64(cfg.N)))
-			st := prof.Cache.Stats()
-			l2 := st.MissesBelow(cache.L2)
-			mis = append(mis, ff(float64(l2)/float64(cfg.N)))
+			mis = append(mis, ff(float64(prof.L2Misses())/float64(cfg.N)))
 		}
 		rc.AddRow(cyc...)
 		rm.AddRow(mis...)

@@ -3,12 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"byteslice/internal/cache"
-	"byteslice/internal/exec"
+	"byteslice"
 	"byteslice/internal/layouts"
-	"byteslice/internal/perf"
 	"byteslice/internal/realdata"
-	"byteslice/internal/table"
 	"byteslice/internal/tpch"
 )
 
@@ -19,25 +16,15 @@ func init() {
 	register("fig22", fig22)
 }
 
-// strategyFor matches the paper's setup: ByteSlice uses the column-first
-// pipelined evaluation it recommends; the other layouts evaluate complex
-// predicates conventionally.
-func strategyFor(layoutName string) exec.Strategy {
-	if layoutName == "ByteSlice" {
-		return exec.ColumnFirst
-	}
-	return exec.Baseline
-}
-
-// runSuite executes queries on the table under every layout and returns
-// results[layout][query].
-func runSuite(tables map[string]*table.Table, queries []tpch.Query) map[string]map[string]tpch.Result {
+// runSuite executes queries on the table under every layout, each with
+// the paper's strategy for that layout (tpch.StrategyFor) and a fresh
+// profile, and returns results[layout][query].
+func runSuite(tables map[string]*byteslice.Table, queries []tpch.Query) map[string]map[string]tpch.Result {
 	out := make(map[string]map[string]tpch.Result, len(tables))
 	for name, tb := range tables {
 		out[name] = make(map[string]tpch.Result, len(queries))
 		for _, q := range queries {
-			prof := perf.NewProfile()
-			res, err := tpch.Run(tb, q, strategyFor(name), prof)
+			res, err := tpch.Run(tb, q, tpch.StrategyFor(name), byteslice.NewProfile())
 			if err != nil {
 				panic(fmt.Sprintf("%s/%s: %v", name, q.Name, err))
 			}
@@ -47,10 +34,16 @@ func runSuite(tables map[string]*table.Table, queries []tpch.Query) map[string]m
 	return out
 }
 
-func buildAll(specs func(name string) *table.Table) map[string]*table.Table {
-	tables := make(map[string]*table.Table, len(layouts.Names))
+// buildAll formats the columns into one table per layout of the paper's
+// comparison.
+func buildAll(specs []tpch.ColumnSpec) map[string]*byteslice.Table {
+	tables := make(map[string]*byteslice.Table, len(layouts.Names))
 	for _, name := range layouts.Names {
-		tables[name] = specs(name)
+		tb, err := tpch.BuildTable(specs, byteslice.WithFormat(byteslice.Format(name)))
+		if err != nil {
+			panic(err)
+		}
+		tables[name] = tb
 	}
 	return tables
 }
@@ -94,22 +87,19 @@ func breakdownReport(id, title string, n int, queries []tpch.Query, results map[
 	return r
 }
 
-func tpchTables(cfg Config, skew float64) (*tpch.Dataset, map[string]*table.Table, []tpch.Query) {
+func tpchTables(cfg Config, skew float64) (map[string]*byteslice.Table, []tpch.Query) {
 	d := tpch.Generate(tpch.Config{Rows: cfg.TPCHRows, Seed: cfg.Seed, Skew: skew})
-	tables := buildAll(func(name string) *table.Table {
-		return d.Build(layouts.Builders[name], cache.NewArena(64))
-	})
-	return d, tables, tpch.Queries(d)
+	return buildAll(d.Specs), tpch.Queries(d)
 }
 
 func fig14(cfg Config) []*Report {
-	_, tables, queries := tpchTables(cfg, 0)
+	tables, queries := tpchTables(cfg, 0)
 	results := runSuite(tables, queries)
 	return []*Report{speedupReport("Fig14", "TPC-H speed-up over Bit-Packed", queries, results)}
 }
 
 func fig20(cfg Config) []*Report {
-	_, tables, queries := tpchTables(cfg, 0)
+	tables, queries := tpchTables(cfg, 0)
 	results := runSuite(tables, queries)
 	return []*Report{breakdownReport("Fig20", "TPC-H execution time breakdown", cfg.TPCHRows, queries, results)}
 }
@@ -117,7 +107,7 @@ func fig20(cfg Config) []*Report {
 func fig21(cfg Config) []*Report {
 	var out []*Report
 	for _, z := range []float64{1, 2} {
-		_, tables, queries := tpchTables(cfg, z)
+		tables, queries := tpchTables(cfg, z)
 		results := runSuite(tables, queries)
 		out = append(out, speedupReport("Fig21",
 			fmt.Sprintf("TPC-H speed-up over Bit-Packed, zipf = %.0f", z), queries, results))
@@ -128,11 +118,8 @@ func fig21(cfg Config) []*Report {
 func fig22(cfg Config) []*Report {
 	var out []*Report
 	for _, d := range []*realdata.Dataset{realdata.Adult(cfg.Seed), realdata.Baseball(cfg.Seed)} {
-		tables := buildAll(func(name string) *table.Table {
-			return d.Build(layouts.Builders[name], cache.NewArena(64))
-		})
-		results := runSuite(tables, d.Queries)
-		n := len(d.Raw[d.Specs[0].Name])
+		results := runSuite(buildAll(d.Specs), d.Queries)
+		n := len(d.Specs[0].Codes)
 		out = append(out,
 			speedupReport("Fig22", d.Name+" speed-up over Bit-Packed", d.Queries, results),
 			breakdownReport("Fig22", d.Name+" execution time breakdown", n, d.Queries, results))

@@ -20,25 +20,30 @@ import (
 	"strings"
 )
 
-// Strategy is the planner's choice of physical evaluation shape.
+// Strategy is the physical evaluation shape of a multi-predicate query
+// (§3.1.2). The facade exports it as byteslice.Strategy.
 type Strategy int
 
-// Strategies, mirroring the facade's (the facade maps them back).
+// Strategies.
 const (
-	// ColumnFirst pipelines each predicate's condensed result into the
-	// next column's scan (Algorithm 2, the paper's recommendation).
-	ColumnFirst Strategy = iota
-	// PredicateFirst evaluates all predicates per 32-code segment with the
-	// native multi-scan kernel, materialising no intermediate vectors.
-	PredicateFirst
+	// Auto leaves the choice to the planner; Plan never returns it.
+	Auto Strategy = iota
 	// Baseline scans every predicate independently and combines bit
 	// vectors; it is also the fallback when pipelining cannot apply.
 	Baseline
+	// ColumnFirst pipelines each predicate's condensed result into the
+	// next column's scan (Algorithm 2, the paper's recommendation).
+	ColumnFirst
+	// PredicateFirst evaluates all predicates per 32-code segment with the
+	// native multi-scan kernel, materialising no intermediate vectors.
+	PredicateFirst
 )
 
 // String names the strategy as Explain prints it.
 func (s Strategy) String() string {
 	switch s {
+	case Auto:
+		return "auto"
 	case ColumnFirst:
 		return "column-first"
 	case PredicateFirst:

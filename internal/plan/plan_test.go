@@ -81,6 +81,17 @@ func TestSelectiveDriverFavoursPipelining(t *testing.T) {
 	}
 }
 
+func TestStrategyString(t *testing.T) {
+	for s, want := range map[Strategy]string{
+		Auto: "auto", Baseline: "baseline", ColumnFirst: "column-first",
+		PredicateFirst: "predicate-first", Strategy(9): "Strategy(9)",
+	} {
+		if s.String() != want {
+			t.Fatalf("String = %q, want %q", s.String(), want)
+		}
+	}
+}
+
 func TestZonePruneCutsCost(t *testing.T) {
 	unzoned := Plan(q(4096), []Pred{{Col: "a", Slices: 2, Sel: 0.01}})
 	zoned := Plan(q(4096), []Pred{{Col: "a", Slices: 2, Sel: 0.01, HasZoneMap: true, ZonePrune: 0.98}})

@@ -16,25 +16,18 @@
 package realdata
 
 import (
-	"byteslice/internal/cache"
 	"byteslice/internal/datagen"
-	"byteslice/internal/exec"
 	"byteslice/internal/layout"
-	"byteslice/internal/table"
 	"byteslice/internal/tpch"
 )
 
-// Dataset is a generated real-data equivalent.
+// Dataset is a generated real-data equivalent; tpch.BuildTable formats its
+// columns and tpch.Run executes its queries.
 type Dataset struct {
 	Name    string
-	Specs   []table.ColumnSpec
+	Specs   []tpch.ColumnSpec
 	Raw     map[string][]uint32
 	Queries []tpch.Query
-}
-
-// Build formats the dataset with the given layout builder.
-func (d *Dataset) Build(build layout.Builder, arena *cache.Arena) *table.Table {
-	return table.MustBuild(d.Name, d.Specs, build, arena)
 }
 
 type colDef struct {
@@ -51,10 +44,7 @@ func assemble(name string, rows int, defs []colDef) *Dataset {
 			codes[i] = def.gen(i)
 		}
 		d.Raw[def.name] = codes
-		d.Specs = append(d.Specs, table.ColumnSpec{
-			Name: def.name, K: def.k, Codes: codes,
-			Decode: func(c uint32) float64 { return float64(c) },
-		})
+		d.Specs = append(d.Specs, tpch.ColumnSpec{Name: def.name, K: def.k, Codes: codes})
 	}
 	return d
 }
@@ -103,20 +93,7 @@ func Adult(seed uint64) *Dataset {
 		}},
 	}
 	d := assemble("adult", AdultRows, defs)
-	and := func(fs ...exec.Filter) [][]exec.Filter {
-		groups := make([][]exec.Filter, len(fs))
-		for i, fl := range fs {
-			groups[i] = []exec.Filter{fl}
-		}
-		return groups
-	}
-	f := func(col string, op layout.Op, c1 uint32, c2 ...uint32) exec.Filter {
-		fl := exec.Filter{Col: col, Pred: layout.Predicate{Op: op, C1: c1}}
-		if len(c2) > 0 {
-			fl.Pred.C2 = c2[0]
-		}
-		return fl
-	}
+	and, f := tpch.And, tpch.Cmp
 	d.Queries = []tpch.Query{
 		{
 			// A1: high-selectivity demographic slice, light projection.
@@ -191,20 +168,7 @@ func Baseball(seed uint64) *Dataset {
 		}},
 		{"walks", 8, func(int) uint32 { return hitsZ.Sample(rng) }},
 	})
-	and := func(fs ...exec.Filter) [][]exec.Filter {
-		groups := make([][]exec.Filter, len(fs))
-		for i, fl := range fs {
-			groups[i] = []exec.Filter{fl}
-		}
-		return groups
-	}
-	f := func(col string, op layout.Op, c1 uint32, c2 ...uint32) exec.Filter {
-		fl := exec.Filter{Col: col, Pred: layout.Predicate{Op: op, C1: c1}}
-		if len(c2) > 0 {
-			fl.Pred.C2 = c2[0]
-		}
-		return fl
-	}
+	and, f := tpch.And, tpch.Cmp
 	d.Queries = []tpch.Query{
 		{
 			// B1: modern seasons of regulars.

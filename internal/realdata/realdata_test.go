@@ -3,41 +3,10 @@ package realdata_test
 import (
 	"testing"
 
-	"byteslice/internal/core"
-	"byteslice/internal/exec"
-	"byteslice/internal/layout"
-	"byteslice/internal/layout/bp"
-	"byteslice/internal/layout/hbp"
-	"byteslice/internal/layout/vbp"
-	"byteslice/internal/perf"
+	"byteslice"
 	"byteslice/internal/realdata"
 	"byteslice/internal/tpch"
 )
-
-func oracleCount(d *realdata.Dataset, q tpch.Query) int {
-	n := len(d.Raw[d.Specs[0].Name])
-	count := 0
-	for i := 0; i < n; i++ {
-		ok := true
-		for _, g := range q.Where {
-			gm := false
-			for _, fl := range g {
-				if fl.Pred.Eval(d.Raw[fl.Col][i]) {
-					gm = true
-					break
-				}
-			}
-			if !gm {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			count++
-		}
-	}
-	return count
-}
 
 func TestDatasetsShape(t *testing.T) {
 	a := realdata.Adult(1)
@@ -100,23 +69,29 @@ func TestSkewShapes(t *testing.T) {
 	}
 }
 
+// TestQueriesAllLayouts runs every kernel on every layout the facade
+// evaluates, on the modelled and the native path, against the scalar
+// oracle.
 func TestQueriesAllLayouts(t *testing.T) {
-	builders := map[string]layout.Builder{
-		"BitPacked": bp.NewBuilder,
-		"HBP":       hbp.NewBuilder,
-		"VBP":       vbp.NewBuilder,
-		"ByteSlice": core.NewBuilder,
+	opts := map[string]byteslice.ColumnOption{"ByteSlice+compression": byteslice.WithCompression()}
+	for _, f := range byteslice.Formats() {
+		opts[string(f)] = byteslice.WithFormat(f)
 	}
 	for _, d := range []*realdata.Dataset{realdata.Adult(3), realdata.Baseball(3)} {
-		for name, b := range builders {
-			tb := d.Build(b, nil)
+		for name, opt := range opts {
+			tb, err := tpch.BuildTable(d.Specs, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, q := range d.Queries {
-				res, err := tpch.Run(tb, q, exec.ColumnFirst, perf.NewProfileNoCache())
-				if err != nil {
-					t.Fatalf("%s/%s/%s: %v", d.Name, name, q.Name, err)
-				}
-				if want := oracleCount(d, q); res.Matches != want {
-					t.Fatalf("%s/%s/%s: %d matches, oracle %d", d.Name, name, q.Name, res.Matches, want)
+				for _, prof := range []*byteslice.Profile{byteslice.NewProfile(), nil} {
+					res, err := tpch.Run(tb, q, tpch.StrategyFor(name), prof)
+					if err != nil {
+						t.Fatalf("%s/%s/%s: %v", d.Name, name, q.Name, err)
+					}
+					if err := tpch.Validate(d.Raw, q, res.Matches); err != nil {
+						t.Fatalf("%s/%s profiled=%v: %v", d.Name, name, prof != nil, err)
+					}
 				}
 			}
 		}

@@ -19,11 +19,9 @@ import (
 	"fmt"
 	"time"
 
-	"byteslice/internal/cache"
+	"byteslice"
 	"byteslice/internal/datagen"
 	"byteslice/internal/encoding"
-	"byteslice/internal/layout"
-	"byteslice/internal/table"
 )
 
 // Epoch is day zero of the date encoding; EndDate is the last generated
@@ -99,11 +97,34 @@ type Config struct {
 	Seed uint64
 }
 
+// ColumnSpec is one encoded column before it is formatted into a layout.
+type ColumnSpec struct {
+	Name string
+	// K is the encoded width in bits.
+	K int
+	// Codes are the encoded values, one per row.
+	Codes []uint32
+}
+
+// BuildTable formats the columns into one facade table; opts (the storage
+// layout, compression) apply to every column.
+func BuildTable(specs []ColumnSpec, opts ...byteslice.ColumnOption) (*byteslice.Table, error) {
+	cols := make([]*byteslice.Column, len(specs))
+	for i, s := range specs {
+		c, err := byteslice.NewCodeColumn(s.Name, s.Codes, s.K, opts...)
+		if err != nil {
+			return nil, err
+		}
+		cols[i] = c
+	}
+	return byteslice.NewTable(cols...)
+}
+
 // Dataset is the generated wide table plus the encoders queries need to
 // translate their constants into code space.
 type Dataset struct {
 	Cfg   Config
-	Specs []table.ColumnSpec
+	Specs []ColumnSpec
 	Dates *encoding.IntEncoder
 	Price *encoding.DecimalEncoder
 	Cost  *encoding.DecimalEncoder
@@ -113,7 +134,7 @@ type Dataset struct {
 	Raw map[string][]uint32
 }
 
-// Generate builds the dataset (codes only; call Build to format it).
+// Generate builds the dataset (codes only; BuildTable formats it).
 func Generate(cfg Config) *Dataset {
 	if cfg.Rows <= 0 {
 		cfg.Rows = 100_000
@@ -168,20 +189,18 @@ func Generate(cfg Config) *Dataset {
 		}
 	}
 
-	col := func(name string, k int, decode func(uint32) float64, fill func(i int) uint32) {
+	col := func(name string, k int, fill func(i int) uint32) {
 		codes := make([]uint32, n)
 		for i := range codes {
 			codes[i] = fill(i)
 		}
 		d.Raw[name] = codes
-		d.Specs = append(d.Specs, table.ColumnSpec{Name: name, K: k, Codes: codes, Decode: decode})
+		d.Specs = append(d.Specs, ColumnSpec{Name: name, K: k, Codes: codes})
 	}
 	dictCol := func(name, dict string) {
 		dc := dicts[dict]
-		col(name, dc.Width(), func(c uint32) float64 { return float64(c) },
-			func(int) uint32 { return skewed(dc.Cardinality()) })
+		col(name, dc.Width(), func(int) uint32 { return skewed(dc.Cardinality()) })
 	}
-	f64 := func(c uint32) float64 { return float64(c) }
 
 	// Per-row driver values that several columns derive from.
 	orderDay := make([]uint32, n)
@@ -194,48 +213,45 @@ func Generate(cfg Config) *Dataset {
 		quantity[i] = 1 + skewed(50)
 	}
 
-	col("o_orderdate", dates.Width(), f64, func(i int) uint32 { return orderDay[i] })
-	col("l_shipdate", dates.Width(), f64, func(i int) uint32 { return shipDay[i] })
+	col("o_orderdate", dates.Width(), func(i int) uint32 { return orderDay[i] })
+	col("l_shipdate", dates.Width(), func(i int) uint32 { return shipDay[i] })
 	commit := make([]uint32, n)
 	receipt := make([]uint32, n)
 	for i := 0; i < n; i++ {
 		commit[i] = orderDay[i] + 30 + uint32(rng.IntN(61))
 		receipt[i] = shipDay[i] + 1 + uint32(rng.IntN(30))
 	}
-	col("l_commitdate", dates.Width(), f64, func(i int) uint32 { return commit[i] })
-	col("l_receiptdate", dates.Width(), f64, func(i int) uint32 { return receipt[i] })
-	col("l_commit_lt_receipt", 1, f64, func(i int) uint32 {
+	col("l_commitdate", dates.Width(), func(i int) uint32 { return commit[i] })
+	col("l_receiptdate", dates.Width(), func(i int) uint32 { return receipt[i] })
+	col("l_commit_lt_receipt", 1, func(i int) uint32 {
 		if commit[i] < receipt[i] {
 			return 1
 		}
 		return 0
 	})
-	col("l_quantity", 6, f64, func(i int) uint32 { return quantity[i] })
-	col("l_discount", 4, func(c uint32) float64 { return float64(c) / 100 },
-		func(int) uint32 { return skewed(11) })
-	col("l_tax", 4, func(c uint32) float64 { return float64(c) / 100 },
-		func(int) uint32 { return skewed(9) })
-	col("l_extendedprice", price.Width(), func(c uint32) float64 { return price.Decode(c) },
-		func(i int) uint32 {
-			unit := 900 + rng.IntN(1201) // 900.00 – 2100.00 per unit
-			return price.EncodeClamped(float64(unit) * float64(quantity[i]))
-		})
+	col("l_quantity", 6, func(i int) uint32 { return quantity[i] })
+	col("l_discount", 4, func(int) uint32 { return skewed(11) }) // percent
+	col("l_tax", 4, func(int) uint32 { return skewed(9) })       // percent
+	col("l_extendedprice", price.Width(), func(i int) uint32 {
+		unit := 900 + rng.IntN(1201) // 900.00 – 2100.00 per unit
+		return price.EncodeClamped(float64(unit) * float64(quantity[i]))
+	})
 	dictCol("l_returnflag", "l_returnflag")
 	dictCol("l_linestatus", "l_linestatus")
 	dictCol("l_shipmode", "l_shipmode")
 	dictCol("l_shipinstruct", "l_shipinstruct")
-	col("l_suppkey", 14, f64, func(int) uint32 { return skewed(10000) })
+	col("l_suppkey", 14, func(int) uint32 { return skewed(10000) })
 	dictCol("o_orderpriority", "o_orderpriority")
 	dictCol("c_mktsegment", "c_mktsegment")
-	col("c_nationkey", 5, f64, func(int) uint32 { return skewed(25) })
+	col("c_nationkey", 5, func(int) uint32 { return skewed(25) })
 	sNation := make([]uint32, n)
 	for i := range sNation {
 		sNation[i] = skewed(25)
 	}
-	col("s_nationkey", 5, f64, func(i int) uint32 { return sNation[i] })
-	col("s_regionkey", 3, f64, func(i int) uint32 { return sNation[i] / 5 })
-	col("c_regionkey", 3, f64, func(i int) uint32 { return d.Raw["c_nationkey"][i] / 5 })
-	col("c_s_same_nation", 1, f64, func(i int) uint32 {
+	col("s_nationkey", 5, func(i int) uint32 { return sNation[i] })
+	col("s_regionkey", 3, func(i int) uint32 { return sNation[i] / 5 })
+	col("c_regionkey", 3, func(i int) uint32 { return d.Raw["c_nationkey"][i] / 5 })
+	col("c_s_same_nation", 1, func(i int) uint32 {
 		if d.Raw["c_nationkey"][i] == sNation[i] {
 			return 1
 		}
@@ -244,17 +260,13 @@ func Generate(cfg Config) *Dataset {
 	dictCol("p_brand", "p_brand")
 	dictCol("p_container", "p_container")
 	dictCol("p_type", "p_type")
-	col("p_size", 6, f64, func(int) uint32 { return 1 + skewed(50) })
-	col("ps_availqty", 14, f64, func(int) uint32 { return 1 + skewed(9999) })
-	col("ps_supplycost", cost.Width(), func(c uint32) float64 { return cost.Decode(c) },
-		func(int) uint32 { return cost.EncodeClamped(1 + float64(rng.IntN(99900))/100) })
+	col("p_size", 6, func(int) uint32 { return 1 + skewed(50) })
+	col("ps_availqty", 14, func(int) uint32 { return 1 + skewed(9999) })
+	col("ps_supplycost", cost.Width(), func(int) uint32 {
+		return cost.EncodeClamped(1 + float64(rng.IntN(99900))/100)
+	})
 
 	return d
-}
-
-// Build formats the dataset's columns with the given layout builder.
-func (d *Dataset) Build(build layout.Builder, arena *cache.Arena) *table.Table {
-	return table.MustBuild("widetable", d.Specs, build, arena)
 }
 
 // DayCode encodes a civil date as a comparison constant.

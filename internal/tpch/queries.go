@@ -3,14 +3,50 @@ package tpch
 import (
 	"fmt"
 
-	"byteslice/internal/bitvec"
-	"byteslice/internal/cache"
-	"byteslice/internal/exec"
+	"byteslice"
 	"byteslice/internal/layout"
-	"byteslice/internal/perf"
-	"byteslice/internal/simd"
-	"byteslice/internal/table"
 )
+
+// Filter is one column-scalar predicate over a column's codes. Queries and
+// the scalar oracle (Validate) read it directly; Run evaluates it as the
+// facade's CodeFilter.
+type Filter struct {
+	Col  string
+	Pred layout.Predicate
+}
+
+// Cmp is the filter col op c1, or col BETWEEN c1 AND c2 given c2.
+func Cmp(col string, op layout.Op, c1 uint32, c2 ...uint32) Filter {
+	fl := Filter{Col: col, Pred: layout.Predicate{Op: op, C1: c1}}
+	if len(c2) > 0 {
+		fl.Pred.C2 = c2[0]
+	}
+	return fl
+}
+
+// And is a pure conjunction as a CNF: one singleton group per filter.
+func And(fs ...Filter) [][]Filter {
+	groups := make([][]Filter, len(fs))
+	for i, fl := range fs {
+		groups[i] = []Filter{fl}
+	}
+	return groups
+}
+
+func (fl Filter) facade() byteslice.Filter {
+	if fl.Pred.Op == layout.Between {
+		return byteslice.CodeFilter(fl.Col, fl.Pred.Op, fl.Pred.C1, fl.Pred.C2)
+	}
+	return byteslice.CodeFilter(fl.Col, fl.Pred.Op, fl.Pred.C1)
+}
+
+func facadeFilters(g []Filter) []byteslice.Filter {
+	out := make([]byteslice.Filter, len(g))
+	for i, fl := range g {
+		out[i] = fl.facade()
+	}
+	return out
+}
 
 // Query is one selection–projection kernel. The predicate is either a CNF
 // (AND of OR-groups; most queries are pure conjunctions with singleton
@@ -18,10 +54,10 @@ import (
 type Query struct {
 	Name string
 	// Where is CNF: the groups are ANDed; filters inside a group are ORed.
-	Where [][]exec.Filter
+	Where [][]Filter
 	// DNF, when non-empty, replaces Where: the groups are ORed; filters
 	// inside a group are ANDed.
-	DNF [][]exec.Filter
+	DNF [][]Filter
 	// Residual, when set, is a predicate scans cannot evaluate (TPC-H's
 	// column-vs-column comparisons, e.g. l_commitdate < l_receiptdate in
 	// Q4): it is applied to scan survivors by looking up the named columns
@@ -34,7 +70,7 @@ type Query struct {
 	// intermediates, so it is layout independent (§2) and is not part of
 	// the scan/lookup costs the figures report; it exists so the kernels
 	// produce the queries' actual answers.
-	Agg *exec.Aggregate
+	Agg *Aggregate
 }
 
 // Residual is a row predicate over looked-up codes.
@@ -49,21 +85,8 @@ var lessThan = func(v []uint32) bool { return v[0] < v[1] }
 // equalTo is the col1 = col2 residual used by Q5.
 var equalTo = func(v []uint32) bool { return v[0] == v[1] }
 
-func f(col string, op layout.Op, c1 uint32, c2 ...uint32) exec.Filter {
-	fl := exec.Filter{Col: col, Pred: layout.Predicate{Op: op, C1: c1}}
-	if len(c2) > 0 {
-		fl.Pred.C2 = c2[0]
-	}
-	return fl
-}
-
-func and(fs ...exec.Filter) [][]exec.Filter {
-	groups := make([][]exec.Filter, len(fs))
-	for i, fl := range fs {
-		groups[i] = []exec.Filter{fl}
-	}
-	return groups
-}
+// percent decodes the l_discount and l_tax codes.
+func percent(c uint32) float64 { return float64(c) / 100 }
 
 // Queries instantiates the paper's thirteen TPC-H selection–projection
 // kernels against this dataset's encoders. Predicate structure and
@@ -73,28 +96,29 @@ func and(fs ...exec.Filter) [][]exec.Filter {
 func Queries(d *Dataset) []Query {
 	day := d.DayCode
 	dc := d.DictCode
+	f := Cmp
 	return []Query{
 		{
 			// Q1: pricing summary report; ~98% selectivity, heavy lookups.
 			Name:  "Q1",
-			Where: and(f("l_shipdate", layout.Le, day(1998, 9, 2))),
+			Where: And(f("l_shipdate", layout.Le, day(1998, 9, 2))),
 			Project: []string{"l_quantity", "l_extendedprice", "l_discount", "l_tax",
 				"l_returnflag", "l_linestatus"},
-			Agg: &exec.Aggregate{
+			Agg: &Aggregate{
 				Exprs:   []string{"sum_qty", "sum_base_price", "sum_disc_price", "sum_charge"},
 				Inputs:  []string{"l_quantity", "l_extendedprice", "l_discount", "l_tax"},
 				GroupBy: []string{"l_returnflag", "l_linestatus"},
-				Eval: func(v map[string]float64) []float64 {
-					price := v["l_extendedprice"]
-					disc := price * (1 - v["l_discount"])
-					return []float64{v["l_quantity"], price, disc, disc * (1 + v["l_tax"])}
+				Eval: func(v []uint32) []float64 {
+					price := d.Price.Decode(v[1])
+					disc := price * (1 - percent(v[2]))
+					return []float64{float64(v[0]), price, disc, disc * (1 + percent(v[3]))}
 				},
 			},
 		},
 		{
 			// Q3: shipping priority.
 			Name: "Q3",
-			Where: and(
+			Where: And(
 				f("c_mktsegment", layout.Eq, dc("c_mktsegment", "BUILDING")),
 				f("o_orderdate", layout.Lt, day(1995, 3, 15)),
 				f("l_shipdate", layout.Gt, day(1995, 3, 15)),
@@ -106,7 +130,7 @@ func Queries(d *Dataset) []Query {
 			// a column-vs-column comparison, evaluated on scan survivors
 			// by lookups.
 			Name: "Q4",
-			Where: and(
+			Where: And(
 				f("o_orderdate", layout.Between, day(1993, 7, 1), day(1993, 10, 1)-1),
 			),
 			Residual: &Residual{Cols: []string{"l_commitdate", "l_receiptdate"}, Keep: lessThan},
@@ -116,7 +140,7 @@ func Queries(d *Dataset) []Query {
 			// Q5: local supplier volume (region ASIA, one order-date year,
 			// customer and supplier in the same nation — the flag column).
 			Name: "Q5",
-			Where: and(
+			Where: And(
 				f("o_orderdate", layout.Between, day(1994, 1, 1), day(1995, 1, 1)-1),
 				f("s_regionkey", layout.Eq, dc("region", "ASIA")), // region keys follow dictionary order
 			),
@@ -126,24 +150,24 @@ func Queries(d *Dataset) []Query {
 		{
 			// Q6: forecasting revenue change; the classic ~2% scan.
 			Name: "Q6",
-			Where: and(
+			Where: And(
 				f("l_shipdate", layout.Between, day(1994, 1, 1), day(1995, 1, 1)-1),
 				f("l_discount", layout.Between, 5, 7),
 				f("l_quantity", layout.Lt, 24),
 			),
 			Project: []string{"l_extendedprice", "l_discount"},
-			Agg: &exec.Aggregate{
+			Agg: &Aggregate{
 				Exprs:  []string{"revenue"},
 				Inputs: []string{"l_extendedprice", "l_discount"},
-				Eval: func(v map[string]float64) []float64 {
-					return []float64{v["l_extendedprice"] * v["l_discount"]}
+				Eval: func(v []uint32) []float64 {
+					return []float64{d.Price.Decode(v[0]) * percent(v[1])}
 				},
 			},
 		},
 		{
 			// Q8: national market share.
 			Name: "Q8",
-			Where: and(
+			Where: And(
 				f("c_regionkey", layout.Eq, dc("region", "AMERICA")),
 				f("p_type", layout.Eq, dc("p_type", "ECONOMY ANODIZED STEEL")),
 				f("o_orderdate", layout.Between, day(1995, 1, 1), day(1996, 12, 31)),
@@ -153,7 +177,7 @@ func Queries(d *Dataset) []Query {
 		{
 			// Q10: returned item reporting.
 			Name: "Q10",
-			Where: and(
+			Where: And(
 				f("o_orderdate", layout.Between, day(1993, 10, 1), day(1994, 1, 1)-1),
 				f("l_returnflag", layout.Eq, dc("l_returnflag", "R")),
 			),
@@ -163,14 +187,14 @@ func Queries(d *Dataset) []Query {
 			// Q11: important stock identification (suppliers of one nation;
 			// GERMANY is nation key 7 in dictionary order here).
 			Name:    "Q11",
-			Where:   and(f("s_nationkey", layout.Eq, 7)),
+			Where:   And(f("s_nationkey", layout.Eq, 7)),
 			Project: []string{"ps_supplycost", "ps_availqty"},
 		},
 		{
 			// Q12: shipping modes and order priority; the shipmode IN-list
 			// is an OR-group inside the conjunction.
 			Name: "Q12",
-			Where: [][]exec.Filter{
+			Where: [][]Filter{
 				{f("l_receiptdate", layout.Between, day(1994, 1, 1), day(1995, 1, 1)-1)},
 				{
 					f("l_shipmode", layout.Eq, dc("l_shipmode", "MAIL")),
@@ -183,19 +207,19 @@ func Queries(d *Dataset) []Query {
 		{
 			// Q14: promotion effect.
 			Name:    "Q14",
-			Where:   and(f("l_shipdate", layout.Between, day(1995, 9, 1), day(1995, 10, 1)-1)),
+			Where:   And(f("l_shipdate", layout.Between, day(1995, 9, 1), day(1995, 10, 1)-1)),
 			Project: []string{"p_type", "l_extendedprice", "l_discount"},
 		},
 		{
 			// Q15: top supplier.
 			Name:    "Q15",
-			Where:   and(f("l_shipdate", layout.Between, day(1996, 1, 1), day(1996, 4, 1)-1)),
+			Where:   And(f("l_shipdate", layout.Between, day(1996, 1, 1), day(1996, 4, 1)-1)),
 			Project: []string{"l_suppkey", "l_extendedprice", "l_discount"},
 		},
 		{
 			// Q17: small-quantity-order revenue; highly selective.
 			Name: "Q17",
-			Where: and(
+			Where: And(
 				f("p_brand", layout.Eq, dc("p_brand", "Brand#23")),
 				f("p_container", layout.Eq, dc("p_container", "MED BOX")),
 			),
@@ -205,7 +229,7 @@ func Queries(d *Dataset) []Query {
 			// Q19: discounted revenue — a disjunction of three brand/
 			// container-class/quantity/size conjunctions.
 			Name: "Q19",
-			DNF: [][]exec.Filter{
+			DNF: [][]Filter{
 				{
 					f("p_brand", layout.Eq, dc("p_brand", "Brand#12")),
 					f("p_container", layout.Between, dc("p_container", "SM BAG"), dc("p_container", "SM PKG")),
@@ -230,171 +254,204 @@ func Queries(d *Dataset) []Query {
 	}
 }
 
+// Aggregate computes per-group sums of expressions over a kernel's
+// projected codes. GroupBy may be empty (one global group).
+type Aggregate struct {
+	// Exprs names each aggregate expression.
+	Exprs []string
+	// Inputs are the projected columns Eval reads, in its argument order.
+	Inputs []string
+	// Eval computes all expressions for one row's input codes.
+	Eval func(codes []uint32) []float64
+	// GroupBy are projected columns whose codes form the group key.
+	GroupBy []string
+}
+
+// GroupResult is one output group.
+type GroupResult struct {
+	Key  string
+	Sums []float64
+	Rows int
+}
+
+// run evaluates the aggregate over n projected rows, keeping groups in
+// first-seen order.
+func (a *Aggregate) run(proj map[string][]uint32, n int) ([]GroupResult, error) {
+	for _, cols := range [][]string{a.Inputs, a.GroupBy} {
+		for _, c := range cols {
+			if _, ok := proj[c]; !ok {
+				return nil, fmt.Errorf("tpch: aggregate column %s not projected", c)
+			}
+		}
+	}
+	groups := make(map[string]*GroupResult)
+	var order []string
+	vals := make([]uint32, len(a.Inputs))
+	for i := 0; i < n; i++ {
+		key := ""
+		for _, g := range a.GroupBy {
+			key += fmt.Sprintf("%d|", proj[g][i])
+		}
+		for j, in := range a.Inputs {
+			vals[j] = proj[in][i]
+		}
+		sums := a.Eval(vals)
+		gr, ok := groups[key]
+		if !ok {
+			gr = &GroupResult{Key: key, Sums: make([]float64, len(sums))}
+			groups[key] = gr
+			order = append(order, key)
+		}
+		for j, s := range sums {
+			gr.Sums[j] += s
+		}
+		gr.Rows++
+	}
+	out := make([]GroupResult, len(order))
+	for i, k := range order {
+		out[i] = *groups[k]
+	}
+	return out, nil
+}
+
 // Result carries the per-phase profile of one query execution.
 type Result struct {
 	Query   string
 	Matches int
 	// Groups holds the aggregation output when the kernel defines one.
-	Groups []exec.GroupResult
-	// Scan and Lookup are snapshots of the modelled costs of each phase.
-	ScanCycles, LookupCycles     float64
-	ScanInstr, LookupInstr       uint64
-	ScanL2Misses, LookupL2Misses uint64
+	Groups []GroupResult
+	// Scan and Lookup are the modelled costs of each phase.
+	ScanCycles, LookupCycles float64
+	ScanInstr, LookupInstr   uint64
 }
 
 // TotalCycles is the selection–projection cost the paper's Figure 14/20
 // report (normalised per tuple by callers).
 func (r Result) TotalCycles() float64 { return r.ScanCycles + r.LookupCycles }
 
-// Run executes the kernel over the table, profiling the scan phase and the
-// lookup (projection) phase separately — Figure 20's breakdown.
-func Run(t *table.Table, q Query, strategy exec.Strategy, prof *perf.Profile) (Result, error) {
-	e := simd.New(prof)
-	res := Result{Query: q.Name}
-
-	scanStart := snapshot(prof)
-	var match *bitvec.Vector
-	var err error
-	switch {
-	case len(q.DNF) > 0:
-		match, err = runDNF(e, t, q.DNF, strategy)
-	default:
-		match, err = runCNF(e, t, q.Where, strategy)
+// StrategyFor is the paper's setup: ByteSlice evaluates complex predicates
+// with the column-first pipelining it recommends, the other layouts
+// conventionally.
+func StrategyFor(layoutName string) byteslice.Strategy {
+	if layoutName == string(byteslice.FormatByteSlice) {
+		return byteslice.StrategyColumnFirst
 	}
-	if err != nil {
-		return res, err
-	}
-	res.ScanCycles, res.ScanInstr, res.ScanL2Misses = delta(prof, scanStart)
-
-	lookupStart := snapshot(prof)
-	if q.Residual != nil {
-		if err := applyResidual(e, t, q, match); err != nil {
-			return res, err
-		}
-	}
-	res.Matches = match.Count()
-	proj, err := exec.Project(e, t, q.Project, match)
-	if err != nil {
-		return res, err
-	}
-	res.LookupCycles, res.LookupInstr, res.LookupL2Misses = delta(prof, lookupStart)
-
-	if q.Agg != nil {
-		res.Groups, err = q.Agg.Run(t, proj)
-		if err != nil {
-			return res, err
-		}
-	}
-	return res, nil
+	return byteslice.StrategyBaseline
 }
 
-// applyResidual evaluates the non-scannable predicate on scan survivors by
-// looking up its columns row by row, clearing rows that fail.
-func applyResidual(e *simd.Engine, t *table.Table, q Query, match *bitvec.Vector) error {
-	cols := make([]layout.Layout, len(q.Residual.Cols))
-	for i, name := range q.Residual.Cols {
+// Run executes the kernel over the table with strategy s, profiling the
+// scan phase and the lookup (projection) phase separately — Figure 20's
+// breakdown. Predicates evaluate in the order written. A nil prof runs the
+// facade's native path and leaves the cost fields zero.
+func Run(t *byteslice.Table, q Query, s byteslice.Strategy, prof *byteslice.Profile) (Result, error) {
+	res := Result{Query: q.Name}
+	cycles, instr := counters(prof)
+	match, err := t.Query(q.expr(), byteslice.WithProfile(prof), byteslice.WithStrategy(s),
+		byteslice.WithFilterOrder(byteslice.OrderAsWritten))
+	if err != nil {
+		return res, err
+	}
+	scanCycles, scanInstr := counters(prof)
+	res.ScanCycles, res.ScanInstr = scanCycles-cycles, scanInstr-instr
+
+	rows := match.Rows()
+	if q.Residual != nil {
+		if rows, err = q.Residual.filter(t, prof, rows); err != nil {
+			return res, err
+		}
+	}
+	res.Matches = len(rows)
+	proj := make(map[string][]uint32, len(q.Project))
+	for _, name := range q.Project {
 		c, err := t.Column(name)
 		if err != nil {
-			return err
+			return res, err
 		}
-		cols[i] = c.Data
+		codes := make([]uint32, len(rows))
+		for i, r := range rows {
+			codes[i] = c.LookupCode(prof, int(r))
+		}
+		proj[name] = codes
 	}
-	rows := match.Positions(nil)
-	vals := make([]uint32, len(cols))
-	for _, r := range rows {
-		for i, c := range cols {
-			vals[i] = c.Lookup(e, int(r))
-		}
-		e.Scalar(1) // the comparison itself
-		if !q.Residual.Keep(vals) {
-			match.Set(int(r), false)
-		}
+	cycles, instr = counters(prof)
+	res.LookupCycles, res.LookupInstr = cycles-scanCycles, instr-scanInstr
+
+	if q.Agg != nil {
+		res.Groups, err = q.Agg.run(proj, len(rows))
 	}
-	return nil
+	return res, err
 }
 
-// runCNF evaluates AND over groups, each group an OR of filters.
-func runCNF(e *simd.Engine, t *table.Table, groups [][]exec.Filter, s exec.Strategy) (*bitvec.Vector, error) {
-	// Pure conjunction fast path uses the strategy end to end.
-	pure := make([]exec.Filter, 0, len(groups))
-	isPure := true
-	for _, g := range groups {
-		if len(g) != 1 {
-			isPure = false
-			break
+// expr is the query's predicate as a facade expression. A CNF's singleton
+// groups are leaves of one AND, so a pure conjunction is a single
+// pipelined Filter; each OR-group, and each conjunction of a DNF, is its
+// own FilterAny/Filter call, combined in order through the result bit
+// vectors.
+func (q Query) expr() byteslice.Expr {
+	if len(q.DNF) > 0 {
+		terms := make([]byteslice.Expr, len(q.DNF))
+		for i, g := range q.DNF {
+			terms[i] = byteslice.AllFilters(facadeFilters(g)...)
 		}
-		pure = append(pure, g[0])
+		return byteslice.Any(terms...)
 	}
-	if isPure {
-		return exec.Conjunction(e, t, pure, s)
-	}
-	var acc *bitvec.Vector
-	for _, g := range groups {
-		var cur *bitvec.Vector
-		var err error
+	terms := make([]byteslice.Expr, len(q.Where))
+	for i, g := range q.Where {
 		if len(g) == 1 {
-			cur, err = exec.Conjunction(e, t, g, s)
+			terms[i] = byteslice.Leaf(g[0].facade())
 		} else {
-			cur, err = exec.Disjunction(e, t, g, s)
+			terms[i] = byteslice.AnyFilters(facadeFilters(g)...)
 		}
+	}
+	return byteslice.All(terms...)
+}
+
+// filter evaluates the residual on scan survivors by looking up its
+// columns row by row, charging one scalar comparison per row, and returns
+// the rows it keeps.
+func (r *Residual) filter(t *byteslice.Table, prof *byteslice.Profile, rows []int32) ([]int32, error) {
+	cols := make([]*byteslice.Column, len(r.Cols))
+	for i, name := range r.Cols {
+		c, err := t.Column(name)
 		if err != nil {
 			return nil, err
 		}
-		if acc == nil {
-			acc = cur
-		} else {
-			acc.And(cur)
+		cols[i] = c
+	}
+	vals := make([]uint32, len(cols))
+	kept := rows[:0]
+	for _, row := range rows {
+		for i, c := range cols {
+			vals[i] = c.LookupCode(prof, int(row))
+		}
+		prof.ChargeScalar(1)
+		if r.Keep(vals) {
+			kept = append(kept, row)
 		}
 	}
-	return acc, nil
+	return kept, nil
 }
 
-// runDNF evaluates OR over groups, each group an AND of filters.
-func runDNF(e *simd.Engine, t *table.Table, groups [][]exec.Filter, s exec.Strategy) (*bitvec.Vector, error) {
-	var acc *bitvec.Vector
-	for _, g := range groups {
-		cur, err := exec.Conjunction(e, t, g, s)
-		if err != nil {
-			return nil, err
-		}
-		if acc == nil {
-			acc = cur
-		} else {
-			acc.Or(cur)
-		}
+// counters reads the profile's modelled totals (zero without one).
+func counters(p *byteslice.Profile) (cycles float64, instr uint64) {
+	if p == nil {
+		return 0, 0
 	}
-	return acc, nil
+	return p.Cycles(), p.Instructions()
 }
 
-type snap struct {
-	cycles float64
-	instr  uint64
-	l2miss uint64
-}
-
-func snapshot(p *perf.Profile) snap {
-	s := snap{cycles: p.Cycles(), instr: p.Instructions()}
-	if p.Cache != nil {
-		st := p.Cache.Stats()
-		s.l2miss = st.MissesBelow(cache.L2)
+// Validate cross-checks a query's match count against a scalar evaluation
+// over the raw codes (column name → one code per row, as Dataset.Raw).
+func Validate(raw map[string][]uint32, q Query, matches int) error {
+	n := 0
+	for _, codes := range raw {
+		n = len(codes)
+		break
 	}
-	return s
-}
-
-func delta(p *perf.Profile, s snap) (cycles float64, instr, l2 uint64) {
-	n := snapshot(p)
-	return n.cycles - s.cycles, n.instr - s.instr, n.l2miss - s.l2miss
-}
-
-// Validate cross-checks a query result against a scalar evaluation over
-// the raw codes; it is used by tests and the harness's self-check mode.
-func Validate(d *Dataset, q Query, matches int) error {
-	want := 0
-	n := d.Cfg.Rows
-	evalGroup := func(i int, g []exec.Filter, anyOf bool) bool {
+	evalGroup := func(i int, g []Filter, anyOf bool) bool {
 		res := !anyOf
 		for _, fl := range g {
-			m := fl.Pred.Eval(d.Raw[fl.Col][i])
+			m := fl.Pred.Eval(raw[fl.Col][i])
 			if anyOf {
 				res = res || m
 			} else {
@@ -403,6 +460,7 @@ func Validate(d *Dataset, q Query, matches int) error {
 		}
 		return res
 	}
+	want := 0
 	vals := make([]uint32, 0, 4)
 	for i := 0; i < n; i++ {
 		var ok bool
@@ -426,7 +484,7 @@ func Validate(d *Dataset, q Query, matches int) error {
 		if ok && q.Residual != nil {
 			vals = vals[:0]
 			for _, c := range q.Residual.Cols {
-				vals = append(vals, d.Raw[c][i])
+				vals = append(vals, raw[c][i])
 			}
 			ok = q.Residual.Keep(vals)
 		}

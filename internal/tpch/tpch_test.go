@@ -1,21 +1,49 @@
 package tpch_test
 
 import (
+	"reflect"
 	"testing"
 
-	"byteslice/internal/core"
-	"byteslice/internal/exec"
+	"byteslice"
 	"byteslice/internal/layout"
-	"byteslice/internal/layout/bp"
-	"byteslice/internal/layout/hbp"
-	"byteslice/internal/layout/vbp"
-	"byteslice/internal/perf"
 	"byteslice/internal/tpch"
 )
 
 func genSmall(t *testing.T, skew float64) *tpch.Dataset {
 	t.Helper()
 	return tpch.Generate(tpch.Config{Rows: 20000, Seed: 1, Skew: skew})
+}
+
+// layoutTables builds the columns in every layout the facade evaluates:
+// the paper's four and compressed ByteSlice.
+func layoutTables(t *testing.T, specs []tpch.ColumnSpec) map[string]*byteslice.Table {
+	t.Helper()
+	out := map[string]*byteslice.Table{}
+	for _, f := range byteslice.Formats() {
+		out[string(f)] = build(t, specs, byteslice.WithFormat(f))
+	}
+	out["ByteSlice+compression"] = build(t, specs, byteslice.WithCompression())
+	return out
+}
+
+func build(t *testing.T, specs []tpch.ColumnSpec, opts ...byteslice.ColumnOption) *byteslice.Table {
+	t.Helper()
+	tb, err := tpch.BuildTable(specs, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tb
+}
+
+func queryNamed(t *testing.T, qs []tpch.Query, name string) tpch.Query {
+	t.Helper()
+	for _, q := range qs {
+		if q.Name == name {
+			return q
+		}
+	}
+	t.Fatalf("no query %s", name)
+	return tpch.Query{}
 }
 
 func TestGenerateDeterministicAndInDomain(t *testing.T) {
@@ -29,8 +57,10 @@ func TestGenerateDeterministicAndInDomain(t *testing.T) {
 			}
 		}
 	}
-	// Widths hold (CheckArgs panics otherwise) and the paper's claim that
-	// ~90% of TPC-H columns encode under 24 bits should be visible here.
+	// Widths hold (building rejects codes wider than K) and the paper's
+	// claim that ~90% of TPC-H columns encode under 24 bits should be
+	// visible here.
+	build(t, a.Specs)
 	under24 := 0
 	for _, s := range a.Specs {
 		if s.K <= 24 {
@@ -67,39 +97,45 @@ func TestDateCorrelations(t *testing.T) {
 	}
 }
 
-// TestAllQueriesAllLayouts runs every kernel on every layout and checks
-// match counts against the scalar oracle and across layouts.
+// TestAllQueriesAllLayouts runs every kernel on every layout, uniform and
+// skewed, on the modelled path and on the native path: both must match the
+// scalar oracle, and the native Q1/Q6 aggregates must equal the modelled
+// ones.
 func TestAllQueriesAllLayouts(t *testing.T) {
-	d := genSmall(t, 0)
-	builders := map[string]layout.Builder{
-		"BitPacked": bp.NewBuilder,
-		"HBP":       hbp.NewBuilder,
-		"VBP":       vbp.NewBuilder,
-		"ByteSlice": core.NewBuilder,
-	}
-	queries := tpch.Queries(d)
-	if len(queries) != 13 {
-		t.Fatalf("expected 13 queries, got %d", len(queries))
-	}
-	for name, b := range builders {
-		tb := d.Build(b, nil)
-		for _, q := range queries {
-			strategy := exec.Baseline
-			if name == "ByteSlice" {
-				strategy = exec.ColumnFirst
-			}
-			res, err := tpch.Run(tb, q, strategy, perf.NewProfileNoCache())
-			if err != nil {
-				t.Fatalf("%s/%s: %v", name, q.Name, err)
-			}
-			if err := tpch.Validate(d, q, res.Matches); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if res.ScanInstr == 0 {
-				t.Fatalf("%s/%s: no scan instructions recorded", name, q.Name)
-			}
-			if len(q.Project) > 0 && res.Matches > 0 && res.LookupInstr == 0 {
-				t.Fatalf("%s/%s: no lookup instructions recorded", name, q.Name)
+	for _, skew := range []float64{0, 1} {
+		d := genSmall(t, skew)
+		queries := tpch.Queries(d)
+		if len(queries) != 13 {
+			t.Fatalf("expected 13 queries, got %d", len(queries))
+		}
+		for name, tb := range layoutTables(t, d.Specs) {
+			s := tpch.StrategyFor(name)
+			for _, q := range queries {
+				modelled, err := tpch.Run(tb, q, s, byteslice.NewProfile())
+				if err != nil {
+					t.Fatalf("zipf=%v %s/%s: %v", skew, name, q.Name, err)
+				}
+				if err := tpch.Validate(d.Raw, q, modelled.Matches); err != nil {
+					t.Fatalf("zipf=%v %s modelled: %v", skew, name, err)
+				}
+				if modelled.ScanInstr == 0 {
+					t.Fatalf("%s/%s: no scan instructions recorded", name, q.Name)
+				}
+				if len(q.Project) > 0 && modelled.Matches > 0 && modelled.LookupInstr == 0 {
+					t.Fatalf("%s/%s: no lookup instructions recorded", name, q.Name)
+				}
+
+				native, err := tpch.Run(tb, q, s, nil)
+				if err != nil {
+					t.Fatalf("zipf=%v %s/%s native: %v", skew, name, q.Name, err)
+				}
+				if err := tpch.Validate(d.Raw, q, native.Matches); err != nil {
+					t.Fatalf("zipf=%v %s native: %v", skew, name, err)
+				}
+				if !reflect.DeepEqual(native.Groups, modelled.Groups) {
+					t.Fatalf("zipf=%v %s/%s: native aggregates %v differ from modelled %v",
+						skew, name, q.Name, native.Groups, modelled.Groups)
+				}
 			}
 		}
 	}
@@ -110,10 +146,10 @@ func TestAllQueriesAllLayouts(t *testing.T) {
 // well under a percent.
 func TestQuerySelectivities(t *testing.T) {
 	d := tpch.Generate(tpch.Config{Rows: 100000, Seed: 2})
-	tb := d.Build(core.NewBuilder, nil)
+	tb := build(t, d.Specs)
 	sel := map[string]float64{}
 	for _, q := range tpch.Queries(d) {
-		res, err := tpch.Run(tb, q, exec.ColumnFirst, perf.NewProfileNoCache())
+		res, err := tpch.Run(tb, q, byteslice.StrategyColumnFirst, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,17 +181,6 @@ func TestSkewedGeneration(t *testing.T) {
 	if float64(small)/float64(len(d.Raw["l_quantity"])) < 0.5 {
 		t.Fatalf("skewed quantities not concentrated: %d/%d ≤ 5", small, len(d.Raw["l_quantity"]))
 	}
-	// Queries still validate on skewed data.
-	tb := d.Build(core.NewBuilder, nil)
-	for _, q := range tpch.Queries(d)[:4] {
-		res, err := tpch.Run(tb, q, exec.ColumnFirst, perf.NewProfileNoCache())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tpch.Validate(d, q, res.Matches); err != nil {
-			t.Fatal(err)
-		}
-	}
 }
 
 func TestDayEncoding(t *testing.T) {
@@ -176,25 +201,17 @@ func TestDayEncoding(t *testing.T) {
 func TestQ1AndQ6Aggregates(t *testing.T) {
 	d := genSmall(t, 0)
 	queries := tpch.Queries(d)
-	var q1, q6 tpch.Query
-	for _, q := range queries {
-		switch q.Name {
-		case "Q1":
-			q1 = q
-		case "Q6":
-			q6 = q
-		}
-	}
+	q1, q6 := queryNamed(t, queries, "Q1"), queryNamed(t, queries, "Q6")
 	var wantQ1 map[string][]float64
 	var wantQ6 float64
-	for name, b := range map[string]layout.Builder{"ByteSlice": core.NewBuilder, "HBP": hbp.NewBuilder} {
-		tb := d.Build(b, nil)
-		r1, err := tpch.Run(tb, q1, exec.Baseline, perf.NewProfileNoCache())
+	for _, f := range []byteslice.Format{byteslice.FormatByteSlice, byteslice.FormatHBP} {
+		tb := build(t, d.Specs, byteslice.WithFormat(f))
+		r1, err := tpch.Run(tb, q1, byteslice.StrategyBaseline, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(r1.Groups) != 6 { // 3 return flags × 2 line statuses
-			t.Fatalf("%s: Q1 groups = %d, want 6", name, len(r1.Groups))
+			t.Fatalf("%s: Q1 groups = %d, want 6", f, len(r1.Groups))
 		}
 		groups := map[string][]float64{}
 		rows := 0
@@ -203,7 +220,7 @@ func TestQ1AndQ6Aggregates(t *testing.T) {
 			rows += g.Rows
 		}
 		if rows != r1.Matches {
-			t.Fatalf("%s: Q1 group rows %d != matches %d", name, rows, r1.Matches)
+			t.Fatalf("%s: Q1 group rows %d != matches %d", f, rows, r1.Matches)
 		}
 		if wantQ1 == nil {
 			wantQ1 = groups
@@ -211,27 +228,152 @@ func TestQ1AndQ6Aggregates(t *testing.T) {
 			for k, sums := range wantQ1 {
 				for i := range sums {
 					if diff := sums[i] - groups[k][i]; diff > 1e-6 || diff < -1e-6 {
-						t.Fatalf("%s: Q1 group %q expr %d differs", name, k, i)
+						t.Fatalf("%s: Q1 group %q expr %d differs", f, k, i)
 					}
 				}
 			}
 		}
 
-		r6, err := tpch.Run(tb, q6, exec.Baseline, perf.NewProfileNoCache())
+		r6, err := tpch.Run(tb, q6, byteslice.StrategyBaseline, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(r6.Groups) != 1 {
-			t.Fatalf("%s: Q6 groups = %d", name, len(r6.Groups))
+			t.Fatalf("%s: Q6 groups = %d", f, len(r6.Groups))
 		}
 		rev := r6.Groups[0].Sums[0]
 		if rev <= 0 {
-			t.Fatalf("%s: Q6 revenue = %v", name, rev)
+			t.Fatalf("%s: Q6 revenue = %v", f, rev)
 		}
 		if wantQ6 == 0 {
 			wantQ6 = rev
 		} else if diff := rev - wantQ6; diff > 1e-6 || diff < -1e-6 {
-			t.Fatalf("%s: Q6 revenue differs: %v vs %v", name, rev, wantQ6)
+			t.Fatalf("%s: Q6 revenue differs: %v vs %v", f, rev, wantQ6)
+		}
+	}
+}
+
+// smallSpecs is a three-column table with known contents.
+var smallSpecs = []tpch.ColumnSpec{
+	{Name: "grp", K: 2, Codes: []uint32{0, 1, 0, 1, 2, 0}},
+	{Name: "val", K: 8, Codes: []uint32{10, 20, 30, 40, 50, 60}},
+	{Name: "flag", K: 1, Codes: []uint32{1, 1, 1, 1, 1, 0}},
+}
+
+func TestBuildTable(t *testing.T) {
+	for _, f := range byteslice.Formats() {
+		tb := build(t, smallSpecs, byteslice.WithFormat(f))
+		if tb.Len() != 6 || len(tb.Columns()) != 3 {
+			t.Fatalf("%s: shape %d rows × %d columns", f, tb.Len(), len(tb.Columns()))
+		}
+		for _, s := range smallSpecs {
+			c, err := tb.Column(s.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.Width() != s.K || c.Format() != f {
+				t.Fatalf("%s/%s: width %d format %s", f, s.Name, c.Width(), c.Format())
+			}
+			for i, want := range s.Codes {
+				if got := c.LookupCode(nil, i); got != want {
+					t.Fatalf("%s/%s row %d: code %d, want %d", f, s.Name, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestBuildTableErrors(t *testing.T) {
+	for name, specs := range map[string][]tpch.ColumnSpec{
+		"no columns": nil,
+		"ragged":     {{Name: "a", K: 4, Codes: []uint32{1}}, {Name: "b", K: 4, Codes: []uint32{1, 2}}},
+		"duplicate":  {{Name: "a", K: 4, Codes: []uint32{1}}, {Name: "a", K: 4, Codes: []uint32{2}}},
+		"too wide":   {{Name: "a", K: 2, Codes: []uint32{4}}},
+	} {
+		if _, err := tpch.BuildTable(specs); err == nil {
+			t.Fatalf("%s: BuildTable should fail", name)
+		}
+	}
+}
+
+// TestProjectAndAggregate runs a kernel with a projection and a grouped
+// aggregate over a table small enough to check by hand.
+func TestProjectAndAggregate(t *testing.T) {
+	tb := build(t, smallSpecs)
+	q := tpch.Query{
+		Name:    "small",
+		Where:   tpch.And(tpch.Cmp("flag", layout.Eq, 1)),
+		Project: []string{"grp", "val"},
+		Agg: &tpch.Aggregate{
+			Exprs:   []string{"sum_val", "sum_sq"},
+			Inputs:  []string{"val"},
+			GroupBy: []string{"grp"},
+			Eval: func(v []uint32) []float64 {
+				x := float64(v[0])
+				return []float64{x, x * x}
+			},
+		},
+	}
+	for _, prof := range []*byteslice.Profile{nil, byteslice.NewProfile()} {
+		res, err := tpch.Run(tb, q, byteslice.StrategyBaseline, prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Matches != 5 {
+			t.Fatalf("matches = %d, want 5", res.Matches)
+		}
+		// Groups in first-seen order: 0 → {10,30}, 1 → {20,40}, 2 → {50}.
+		want := []tpch.GroupResult{
+			{Key: "0|", Sums: []float64{40, 1000}, Rows: 2},
+			{Key: "1|", Sums: []float64{60, 2000}, Rows: 2},
+			{Key: "2|", Sums: []float64{50, 2500}, Rows: 1},
+		}
+		if !reflect.DeepEqual(res.Groups, want) {
+			t.Fatalf("profiled=%v: groups = %+v, want %+v", prof != nil, res.Groups, want)
+		}
+	}
+
+	unprojected := q
+	unprojected.Project = []string{"grp"}
+	if _, err := tpch.Run(tb, unprojected, byteslice.StrategyBaseline, nil); err == nil {
+		t.Fatal("aggregating an unprojected column should fail")
+	}
+}
+
+// TestRunResidualAndErrors checks the residual drops survivors on both
+// paths and charges its comparisons, and that unknown columns fail.
+func TestRunResidualAndErrors(t *testing.T) {
+	tb := build(t, smallSpecs)
+	q := tpch.Query{
+		Name:     "residual",
+		Where:    tpch.And(tpch.Cmp("val", layout.Ge, 20)),
+		Residual: &tpch.Residual{Cols: []string{"grp", "flag"}, Keep: func(v []uint32) bool { return v[0] < v[1] }},
+	}
+	// val ≥ 20 keeps rows 1..5; grp < flag keeps only row 2 (0 < 1).
+	if err := tpch.Validate(map[string][]uint32{"grp": smallSpecs[0].Codes, "val": smallSpecs[1].Codes,
+		"flag": smallSpecs[2].Codes}, q, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, prof := range []*byteslice.Profile{nil, byteslice.NewProfile()} {
+		res, err := tpch.Run(tb, q, byteslice.StrategyColumnFirst, prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Matches != 1 {
+			t.Fatalf("profiled=%v: matches = %d, want 1", prof != nil, res.Matches)
+		}
+		if prof != nil && res.LookupInstr == 0 {
+			t.Fatal("residual lookups and comparisons should be charged to the lookup phase")
+		}
+	}
+
+	for _, bad := range []tpch.Query{
+		{Name: "filter", Where: tpch.And(tpch.Cmp("zzz", layout.Eq, 1))},
+		{Name: "project", Where: q.Where, Project: []string{"zzz"}},
+		{Name: "residual", Where: q.Where, Residual: &tpch.Residual{Cols: []string{"zzz"}, Keep: q.Residual.Keep}},
+	} {
+		if _, err := tpch.Run(tb, bad, byteslice.StrategyBaseline, nil); err == nil {
+			t.Fatalf("%s: unknown column should error", bad.Name)
 		}
 	}
 }

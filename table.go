@@ -523,7 +523,7 @@ func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig,
 			rs = ordered
 		}
 		if strategy == StrategyAuto {
-			strategy = nativeStrategy(d.Strategy)
+			strategy = d.Strategy
 		}
 		if cfg.workers == 0 {
 			cfg.workers = d.Workers
@@ -750,17 +750,6 @@ func (t *Table) planPreds(rs []resolved) []plan.Pred {
 		preds[i] = p
 	}
 	return preds
-}
-
-// nativeStrategy maps the planner's choice onto the facade's strategies.
-func nativeStrategy(s plan.Strategy) Strategy {
-	switch s {
-	case plan.PredicateFirst:
-		return StrategyPredicateFirst
-	case plan.Baseline:
-		return StrategyBaseline
-	}
-	return StrategyColumnFirst
 }
 
 func allBS(rs []resolved) ([]*core.ByteSlice, []layout.Predicate, bool) {
