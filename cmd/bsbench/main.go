@@ -218,7 +218,7 @@ func finish(stats bool, serve string) {
 }
 
 // snapshotBench builds an n-row mixed-kind table, saves it crash-atomically
-// with SaveFile, loads it back with LoadFile (verifying the checksummed v2
+// with SaveFile, loads it back with LoadFile (verifying the checksummed v3
 // stream end to end) and reports both durations and the snapshot size.
 func snapshotBench(path string, n int, seed uint64) error {
 	if n == 0 {

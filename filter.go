@@ -31,8 +31,24 @@ var (
 	trivFalse = false
 )
 
+// onEdge decides a code range predicate whose constant sits on an edge of
+// the codes [0, max] — v <= max, v >= 0 and BETWEEN 0 AND max hold for
+// every code, v < 0 and v > max for none — and passes any other predicate
+// through to be scanned.
+func onEdge(p layout.Predicate, max uint32) (layout.Predicate, *bool, error) {
+	switch {
+	case p.Op == Lt && p.C1 == 0, p.Op == Gt && p.C1 == max:
+		return layout.Predicate{}, &trivFalse, nil
+	case p.Op == Le && p.C1 == max, p.Op == Ge && p.C1 == 0,
+		p.Op == Between && p.C1 == 0 && p.C2 == max:
+		return layout.Predicate{}, &trivTrue, nil
+	}
+	return p, nil, nil
+}
+
 // rangePred builds the code predicate for a comparison given the operand
-// positions, or decides it trivially.
+// positions, or decides it trivially: outside the domain, or on its edge
+// (onEdge; only an in-domain position, state 0, carries a code).
 func rangePred(op Op, p1, p2 position, max uint32) (layout.Predicate, *bool, error) {
 	switch op {
 	case Lt, Le:
@@ -42,7 +58,7 @@ func rangePred(op Op, p1, p2 position, max uint32) (layout.Predicate, *bool, err
 		if p1.state > 0 {
 			return layout.Predicate{}, &trivTrue, nil
 		}
-		return layout.Predicate{Op: op, C1: p1.code}, nil, nil
+		return onEdge(layout.Predicate{Op: op, C1: p1.code}, max)
 	case Gt, Ge:
 		if p1.state > 0 {
 			return layout.Predicate{}, &trivFalse, nil
@@ -50,7 +66,7 @@ func rangePred(op Op, p1, p2 position, max uint32) (layout.Predicate, *bool, err
 		if p1.state < 0 {
 			return layout.Predicate{}, &trivTrue, nil
 		}
-		return layout.Predicate{Op: op, C1: p1.code}, nil, nil
+		return onEdge(layout.Predicate{Op: op, C1: p1.code}, max)
 	case Eq:
 		if p1.state != 0 {
 			return layout.Predicate{}, &trivFalse, nil
@@ -75,7 +91,7 @@ func rangePred(op Op, p1, p2 position, max uint32) (layout.Predicate, *bool, err
 		if lo > hi {
 			return layout.Predicate{}, &trivFalse, nil
 		}
-		return layout.Predicate{Op: Between, C1: lo, C2: hi}, nil, nil
+		return onEdge(layout.Predicate{Op: Between, C1: lo, C2: hi}, max)
 	}
 	return layout.Predicate{}, nil, fmt.Errorf("byteslice: unknown operator %v", op)
 }
@@ -159,7 +175,9 @@ func StringFilter(col string, op Op, operands ...string) Filter {
 			}
 			return layout.Predicate{Op: op, C1: code}, nil, nil
 		case Lt, Le, Gt, Ge:
-			// lb is the code of the smallest dictionary entry ≥ s.
+			// lb is the code of the smallest dictionary entry ≥ s. Every
+			// stored code lies in [0, card-1], so predicates on the first
+			// or last entry decide trivially (onEdge).
 			lb := c.dict.EncodeLowerBound(operands[0])
 			member := false
 			if lb < card {
@@ -176,7 +194,7 @@ func StringFilter(col string, op Op, operands ...string) Filter {
 				return layout.Predicate{Op: Lt, C1: lb}, nil, nil
 			case Le:
 				if member {
-					return layout.Predicate{Op: Le, C1: lb}, nil, nil
+					return onEdge(layout.Predicate{Op: Le, C1: lb}, card-1)
 				}
 				if lb == 0 {
 					return layout.Predicate{}, &trivFalse, nil
@@ -187,17 +205,17 @@ func StringFilter(col string, op Op, operands ...string) Filter {
 				return layout.Predicate{Op: Lt, C1: lb}, nil, nil
 			case Gt:
 				if member {
-					return layout.Predicate{Op: Gt, C1: lb}, nil, nil
+					return onEdge(layout.Predicate{Op: Gt, C1: lb}, card-1)
 				}
 				if lb >= card {
 					return layout.Predicate{}, &trivFalse, nil
 				}
-				return layout.Predicate{Op: Ge, C1: lb}, nil, nil
+				return onEdge(layout.Predicate{Op: Ge, C1: lb}, card-1)
 			default: // Ge
 				if lb >= card {
 					return layout.Predicate{}, &trivFalse, nil
 				}
-				return layout.Predicate{Op: Ge, C1: lb}, nil, nil
+				return onEdge(layout.Predicate{Op: Ge, C1: lb}, card-1)
 			}
 		case Between:
 			lo := c.dict.EncodeLowerBound(operands[0])
@@ -216,7 +234,7 @@ func StringFilter(col string, op Op, operands ...string) Filter {
 			if lo > hi {
 				return layout.Predicate{}, &trivFalse, nil
 			}
-			return layout.Predicate{Op: Between, C1: lo, C2: hi}, nil, nil
+			return onEdge(layout.Predicate{Op: Between, C1: lo, C2: hi}, card-1)
 		}
 		return layout.Predicate{}, nil, fmt.Errorf("byteslice: unknown operator %v", op)
 	}}

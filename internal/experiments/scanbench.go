@@ -25,10 +25,12 @@ type ScanBenchEntry struct {
 	// Data names the code distribution ("uniform" when empty; "sorted",
 	// "clustered" for the zone-map benchmarks).
 	Data string `json:"data,omitempty"`
-	// Mode distinguishes the composite benchmarks: "" is a plain scan;
-	// "scan_zoned" a zone-map-pruned scan; "agg_two_pass"/"agg_fused" the
-	// filter→sum shapes; "multi_column_first"/"multi_pred_first" the
-	// multi-predicate conjunction shapes.
+	// Mode distinguishes the composite benchmarks: "" is a plain scan
+	// (the payload's Op); "op_le"/"op_ge"/"op_eq"/"op_between" the plain
+	// scan under another operator; "scan_zoned" a zone-map-pruned scan;
+	// "agg_two_pass"/"agg_fused" the filter→sum shapes;
+	// "multi_column_first"/"multi_pred_first" the multi-predicate
+	// conjunction shapes.
 	Mode string `json:"mode,omitempty"`
 	// Preds is the conjunct count of the multi-predicate benchmarks.
 	Preds int `json:"preds,omitempty"`
@@ -77,6 +79,17 @@ func ScanBench(cfg Config, workerCounts []int) *ScanBenchResult {
 		ns = measureScan(func() { check2(kernel.Scan(kernel.Exec{}, b, p, nil, false, out)) })
 		res.Results = append(res.Results, entry(k, "native", 1, ns, cfg.N))
 
+		// The operator axis: the other range operators on the same codes,
+		// native and serial, at the same selectivity (Eq measures the code
+		// path; see constFor).
+		for _, o := range opModes {
+			q := constFor(codes, k, o.op, sel)
+			ns := measureScan(func() { check2(kernel.Scan(kernel.Exec{}, b, q, nil, false, out)) })
+			e := entry(k, "native", 1, ns, cfg.N)
+			e.Mode = o.mode
+			res.Results = append(res.Results, e)
+		}
+
 		for _, w := range workerCounts {
 			if w < 2 {
 				continue
@@ -87,6 +100,14 @@ func ScanBench(cfg Config, workerCounts []int) *ScanBenchResult {
 		}
 	}
 	return res
+}
+
+// opModes names the operator-axis rows of ScanBench.
+var opModes = []struct {
+	op   layout.Op
+	mode string
+}{
+	{layout.Le, "op_le"}, {layout.Ge, "op_ge"}, {layout.Eq, "op_eq"}, {layout.Between, "op_between"},
 }
 
 func entry(k int, path string, workers int, ns float64, n int) ScanBenchEntry {

@@ -18,9 +18,8 @@ import (
 //   - resolves it from the 8 bytes of exact min/max metadata (writing 16
 //     segment words without touching the streams),
 //   - compares the block's FOR bytes directly in SWAR registers when every
-//     value fits one byte (the predicate constant is translated by the
-//     block reference, which the exact zone bounds guarantee stays in
-//     [0,255] for undecided blocks), or
+//     value fits one byte (the strict predicate's constants are translated
+//     by the block reference, see uniformFor), or
 //   - decodes the block through the Stream-VByte control walk into a
 //     stack-resident byte-plane scratch buffer and runs the ordinary SWAR
 //     segment bodies over it.
@@ -32,42 +31,25 @@ import (
 // uint32 min and max.
 const blockMetaBytes = 8
 
-// prepareCompressed broadcasts a predicate's constant bytes for the
-// decoded-plane scanner: prepare() without a backing ByteSlice, using the
-// same padded big-endian byte split as the raw layout.
-func prepareCompressed(op layout.Op, k int, c1, c2 uint32) scanner {
-	nb := (k + 7) / 8
-	pad := uint(8*nb - k)
-	sc := scanner{op: op, nb: nb, n: compress.BlockCodes}
-	pc1, pc2 := c1<<pad, c2<<pad
-	for j := 0; j < nb; j++ {
-		sh := uint(8 * (nb - 1 - j))
-		sc.c1[j] = uint64(byte(pc1>>sh)) * lsb
-		sc.c2[j] = uint64(byte(pc2>>sh)) * lsb
-	}
-	return sc
-}
-
-// uniformConsts translates the predicate constants into the 1-byte FOR
-// domain of a uniform block and broadcasts them. Callers only invoke this
-// for zone-undecided blocks, where the exact bounds pin every translated
-// constant into [0, mx-ref] ⊆ [0,255] (Between additionally clamps both
-// ends to the block range, which preserves membership for every code in
-// it).
+// uniformFor points the one-slice scanner usc at a uniform one-byte FOR
+// block with reference ref, translating the strict predicate sp into the
+// block's byte domain. For a zone-undecided block the exact bounds pin
+// every translated constant into [0,255], except that one Between bound
+// may fall outside it (below ref, or more than 255 above): that bound then
+// holds for every code of the block, which runs as Lt or Gt of the other.
 //
 //bsvet:hotloop
-func uniformConsts(op layout.Op, c1, c2, ref, mn, mx uint32) (uint64, uint64) {
+func (usc *scanner) uniformFor(sp layout.Predicate, ref uint32) {
+	op, lo, hi := sp.Op, sp.C1-ref, sp.C2-ref
 	if op == layout.Between {
-		lo, hi := c1, c2
-		if lo < mn {
-			lo = mn
+		if sp.C1 < ref {
+			op, lo = layout.Lt, hi
+		} else if hi > 0xFF {
+			op = layout.Gt
 		}
-		if hi > mx {
-			hi = mx
-		}
-		return uint64(byte(lo-ref)) * lsb, uint64(byte(hi-ref)) * lsb
 	}
-	return uint64(byte(c1-ref)) * lsb, 0
+	usc.p.Op = op
+	usc.c1[0], usc.c2[0] = uint64(byte(lo))*lsb, uint64(byte(hi))*lsb
 }
 
 // decodePlanes decodes one block's values through the Stream-VByte
@@ -117,16 +99,18 @@ func decodePlanes(ctl, data []byte, ref uint32, delta bool, nb int, pad uint, pl
 // histogram; zone-resolved segments count as depth 0 and the no-decode
 // uniform path as depth 1, mirroring the raw zoned scan's accounting.
 //
-// Like Scan, the prepare work (scanner construction, stream headers)
-// happens here, outside the annotated block loop.
+// Like Scan, the prepare work (the strict rewrite, stream headers)
+// happens here, outside the annotated block loop. Decoded planes hold
+// padded codes in the column domain, so the raw layout's strict scanner
+// runs over them unchanged.
 func scanCompressedRange(c *compress.Column, p layout.Predicate, blo, bhi int, out *bitvec.Vector, dh *obs.DepthCounts) (pruned int, bytes int64) {
 	nb := c.NumSlices()
-	sc := prepareCompressed(p.Op, c.Width(), p.C1, p.C2)
+	sc := newScanner(p, c.Width(), compress.BlockCodes)
 	var planes [4][compress.BlockCodes]byte
 	for j := 0; j < nb; j++ {
 		sc.slices[j] = planes[j][:]
 	}
-	usc := scanner{op: p.Op, nb: 1, n: compress.BlockCodes}
+	usc := scanner{nb: 1, n: compress.BlockCodes}
 	return sc.scanCompressedBlocks(p, c.Ctl(), c.Data(), c.DataOffs(), c.Refs(),
 		c.Mins(), c.Maxs(), c.Modes(), c.Segments(), uint(8*nb-c.Width()),
 		&usc, &planes, blo, bhi, out, dh)
@@ -134,7 +118,8 @@ func scanCompressedRange(c *compress.Column, p layout.Predicate, blo, bhi int, o
 
 // scanCompressedBlocks is the fused decode→compare block loop; sc holds
 // the prepared constants with its plane slices already pointed at the
-// caller's scratch buffer.
+// caller's scratch buffer. Block decisions use the original predicate p;
+// a block they leave undecided takes sc's fixed verdict when it has one.
 //
 //bsvet:hotloop
 func (sc *scanner) scanCompressedBlocks(p layout.Predicate, ctl, data []byte, offs, refs, mins, maxs []uint32, modes []byte, nseg int, pad uint, usc *scanner, planes *[4][compress.BlockCodes]byte, blo, bhi int, out *bitvec.Vector, dh *obs.DepthCounts) (pruned int, bytes int64) {
@@ -146,7 +131,11 @@ func (sc *scanner) scanCompressedBlocks(p layout.Predicate, ctl, data []byte, of
 		}
 		base := segBase * core.SegmentSize
 		mn, mx := mins[b], maxs[b]
-		if d := compress.ZoneDecide(p.Op, mn, mx, p.C1, p.C2); d != 0 {
+		d := compress.ZoneDecide(p.Op, mn, mx, p.C1, p.C2)
+		if d == 0 {
+			d = sc.fixed
+		}
+		if d != 0 {
 			w := uint32(0)
 			if d > 0 {
 				w = ^uint32(0)
@@ -165,7 +154,7 @@ func (sc *scanner) scanCompressedBlocks(p layout.Predicate, ctl, data []byte, of
 		bdata := data[offs[b]:]
 		if !compress.ModeDelta(mode) && compress.ModeUniformLen(mode) == 1 {
 			usc.slices[0] = bdata[:compress.BlockCodes]
-			usc.c1[0], usc.c2[0] = uniformConsts(p.Op, p.C1, p.C2, refs[b], mn, mx)
+			usc.uniformFor(sc.p, refs[b])
 			for s := 0; s < segCount; s++ {
 				r, _ := usc.segmentDepth(s)
 				out.SetWord32(base+s*core.SegmentSize, r)

@@ -29,7 +29,7 @@ import (
 //bsvet:hotloop
 func segMask(sc *scanner, seg int) uint32 {
 	var r uint32
-	switch sc.zone.decide(sc.op, seg) {
+	switch sc.decide(seg) {
 	case 1:
 		r = ^uint32(0)
 	case -1:

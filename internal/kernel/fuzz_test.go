@@ -25,6 +25,25 @@ func FuzzNativeVsEngine(f *testing.F) {
 	f.Add([]byte{1, 6, 0, 0, 0, 1, 9, 0xFF, 0xF0})
 	f.Add([]byte{8, 2, 42, 0, 99, 0, 2, 0x55, 42, 41, 43, 42})
 	f.Add([]byte{16, 5, 7, 1, 9, 2, 0, 0x0F, 8, 7, 6, 5, 4, 3, 2, 1, 0})
+	// Domain-edge constants (0xFFFF reduces to max for k <= 16), which the
+	// strict-bound rewrite turns into fixed verdicts, one-sided ranges and
+	// one-code intervals: Le max, Ge 0, Lt 0, Gt max, Between [0,max],
+	// [0,x], [x,max] and [x,x], and Le/Ge next to the edges.
+	edgeBody := []byte{0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 1, 0, 0, 0, 0xFE, 0xFF, 0xFF, 0x7F, 0x80, 0, 0xFF, 0, 0x2A}
+	for _, hdr := range [][8]byte{
+		{11, 1, 0xFF, 0xFF, 0, 0, 1, 0xAA},   // k=12 Le max
+		{11, 3, 0, 0, 0, 0, 3, 0x55},         // k=12 Ge 0
+		{11, 0, 0, 0, 0, 0, 0, 0x0F},         // k=12 Lt 0
+		{15, 2, 0xFF, 0xFF, 0, 0, 2, 0xF0},   // k=16 Gt max
+		{7, 6, 0, 0, 0xFF, 0xFF, 1, 0xAA},    // k=8 Between [0,max]
+		{15, 6, 0, 0, 0x2A, 0x01, 4, 0x33},   // k=16 Between [0,x]
+		{8, 6, 0x80, 0, 0xFF, 0xFF, 0, 0xCC}, // k=9 Between [x,max]
+		{8, 6, 0xFF, 0, 0xFF, 0, 2, 0x99},    // k=9 Between [x,x]
+		{23, 1, 1, 0, 0, 0, 1, 0x5A},         // k=24 Le 1
+		{0, 3, 1, 0, 0, 0, 0, 0xA5},          // k=1 Ge 1
+	} {
+		f.Add(append(hdr[:], edgeBody...))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 9 {

@@ -66,7 +66,7 @@ func scanMultiRange(scs []scanner, disjunct bool, segLo, segHi int, out *bitvec.
 		}
 		for i := range scs {
 			sc := &scs[i]
-			d := sc.zone.decide(sc.op, seg)
+			d := sc.decide(seg)
 			if d != 0 {
 				pruned++
 			}

@@ -37,10 +37,12 @@ const zoneMetaBytes = 2
 // segment.
 const gateMaskBytes = 4
 
-// zoneInfo snapshots a column's zone arrays and the predicate's first
-// constant bytes for the per-segment decision test.
+// zoneInfo snapshots a column's zone arrays and the original (not
+// strict-rewritten) predicate's operator and first constant bytes for the
+// per-segment decision test, so zone verdicts match the modelled engine's.
 type zoneInfo struct {
 	mn, mx []byte
+	op     layout.Op
 	c1, c2 byte
 	ok     bool
 }
@@ -51,18 +53,7 @@ func zoneFor(b *core.ByteSlice, p layout.Predicate) zoneInfo {
 		return zoneInfo{}
 	}
 	c1, c2 := b.ZoneFirstBytes(p)
-	return zoneInfo{mn: mn, mx: mx, c1: c1, c2: c2, ok: true}
-}
-
-// decide classifies one segment: -1 no row matches, +1 all rows match,
-// 0 undecided (or no zone map).
-//
-//bsvet:hotloop
-func (z *zoneInfo) decide(op layout.Op, seg int) int {
-	if !z.ok {
-		return 0
-	}
-	return core.ZoneDecisionBytes(op, z.mn[seg], z.mx[seg], z.c1, z.c2)
+	return zoneInfo{mn: mn, mx: mx, op: p.Op, c1: c1, c2: c2, ok: true}
 }
 
 // Scan evaluates p over the whole column into out, which must have length
@@ -71,7 +62,8 @@ func (z *zoneInfo) decide(op layout.Op, seg int) int {
 // negate=false the output is prev AND p, and segments with no live prev
 // row are skipped without touching the data; with negate=true the scan
 // considers the rows prev leaves unset and outputs prev OR p. It returns
-// the number of segments the zone map decided.
+// the number of segments decided without loading data: by the zone map,
+// or all of them for a domain-edge predicate (see strict).
 func Scan(x Exec, b *core.ByteSlice, p layout.Predicate, prev *bitvec.Vector, negate bool, out *bitvec.Vector) (int, error) {
 	if out.Len() != b.Len() {
 		panic("kernel: result vector length mismatch")
@@ -80,7 +72,7 @@ func Scan(x Exec, b *core.ByteSlice, p layout.Predicate, prev *bitvec.Vector, ne
 		panic("kernel: pipelined scan with mismatched previous result length")
 	}
 	sc := prepare(b, p)
-	sc.prev, sc.negate = prev, negate
+	sc.prev, sc.negate = prev, negate && prev != nil
 	var meta int64
 	if sc.zone.ok {
 		meta += zoneMetaBytes
@@ -110,10 +102,11 @@ func Scan(x Exec, b *core.ByteSlice, p layout.Predicate, prev *bitvec.Vector, ne
 
 // run evaluates segments [segLo, segHi) with the range loop the prepared
 // options select, returning the zone-resolved and gate-skipped segment
-// counts.
+// counts. A fixed verdict runs through gatedRange, which writes it
+// without loading data.
 func (sc *scanner) run(segLo, segHi int, out *bitvec.Vector, dh *obs.DepthCounts) (pruned, masked int) {
 	switch {
-	case sc.prev != nil:
+	case sc.prev != nil || sc.fixed != 0:
 		return sc.gatedRange(segLo, segHi, out, dh)
 	case sc.zone.ok:
 		return sc.zonedRange(segLo, segHi, out, dh), 0
@@ -129,7 +122,7 @@ func (sc *scanner) zonedRange(segLo, segHi int, out *bitvec.Vector, dh *obs.Dept
 	// into the loop: the decided case is then two byte loads and a couple of
 	// compares per segment, with no call.
 	mn, mx := sc.zone.mn, sc.zone.mx
-	op, c1, c2 := sc.op, sc.zone.c1, sc.zone.c2
+	op, c1, c2 := sc.zone.op, sc.zone.c1, sc.zone.c2
 	pruned := 0
 	for seg := segLo; seg < segHi; seg++ {
 		off := seg * core.SegmentSize
@@ -158,17 +151,22 @@ func (sc *scanner) zonedRange(segLo, segHi int, out *bitvec.Vector, dh *obs.Dept
 // previous result gates each segment, and a segment whose gate word has no
 // live row keeps its previous word without touching the data (0 for a
 // conjunction, all ones for a disjunction — the gate word either way).
-// Live segments consult the zone map first when the column has one. It
-// returns the zone-resolved and gate-skipped segment counts.
+// Live segments take the fixed verdict, or consult the zone map first when
+// the column has one; without a previous result every segment is live. It
+// returns the zone-resolved and gate-skipped segment counts (fixed-verdict
+// segments count as zone-resolved: neither loads data).
 func (sc *scanner) gatedRange(segLo, segHi int, out *bitvec.Vector, dh *obs.DepthCounts) (pruned, masked int) {
 	prev, negate, zoned := sc.prev, sc.negate, sc.zone.ok
 	mn, mx := sc.zone.mn, sc.zone.mx
-	op, c1, c2 := sc.op, sc.zone.c1, sc.zone.c2
+	op, c1, c2 := sc.zone.op, sc.zone.c1, sc.zone.c2
 	for seg := segLo; seg < segHi; seg++ {
 		off := seg * core.SegmentSize
-		var rprev uint32
-		if off < sc.n {
-			rprev = prev.Word32(off)
+		rprev := ^uint32(0)
+		if prev != nil {
+			rprev = 0
+			if off < sc.n {
+				rprev = prev.Word32(off)
+			}
 		}
 		gate := rprev
 		if negate {
@@ -179,8 +177,8 @@ func (sc *scanner) gatedRange(segLo, segHi int, out *bitvec.Vector, dh *obs.Dept
 			masked++
 			continue
 		}
-		decided := 0
-		if zoned {
+		decided := sc.fixed
+		if decided == 0 && zoned {
 			decided = core.ZoneDecisionBytes(op, mn[seg], mx[seg], c1, c2)
 		}
 		var r uint32

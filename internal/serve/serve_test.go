@@ -465,3 +465,54 @@ func bumpMtime(t *testing.T, path string) {
 		t.Fatal(err)
 	}
 }
+
+// TestSnapshotMountKeepsZoneMaps pins that a snapshot mount serves the
+// zone maps its table was saved with: a range query over the
+// date-ordered column resolves segments from the zone map alone, on a
+// snapshot mount and on a reopened ingest mount.
+func TestSnapshotMountKeepsZoneMaps(t *testing.T) {
+	const n = 4096
+	days := make([]int64, n)
+	for i := range days {
+		days[i] = int64(i / 16)
+	}
+	day, err := byteslice.NewIntColumn("day", days, 0, n/16, byteslice.WithZoneMaps())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := byteslice.NewTable(day)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := tbl.SaveFile(dir + "/day.bslc"); err != nil {
+		t.Fatal(err)
+	}
+	it, err := byteslice.CreateIngest(dir+"/live", tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := it.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{})
+	if err := s.cat.MountSnapshot("snap", dir+"/day.bslc"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.cat.MountIngest("live", dir+"/live"); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"snap", "live"} {
+		b, err := s.cat.bind(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := b.query(byteslice.Leaf(byteslice.IntFilter("day", byteslice.Between, 40, 60)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Count() != 21*16 || res.ZoneSkipped() == 0 {
+			t.Fatalf("%s: %d rows (want %d), %d zone-skipped segments (want > 0)", name, res.Count(), 21*16, res.ZoneSkipped())
+		}
+	}
+}

@@ -22,12 +22,12 @@ import (
 // data, exactly as a column store would rebuild them when mapping a
 // snapshot back into memory.
 //
-// Format v2 (all integers little-endian) frames every section with a tag,
+// Format v3 (all integers little-endian) frames every section with a tag,
 // an explicit length and a CRC32-C of the payload, so torn writes, bit
 // flips and truncation are detected structurally instead of surfacing as
 // garbage tables:
 //
-//	magic "BSLC" | version u16 = 2
+//	magic "BSLC" | version u16 = 3
 //	section 'T':  tag u8 | len u64 | payload | crc32c u32
 //	  payload: columns u32 | rows u64
 //	per column:
@@ -35,19 +35,26 @@ import (
 //	    payload: name | kind u8 | format | width u8
 //	             encoder params (kind-specific)
 //	             nulls u64 + that many u64 row numbers
+//	             flags u8 (bit 0: zone maps; other bits must be 0)
 //	  section 'C': tag u8 | len u64 (= 4·rows) | rows × u32 codes | crc32c u32
 //
 // Strings are length-prefixed (u32). Readers never trust a declared length
 // for allocation: payloads stream in bounded chunks, so a forged header
 // cannot trigger a multi-gigabyte allocation before the stream runs dry.
 //
-// Version 1 streams (the same fields without framing or checksums) are
-// still readable; WriteTo always produces version 2.
+// Version 2 streams (v3 without the flags byte) and version 1 streams (the
+// same fields without framing or checksums) are still readable; WriteTo
+// always produces version 3.
 
 const (
 	persistMagic = "BSLC"
 	persistV1    = 1
 	persistV2    = 2
+	persistV3    = 3
+
+	// metaZoneMaps is the 'M' flags bit recording WithZoneMaps; a reader
+	// rebuilds the zone maps instead of silently dropping them.
+	metaZoneMaps = 1 << 0
 
 	secTable = 'T' // table header section
 	secMeta  = 'M' // per-column metadata section
@@ -97,7 +104,7 @@ func fill(r io.Reader, b []byte) error {
 	return nil
 }
 
-// WriteTo serialises the table in format v2. It returns the number of
+// WriteTo serialises the table in format v3. It returns the number of
 // bytes written.
 func (t *Table) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
@@ -107,7 +114,7 @@ func (t *Table) WriteTo(w io.Writer) (int64, error) {
 		return cw.n, err
 	}
 	var ver [2]byte
-	binary.LittleEndian.PutUint16(ver[:], persistV2)
+	binary.LittleEndian.PutUint16(ver[:], persistV3)
 	if _, err := cw.Write(ver[:]); err != nil {
 		return cw.n, err
 	}
@@ -181,6 +188,11 @@ func columnMeta(c *Column) []byte {
 	for _, r := range nullRows {
 		p.u64(uint64(r))
 	}
+	var flags byte
+	if c.HasZoneMaps() {
+		flags |= metaZoneMaps
+	}
+	p.u8(flags)
 	return p.Bytes()
 }
 
@@ -263,8 +275,9 @@ var nilProfile *Profile
 
 // ReadTable deserialises a table written by WriteTo, rebuilding every
 // column in the requested format (pass no option to restore the formats
-// recorded in the stream). It reads both the current checksummed format
-// (v2) and legacy v1 streams. Structural defects are reported as errors
+// recorded in the stream) and rebuilding the zone maps the stream records.
+// It reads the current checksummed format (v3) and legacy v2 and v1
+// streams. Structural defects are reported as errors
 // wrapping ErrCorrupt; an unknown version wraps ErrVersion. ReadTable
 // never allocates more memory than the stream actually delivers, so a
 // corrupt header cannot trigger an outsized allocation.
@@ -284,8 +297,8 @@ func ReadTable(r io.Reader, opts ...ColumnOption) (*Table, error) {
 	switch version := binary.LittleEndian.Uint16(verb[:]); version {
 	case persistV1:
 		return readTableV1(br, opts)
-	case persistV2:
-		return readTableV2(br, opts)
+	case persistV2, persistV3:
+		return readTableFramed(br, opts, version >= persistV3)
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrVersion, version)
 	}
@@ -311,6 +324,7 @@ type columnSpec struct {
 	decDigits      int
 	vocab          []string
 	nullRows       []int
+	zoneMaps       bool
 }
 
 // rebuild reconstructs the column, classifying every rebuild failure as
@@ -329,14 +343,20 @@ func (s *columnSpec) rebuild(codes []uint32, override columnConfig) (*Column, er
 		}
 		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
+	if s.zoneMaps {
+		if bs, ok := byteSliceOf(col.data); ok {
+			bs.BuildZoneMaps()
+		}
+	}
 	col.wl = &obs.ColumnWorkload{}
 	return col, nil
 }
 
 // ---------------------------------------------------------------------------
-// Version 2 reader: framed, checksummed, streaming.
+// Version 2 and 3 reader: framed, checksummed, streaming. flags reports
+// whether each metadata section ends with the v3 flags byte.
 
-func readTableV2(br *bufio.Reader, opts []ColumnOption) (*Table, error) {
+func readTableFramed(br *bufio.Reader, opts []ColumnOption, flags bool) (*Table, error) {
 	chunk := make([]byte, ioChunk)
 	hdr, err := readSection(br, secTable, 12, chunk)
 	if err != nil {
@@ -365,7 +385,7 @@ func readTableV2(br *bufio.Reader, opts []ColumnOption) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		spec, err := parseColumnMeta(meta, nrows)
+		spec, err := parseColumnMeta(meta, nrows, flags)
 		if err != nil {
 			return nil, err
 		}
@@ -534,8 +554,9 @@ func (m *metaBuf) done() error {
 	return nil
 }
 
-// parseColumnMeta decodes one column's metadata payload.
-func parseColumnMeta(payload []byte, nrows uint64) (*columnSpec, error) {
+// parseColumnMeta decodes one column's metadata payload; flags reports a
+// v3 payload, which ends with the flags byte.
+func parseColumnMeta(payload []byte, nrows uint64, flags bool) (*columnSpec, error) {
 	m := metaBuf{b: payload}
 	spec := &columnSpec{}
 	var err error
@@ -616,6 +637,16 @@ func parseColumnMeta(payload []byte, nrows uint64) (*columnSpec, error) {
 			return nil, corruptf("null row %d out of range", r)
 		}
 		spec.nullRows = append(spec.nullRows, int(r))
+	}
+	if flags {
+		f, err := m.u8()
+		if err != nil {
+			return nil, err
+		}
+		if f&^metaZoneMaps != 0 {
+			return nil, corruptf("column %s: unknown flags %#x", spec.name, f)
+		}
+		spec.zoneMaps = f&metaZoneMaps != 0
 	}
 	if err := m.done(); err != nil {
 		return nil, err
@@ -779,7 +810,7 @@ func readTableV1(br *bufio.Reader, opts []ColumnOption) (*Table, error) {
 
 // writeToV1 serialises the table in the legacy v1 stream layout. It exists
 // so tests and fuzz seeds can exercise the v1 read-compatibility path
-// against freshly built tables; production writes always use v2.
+// against freshly built tables; production writes always use v3.
 func (t *Table) writeToV1(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
 	cw := &countingWriter{w: bw}

@@ -12,7 +12,7 @@ import (
 // file, rename over the target, fsync the directory — so a crash at any
 // point leaves either the previous snapshot or the new one, never a
 // half-written hybrid. LoadFile reads a snapshot back; combined with the
-// checksummed v2 stream format, a snapshot that survives rename but was
+// checksummed v3 stream format, a snapshot that survives rename but was
 // torn by hardware is detected at load, not silently queried.
 
 // saveWriterHook lets the fault-injection tests interpose on the byte

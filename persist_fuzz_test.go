@@ -3,6 +3,8 @@ package byteslice_test
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"byteslice"
@@ -16,8 +18,10 @@ import (
 // because the fuzzer would OOM); any accepted input re-serialises into a
 // stream that reads back with the same shape.
 func FuzzReadTable(f *testing.F) {
-	// Seeds: valid v2 and v1 streams of a mixed-kind table, plus framed
-	// mutations of each so the fuzzer starts at interesting boundaries.
+	// Seeds: valid v3 and v1 streams of a mixed-kind table with a
+	// zone-mapped column (v3 records it in the metadata flags byte), the
+	// committed v2 fixture, plus framed mutations of each so the fuzzer
+	// starts at interesting boundaries.
 	n := 40
 	ints := make([]int64, n)
 	strs := make([]string, n)
@@ -26,7 +30,7 @@ func FuzzReadTable(f *testing.F) {
 		ints[i] = int64(i) - 20
 		strs[i] = words[i%len(words)]
 	}
-	ic, err := byteslice.NewIntColumn("i", ints, -20, 20, byteslice.WithNulls([]int{1, 7}))
+	ic, err := byteslice.NewIntColumn("i", ints, -20, 20, byteslice.WithNulls([]int{1, 7}), byteslice.WithZoneMaps())
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -38,16 +42,21 @@ func FuzzReadTable(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var v2, v1 bytes.Buffer
-	if _, err := tbl.WriteTo(&v2); err != nil {
+	var v3, v1 bytes.Buffer
+	if _, err := tbl.WriteTo(&v3); err != nil {
 		f.Fatal(err)
 	}
 	if _, err := tbl.WriteToV1(&v1); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(v2.Bytes())
+	v2, err := os.ReadFile(filepath.Join("testdata", "snapshot_v2.bslc"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v3.Bytes())
+	f.Add(v2)
 	f.Add(v1.Bytes())
-	for _, src := range [][]byte{v2.Bytes(), v1.Bytes()} {
+	for _, src := range [][]byte{v3.Bytes(), v2, v1.Bytes()} {
 		for _, off := range []int{0, 4, 6, len(src) / 2, len(src) - 5} {
 			f.Add(faultio.Flip(src, off, 0x10))
 			f.Add(faultio.Truncate(src, off))
@@ -90,6 +99,7 @@ func FuzzReadTable(f *testing.F) {
 func FuzzReadTableErrors(f *testing.F) {
 	f.Add([]byte("BSLC"))
 	f.Add([]byte("BSLC\x02\x00T"))
+	f.Add([]byte("BSLC\x03\x00T"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, err := byteslice.ReadTable(bytes.NewReader(data))
 		if err != nil && !errors.Is(err, byteslice.ErrCorrupt) && !errors.Is(err, byteslice.ErrVersion) {

@@ -1,6 +1,7 @@
 package byteslice_test
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -285,5 +286,87 @@ func TestRegistryAggregation(t *testing.T) {
 	}
 	if after.QueryNs.Count <= before.QueryNs.Count {
 		t.Fatal("query wall-time histogram must advance")
+	}
+}
+
+// TestEdgeFiltersSkipScan pins the domain-edge rule: a range filter whose
+// constant sits on an edge of the column's codes (v <= max, v >= min,
+// BETWEEN min AND max, v < min, v > max; for strings the first and last
+// dictionary entries) is decided without a kernel — no scan stage runs —
+// and still answers exactly, NULLs excluded.
+func TestEdgeFiltersSkipScan(t *testing.T) {
+	const n = 1000
+	ints := make([]int64, n)
+	codes := make([]uint32, n)
+	strs := make([]string, n)
+	words := []string{"air", "mail", "rail", "ship"}
+	var nulls []int
+	for i := 0; i < n; i++ {
+		ints[i] = int64(i * 13 % 256)
+		codes[i] = uint32(i * 7 % 1024)
+		strs[i] = words[i%len(words)]
+		if i%9 == 0 {
+			nulls = append(nulls, i)
+		}
+	}
+	a := intColumn(t, "a", ints, 0, 255, byteslice.WithNulls(nulls))
+	c, err := byteslice.NewCodeColumn("c", codes, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := byteslice.NewStringColumn("s", strs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := byteslice.NewTable(a, c, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nonNullA := func(i int) bool { return i%9 != 0 }
+	all := func(int) bool { return true }
+	none := func(int) bool { return false }
+	cases := []struct {
+		name    string
+		filters []byteslice.Filter
+		want    func(i int) bool
+		scanned string // the one column still scanned, if any
+	}{
+		{"a<=max", []byteslice.Filter{byteslice.IntFilter("a", byteslice.Le, 255)}, nonNullA, ""},
+		{"a>=min", []byteslice.Filter{byteslice.IntFilter("a", byteslice.Ge, 0)}, nonNullA, ""},
+		{"a between min,max", []byteslice.Filter{byteslice.IntFilter("a", byteslice.Between, 0, 255)}, nonNullA, ""},
+		{"a<min", []byteslice.Filter{byteslice.IntFilter("a", byteslice.Lt, 0)}, none, ""},
+		{"a>max", []byteslice.Filter{byteslice.IntFilter("a", byteslice.Gt, 255)}, none, ""},
+		{"c<=max", []byteslice.Filter{byteslice.CodeFilter("c", byteslice.Le, 1023)}, all, ""},
+		{"c>=0", []byteslice.Filter{byteslice.CodeFilter("c", byteslice.Ge, 0)}, all, ""},
+		{"c between 0,max", []byteslice.Filter{byteslice.CodeFilter("c", byteslice.Between, 0, 1023)}, all, ""},
+		{"c<0", []byteslice.Filter{byteslice.CodeFilter("c", byteslice.Lt, 0)}, none, ""},
+		{"c>max", []byteslice.Filter{byteslice.CodeFilter("c", byteslice.Gt, 1023)}, none, ""},
+		{"s>=first", []byteslice.Filter{byteslice.StringFilter("s", byteslice.Ge, "air")}, all, ""},
+		{"s<=last", []byteslice.Filter{byteslice.StringFilter("s", byteslice.Le, "ship")}, all, ""},
+		{"s between first,last", []byteslice.Filter{byteslice.StringFilter("s", byteslice.Between, "air", "ship")}, all, ""},
+		{"s>last", []byteslice.Filter{byteslice.StringFilter("s", byteslice.Gt, "ship")}, none, ""},
+		{"a>=min and c<500", []byteslice.Filter{
+			byteslice.IntFilter("a", byteslice.Ge, 0), byteslice.CodeFilter("c", byteslice.Lt, 500),
+		}, func(i int) bool { return nonNullA(i) && codes[i] < 500 }, "c"},
+	}
+	for _, tc := range cases {
+		res, err := tbl.Filter(tc.filters)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []int32
+		for i := 0; i < n; i++ {
+			if tc.want(i) {
+				want = append(want, int32(i))
+			}
+		}
+		if got := res.Rows(); !slices.Equal(got, want) {
+			t.Fatalf("%s: %d rows, want %d", tc.name, len(got), len(want))
+		}
+		for _, st := range res.Stats().Stages {
+			if strings.HasPrefix(st.Name, "scan(") && st.Name != "scan("+tc.scanned+")" {
+				t.Fatalf("%s: stage %q ran; an edge filter must not reach a kernel", tc.name, st.Name)
+			}
+		}
 	}
 }
