@@ -2,6 +2,7 @@ package byteslice_test
 
 import (
 	"math/rand/v2"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -628,7 +629,7 @@ func TestWithZoneMaps(t *testing.T) {
 }
 
 // TestFacadeOddsAndEnds exercises the remaining small surfaces: fallback
-// aggregation paths on non-ByteSlice formats, AnyFilters, DeltaTable.Base.
+// aggregation paths on non-ByteSlice formats, AnyFilters, NullCount.
 func TestFacadeOddsAndEnds(t *testing.T) {
 	vals := []int64{5, 1, 9, 3}
 	col := intColumn(t, "v", vals, 0, 10, byteslice.WithFormat(byteslice.FormatHBP))
@@ -655,11 +656,7 @@ func TestFacadeOddsAndEnds(t *testing.T) {
 		t.Fatalf("AnyFilters count = %d (%v)", r2.Count(), err)
 	}
 
-	// DeltaTable.Base and NullCount on a non-nullable column.
-	d := byteslice.NewDeltaTable(tbl)
-	if d.Base() != tbl {
-		t.Fatal("Base() lost the table")
-	}
+	// NullCount on a non-nullable column.
 	if col.NullCount() != 0 || col.Nullable() {
 		t.Fatal("non-nullable column reports nulls")
 	}
@@ -684,25 +681,39 @@ func TestFacadeOddsAndEnds(t *testing.T) {
 	}
 }
 
-// TestPersistDeltaInterplay merges a delta and round-trips the result.
+// TestPersistDeltaInterplay merges an ingest delta and round-trips the
+// merged base, through WriteTo/ReadTable and from the epoch's snapshot
+// file on disk.
 func TestPersistDeltaInterplay(t *testing.T) {
 	col := intColumn(t, "v", []int64{1, 2}, 0, 100)
 	tbl, _ := byteslice.NewTable(col)
-	d := byteslice.NewDeltaTable(tbl)
-	if err := d.AppendRow(map[string]any{"v": int64(42)}); err != nil {
-		t.Fatal(err)
-	}
-	merged, err := d.Merge()
+	dir := t.TempDir()
+	it, err := byteslice.CreateIngest(dir, tbl, byteslice.WithAutoMerge(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := roundTripTable(t, merged)
-	c, _ := got.Column("v")
-	if v, _ := c.LookupInt(nil, 2); v != 42 {
-		t.Fatalf("round-tripped merged value = %d", v)
+	defer it.Close() //nolint:errcheck // test cleanup
+	if err := it.Append(map[string]any{"v": int64(42)}); err != nil {
+		t.Fatal(err)
 	}
-	res, _ := got.Filter([]byteslice.Filter{byteslice.IntFilter("v", byteslice.Gt, 10)})
-	if res.Count() != 1 {
-		t.Fatalf("count = %d", res.Count())
+	if err := it.MergeNow(); err != nil {
+		t.Fatal(err)
+	}
+	fromFile, err := byteslice.LoadFile(filepath.Join(dir, "base-2.bslc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for what, got := range map[string]*byteslice.Table{
+		"round trip": roundTripTable(t, it.Base()),
+		"epoch file": fromFile,
+	} {
+		c, _ := got.Column("v")
+		if v, _ := c.LookupInt(nil, 2); v != 42 {
+			t.Fatalf("%s: merged value = %d", what, v)
+		}
+		res, _ := got.Filter([]byteslice.Filter{byteslice.IntFilter("v", byteslice.Gt, 10)})
+		if res.Count() != 1 {
+			t.Fatalf("%s: count = %d", what, res.Count())
+		}
 	}
 }

@@ -2,13 +2,8 @@ package byteslice
 
 import "io"
 
-// Test-only exports: the fault-injection suite needs the legacy v1 writer
-// (to exercise read compatibility) and the SaveFile write hook (to
-// simulate crashes at exact byte offsets).
-
-// WriteToV1 exposes the legacy v1 stream writer for compatibility tests
-// and fuzz seeds.
-func (t *Table) WriteToV1(w io.Writer) (int64, error) { return t.writeToV1(w) }
+// Test-only exports: the fault-injection suite needs the SaveFile write
+// hook (to simulate crashes at exact byte offsets).
 
 // SetSaveWriterHook interposes fn on SaveFile's byte stream; pass nil to
 // restore direct writes. Tests must restore the previous hook when done.

@@ -1,0 +1,288 @@
+package byteslice_test
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"testing"
+
+	"byteslice"
+)
+
+// Tests of the IngestTable's delta store — the sealed segments and the
+// tail that hold appended rows until a merge folds them into the next
+// epoch's base.
+
+// TestDeltaAppendValidation: every column kind's delta encoding rejects a
+// wrong-typed or out-of-domain value with ErrSchema, and a rejected row
+// reaches neither the delta nor the WAL: the table reopens holding only
+// the rows that were accepted.
+func TestDeltaAppendValidation(t *testing.T) {
+	const n = 8
+	cols, _ := matrixColumns(t, n, byteslice.FormatByteSlice, nil)
+	base, err := byteslice.NewTable(cols...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	opts := []byteslice.IngestOption{byteslice.WithSealRows(2), byteslice.WithAutoMerge(false)}
+	it, err := byteslice.CreateIngest(dir, base, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { it.Close() }() //nolint:errcheck // closes the latest instance; double close ok
+	good := func() map[string]any {
+		return map[string]any{"i": int64(1), "d": 0.5, "s": "cat", "c": uint32(7)}
+	}
+	// Two rows seal into a segment, the third stays in the tail.
+	for i := 0; i < 3; i++ {
+		if err := it.Append(good()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		col string
+		v   any
+	}{
+		{"i", "five"},      // wrong type
+		{"i", int64(999)},  // outside [-200, 200]
+		{"d", int64(1)},    // wrong type
+		{"d", 99.5},        // outside [0, 10]
+		{"s", 7},           // wrong type
+		{"s", "emu"},       // outside the dictionary
+		{"c", int64(1)},    // wrong type
+		{"c", uint32(512)}, // wider than 9 bits
+	}
+	for _, c := range cases {
+		row := good()
+		row[c.col] = c.v
+		if err := it.Append(row); !errors.Is(err, byteslice.ErrSchema) {
+			t.Fatalf("%s = %v (%T): Append = %v, want ErrSchema", c.col, c.v, c.v, err)
+		}
+	}
+	if it.Len() != n+3 || it.DeltaLen() != 3 {
+		t.Fatalf("after rejected appends: len %d delta %d", it.Len(), it.DeltaLen())
+	}
+	if err := it.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if it, err = byteslice.OpenIngest(dir, opts...); err != nil {
+		t.Fatal(err)
+	}
+	if it.Len() != n+3 || it.DeltaLen() != 3 {
+		t.Fatalf("reopened: len %d delta %d", it.Len(), it.DeltaLen())
+	}
+}
+
+// TestDeltaContextCancel: every query entry over the delta — Filter,
+// FilterAny, Query and a Pinned view — observes a cancelled WithContext
+// while rows sit in sealed segments and the tail, and a cancelled query
+// leaves the entry answering exactly afterwards.
+func TestDeltaContextCancel(t *testing.T) {
+	it, _ := ingestFixture(t, byteslice.WithSealRows(8), byteslice.WithAutoMerge(false))
+	const appended = 20
+	for i := 0; i < appended; i++ {
+		if err := it.Append(ingestRow(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	f := []byteslice.Filter{byteslice.IntFilter("qty", byteslice.Ge, 5)}
+	want, err := it.Filter(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin := it.Pin()
+	entries := map[string]func(...byteslice.QueryOption) (*byteslice.Result, error){
+		"Filter":    func(o ...byteslice.QueryOption) (*byteslice.Result, error) { return it.Filter(f, o...) },
+		"FilterAny": func(o ...byteslice.QueryOption) (*byteslice.Result, error) { return it.FilterAny(f, o...) },
+		"Query": func(o ...byteslice.QueryOption) (*byteslice.Result, error) {
+			return it.Query(byteslice.Leaf(f[0]), o...)
+		},
+		"Pinned": func(o ...byteslice.QueryOption) (*byteslice.Result, error) { return pin.Filter(f, o...) },
+	}
+	for name, run := range entries {
+		if _, err := run(byteslice.WithContext(ctx)); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: cancelled query = %v", name, err)
+		}
+		res, err := run()
+		wantRows(t, name+" after cancel", res, err, want.Rows()...)
+	}
+	checkIngestRows(t, it, appended)
+}
+
+// TestDeltaMerge: MergeNow folds the delta into the next epoch's base,
+// which reads an appended value and an appended NULL back by row, and a
+// query answers the same rows before and after the merge.
+func TestDeltaMerge(t *testing.T) {
+	it, _ := ingestFixture(t, byteslice.WithAutoMerge(false))
+	for _, r := range []map[string]any{
+		{"qty": int64(60), "mode": "SHIP"},
+		{"qty": nil, "mode": "AIR"},
+	} {
+		if err := it.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := []byteslice.Filter{byteslice.IntFilter("qty", byteslice.Ge, 7)}
+	res, err := it.Filter(f)
+	wantRows(t, "pre-merge", res, err, 1, 2, 3)
+
+	// Nothing is sealed yet, so the merge seals the tail and absorbs it.
+	if err := it.MergeNow(); err != nil {
+		t.Fatal(err)
+	}
+	if it.Epoch() != 2 || it.DeltaLen() != 0 || it.Base().Len() != 5 {
+		t.Fatalf("merged: epoch %d delta %d base %d", it.Epoch(), it.DeltaLen(), it.Base().Len())
+	}
+	qty, err := it.Base().Column("qty")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mode, err := it.Base().Column("mode")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := qty.LookupInt(nil, 3); err != nil || v != 60 {
+		t.Fatalf("merged row 3 qty = %d (%v)", v, err)
+	}
+	if s, err := mode.LookupString(nil, 3); err != nil || s != "SHIP" {
+		t.Fatalf("merged row 3 mode = %q (%v)", s, err)
+	}
+	if !qty.IsNull(4) || qty.IsNull(3) || qty.NullCount() != 1 {
+		t.Fatalf("merged NULLs wrong: rows 4/3 = %v/%v, count %d", qty.IsNull(4), qty.IsNull(3), qty.NullCount())
+	}
+	res, err = it.Filter(f)
+	wantRows(t, "post-merge", res, err, 1, 2, 3)
+	res, err = it.Base().Filter(f)
+	wantRows(t, "merged base", res, err, 1, 2, 3)
+}
+
+// TestDeltaMatrix drives every column kind through every storage format
+// and NULL pattern on the delta store: the appended values and NULLs,
+// once merged, read back exactly by row from the new base, whose columns
+// keep the base's storage formats.
+func TestDeltaMatrix(t *testing.T) {
+	const n, appended = 37, 21
+	nullEvery := map[string]int{"none": 0, "sparse": 7, "dense": 2}
+	formats := append(byteslice.Formats(), byteslice.FormatByteSliceC)
+	for _, format := range formats {
+		for patName, every := range nullEvery {
+			t.Run(fmt.Sprintf("%s/%s", format, patName), func(t *testing.T) {
+				cols, _ := matrixColumns(t, n, format, nil)
+				base, err := byteslice.NewTable(cols...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				it, err := byteslice.CreateIngest(t.TempDir(), base, byteslice.WithAutoMerge(false))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer it.Close() //nolint:errcheck // test cleanup
+				words := []string{"ant", "bee", "cat", "dog"}
+				isNull := func(i int) bool { return every > 0 && i%every == 0 }
+				for i := 0; i < appended; i++ {
+					row := map[string]any{
+						"i": int64(i - 100),
+						"d": float64(i%70) / 8,
+						"s": words[i%len(words)],
+						"c": uint32(i * 3 % 512),
+					}
+					if isNull(i) {
+						row["i"] = nil
+						row["d"] = nil
+					}
+					if err := it.Append(row); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := it.MergeNow(); err != nil {
+					t.Fatal(err)
+				}
+				if it.DeltaLen() != 0 || it.Base().Len() != n+appended {
+					t.Fatalf("merged: delta %d base %d", it.DeltaLen(), it.Base().Len())
+				}
+				got := make([]*byteslice.Column, len(cols))
+				for k, c := range cols {
+					if got[k], err = it.Base().Column(c.Name()); err != nil {
+						t.Fatal(err)
+					}
+					if got[k].Format() != c.Format() {
+						t.Fatalf("column %s: merged format %s, want %s", c.Name(), got[k].Format(), c.Format())
+					}
+				}
+				gi, gd, gs, gc := got[0], got[1], got[2], got[3]
+				nulls := 0
+				for i := 0; i < appended; i++ {
+					r := n + i
+					if gi.IsNull(r) != isNull(i) || gd.IsNull(r) != isNull(i) || gs.IsNull(r) || gc.IsNull(r) {
+						t.Fatalf("appended row %d: NULL flags i/d/s/c = %v/%v/%v/%v, want i and d %v",
+							i, gi.IsNull(r), gd.IsNull(r), gs.IsNull(r), gc.IsNull(r), isNull(i))
+					}
+					if isNull(i) {
+						nulls++
+					} else {
+						if v, _ := gi.LookupInt(nil, r); v != int64(i-100) {
+							t.Fatalf("appended row %d: int %d, want %d", i, v, i-100)
+						}
+						if v, _ := gd.LookupDecimal(nil, r); v != float64(i%70)/8 {
+							t.Fatalf("appended row %d: decimal %v, want %v", i, v, float64(i%70)/8)
+						}
+					}
+					if v, _ := gs.LookupString(nil, r); v != words[i%len(words)] {
+						t.Fatalf("appended row %d: string %q, want %q", i, v, words[i%len(words)])
+					}
+					if v := gc.LookupCode(nil, r); v != uint32(i*3%512) {
+						t.Fatalf("appended row %d: code %d, want %d", i, v, i*3%512)
+					}
+				}
+				if gi.NullCount() != nulls || gd.NullCount() != nulls {
+					t.Fatalf("merged NULL counts i/d = %d/%d, want %d", gi.NullCount(), gd.NullCount(), nulls)
+				}
+			})
+		}
+	}
+}
+
+// TestDeltaObsStage: the scan(delta) stage covers the tail rows only —
+// sealed segments scan with their native layouts — and keeps reporting
+// the tail after a merge absorbs the sealed rows.
+func TestDeltaObsStage(t *testing.T) {
+	it, _ := ingestFixture(t, byteslice.WithSealRows(4), byteslice.WithAutoMerge(false))
+	for i := 0; i < 10; i++ { // two sealed segments of 4, two rows in the tail
+		if err := it.Append(ingestRow(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stageRows := func(what string) int64 {
+		t.Helper()
+		res, err := it.Filter([]byteslice.Filter{byteslice.IntFilter("qty", byteslice.Ge, 2)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs := res.Stats()
+		if qs == nil {
+			t.Fatalf("%s: no stats on native ingest query", what)
+		}
+		for _, st := range qs.Stages {
+			if st.Name == "scan(delta)" && st.Kind == "delta" {
+				return st.Rows
+			}
+		}
+		t.Fatalf("%s: no scan(delta) stage in %+v", what, qs.Stages)
+		return 0
+	}
+	if rows := stageRows("sealed"); rows != 2 {
+		t.Fatalf("sealed: scan(delta) covered %d rows, want the 2 tail rows", rows)
+	}
+	if err := it.MergeNow(); err != nil {
+		t.Fatal(err)
+	}
+	if it.DeltaLen() != 2 {
+		t.Fatalf("delta after merge = %d, want the 2 tail rows", it.DeltaLen())
+	}
+	if rows := stageRows("merged"); rows != 2 {
+		t.Fatalf("merged: scan(delta) covered %d rows, want the 2 tail rows", rows)
+	}
+}

@@ -182,6 +182,49 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 }
 
+// TestHTTPAppendErrors: a row that does not fit the schema is the
+// client's fault (400 bad_query), and a row past the delta bound is
+// overload (429 overloaded) — neither is a 500.
+func TestHTTPAppendErrors(t *testing.T) {
+	s := newTestServer(t, Config{})
+	dir := t.TempDir()
+	it, err := byteslice.CreateIngest(dir, testTable(t),
+		byteslice.WithSealRows(2), byteslice.WithDeltaBound(2), byteslice.WithAutoMerge(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Backpressure wakes the background merger; stop it before the
+	// temporary directory is removed.
+	t.Cleanup(func() { it.Close() }) //nolint:errcheck // second close is a no-op
+	if err := s.cat.add(&mount{name: "live", kind: "ingest", path: dir, ing: it}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const row = `{"qty":1,"price":1.0,"mode":"AIR"}`
+	for _, c := range []struct {
+		name, rows string
+		status     int
+		code       string
+	}{
+		{"missing column", `{"qty":1,"price":1.0}`, http.StatusBadRequest, "bad_query"},
+		{"out of domain", `{"qty":999,"price":1.0,"mode":"AIR"}`, http.StatusBadRequest, "bad_query"},
+		{"outside dictionary", `{"qty":1,"price":1.0,"mode":"TRUCK"}`, http.StatusBadRequest, "bad_query"},
+		// The third row meets the two-row delta bound.
+		{"delta bound", row + "," + row + "," + row, http.StatusTooManyRequests, "overloaded"},
+	} {
+		status, body := postJSON(t, ts.URL+"/append", `{"table":"live","rows":[`+c.rows+`]}`)
+		var er ErrorResponse
+		if err := json.Unmarshal(body, &er); err != nil || status != c.status || er.Code != c.code {
+			t.Fatalf("%s: %d %s, want %d %q", c.name, status, body, c.status, c.code)
+		}
+	}
+	if it.Len() != 6+2 {
+		t.Fatalf("live rows = %d, want the 6 base rows plus the 2 below the bound", it.Len())
+	}
+}
+
 func TestHTTPTenantHeader(t *testing.T) {
 	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())

@@ -16,6 +16,7 @@ import (
 	"sync"
 	"time"
 
+	"byteslice"
 	"byteslice/internal/obs"
 )
 
@@ -273,16 +274,18 @@ func (s *Server) deadline(timeoutMs int) time.Duration {
 }
 
 // errCode classifies a request failure for the response envelope and the
-// HTTP status mapping.
+// HTTP status mapping. An append's typed failures map the same way: a row
+// that does not fit the schema is a bad request, and ingest backpressure
+// is overload.
 func errCode(err error) string {
 	switch {
-	case errors.Is(err, ErrOverloaded):
+	case errors.Is(err, ErrOverloaded), errors.Is(err, byteslice.ErrBackpressure):
 		return "overloaded"
 	case errors.Is(err, ErrNoTable):
 		return "not_found"
 	case errors.Is(err, ErrUnsupported):
 		return "unsupported"
-	case errors.Is(err, ErrBadQuery):
+	case errors.Is(err, ErrBadQuery), errors.Is(err, byteslice.ErrSchema):
 		return "bad_query"
 	case errors.Is(err, context.DeadlineExceeded):
 		return "deadline"

@@ -42,13 +42,12 @@ import (
 // for allocation: payloads stream in bounded chunks, so a forged header
 // cannot trigger a multi-gigabyte allocation before the stream runs dry.
 //
-// Version 2 streams (v3 without the flags byte) and version 1 streams (the
-// same fields without framing or checksums) are still readable; WriteTo
-// always produces version 3.
+// Version 2 streams (v3 without the flags byte) are still readable; WriteTo
+// always produces version 3. Version 1, the unframed and checksum-less
+// predecessor, is rejected with ErrVersion.
 
 const (
 	persistMagic = "BSLC"
-	persistV1    = 1
 	persistV2    = 2
 	persistV3    = 3
 
@@ -276,11 +275,11 @@ var nilProfile *Profile
 // ReadTable deserialises a table written by WriteTo, rebuilding every
 // column in the requested format (pass no option to restore the formats
 // recorded in the stream) and rebuilding the zone maps the stream records.
-// It reads the current checksummed format (v3) and legacy v2 and v1
-// streams. Structural defects are reported as errors
-// wrapping ErrCorrupt; an unknown version wraps ErrVersion. ReadTable
-// never allocates more memory than the stream actually delivers, so a
-// corrupt header cannot trigger an outsized allocation.
+// It reads the current checksummed format (v3) and legacy v2 streams.
+// Structural defects are reported as errors wrapping ErrCorrupt; any
+// other version, the retired unframed v1 included, wraps ErrVersion.
+// ReadTable never allocates more memory than the stream actually
+// delivers, so a corrupt header cannot trigger an outsized allocation.
 func ReadTable(r io.Reader, opts ...ColumnOption) (*Table, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, 4)
@@ -295,8 +294,6 @@ func ReadTable(r io.Reader, opts ...ColumnOption) (*Table, error) {
 		return nil, err
 	}
 	switch version := binary.LittleEndian.Uint16(verb[:]); version {
-	case persistV1:
-		return readTableV1(br, opts)
 	case persistV2, persistV3:
 		return readTableFramed(br, opts, version >= persistV3)
 	default:
@@ -304,16 +301,8 @@ func ReadTable(r io.Reader, opts ...ColumnOption) (*Table, error) {
 	}
 }
 
-// checkShape validates the table header fields shared by both versions.
-func checkShape(ncols uint32, nrows uint64) error {
-	if ncols == 0 || ncols > maxPersistCols || nrows > maxPersistRows {
-		return corruptf("implausible shape %d×%d", ncols, nrows)
-	}
-	return nil
-}
-
-// columnSpec carries one column's parsed metadata between the version-
-// specific parsers and the shared rebuild step.
+// columnSpec carries one column's parsed metadata from parseColumnMeta
+// to the rebuild step.
 type columnSpec struct {
 	name           string
 	kind           Kind
@@ -374,8 +363,8 @@ func readTableFramed(br *bufio.Reader, opts []ColumnOption, flags bool) (*Table,
 	if err := h.done(); err != nil {
 		return nil, err
 	}
-	if err := checkShape(ncols, nrows); err != nil {
-		return nil, err
+	if ncols == 0 || ncols > maxPersistCols || nrows > maxPersistRows {
+		return nil, corruptf("implausible shape %d×%d", ncols, nrows)
 	}
 
 	override := applyOpts(opts)
@@ -652,254 +641,6 @@ func parseColumnMeta(payload []byte, nrows uint64, flags bool) (*columnSpec, err
 		return nil, err
 	}
 	return spec, nil
-}
-
-// ---------------------------------------------------------------------------
-// Version 1 reader: the legacy unframed stream, kept for compatibility and
-// hardened the same way — bounded chunked allocation, ErrCorrupt wrapping.
-
-func readTableV1(br *bufio.Reader, opts []ColumnOption) (*Table, error) {
-	get := func(v any) error {
-		if err := binary.Read(br, binary.LittleEndian, v); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return corruptf("unexpected end of stream")
-			}
-			return err
-		}
-		return nil
-	}
-	getStr := func() (string, error) {
-		var n uint32
-		if err := get(&n); err != nil {
-			return "", err
-		}
-		if n > maxPersistString {
-			return "", corruptf("implausible string length %d", n)
-		}
-		buf := make([]byte, n)
-		if err := fill(br, buf); err != nil {
-			return "", err
-		}
-		return string(buf), nil
-	}
-
-	var ncols uint32
-	var nrows uint64
-	if err := get(&ncols); err != nil {
-		return nil, err
-	}
-	if err := get(&nrows); err != nil {
-		return nil, err
-	}
-	if err := checkShape(ncols, nrows); err != nil {
-		return nil, err
-	}
-
-	override := applyOpts(opts)
-	chunk := make([]byte, ioChunk)
-	cols := make([]*Column, 0, min(uint64(ncols), 1024))
-	for ci := uint32(0); ci < ncols; ci++ {
-		spec := &columnSpec{}
-		var err error
-		if spec.name, err = getStr(); err != nil {
-			return nil, err
-		}
-		var kind uint8
-		if err := get(&kind); err != nil {
-			return nil, err
-		}
-		spec.kind = Kind(kind)
-		formatStr, err := getStr()
-		if err != nil {
-			return nil, err
-		}
-		spec.format = Format(formatStr)
-		var width uint8
-		if err := get(&width); err != nil {
-			return nil, err
-		}
-		spec.width = int(width)
-
-		switch spec.kind {
-		case KindInt:
-			if err := get(&spec.intMin); err != nil {
-				return nil, err
-			}
-			if err := get(&spec.intMax); err != nil {
-				return nil, err
-			}
-		case KindDecimal:
-			if err := get(&spec.decMin); err != nil {
-				return nil, err
-			}
-			if err := get(&spec.decMax); err != nil {
-				return nil, err
-			}
-			var digits uint8
-			if err := get(&digits); err != nil {
-				return nil, err
-			}
-			spec.decDigits = int(digits)
-		case KindString:
-			var card uint32
-			if err := get(&card); err != nil {
-				return nil, err
-			}
-			if card > maxPersistDict {
-				return nil, corruptf("implausible dictionary size %d", card)
-			}
-			spec.vocab = make([]string, 0, min(uint64(card), 4096))
-			for i := uint32(0); i < card; i++ {
-				s, err := getStr()
-				if err != nil {
-					return nil, err
-				}
-				spec.vocab = append(spec.vocab, s)
-			}
-		case KindCode:
-		default:
-			return nil, corruptf("unknown column kind %d", kind)
-		}
-
-		var nullCount uint64
-		if err := get(&nullCount); err != nil {
-			return nil, err
-		}
-		if nullCount > nrows {
-			return nil, corruptf("%d nulls in %d rows", nullCount, nrows)
-		}
-		spec.nullRows = make([]int, 0, min(nullCount, ioChunk/8))
-		for i := uint64(0); i < nullCount; i++ {
-			var r uint64
-			if err := get(&r); err != nil {
-				return nil, err
-			}
-			if r >= nrows {
-				return nil, corruptf("null row %d out of range", r)
-			}
-			spec.nullRows = append(spec.nullRows, int(r))
-		}
-
-		// Codes stream in bounded chunks (v1 has no framing, so truncation
-		// surfaces as a short read partway through).
-		codes := make([]uint32, 0, min(nrows, ioChunk/4))
-		for remaining := nrows * 4; remaining > 0; {
-			n := min(remaining, uint64(len(chunk)))
-			buf := chunk[:n]
-			if err := fill(br, buf); err != nil {
-				return nil, err
-			}
-			for i := 0; i+4 <= len(buf); i += 4 {
-				codes = append(codes, binary.LittleEndian.Uint32(buf[i:]))
-			}
-			remaining -= n
-		}
-
-		col, err := spec.rebuild(codes, override)
-		if err != nil {
-			return nil, err
-		}
-		cols = append(cols, col)
-	}
-	tbl, err := NewTable(cols...)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
-	}
-	return tbl, nil
-}
-
-// writeToV1 serialises the table in the legacy v1 stream layout. It exists
-// so tests and fuzz seeds can exercise the v1 read-compatibility path
-// against freshly built tables; production writes always use v3.
-func (t *Table) writeToV1(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	cw := &countingWriter{w: bw}
-	put := func(v any) error { return binary.Write(cw, binary.LittleEndian, v) }
-	putStr := func(s string) error {
-		if err := put(uint32(len(s))); err != nil {
-			return err
-		}
-		_, err := io.WriteString(cw, s)
-		return err
-	}
-
-	if _, err := io.WriteString(cw, persistMagic); err != nil {
-		return cw.n, err
-	}
-	if err := put(uint16(persistV1)); err != nil {
-		return cw.n, err
-	}
-	if err := put(uint32(len(t.cols))); err != nil {
-		return cw.n, err
-	}
-	if err := put(uint64(t.n)); err != nil {
-		return cw.n, err
-	}
-
-	for _, c := range t.cols {
-		if err := putStr(c.name); err != nil {
-			return cw.n, err
-		}
-		if err := put(uint8(c.kind)); err != nil {
-			return cw.n, err
-		}
-		if err := putStr(string(c.Format())); err != nil {
-			return cw.n, err
-		}
-		if err := put(uint8(c.Width())); err != nil {
-			return cw.n, err
-		}
-		switch c.kind {
-		case KindInt:
-			if err := put(c.ints.Min()); err != nil {
-				return cw.n, err
-			}
-			if err := put(c.ints.Max()); err != nil {
-				return cw.n, err
-			}
-		case KindDecimal:
-			if err := put(c.decs.Min()); err != nil {
-				return cw.n, err
-			}
-			if err := put(c.decs.Max()); err != nil {
-				return cw.n, err
-			}
-			if err := put(uint8(c.decs.Digits())); err != nil {
-				return cw.n, err
-			}
-		case KindString:
-			vals := c.dict.Values()
-			if err := put(uint32(len(vals))); err != nil {
-				return cw.n, err
-			}
-			for _, s := range vals {
-				if err := putStr(s); err != nil {
-					return cw.n, err
-				}
-			}
-		case KindCode:
-		}
-
-		var nullRows []int32
-		if c.nulls != nil {
-			nullRows = c.nulls.Positions(nil)
-		}
-		if err := put(uint64(len(nullRows))); err != nil {
-			return cw.n, err
-		}
-		for _, r := range nullRows {
-			if err := put(uint64(r)); err != nil {
-				return cw.n, err
-			}
-		}
-
-		for i := 0; i < t.n; i++ {
-			if err := put(c.data.Lookup(nilProfile.engine(), i)); err != nil {
-				return cw.n, err
-			}
-		}
-	}
-	return cw.n, bw.Flush()
 }
 
 // rebuildColumn reconstructs a column directly from its stored codes and

@@ -175,23 +175,6 @@ func TestFaultSweepWriteError(t *testing.T) {
 	}
 }
 
-// TestFaultSweepTruncateV1: the legacy v1 stream has no checksums, but
-// truncation at any offset must still produce a clean error, never a panic
-// or an unbounded allocation.
-func TestFaultSweepTruncateV1(t *testing.T) {
-	tbl := faultTable(t)
-	var buf bytes.Buffer
-	if _, err := tbl.WriteToV1(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	for off := 0; off < len(full); off++ {
-		if _, err := readNoPanic(t, "v1 truncate", off, faultio.Truncate(full, off)); err == nil {
-			t.Fatalf("v1 truncation at %d/%d accepted", off, len(full))
-		}
-	}
-}
-
 // tablesEqualInts compares the "i" column values of two tables.
 func tablesEqualInts(t *testing.T, a, b *byteslice.Table) bool {
 	t.Helper()

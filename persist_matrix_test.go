@@ -3,15 +3,14 @@ package byteslice_test
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"testing"
 
 	"byteslice"
 )
 
 // TestPersistRoundTripMatrix round-trips one column of every kind through
-// every storage format and NULL pattern, in both the current v2 stream and
-// the legacy v1 stream, asserting values and NULL masks survive exactly.
+// every storage format and NULL pattern in the current (v3) stream,
+// asserting values and NULL masks survive exactly.
 func TestPersistRoundTripMatrix(t *testing.T) {
 	const n = 97 // partial final segment
 	nullPatterns := map[string][]int{
@@ -19,37 +18,25 @@ func TestPersistRoundTripMatrix(t *testing.T) {
 		"sparse": {0, 13, 96},
 		"dense":  denseNulls(n),
 	}
-	type enc struct {
-		name  string
-		write func(*byteslice.Table, io.Writer) error
-	}
-	encodings := []enc{
-		{"v2", func(tbl *byteslice.Table, w io.Writer) error { _, err := tbl.WriteTo(w); return err }},
-		{"v1", func(tbl *byteslice.Table, w io.Writer) error { _, err := tbl.WriteToV1(w); return err }},
-	}
-
 	formats := append(byteslice.Formats(), byteslice.FormatByteSliceC)
 	for _, format := range formats {
 		for patName, nulls := range nullPatterns {
-			for _, e := range encodings {
-				name := fmt.Sprintf("%s/%s/%s", format, patName, e.name)
-				t.Run(name, func(t *testing.T) {
-					col, check := matrixColumns(t, n, format, nulls)
-					tbl, err := byteslice.NewTable(col...)
-					if err != nil {
-						t.Fatal(err)
-					}
-					var buf bytes.Buffer
-					if err := e.write(tbl, &buf); err != nil {
-						t.Fatal(err)
-					}
-					got, err := byteslice.ReadTable(&buf)
-					if err != nil {
-						t.Fatal(err)
-					}
-					check(t, got)
-				})
-			}
+			t.Run(fmt.Sprintf("%s/%s", format, patName), func(t *testing.T) {
+				col, check := matrixColumns(t, n, format, nulls)
+				tbl, err := byteslice.NewTable(col...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var buf bytes.Buffer
+				if _, err := tbl.WriteTo(&buf); err != nil {
+					t.Fatal(err)
+				}
+				got, err := byteslice.ReadTable(&buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(t, got)
+			})
 		}
 	}
 }

@@ -2,6 +2,8 @@ package byteslice_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -119,6 +121,31 @@ func TestPersistFormatOverride(t *testing.T) {
 	}
 	if v, _ := c.LookupInt(nil, 2); v != 3 {
 		t.Fatalf("value lost: %d", v)
+	}
+}
+
+// TestPersistVersions: a v3 stream loads; the same stream declaring the
+// retired unframed v1, or an unknown future version, fails with
+// ErrVersion rather than being parsed as something it is not. (The v2
+// fixture's load is TestSnapshotReadsV2Fixture.)
+func TestPersistVersions(t *testing.T) {
+	col := intColumn(t, "v", []int64{1, 2, 3}, 0, 10)
+	tbl, _ := byteslice.NewTable(col)
+	var buf bytes.Buffer
+	if _, err := tbl.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	stream := buf.Bytes()
+	if got, err := byteslice.ReadTable(bytes.NewReader(stream)); err != nil || got.Len() != 3 {
+		t.Fatalf("v3 stream: %v", err)
+	}
+	for _, version := range []uint16{1, 4} {
+		patched := append([]byte{}, stream...)
+		binary.LittleEndian.PutUint16(patched[4:], version)
+		_, err := byteslice.ReadTable(bytes.NewReader(patched))
+		if !errors.Is(err, byteslice.ErrVersion) || errors.Is(err, byteslice.ErrCorrupt) {
+			t.Fatalf("version %d: ReadTable = %v, want ErrVersion", version, err)
+		}
 	}
 }
 

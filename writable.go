@@ -11,6 +11,7 @@ import (
 
 	"byteslice/internal/bitvec"
 	"byteslice/internal/ingest"
+	"byteslice/internal/layout"
 	"byteslice/internal/obs"
 	"byteslice/internal/plan"
 )
@@ -79,7 +80,9 @@ var (
 )
 
 // ErrSchema is returned when input rows do not match the table schema —
-// wrong value count, missing or unknown columns, malformed CSV shape.
+// wrong value count, missing or unknown columns, malformed CSV shape, or
+// an appended value of the wrong type, outside its column's domain or
+// outside a string column's dictionary.
 var ErrSchema = errors.New("byteslice: schema mismatch")
 
 // ingestView is one immutable published snapshot of the table: readers
@@ -351,11 +354,14 @@ func decodeRowPayloads(base *Table, rows [][]byte) ([][]uint32, [][]bool, error)
 	return codes, nulls, nil
 }
 
-// Append appends one row: vals maps column names to native values (as
-// DeltaTable.AppendRow) or nil for NULL. The row is validated and
-// encoded atomically, made durable in the WAL, then published to
-// readers; when Append returns nil the row survives a crash. At the
-// delta bound it fails with ErrBackpressure and wakes the merger.
+// Append appends one row. vals maps column names to native values —
+// int64 for integer columns, float64 for decimal, string for string,
+// uint32 for code columns — or nil for NULL. Every column must be
+// present; a row that does not fit the schema fails with ErrSchema. The
+// row is validated and encoded atomically, made durable in the WAL, then
+// published to readers; when Append returns nil the row survives a
+// crash. At the delta bound it fails with ErrBackpressure and wakes the
+// merger.
 func (t *IngestTable) Append(vals map[string]any) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -419,6 +425,54 @@ func (t *IngestTable) Append(vals map[string]any) error {
 	return nil
 }
 
+// encodeValue encodes one native value for the column, type-checked. A
+// value of the wrong type, outside the column's domain or outside a
+// string column's dictionary wraps ErrSchema.
+func (c *Column) encodeValue(v any) (uint32, error) {
+	switch c.kind {
+	case KindInt:
+		x, ok := v.(int64)
+		if !ok {
+			return 0, fmt.Errorf("%w: column %s wants int64, got %T", ErrSchema, c.name, v)
+		}
+		code, err := c.ints.Encode(x)
+		if err != nil {
+			return 0, fmt.Errorf("%w: column %s: %w", ErrSchema, c.name, err)
+		}
+		return code, nil
+	case KindDecimal:
+		x, ok := v.(float64)
+		if !ok {
+			return 0, fmt.Errorf("%w: column %s wants float64, got %T", ErrSchema, c.name, v)
+		}
+		code, err := c.decs.Encode(x)
+		if err != nil {
+			return 0, fmt.Errorf("%w: column %s: %w", ErrSchema, c.name, err)
+		}
+		return code, nil
+	case KindString:
+		x, ok := v.(string)
+		if !ok {
+			return 0, fmt.Errorf("%w: column %s wants string, got %T", ErrSchema, c.name, v)
+		}
+		code, err := c.dict.Encode(x)
+		if err != nil {
+			return 0, fmt.Errorf("%w: column %s: %w (the dictionary is fixed at build time)", ErrSchema, c.name, err)
+		}
+		return code, nil
+	case KindCode:
+		x, ok := v.(uint32)
+		if !ok {
+			return 0, fmt.Errorf("%w: column %s wants uint32, got %T", ErrSchema, c.name, v)
+		}
+		if x > c.maxCode() {
+			return 0, fmt.Errorf("%w: column %s: code %d exceeds width %d", ErrSchema, c.name, x, c.Width())
+		}
+		return x, nil
+	}
+	return 0, fmt.Errorf("byteslice: unknown kind %v", c.kind)
+}
+
 // publishLocked builds and atomically publishes a new view over the
 // current canonical tail arrays. Callers hold mu.
 func (t *IngestTable) publishLocked(epoch uint64, base *Table, sealed []*Table) {
@@ -469,6 +523,43 @@ func (t *IngestTable) sealRowsLocked(n int) error {
 	t.publishLocked(v.epoch, v.base, sealed)
 	obs.Default.Ingest.SealedSegments.Add(1)
 	return nil
+}
+
+// rebuildLike reseals codes into a column sharing c's identity: the same
+// name, kind and encoders, the given storage format, zone maps rebuilt
+// when c carried them, and c's workload counters shared so the adaptive
+// layout decision survives the rebuild instead of restarting cold.
+func rebuildLike(c *Column, format Format, codes []uint32, nullRows []int) (*Column, error) {
+	var (
+		col *Column
+		err error
+	)
+	switch c.kind {
+	case KindInt:
+		col, err = rebuildColumn(c.name, KindInt, format, c.Width(), codes,
+			c.ints.Min(), c.ints.Max(), 0, 0, 0, nil, nullRows)
+	case KindDecimal:
+		col, err = rebuildColumn(c.name, KindDecimal, format, c.Width(), codes,
+			0, 0, c.decs.Min(), c.decs.Max(), c.decs.Digits(), nil, nullRows)
+	case KindString:
+		col, err = rebuildColumn(c.name, KindString, format, c.Width(), codes,
+			0, 0, 0, 0, 0, c.dict.Values(), nullRows)
+	default:
+		col, err = rebuildColumn(c.name, KindCode, format, c.Width(), codes,
+			0, 0, 0, 0, 0, nil, nullRows)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if c.HasZoneMaps() {
+		if bs, ok := byteSliceOf(col.data); ok {
+			bs.BuildZoneMaps()
+		}
+	}
+	if col.wl = c.wl; col.wl == nil {
+		col.wl = &obs.ColumnWorkload{}
+	}
+	return col, nil
 }
 
 // mergeOnce is one merge attempt, the background merger's run function:
@@ -669,12 +760,12 @@ func appendTableRows(w *ingest.WAL, seg *Table) error {
 // appends and merges (base order, then append order). Readers never
 // block: concurrent appends, seals and merges affect only later calls.
 func (t *IngestTable) Filter(filters []Filter, opts ...QueryOption) (*Result, error) {
-	return t.eval(filters, false, opts)
+	return t.Pin().Filter(filters, opts...)
 }
 
 // FilterAny evaluates the disjunction over the same consistent view.
 func (t *IngestTable) FilterAny(filters []Filter, opts ...QueryOption) (*Result, error) {
-	return t.eval(filters, true, opts)
+	return t.Pin().FilterAny(filters, opts...)
 }
 
 // Query evaluates a boolean expression tree over one consistent view,
@@ -694,12 +785,11 @@ func (t *IngestTable) Query(e Expr, opts ...QueryOption) (*Result, error) {
 //
 //bsvet:sealed
 type Pinned struct {
-	t *IngestTable
 	v *ingestView
 }
 
 // Pin captures the table's current published view.
-func (t *IngestTable) Pin() Pinned { return Pinned{t: t, v: t.view.Load()} }
+func (t *IngestTable) Pin() Pinned { return Pinned{v: t.view.Load()} }
 
 // Epoch returns the pinned view's epoch.
 func (p Pinned) Epoch() uint64 { return p.v.epoch }
@@ -716,12 +806,12 @@ func (p Pinned) Base() *Table { return p.v.base }
 
 // Filter evaluates the conjunction over the pinned view.
 func (p Pinned) Filter(filters []Filter, opts ...QueryOption) (*Result, error) {
-	return p.t.evalView(p.v, filters, false, opts)
+	return p.v.eval(filters, false, opts)
 }
 
 // FilterAny evaluates the disjunction over the pinned view.
 func (p Pinned) FilterAny(filters []Filter, opts ...QueryOption) (*Result, error) {
-	return p.t.evalView(p.v, filters, true, opts)
+	return p.v.eval(filters, true, opts)
 }
 
 // Query evaluates a boolean expression tree over the pinned view. Unlike
@@ -731,11 +821,71 @@ func (p Pinned) Query(e Expr, opts ...QueryOption) (*Result, error) {
 	return evalExpr(p, e, opts)
 }
 
-func (t *IngestTable) eval(filters []Filter, disjunct bool, opts []QueryOption) (*Result, error) {
-	return t.evalView(t.view.Load(), filters, disjunct, opts)
+// deltaPred is a filter resolved once against the base table's encoders
+// for row-at-a-time evaluation over unmerged rows: the column's position
+// and its translated predicate, hoisted out of the per-row loop so
+// resolution work — and resolution errors — happen once per query, not
+// once per row.
+type deltaPred struct {
+	idx     int // position in base.cols, for positional code storage
+	pred    layout.Predicate
+	trivial *bool
 }
 
-func (t *IngestTable) evalView(v *ingestView, filters []Filter, disjunct bool, opts []QueryOption) (*Result, error) {
+// resolveDeltaPreds translates filters into code space against base's
+// encoders. A bad column name or filter constant fails here, up front,
+// instead of surfacing (or worse, being swallowed) mid-scan.
+func resolveDeltaPreds(base *Table, filters []Filter) ([]deltaPred, error) {
+	rs := make([]deltaPred, len(filters))
+	for i, f := range filters {
+		col, err := base.Column(f.Col)
+		if err != nil {
+			return nil, err
+		}
+		pred, trivial, err := col.predicate(f)
+		if err != nil {
+			return nil, err
+		}
+		idx := -1
+		for j, c := range base.cols {
+			if c == col {
+				idx = j
+				break
+			}
+		}
+		rs[i] = deltaPred{idx: idx, pred: pred, trivial: trivial}
+	}
+	return rs, nil
+}
+
+// evalDeltaRow combines the hoisted predicates over one delta row; code
+// fetches the row's (code, isNull) pair for a predicate's column.
+func evalDeltaRow(preds []deltaPred, disjunct bool, code func(p deltaPred) (uint32, bool)) bool {
+	match := !disjunct
+	for _, p := range preds {
+		c, isNull := code(p)
+		var m bool
+		switch {
+		case isNull:
+			m = false // comparisons with NULL are never true
+		case p.trivial != nil:
+			m = *p.trivial
+		default:
+			m = p.pred.Eval(c)
+		}
+		if disjunct {
+			match = match || m
+		} else {
+			match = match && m
+		}
+	}
+	return match
+}
+
+// eval evaluates the filters over the view: the base epoch with its
+// storage layouts, the sealed segments with theirs, the tail
+// row-at-a-time.
+func (v *ingestView) eval(filters []Filter, disjunct bool, opts []QueryOption) (*Result, error) {
 	var baseRes *Result
 	var err error
 	if disjunct {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"sync"
@@ -98,6 +99,17 @@ func checkIngestRows(t *testing.T, it *byteslice.IngestTable, appended int) {
 	}
 }
 
+// wantRows asserts a filter succeeded with exactly the given row numbers.
+func wantRows(t *testing.T, what string, res *byteslice.Result, err error, want ...int32) {
+	t.Helper()
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if got := res.Rows(); !sameRows(got, want) {
+		t.Fatalf("%s: rows %v, want %v", what, got, want)
+	}
+}
+
 func TestIngestAppendQueryReopen(t *testing.T) {
 	it, dir := ingestFixture(t, byteslice.WithSealRows(8))
 	const n = 30
@@ -179,10 +191,11 @@ func TestIngestAppendValidation(t *testing.T) {
 		{"qty": "oops", "mode": "AIR"},           // wrong type
 		{"qty": int64(999), "mode": "AIR"},       // out of domain
 		{"qty": int64(1), "mode": "TRUCK"},       // outside dictionary
+		{"qty": int64(1), "mode": 7},             // wrong type
 	}
 	for i, vals := range cases {
-		if err := it.Append(vals); err == nil {
-			t.Fatalf("case %d: bad row accepted", i)
+		if err := it.Append(vals); !errors.Is(err, byteslice.ErrSchema) {
+			t.Fatalf("case %d: Append = %v, want ErrSchema", i, err)
 		}
 	}
 	// Failed appends are atomic: nothing was retained.
@@ -192,6 +205,106 @@ func TestIngestAppendValidation(t *testing.T) {
 	if err := it.Append(ingestRow(0)); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestIngestAppendAndFilter: exact rows for single-column, conjunctive and
+// disjunctive filters over the base and a tail that holds a NULL.
+func TestIngestAppendAndFilter(t *testing.T) {
+	it, _ := ingestFixture(t)
+	if it.Len() != 3 || it.DeltaLen() != 0 {
+		t.Fatalf("fresh table: len %d delta %d", it.Len(), it.DeltaLen())
+	}
+	for _, r := range []map[string]any{
+		{"qty": int64(60), "mode": "SHIP"},
+		{"qty": int64(2), "mode": "AIR"},
+		{"qty": nil, "mode": "SHIP"},
+	} {
+		if err := it.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if it.Len() != 6 || it.DeltaLen() != 3 {
+		t.Fatalf("after appends: len %d delta %d", it.Len(), it.DeltaLen())
+	}
+	// qty ≥ 50 matches base row 1 and tail row 3.
+	res, err := it.Filter([]byteslice.Filter{byteslice.IntFilter("qty", byteslice.Ge, 50)})
+	wantRows(t, "qty>=50", res, err, 1, 3)
+	// A conjunction across base and tail; qty < 100 holds for every
+	// value, so only the NULL keeps tail row 5 (a SHIP) out.
+	res, err = it.Filter([]byteslice.Filter{
+		byteslice.IntFilter("qty", byteslice.Lt, 100),
+		byteslice.StringFilter("mode", byteslice.Eq, "SHIP"),
+	})
+	wantRows(t, "conjunction", res, err, 1, 3)
+	// The disjunction admits row 5 through its mode alone.
+	res, err = it.FilterAny([]byteslice.Filter{
+		byteslice.IntFilter("qty", byteslice.Lt, 5),
+		byteslice.StringFilter("mode", byteslice.Eq, "SHIP"),
+	})
+	wantRows(t, "disjunction", res, err, 1, 3, 4, 5)
+}
+
+// TestIngestFilterBadColumn: predicate resolution failures surface as
+// errors up front even with tail rows to scan, and an out-of-dictionary
+// equality constant matches nothing anywhere rather than erroring.
+func TestIngestFilterBadColumn(t *testing.T) {
+	it, _ := ingestFixture(t)
+	if err := it.Append(map[string]any{"qty": int64(60), "mode": "SHIP"}); err != nil {
+		t.Fatal(err)
+	}
+	if it.DeltaLen() != 1 {
+		t.Fatalf("tail holds %d rows, want 1", it.DeltaLen())
+	}
+	if _, err := it.Filter([]byteslice.Filter{byteslice.IntFilter("nope", byteslice.Ge, 1)}); err == nil {
+		t.Fatal("filter on a missing column succeeded")
+	}
+	res, err := it.FilterAny([]byteslice.Filter{byteslice.StringFilter("mode", byteslice.Eq, "TRUCK")})
+	wantRows(t, "out-of-dictionary Eq", res, err)
+}
+
+// TestIngestMergePreservesZoneMaps: a zone-mapped base column keeps its
+// zone maps through MergeNow and through a reopen of the merged epoch.
+func TestIngestMergePreservesZoneMaps(t *testing.T) {
+	qty := intColumn(t, "qty", []int64{5, 50, 7, 9}, 0, 100, byteslice.WithZoneMaps())
+	tbl, err := byteslice.NewTable(qty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	it, err := byteslice.CreateIngest(dir, tbl, byteslice.WithAutoMerge(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { it.Close() }() //nolint:errcheck // closes the latest instance; double close ok
+	if err := it.Append(map[string]any{"qty": int64(80)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := it.MergeNow(); err != nil {
+		t.Fatal(err)
+	}
+	check := func(stage string) {
+		t.Helper()
+		if it.Epoch() != 2 || it.DeltaLen() != 0 {
+			t.Fatalf("%s: epoch %d delta %d, want the row merged into epoch 2", stage, it.Epoch(), it.DeltaLen())
+		}
+		col, err := it.Base().Column("qty")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !col.HasZoneMaps() {
+			t.Fatalf("%s: base column lost its zone maps", stage)
+		}
+		res, err := it.Filter([]byteslice.Filter{byteslice.IntFilter("qty", byteslice.Ge, 60)})
+		wantRows(t, stage, res, err, 4)
+	}
+	check("merged")
+	if err := it.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if it, err = byteslice.OpenIngest(dir, byteslice.WithAutoMerge(false)); err != nil {
+		t.Fatal(err)
+	}
+	check("reopened")
 }
 
 func TestIngestClosed(t *testing.T) {
@@ -653,6 +766,16 @@ func TestIngestMatrix(t *testing.T) {
 					}
 				}
 
+				// nullsBefore counts the appended NULL rows among the first k.
+				nullsBefore := func(k int) int {
+					nulls := 0
+					for i := 0; i < k; i++ {
+						if every > 0 && i%every == 0 {
+							nulls++
+						}
+					}
+					return nulls
+				}
 				wantMatches := func() []int32 {
 					// i ≥ -90 over appended rows: i-100 >= -90 → i >= 10, non-NULL.
 					var want []int32
@@ -700,16 +823,41 @@ func TestIngestMatrix(t *testing.T) {
 							t.Fatalf("%s: row[%d] = %d, want %d", stage, j, got[j], want[j])
 						}
 					}
-					// String and code predicates cross the same rows.
+					// A disjunction of string and code predicates spans the
+					// base, the sealed segments and the tail: s is "bee" at
+					// i%4 == 1 and c is 0 only at i == 0, on both sides.
+					var anyWant []int32
+					for i := 0; i < n+appended; i++ {
+						if j := i - n; i == 0 || j == 0 || i < n && i%4 == 1 || j >= 0 && j%4 == 1 {
+							anyWant = append(anyWant, int32(i))
+						}
+					}
 					sres, err := it.FilterAny([]byteslice.Filter{
 						byteslice.StringFilter("s", byteslice.Eq, "bee"),
 						byteslice.CodeFilter("c", byteslice.Eq, 0),
 					})
+					wantRows(t, stage+" strings", sres, err, anyWant...)
+					// A range true for every value still excludes the NULLs.
+					res, err = it.Filter([]byteslice.Filter{byteslice.IntFilter("i", byteslice.Ge, -200)})
 					if err != nil {
-						t.Fatalf("%s strings: %v", stage, err)
+						t.Fatalf("%s: %v", stage, err)
 					}
-					if sres.Count() == 0 {
-						t.Fatalf("%s strings: no matches", stage)
+					if res.Count() != n+appended-nullsBefore(appended) {
+						t.Fatalf("%s NULL count: %d matched, want %d", stage, res.Count(), n+appended-nullsBefore(appended))
+					}
+				}
+				// checkBaseNulls: the merged base carries the NULLs of the
+				// appended rows it absorbed (the sealed ones, 16 of 21).
+				checkBaseNulls := func(stage string) {
+					t.Helper()
+					col, err := it.Base().Column("i")
+					if err != nil {
+						t.Fatal(err)
+					}
+					merged := it.Base().Len() - n
+					if merged != appended-appended%8 || col.NullCount() != nullsBefore(merged) {
+						t.Fatalf("%s: base absorbed %d rows with %d NULLs, want %d with %d",
+							stage, merged, col.NullCount(), appended-appended%8, nullsBefore(merged))
 					}
 				}
 
@@ -718,6 +866,7 @@ func TestIngestMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 				checkMatches("post-merge")
+				checkBaseNulls("post-merge")
 				if it.Epoch() != 2 {
 					t.Fatalf("epoch = %d", it.Epoch())
 				}
@@ -729,6 +878,7 @@ func TestIngestMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 				checkMatches("reopened")
+				checkBaseNulls("reopened")
 			})
 		}
 	}
@@ -806,5 +956,100 @@ func TestIngestMergerRecovers(t *testing.T) {
 	checkIngestRows(t, it, 9)
 	if it.Epoch() < 2 {
 		t.Fatalf("epoch = %d, want a merge", it.Epoch())
+	}
+}
+
+// TestIngestModelProperty runs a random sequence of appends (with NULLs),
+// queries, merges and reopens against a plain-Go model of the table.
+func TestIngestModelProperty(t *testing.T) {
+	rng := rand.New(rand.NewPCG(120, 120)) //nolint:gosec
+	type row struct {
+		v      int64
+		vNull  bool
+		tagIdx int
+	}
+	tags := []string{"x", "y", "z"}
+
+	// The base rows cover the whole tag vocabulary (a string column's
+	// dictionary is fixed at build time, so appends must reuse it).
+	baseVals := []int64{10, 20, 30, 40, 50, 60}
+	baseTags := []string{"x", "y", "x", "z", "y", "z"}
+	var model []row
+	for i := range baseVals {
+		ti := 0
+		for j, s := range tags {
+			if s == baseTags[i] {
+				ti = j
+			}
+		}
+		model = append(model, row{baseVals[i], false, ti})
+	}
+	vCol := intColumn(t, "v", baseVals, 0, 1000)
+	tCol, err := byteslice.NewStringColumn("tag", baseTags)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := byteslice.NewTable(vCol, tCol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := []byteslice.IngestOption{
+		byteslice.WithSealRows(8), byteslice.WithSyncedAppends(false), byteslice.WithAutoMerge(false),
+	}
+	dir := t.TempDir()
+	it, err := byteslice.CreateIngest(dir, tbl, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { it.Close() }() //nolint:errcheck // closes the latest instance; double close ok
+
+	verify := func(step int) {
+		c := int64(rng.IntN(1000))
+		tag := tags[rng.IntN(len(tags))]
+		res, err := it.Filter([]byteslice.Filter{
+			byteslice.IntFilter("v", byteslice.Le, c),
+			byteslice.StringFilter("tag", byteslice.Eq, tag),
+		})
+		var want []int32
+		for i, r := range model {
+			if !r.vNull && r.v <= c && tags[r.tagIdx] == tag {
+				want = append(want, int32(i))
+			}
+		}
+		wantRows(t, fmt.Sprintf("step %d (v <= %d, tag %s)", step, c, tag), res, err, want...)
+	}
+
+	for step := 0; step < 300; step++ {
+		switch rng.IntN(10) {
+		case 0, 1, 2, 3, 4, 5: // append
+			r := row{v: int64(rng.IntN(1000)), vNull: rng.IntN(10) == 0, tagIdx: rng.IntN(len(tags))}
+			vals := map[string]any{"v": r.v, "tag": tags[r.tagIdx]}
+			if r.vNull {
+				vals["v"] = nil
+			}
+			if err := it.Append(vals); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			model = append(model, r)
+		case 6, 7, 8: // query
+			verify(step)
+		case 9: // merge
+			if err := it.MergeNow(); err != nil {
+				t.Fatalf("step %d merge: %v", step, err)
+			}
+		}
+		if step%50 == 49 { // reopen: replay the WAL over the epoch's base
+			if err := it.Close(); err != nil {
+				t.Fatalf("step %d close: %v", step, err)
+			}
+			if it, err = byteslice.OpenIngest(dir, opts...); err != nil {
+				t.Fatalf("step %d reopen: %v", step, err)
+			}
+			verify(step)
+		}
+	}
+	verify(9999)
+	if it.Len() != len(model) {
+		t.Fatalf("final length %d, want %d", it.Len(), len(model))
 	}
 }
