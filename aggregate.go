@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"byteslice/internal/bitvec"
-	"byteslice/internal/core"
 	"byteslice/internal/kernel"
 	"byteslice/internal/layout"
 	"byteslice/internal/obs"
@@ -21,9 +20,12 @@ import (
 
 // aggMask builds the effective row mask: the result's rows (or all rows)
 // minus the column's NULLs. Returns nil when every row participates.
-func (t *Table) aggMask(c *Column, res *Result) *bitvec.Vector {
+func (t *Table) aggMask(c *Column, res *Result) (*bitvec.Vector, error) {
+	if err := t.checkResult(res); err != nil {
+		return nil, err
+	}
 	if res == nil && c.nulls == nil {
-		return nil
+		return nil, nil
 	}
 	m := bitvec.New(t.n)
 	if res != nil {
@@ -32,7 +34,7 @@ func (t *Table) aggMask(c *Column, res *Result) *bitvec.Vector {
 		m.Fill()
 	}
 	applyNulls(m, c)
-	return m
+	return m, nil
 }
 
 // aggColumn resolves and validates the aggregated column.
@@ -47,11 +49,15 @@ func (t *Table) aggColumn(name string, kind Kind) (*Column, error) {
 	return c, nil
 }
 
-// sumCodes computes (Σ codes, row count) over the mask. ByteSlice columns
-// aggregate with SIMD; without a profile the native SWAR kernel runs
-// instead of the modelled engine, chunked across workers when the query is
-// parallel.
-func (t *Table) sumCodes(c *Column, mask *bitvec.Vector, cfg *queryConfig) (uint64, int, error) {
+// sumCodes computes (Σ codes, row count) over the result's non-NULL rows.
+// ByteSlice columns aggregate with SIMD; without a profile the native SWAR
+// kernel runs instead of the modelled engine, chunked across workers when
+// the query is parallel.
+func (t *Table) sumCodes(c *Column, res *Result, cfg *queryConfig) (uint64, int, error) {
+	mask, err := t.aggMask(c, res)
+	if err != nil {
+		return 0, 0, err
+	}
 	if cc, ok := compressedOf(c.data); ok && cfg.native() {
 		st, finish := cfg.aggStage("sum("+c.Name()+")", "sum")
 		sum, count, err := kernel.SumCompressed(cfg.exec(st, cc.Segments()), cc, mask)
@@ -88,9 +94,13 @@ func (t *Table) sumCodes(c *Column, mask *bitvec.Vector, cfg *queryConfig) (uint
 	return sum, count, nil
 }
 
-// extremeCode computes min or max of the codes over the mask, dispatching
-// like sumCodes.
-func (t *Table) extremeCode(c *Column, mask *bitvec.Vector, cfg *queryConfig, isMin bool) (uint32, bool, error) {
+// extremeCode computes min or max of the codes over the result's non-NULL
+// rows, dispatching like sumCodes.
+func (t *Table) extremeCode(c *Column, res *Result, cfg *queryConfig, isMin bool) (uint32, bool, error) {
+	mask, err := t.aggMask(c, res)
+	if err != nil {
+		return 0, false, err
+	}
 	if cc, ok := compressedOf(c.data); ok && cfg.native() {
 		name := "max(" + c.Name() + ")"
 		if isMin {
@@ -154,7 +164,7 @@ func (t *Table) SumInt(col string, res *Result, opts ...QueryOption) (int64, int
 	for _, o := range opts {
 		o(&cfg)
 	}
-	sum, count, err := t.sumCodes(c, t.aggMask(c, res), &cfg)
+	sum, count, err := t.sumCodes(c, res, &cfg)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -172,7 +182,7 @@ func (t *Table) SumDecimal(col string, res *Result, opts ...QueryOption) (float6
 	for _, o := range opts {
 		o(&cfg)
 	}
-	sum, count, err := t.sumCodes(c, t.aggMask(c, res), &cfg)
+	sum, count, err := t.sumCodes(c, res, &cfg)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -200,7 +210,7 @@ func (t *Table) extremeInt(col string, res *Result, opts []QueryOption, isMin bo
 	for _, o := range opts {
 		o(&cfg)
 	}
-	code, ok, err := t.extremeCode(c, t.aggMask(c, res), &cfg, isMin)
+	code, ok, err := t.extremeCode(c, res, &cfg, isMin)
 	if err != nil {
 		return 0, false, err
 	}
@@ -229,7 +239,7 @@ func (t *Table) extremeDecimal(col string, res *Result, opts []QueryOption, isMi
 	for _, o := range opts {
 		o(&cfg)
 	}
-	code, ok, err := t.extremeCode(c, t.aggMask(c, res), &cfg, isMin)
+	code, ok, err := t.extremeCode(c, res, &cfg, isMin)
 	if err != nil {
 		return 0, false, err
 	}
@@ -261,7 +271,7 @@ func (t *Table) extremeString(col string, res *Result, opts []QueryOption, isMin
 	for _, o := range opts {
 		o(&cfg)
 	}
-	code, ok, err := t.extremeCode(c, t.aggMask(c, res), &cfg, isMin)
+	code, ok, err := t.extremeCode(c, res, &cfg, isMin)
 	if err != nil {
 		return "", false, err
 	}
@@ -269,187 +279,6 @@ func (t *Table) extremeString(col string, res *Result, opts []QueryOption, isMin
 		return "", false, nil
 	}
 	return c.dict.Decode(code), true, nil
-}
-
-// Fused filter→aggregate entry points: a single-filter WHERE clause plus an
-// aggregate over another column, evaluated in one pass by the fused native
-// kernels (internal/kernel/fused.go) — no intermediate bit vector is ever
-// materialised. The fused path applies when the query is native (no
-// profile), the filter is non-trivial, and both columns are null-free
-// ByteSlice; anything else transparently falls back to Filter + the
-// two-pass aggregate, so results are always identical.
-
-// fusedOperands resolves the fused fast path's inputs. ok is false when the
-// two-pass fallback must run instead (never an error by itself).
-func (t *Table) fusedOperands(v *Column, f Filter, cfg *queryConfig) (bsF, bsV *core.ByteSlice, pred layout.Predicate, ok bool, err error) {
-	fc, err := t.Column(f.Col)
-	if err != nil {
-		return nil, nil, layout.Predicate{}, false, err
-	}
-	p, trivial, err := fc.predicate(f)
-	if err != nil {
-		return nil, nil, layout.Predicate{}, false, err
-	}
-	if !cfg.native() || trivial != nil || v.nulls != nil || fc.nulls != nil {
-		return nil, nil, layout.Predicate{}, false, nil
-	}
-	bsF, okF := byteSliceOf(fc.data)
-	bsV, okV := byteSliceOf(v.data)
-	if !okF || !okV {
-		return nil, nil, layout.Predicate{}, false, nil
-	}
-	return bsF, bsV, p, true, nil
-}
-
-// SumIntWhere computes SUM(valCol) and the matching row count over the rows
-// satisfying the single filter f — the fused one-pass form of
-// Filter + SumInt.
-func (t *Table) SumIntWhere(valCol string, f Filter, opts ...QueryOption) (int64, int, error) {
-	c, err := t.aggColumn(valCol, KindInt)
-	if err != nil {
-		return 0, 0, err
-	}
-	var cfg queryConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	bsF, bsV, pred, ok, err := t.fusedOperands(c, f, &cfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	if ok {
-		st, finish := cfg.aggStage("scan_sum("+f.Col+"→"+valCol+")", "scan_sum")
-		sum, count, err := kernel.ScanSum(cfg.exec(st, bsF.Segments()), bsF, pred, bsV)
-		err = queryErr(err)
-		finish(err)
-		if err != nil {
-			return 0, 0, err
-		}
-		return int64(count)*c.ints.Min() + int64(sum), count, nil
-	}
-	res, err := t.Filter([]Filter{f}, opts...)
-	if err != nil {
-		return 0, 0, err
-	}
-	return t.SumInt(valCol, res, opts...)
-}
-
-// SumDecimalWhere is SumIntWhere for decimal value columns.
-func (t *Table) SumDecimalWhere(valCol string, f Filter, opts ...QueryOption) (float64, int, error) {
-	c, err := t.aggColumn(valCol, KindDecimal)
-	if err != nil {
-		return 0, 0, err
-	}
-	var cfg queryConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	bsF, bsV, pred, ok, err := t.fusedOperands(c, f, &cfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	if ok {
-		st, finish := cfg.aggStage("scan_sum("+f.Col+"→"+valCol+")", "scan_sum")
-		sum, count, err := kernel.ScanSum(cfg.exec(st, bsF.Segments()), bsF, pred, bsV)
-		err = queryErr(err)
-		finish(err)
-		if err != nil {
-			return 0, 0, err
-		}
-		step := c.decs.Decode(1) - c.decs.Decode(0)
-		return float64(count)*c.decs.Min() + float64(sum)*step, count, nil
-	}
-	res, err := t.Filter([]Filter{f}, opts...)
-	if err != nil {
-		return 0, 0, err
-	}
-	return t.SumDecimal(valCol, res, opts...)
-}
-
-// MinIntWhere returns MIN(valCol) over the rows satisfying f; ok is false
-// when no row matches. It is the fused one-pass form of Filter + MinInt.
-func (t *Table) MinIntWhere(valCol string, f Filter, opts ...QueryOption) (int64, bool, error) {
-	return t.extremeIntWhere(valCol, f, opts, true)
-}
-
-// MaxIntWhere returns MAX(valCol) over the rows satisfying f.
-func (t *Table) MaxIntWhere(valCol string, f Filter, opts ...QueryOption) (int64, bool, error) {
-	return t.extremeIntWhere(valCol, f, opts, false)
-}
-
-func (t *Table) extremeIntWhere(valCol string, f Filter, opts []QueryOption, isMin bool) (int64, bool, error) {
-	c, err := t.aggColumn(valCol, KindInt)
-	if err != nil {
-		return 0, false, err
-	}
-	code, ok, fused, err := t.fusedExtreme(c, f, opts, isMin)
-	if err != nil {
-		return 0, false, err
-	}
-	if fused {
-		if !ok {
-			return 0, false, nil
-		}
-		return c.ints.Decode(code), true, nil
-	}
-	res, err := t.Filter([]Filter{f}, opts...)
-	if err != nil {
-		return 0, false, err
-	}
-	return t.extremeInt(valCol, res, opts, isMin)
-}
-
-// MinDecimalWhere returns MIN(valCol) over the rows satisfying f.
-func (t *Table) MinDecimalWhere(valCol string, f Filter, opts ...QueryOption) (float64, bool, error) {
-	return t.extremeDecimalWhere(valCol, f, opts, true)
-}
-
-// MaxDecimalWhere returns MAX(valCol) over the rows satisfying f.
-func (t *Table) MaxDecimalWhere(valCol string, f Filter, opts ...QueryOption) (float64, bool, error) {
-	return t.extremeDecimalWhere(valCol, f, opts, false)
-}
-
-func (t *Table) extremeDecimalWhere(valCol string, f Filter, opts []QueryOption, isMin bool) (float64, bool, error) {
-	c, err := t.aggColumn(valCol, KindDecimal)
-	if err != nil {
-		return 0, false, err
-	}
-	code, ok, fused, err := t.fusedExtreme(c, f, opts, isMin)
-	if err != nil {
-		return 0, false, err
-	}
-	if fused {
-		if !ok {
-			return 0, false, nil
-		}
-		return c.decs.Decode(code), true, nil
-	}
-	res, err := t.Filter([]Filter{f}, opts...)
-	if err != nil {
-		return 0, false, err
-	}
-	return t.extremeDecimal(valCol, res, opts, isMin)
-}
-
-// fusedExtreme runs the one-pass filter→extreme kernel; fused is false when
-// the caller must fall back to the two-pass path.
-func (t *Table) fusedExtreme(c *Column, f Filter, opts []QueryOption, isMin bool) (code uint32, ok, fused bool, err error) {
-	var cfg queryConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	bsF, bsV, pred, fused, err := t.fusedOperands(c, f, &cfg)
-	if err != nil || !fused {
-		return 0, false, false, err
-	}
-	st, finish := cfg.aggStage("scan_extreme("+f.Col+"→"+c.Name()+")", "scan_extreme")
-	code, ok, err = kernel.ScanExtreme(cfg.exec(st, bsF.Segments()), bsF, pred, bsV, isMin)
-	err = queryErr(err)
-	finish(err)
-	if err != nil {
-		return 0, false, false, err
-	}
-	return code, ok, true, nil
 }
 
 // GroupSum is one group of a grouped aggregation.
@@ -509,7 +338,10 @@ func (t *Table) sumBy(v *Column, byCol string, res *Result, opts []QueryOption,
 	e := p.engine()
 
 	// Effective mask: result rows minus NULLs of both columns.
-	mask := t.aggMask(v, res)
+	mask, err := t.aggMask(v, res)
+	if err != nil {
+		return nil, err
+	}
 	if g.nulls != nil {
 		if mask == nil {
 			mask = bitvec.New(t.n)

@@ -1,6 +1,7 @@
 package byteslice_test
 
 import (
+	"errors"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -136,6 +137,62 @@ func TestAggregateErrors(t *testing.T) {
 	}
 	if _, _, err := tbl.MaxDecimal("v", nil); err == nil {
 		t.Fatal("kind mismatch should error")
+	}
+}
+
+// TestResultRowCountMismatch: a Result evaluated over a different row
+// count — a pinned ingest view with one appended row, or another table —
+// is an error for every Table method that reads one: no panic, no row
+// the table does not have, and no counted kernel fault.
+func TestResultRowCountMismatch(t *testing.T) {
+	intTable := func(n int) *byteslice.Table {
+		vals := make([]int64, n)
+		for i := range vals {
+			vals[i] = int64(i % 20)
+		}
+		tbl, err := byteslice.NewTable(intColumn(t, "v", vals, 0, 100))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tbl
+	}
+	lt10 := []byteslice.Filter{byteslice.IntFilter("v", byteslice.Lt, 10)}
+	it, err := byteslice.CreateIngest(t.TempDir(), intTable(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { it.Close() }) //nolint:errcheck // second close is a no-op
+	if err := it.Append(map[string]any{"v": int64(3)}); err != nil {
+		t.Fatal(err)
+	}
+	pin := it.Pin()
+	appended, err := pin.Filter(lt10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := intTable(5000).Filter(lt10)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	tbl := pin.Base()
+	faults := byteslice.StatsSnapshot().Faults
+	for name, res := range map[string]*byteslice.Result{"appended": appended, "other table": other} {
+		for op, call := range map[string]func() error{
+			"SumInt":     func() error { _, _, err := tbl.SumInt("v", res); return err },
+			"MinInt":     func() error { _, _, err := tbl.MinInt("v", res); return err },
+			"SumIntBy":   func() error { _, err := tbl.SumIntBy("v", "v", res); return err },
+			"ProjectInt": func() error { _, _, err := tbl.ProjectInt("v", res); return err },
+			"OrderBy":    func() error { _, err := tbl.OrderBy("v", res); return err },
+		} {
+			err := call()
+			if err == nil || errors.Is(err, byteslice.ErrQueryFault) {
+				t.Errorf("%s: %s err = %v, want a row-count error", name, op, err)
+			}
+		}
+	}
+	if got := byteslice.StatsSnapshot().Faults; got != faults {
+		t.Fatalf("kernel faults moved %d → %d", faults, got)
 	}
 }
 

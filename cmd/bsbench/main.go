@@ -42,7 +42,7 @@ func main() {
 		jsonOut  = flag.String("json", "", "wall-clock scan benchmark: write native-vs-engine rows/sec per width and worker count to this file (e.g. BENCH_scan.json)")
 		preds    = flag.Int("preds", 0, "with -json: also benchmark an N-way conjunction, column-first vs predicate-first")
 		zonemaps = flag.Bool("zonemaps", false, "with -json: also benchmark zone-map-pruned scans on sorted and clustered data")
-		agg      = flag.Bool("agg", false, "with -json: also benchmark the fused filter→sum kernel vs the two-pass path")
+		agg      = flag.Bool("agg", false, "with -json: also benchmark filter→sum (a scan to a bit vector, then a masked sum)")
 		compr    = flag.Bool("compression", false, "with -json: also benchmark the fused compressed scan vs the raw SWAR scan")
 		lookup   = flag.Bool("lookup", false, "with -json: also benchmark batch lookups and ORDER-BY materialisation across the ByteSlice, HBP and compressed layouts")
 		snapshot = flag.String("snapshot", "", "benchmark crash-atomic SaveFile/LoadFile on a generated table written to this path")

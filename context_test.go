@@ -101,9 +101,6 @@ func TestQueryContextPreCancelled(t *testing.T) {
 	if _, _, err := tab.MinInt("v", nil, opt); !errors.Is(err, context.Canceled) {
 		t.Fatalf("MinInt: %v", err)
 	}
-	if _, _, err := tab.SumIntWhere("v", bs.IntFilter("v", bs.Lt, 500), opt); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SumIntWhere: %v", err)
-	}
 	if _, err := tab.SumIntBy("v", "v", nil, opt); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SumIntBy: %v", err)
 	}
@@ -139,8 +136,8 @@ func TestQueryWorkerPanicIsError(t *testing.T) {
 	if _, _, err := tab.SumInt("v", nil); !errors.Is(err, bs.ErrQueryFault) {
 		t.Fatalf("SumInt err = %v, want ErrQueryFault", err)
 	}
-	if _, _, err := tab.MaxIntWhere("v", bs.IntFilter("v", bs.Lt, 500)); !errors.Is(err, bs.ErrQueryFault) {
-		t.Fatalf("MaxIntWhere err = %v, want ErrQueryFault", err)
+	if _, _, err := tab.MaxInt("v", nil); !errors.Is(err, bs.ErrQueryFault) {
+		t.Fatalf("MaxInt err = %v, want ErrQueryFault", err)
 	}
 	if _, err := tab.SumIntBy("v", "v", nil); !errors.Is(err, bs.ErrQueryFault) {
 		t.Fatalf("SumIntBy err = %v, want ErrQueryFault", err)

@@ -14,7 +14,7 @@ import (
 )
 
 // ScanBenchEntry is one wall-clock measurement: a full-column scan (or a
-// scan-shaped composite — zoned scan, fused aggregate, multi-predicate
+// scan-shaped composite — zoned scan, filter-then-sum, multi-predicate
 // pipeline) on one execution path at one width and worker count.
 type ScanBenchEntry struct {
 	Width      int     `json:"width"`
@@ -28,7 +28,7 @@ type ScanBenchEntry struct {
 	// Mode distinguishes the composite benchmarks: "" is a plain scan
 	// (the payload's Op); "op_le"/"op_ge"/"op_eq"/"op_between" the plain
 	// scan under another operator; "scan_zoned" a zone-map-pruned scan;
-	// "agg_two_pass"/"agg_fused" the filter→sum shapes;
+	// "agg_two_pass" the filter→sum shape;
 	// "multi_column_first"/"multi_pred_first" the multi-predicate
 	// conjunction shapes.
 	Mode string `json:"mode,omitempty"`
@@ -161,13 +161,11 @@ func ZonedScanBench(cfg Config, workerCounts []int) []ScanBenchEntry {
 	return out
 }
 
-// AggBench measures the fused filter→sum kernel against the two-pass shape
-// it replaces (scan to a bit vector, then a masked SWAR sum re-reading it):
-// a 12-bit filter column at 10% selectivity and a uniform 16-bit value
-// column. Two filter shapes run: uniform without zone maps, and the sorted
-// zone-mapped date-range shape the fused path is built for. On the zoned
-// column both arms use the zone maps — as the facade does — so the delta
-// is purely the fusion, not the pruning.
+// AggBench measures the filter→sum shape every filtered aggregate takes
+// (scan to a bit vector, then a masked SWAR sum re-reading it): a 12-bit
+// filter column at 10% selectivity and a uniform 16-bit value column. Two
+// filter shapes run: uniform without zone maps, and a sorted zone-mapped
+// date-range shape whose scan prunes segments, as the facade's does.
 func AggBench(cfg Config, workerCounts []int) []ScanBenchEntry {
 	const (
 		kf  = 12
@@ -201,14 +199,6 @@ func AggBench(cfg Config, workerCounts []int) []ScanBenchEntry {
 			})
 			e := entry(kv, "native", w, ns, cfg.N)
 			e.Data, e.Mode = s.name, "agg_two_pass"
-			out = append(out, e)
-
-			ns = measureScan(func() {
-				_, _, err := kernel.ScanSum(x, f, p, v)
-				check(err)
-			})
-			e = entry(kv, "native", w, ns, cfg.N)
-			e.Data, e.Mode = s.name, "agg_fused"
 			out = append(out, e)
 		}
 	}

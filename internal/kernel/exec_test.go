@@ -148,12 +148,6 @@ func TestCtxAggregates(t *testing.T) {
 	if _, _, err := Extreme(x, b, nil, true); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Extreme: %v", err)
 	}
-	if _, _, err := ScanSum(x, b, p, b); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ScanSum: %v", err)
-	}
-	if _, _, err := ScanExtreme(x, b, p, b, false); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ScanExtreme: %v", err)
-	}
 	out := bitvec.New(b.Len())
 	if _, err := ScanMulti(x, []*core.ByteSlice{b}, []layout.Predicate{p}, false, out); !errors.Is(err, context.Canceled) {
 		t.Fatalf("ScanMulti: %v", err)
@@ -171,16 +165,12 @@ func TestCtxAggregates(t *testing.T) {
 	if sum != wantSum || n != wantN {
 		t.Fatalf("Sum = (%d, %d), want (%d, %d)", sum, n, wantSum, wantN)
 	}
-	v, ok, err := ScanExtreme(live, b, p, b, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantV, wantOK, err := ScanExtreme(Exec{}, b, p, b, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := bitvec.New(b.Len())
+	mustScan(t, Exec{}, b, p, nil, false, m)
+	v, ok := mustExtreme(t, live, b, m, false)
+	wantV, wantOK := mustExtreme(t, Exec{}, b, m, false)
 	if v != wantV || ok != wantOK {
-		t.Fatalf("ScanExtreme = (%d, %v), want (%d, %v)", v, ok, wantV, wantOK)
+		t.Fatalf("Extreme = (%d, %v), want (%d, %v)", v, ok, wantV, wantOK)
 	}
 }
 

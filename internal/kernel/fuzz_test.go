@@ -115,8 +115,9 @@ func FuzzNativeVsEngine(f *testing.F) {
 			}
 		}
 
-		// Aggregates under a NULL-style mask (and unmasked) vs the engine.
-		for _, mask := range []*bitvec.Vector{nil, prev} {
+		// Aggregates unmasked, under a NULL-style mask and over the
+		// predicate's result mask vs the engine.
+		for _, mask := range []*bitvec.Vector{nil, prev, want} {
 			wantSum, wantN := b.Sum(layouttest.Engine(), mask)
 			gotSum, gotN := mustSum(t, x, b, mask)
 			if gotSum != wantSum || gotN != wantN {
@@ -182,33 +183,6 @@ func FuzzNativeVsEngine(f *testing.F) {
 			}
 			if !gotM.Equal(wantM) {
 				t.Fatalf("k=%d %v/%v n=%d disjunct=%v workers=%d: multi scan differs", k, p, p2, n, disjunct, workers)
-			}
-		}
-
-		// Fused filter→aggregate vs the two-pass engine path (scan to a
-		// mask, then masked aggregates), with the zone-mapped filter column.
-		wantSumF, wantNF := b.Sum(layouttest.Engine(), want)
-		gotSumF, gotNF, err := ScanSum(x, bz, p, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotSumF != wantSumF || gotNF != wantNF {
-			t.Fatalf("k=%d %v n=%d: fused ScanSum = %d/%d, two-pass %d/%d", k, p, n, gotSumF, gotNF, wantSumF, wantNF)
-		}
-		for _, isMin := range []bool{true, false} {
-			var wantX uint32
-			var wantOK bool
-			if isMin {
-				wantX, wantOK = b.Min(layouttest.Engine(), want)
-			} else {
-				wantX, wantOK = b.Max(layouttest.Engine(), want)
-			}
-			gotX, gotOK, err := ScanExtreme(x, bz, p, b, isMin)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotOK != wantOK || (wantOK && gotX != wantX) {
-				t.Fatalf("k=%d %v n=%d isMin=%v: fused extreme = %d/%v, two-pass %d/%v", k, p, n, isMin, gotX, gotOK, wantX, wantOK)
 			}
 		}
 

@@ -296,27 +296,18 @@ func seg32(s []byte, off int) []byte {
 	return s[off : off+32 : off+32]
 }
 
-// segment evaluates the prepared predicate over one 32-code segment and
-// returns its 32 result bits (bit i = code 32*seg+i matches). The byte
-// loop early-stops as soon as no code in the segment can still match,
-// exactly like the modelled scanSegment; padding rows in the final segment
-// may produce garbage bits, which the bitvec truncates on write. Callers
-// resolve a fixed verdict (decide) first.
+// segmentDepth evaluates the prepared predicate over one 32-code segment
+// and returns its 32 result bits (bit i = code 32*seg+i matches) plus the
+// early-stop depth: the number of byte slices loaded before the segment's
+// outcome was decided (1 <= depth <= nb), from which the observability
+// layer builds its depth histograms. The byte loop early-stops as soon as
+// no code in the segment can still match, exactly like the modelled
+// scanSegment; padding rows in the final segment may produce garbage bits,
+// which the bitvec truncates on write. Callers resolve a fixed verdict
+// (decide) first.
 //
 // The per-op bodies are manually 4x-unrolled over scalar mask words (see
 // movemask4) — a 32-code segment is 4 uint64s of 8 byte lanes each.
-//
-//bsvet:hotloop
-func (sc *scanner) segment(seg int) uint32 {
-	r, _ := sc.segmentDepth(seg)
-	return r
-}
-
-// segmentDepth is segment plus the early-stop depth: the number of byte
-// slices the evaluation loaded before the segment's outcome was decided
-// (1 <= depth <= nb). The observability layer's depth histograms are
-// built from it; tracking costs one register, so segment() shares the
-// same bodies.
 //
 //bsvet:hotloop
 func (sc *scanner) segmentDepth(seg int) (uint32, int) {

@@ -63,11 +63,12 @@ func matrixPreds(k int) []layout.Predicate {
 
 // TestOperatorEdgeMatrix runs every operator × width × edge constant
 // through every native path that evaluates a predicate — plain, zoned,
-// pipelined in both polarities (plain and zoned), ScanMulti, the fused
-// ScanSum/ScanExtreme and the compressed scan — against the scalar
-// layout.Reference oracle. The strict-bound rewrite (strict) turns these
-// constants into domain-edge verdicts, one-code intervals and bounds
-// outside a uniform block's byte range, so each of its cases is pinned.
+// pipelined in both polarities (plain and zoned), ScanMulti and the
+// compressed scan — against the scalar layout.Reference oracle, then
+// checks Sum and Extreme over the predicate's result mask against a
+// scalar loop. The strict-bound rewrite (strict) turns these constants
+// into domain-edge verdicts, one-code intervals and bounds outside a
+// uniform block's byte range, so each of its cases is pinned.
 func TestOperatorEdgeMatrix(t *testing.T) {
 	const n = 5*compress.BlockCodes + 77 // an odd tail segment and a partial block
 	for _, k := range []int{1, 4, 8, 9, 12, 16, 24, 31, 32} {
@@ -146,26 +147,18 @@ func TestOperatorEdgeMatrix(t *testing.T) {
 					wantSum += uint64(v)
 					wantN++
 				}
-				for _, f := range []*core.ByteSlice{b, bz} {
-					sum, cnt, err := ScanSum(x, f, p, b)
-					if err != nil {
-						t.Fatal(err)
+				sum, cnt := mustSum(t, x, b, want)
+				if sum != wantSum || cnt != wantN {
+					t.Fatalf("k=%d %v workers=%d: Sum over the result = %d/%d, reference %d/%d", k, p, x.Workers, sum, cnt, wantSum, wantN)
+				}
+				for _, isMin := range []bool{true, false} {
+					v, ok := mustExtreme(t, x, b, want, isMin)
+					w := wantMax
+					if isMin {
+						w = wantMin
 					}
-					if sum != wantSum || cnt != wantN {
-						t.Fatalf("k=%d %v workers=%d: ScanSum = %d/%d, reference %d/%d", k, p, x.Workers, sum, cnt, wantSum, wantN)
-					}
-					for _, isMin := range []bool{true, false} {
-						v, ok, err := ScanExtreme(x, f, p, b, isMin)
-						if err != nil {
-							t.Fatal(err)
-						}
-						w := wantMax
-						if isMin {
-							w = wantMin
-						}
-						if ok != (wantN > 0) || ok && v != w {
-							t.Fatalf("k=%d %v workers=%d isMin=%v: ScanExtreme = %d/%v, reference %d/%v", k, p, x.Workers, isMin, v, ok, w, wantN > 0)
-						}
+					if ok != (wantN > 0) || ok && v != w {
+						t.Fatalf("k=%d %v workers=%d isMin=%v: Extreme over the result = %d/%v, reference %d/%v", k, p, x.Workers, isMin, v, ok, w, wantN > 0)
 					}
 				}
 			}

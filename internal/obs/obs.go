@@ -167,8 +167,8 @@ func (d *DepthCounts) Bytes() int64 {
 type Stage struct {
 	// Name identifies the stage for humans ("scan(price)"); Kind is the
 	// machine-readable stage class ("scan", "scan_zoned", "scan_multi",
-	// "pipelined", "sum", "extreme", "scan_sum", "scan_extreme",
-	// "sum_by", "lookup", "project", "orderby").
+	// "pipelined", "sum", "extreme", "sum_by", "lookup", "project",
+	// "orderby").
 	Name, Kind string
 
 	workers     atomic.Int64

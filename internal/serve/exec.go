@@ -122,9 +122,6 @@ func (s *Server) exec(ctx context.Context, req *Request, tenant string) (*Respon
 		byteslice.WithContext(ctx),
 		byteslice.WithParallelism(workers),
 	}
-	if wantExplain {
-		opts = append(opts, byteslice.WithObservability(true))
-	}
 
 	res, err := b.query(expr, opts...)
 	if err != nil {

@@ -295,3 +295,29 @@ func TestChecksumStability(t *testing.T) {
 		t.Fatalf("degenerate checksum %q", first)
 	}
 }
+
+// TestCacheKeyKeepsNumberLiteral: an integer column takes 10 but rejects
+// 10.0 and 1e1, so a cached answer for one literal must not serve another
+// that fails uncached — nor may an in-process float serve a body literal.
+func TestCacheKeyKeepsNumberLiteral(t *testing.T) {
+	s := newTestServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	q := ts.URL + "/query"
+	body := func(arg string) string {
+		return `{"table":"t","where":{"col":"qty","op":"lt","args":[` + arg + `]}}`
+	}
+	if code, raw := postJSON(t, q, body("10")); code != http.StatusOK {
+		t.Fatalf("qty lt 10: %d %s", code, raw)
+	}
+	if r := mustDo(t, s, countReq("t", leaf("qty", "lt", float64(1e6)))); r.Cache != "miss" {
+		t.Fatalf("in-process qty lt 1e6: cache %q, want miss", r.Cache)
+	}
+	for _, arg := range []string{"10.0", "1e1", "1e+06"} {
+		code, raw := postJSON(t, q, body(arg))
+		var er ErrorResponse
+		if err := json.Unmarshal(raw, &er); err != nil || code != http.StatusBadRequest || er.Code != "bad_query" {
+			t.Fatalf("qty lt %s after a cached equal value: %d %s, want 400 bad_query", arg, code, raw)
+		}
+	}
+}

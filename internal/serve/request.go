@@ -100,23 +100,20 @@ func (r *Request) validate() error {
 	return nil
 }
 
-// numArg renders one argument for the canonical key: integers as
-// decimal, floats via the shortest round-trip form, strings quoted.
+// argKey renders one argument for the canonical key, so that two
+// arguments share a key only when buildExpr reads them the same way: a
+// decoded number keeps its literal text (an integer column takes 10 but
+// rejects 10.0 and 1e1), an in-process number renders as the
+// exponent-free literal a body would need to be read alike, and a
+// string is quoted.
 func argKey(a any) (string, error) {
 	switch v := a.(type) {
 	case json.Number:
-		if i, err := v.Int64(); err == nil {
-			return strconv.FormatInt(i, 10), nil
-		}
-		f, err := v.Float64()
-		if err != nil {
-			return "", badQuery("bad number %q", v.String())
-		}
-		return strconv.FormatFloat(f, 'g', -1, 64), nil
+		return v.String(), nil
 	case string:
 		return strconv.Quote(v), nil
 	case float64: // requests built in-process rather than decoded
-		return strconv.FormatFloat(v, 'g', -1, 64), nil
+		return strconv.FormatFloat(v, 'f', -1, 64), nil
 	case int:
 		return strconv.Itoa(v), nil
 	case int64:

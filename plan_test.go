@@ -1,6 +1,7 @@
 package byteslice_test
 
 import (
+	"math"
 	"math/rand/v2"
 	"strings"
 	"testing"
@@ -185,117 +186,104 @@ func TestPlannerMatchesBaseline(t *testing.T) {
 	}
 }
 
-// TestFusedAggregatesMatchTwoPass checks every fused *Where entry point
-// against the explicit Filter + aggregate composition, including the
-// fallback cases (profiled run, nullable column, trivial filter).
-func TestFusedAggregatesMatchTwoPass(t *testing.T) {
+// TestFilteredAggregatesMatchRowLoop checks the filter-then-aggregate
+// path — a Filter result, then SumInt, MinInt, MaxInt, SumDecimal,
+// MinDecimal and MaxDecimal over it — natively and profiled, against a
+// plain loop over the rows: a zone-mapped filter column, a nullable value
+// column, a decimal column, and trivially false and true filters.
+func TestFilteredAggregatesMatchRowLoop(t *testing.T) {
 	n := 1<<14 + 5
 	rng := rand.New(rand.NewPCG(11, 11)) //nolint:gosec
 	fv := make([]int64, n)
 	iv := make([]int64, n)
+	cents := make([]int64, n)
 	dv := make([]float64, n)
 	for i := range fv {
 		fv[i] = int64(rng.IntN(1000))
 		iv[i] = int64(rng.IntN(100000)) - 50000
-		dv[i] = float64(rng.IntN(10000)) / 100
+		cents[i] = int64(rng.IntN(10000))
+		dv[i] = float64(cents[i]) / 100
 	}
+	nullRows := map[int]bool{0: true, 7: true, 4097: true}
 	fcol := intColumn(t, "f", fv, 0, 999, byteslice.WithZoneMaps())
 	icol := intColumn(t, "v", iv, -50000, 50000)
 	dcol, err := byteslice.NewDecimalColumn("d", dv, 0, 100, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nullable, err := byteslice.NewIntColumn("nv", iv, -50000, 50000, byteslice.WithNulls([]int{0, 7, 4097}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	nullable := intColumn(t, "nv", iv, -50000, 50000, byteslice.WithNulls([]int{0, 7, 4097}))
 	tbl, err := byteslice.NewTable(fcol, icol, dcol, nullable)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	filters := []byteslice.Filter{
-		byteslice.IntFilter("f", byteslice.Lt, 100),
-		byteslice.IntFilter("f", byteslice.Between, 400, 600),
-		byteslice.IntFilter("f", byteslice.Eq, 512),
-		byteslice.IntFilter("f", byteslice.Lt, -3),    // trivially false
-		byteslice.IntFilter("f", byteslice.Ge, -1000), // trivially true
+	filters := []struct {
+		f    byteslice.Filter
+		keep func(int64) bool
+	}{
+		{byteslice.IntFilter("f", byteslice.Lt, 100), func(x int64) bool { return x < 100 }},
+		{byteslice.IntFilter("f", byteslice.Between, 400, 600), func(x int64) bool { return x >= 400 && x <= 600 }},
+		{byteslice.IntFilter("f", byteslice.Eq, 512), func(x int64) bool { return x == 512 }},
+		{byteslice.IntFilter("f", byteslice.Lt, -3), func(int64) bool { return false }},   // trivially false
+		{byteslice.IntFilter("f", byteslice.Ge, -1000), func(int64) bool { return true }}, // trivially true
 	}
-	profile := byteslice.WithProfile(byteslice.NewProfile())
-	for fi, f := range filters {
-		res, err := tbl.Filter([]byteslice.Filter{f})
-		if err != nil {
-			t.Fatalf("filter %d: %v", fi, err)
-		}
-		for _, col := range []string{"v", "nv"} {
-			wantSum, wantN, err := tbl.SumInt(col, res)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotSum, gotN, err := tbl.SumIntWhere(col, f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotSum != wantSum || gotN != wantN {
-				t.Fatalf("filter %d col %s: SumIntWhere = %d/%d, two-pass %d/%d", fi, col, gotSum, gotN, wantSum, wantN)
-			}
-			// The profiled run must fall back and still agree.
-			gotSum, gotN, err = tbl.SumIntWhere(col, f, profile)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotSum != wantSum || gotN != wantN {
-				t.Fatalf("filter %d col %s: profiled SumIntWhere = %d/%d, want %d/%d", fi, col, gotSum, gotN, wantSum, wantN)
-			}
-		}
-
-		wantMin, wantOK, _ := tbl.MinInt("v", res)
-		gotMin, gotOK, err := tbl.MinIntWhere("v", f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotOK != wantOK || gotMin != wantMin {
-			t.Fatalf("filter %d: MinIntWhere = %d/%v, want %d/%v", fi, gotMin, gotOK, wantMin, wantOK)
-		}
-		wantMax, wantOK, _ := tbl.MaxInt("v", res)
-		gotMax, gotOK, err := tbl.MaxIntWhere("v", f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotOK != wantOK || gotMax != wantMax {
-			t.Fatalf("filter %d: MaxIntWhere = %d/%v, want %d/%v", fi, gotMax, gotOK, wantMax, wantOK)
-		}
-
-		wantDSum, wantDN, _ := tbl.SumDecimal("d", res)
-		gotDSum, gotDN, err := tbl.SumDecimalWhere("d", f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotDSum != wantDSum || gotDN != wantDN {
-			t.Fatalf("filter %d: SumDecimalWhere = %v/%d, want %v/%d", fi, gotDSum, gotDN, wantDSum, wantDN)
-		}
-		wantDMin, wantDOK, _ := tbl.MinDecimal("d", res)
-		gotDMin, gotDOK, err := tbl.MinDecimalWhere("d", f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotDOK != wantDOK || gotDMin != wantDMin {
-			t.Fatalf("filter %d: MinDecimalWhere = %v/%v, want %v/%v", fi, gotDMin, gotDOK, wantDMin, wantDOK)
-		}
-		wantDMax, wantDOK, _ := tbl.MaxDecimal("d", res)
-		gotDMax, gotDOK, err := tbl.MaxDecimalWhere("d", f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotDOK != wantDOK || gotDMax != wantDMax {
-			t.Fatalf("filter %d: MaxDecimalWhere = %v/%v, want %v/%v", fi, gotDMax, gotDOK, wantDMax, wantDOK)
-		}
+	type agg struct {
+		sum, min, max int64
+		n             int
 	}
-
-	if _, _, err := tbl.SumIntWhere("zzz", filters[0]); err == nil {
-		t.Fatal("unknown value column should error")
+	add := func(a *agg, x int64) {
+		if a.n == 0 || x < a.min {
+			a.min = x
+		}
+		if a.n == 0 || x > a.max {
+			a.max = x
+		}
+		a.sum += x
+		a.n++
 	}
-	if _, _, err := tbl.SumIntWhere("v", byteslice.IntFilter("zzz", byteslice.Lt, 1)); err == nil {
-		t.Fatal("unknown filter column should error")
+	for fi, tc := range filters {
+		var v, nv, d agg
+		for i := 0; i < n; i++ {
+			if !tc.keep(fv[i]) {
+				continue
+			}
+			add(&v, iv[i])
+			add(&d, cents[i])
+			if !nullRows[i] {
+				add(&nv, iv[i])
+			}
+		}
+		for _, opts := range [][]byteslice.QueryOption{nil, {byteslice.WithProfile(byteslice.NewProfile())}} {
+			res, err := tbl.Filter([]byteslice.Filter{tc.f}, opts...)
+			if err != nil {
+				t.Fatalf("filter %d: %v", fi, err)
+			}
+			for col, want := range map[string]agg{"v": v, "nv": nv} {
+				sum, cnt, err := tbl.SumInt(col, res, opts...)
+				if err != nil || sum != want.sum || cnt != want.n {
+					t.Fatalf("filter %d profiled=%v: SumInt(%s) = %d/%d (%v), want %d/%d", fi, opts != nil, col, sum, cnt, err, want.sum, want.n)
+				}
+				mn, ok, err := tbl.MinInt(col, res, opts...)
+				if err != nil || ok != (want.n > 0) || ok && mn != want.min {
+					t.Fatalf("filter %d profiled=%v: MinInt(%s) = %d/%v (%v), want %d", fi, opts != nil, col, mn, ok, err, want.min)
+				}
+				mx, ok, err := tbl.MaxInt(col, res, opts...)
+				if err != nil || ok != (want.n > 0) || ok && mx != want.max {
+					t.Fatalf("filter %d profiled=%v: MaxInt(%s) = %d/%v (%v), want %d", fi, opts != nil, col, mx, ok, err, want.max)
+				}
+			}
+			dsum, dcnt, err := tbl.SumDecimal("d", res, opts...)
+			if err != nil || dcnt != d.n || math.Abs(dsum-float64(d.sum)/100) > 1e-6 {
+				t.Fatalf("filter %d profiled=%v: SumDecimal = %v/%d (%v), want %v/%d", fi, opts != nil, dsum, dcnt, err, float64(d.sum)/100, d.n)
+			}
+			dmin, ok, err := tbl.MinDecimal("d", res, opts...)
+			if err != nil || ok != (d.n > 0) || ok && dmin != float64(d.min)/100 {
+				t.Fatalf("filter %d profiled=%v: MinDecimal = %v/%v (%v), want %v", fi, opts != nil, dmin, ok, err, float64(d.min)/100)
+			}
+			dmax, ok, err := tbl.MaxDecimal("d", res, opts...)
+			if err != nil || ok != (d.n > 0) || ok && dmax != float64(d.max)/100 {
+				t.Fatalf("filter %d profiled=%v: MaxDecimal = %v/%v (%v), want %v", fi, opts != nil, dmax, ok, err, float64(d.max)/100)
+			}
+		}
 	}
 }

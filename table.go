@@ -315,6 +315,16 @@ func (r *Result) And(o *Result) *Result { r.bv.And(o.bv); return r }
 // Or unions r with o in place and returns r.
 func (r *Result) Or(o *Result) *Result { r.bv.Or(o.bv); return r }
 
+// checkResult rejects a Result evaluated over a different row count —
+// another table, or a view with rows appended since — whose bits would
+// name rows this table does not have. A nil Result (all rows) passes.
+func (t *Table) checkResult(res *Result) error {
+	if res != nil && res.bv.Len() != t.n {
+		return fmt.Errorf("byteslice: result covers %d rows, table has %d", res.bv.Len(), t.n)
+	}
+	return nil
+}
+
 // QueryOption customises filter evaluation.
 type QueryOption func(*queryConfig)
 
@@ -828,6 +838,9 @@ func (t *Table) projectCodes(c *Column, res *Result, opts []QueryOption) ([]int3
 	if res == nil {
 		return nil, nil, fmt.Errorf("byteslice: projection needs a filter result")
 	}
+	if err := t.checkResult(res); err != nil {
+		return nil, nil, err
+	}
 	var cfg queryConfig
 	for _, o := range opts {
 		o(&cfg)
@@ -894,6 +907,9 @@ func (t *Table) OrderBy(col string, res *Result, opts ...QueryOption) ([]int32, 
 	}
 	if res == nil {
 		return nil, fmt.Errorf("byteslice: OrderBy needs a filter result")
+	}
+	if err := t.checkResult(res); err != nil {
+		return nil, err
 	}
 	var cfg queryConfig
 	for _, o := range opts {
