@@ -48,7 +48,6 @@ func main() {
 		snapshot = flag.String("snapshot", "", "benchmark crash-atomic SaveFile/LoadFile on a generated table written to this path")
 		ingestAx = flag.Bool("ingest", false, "with -json: also benchmark the write path — WAL-durable append throughput and scan latency while a delta is live")
 		stats    = flag.Bool("stats", false, "after the run, print the process-wide query-observability snapshot as JSON")
-		serveAx  = flag.Bool("serve", false, "with -json: also benchmark the serving layer — qps and p50/p99 request latency at 1/8/64 concurrent HTTP clients")
 		obsServe = flag.String("obs-serve", "", "after the run, serve the observability registry over HTTP on this address (e.g. :8080; /stats and expvar's /debug/vars)")
 	)
 	flag.Parse()
@@ -130,14 +129,6 @@ func main() {
 		}
 		if *ingestAx {
 			entries, err := ingestBench(cfg.N, cfg.Seed)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "bsbench:", err)
-				os.Exit(1)
-			}
-			res.Results = append(res.Results, entries...)
-		}
-		if *serveAx {
-			entries, err := serveBench(cfg.N, cfg.Seed)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "bsbench:", err)
 				os.Exit(1)
@@ -273,7 +264,7 @@ func snapshotBench(path string, n int, seed uint64) error {
 
 	// Same query on both tables must agree — a semantic round-trip check
 	// beyond the row count, and it populates the observability registry
-	// that -stats/-serve report.
+	// that -stats/-obs-serve report.
 	q := []byteslice.Filter{byteslice.IntFilter("quantity", byteslice.Lt, 50000)}
 	before, err := tbl.Filter(q)
 	if err != nil {

@@ -87,21 +87,22 @@ func WithCompression() ColumnOption {
 	return func(c *columnConfig) { c.compress = true }
 }
 
-// builder resolves the layout constructor for this configuration: the
-// compression decision applies only to the default ByteSlice format.
-func (cfg columnConfig) builder() (layout.Builder, error) {
-	if cfg.compress && (cfg.format == "" || cfg.format == FormatByteSlice) {
-		return builderFor(FormatByteSliceC)
-	}
-	return builderFor(cfg.format)
-}
-
 // WithZoneMaps builds per-segment first-byte zone maps on ByteSlice
 // columns: scans resolve segments whose zone already decides the predicate
 // without touching the data — most effective on sorted or clustered
 // columns (date-ordered fact tables). Ignored for other formats.
 func WithZoneMaps() ColumnOption {
 	return func(c *columnConfig) { c.zoneMaps = true }
+}
+
+// build applies the options to encoded codes: the compression decision
+// applies only to the default ByteSlice format.
+func (cfg columnConfig) build(id Column, k int, codes []uint32) (*Column, error) {
+	f := cfg.format
+	if cfg.compress && (f == "" || f == FormatByteSlice) {
+		f = FormatByteSliceC
+	}
+	return newColumn(id, k, codes, cfg.nullRows, f, cfg.zoneMaps)
 }
 
 func applyOpts(opts []ColumnOption) columnConfig {
@@ -112,115 +113,90 @@ func applyOpts(opts []ColumnOption) columnConfig {
 	return cfg
 }
 
-// finish applies post-build column options (zone maps) and attaches the
-// workload counters.
-func (cfg columnConfig) finish(c *Column, err error) (*Column, error) {
+// newColumn is the one place a column is assembled from its k-bit codes:
+// id carries the name, kind, encoder and workload counters (fresh ones
+// when nil), and newColumn adds the NULL vector, the histogram, the
+// storage layout in format f and, when zoneMaps is set and the layout is
+// raw ByteSlice, the zone maps. Construction, snapshot load, ingest seal
+// and merge, and re-layout all build through it. The codes must already
+// lie in the encoder's domain.
+func newColumn(id Column, k int, codes []uint32, nullRows []int, f Format, zoneMaps bool) (*Column, error) {
+	build, err := builderFor(f)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.zoneMaps {
-		if bs, ok := byteSliceOf(c.data); ok {
-			bs.BuildZoneMaps()
-		}
+	c := id
+	if c.nulls, err = buildNulls(nullRows, len(codes)); err != nil {
+		return nil, err
 	}
-	c.wl = &obs.ColumnWorkload{}
-	return c, nil
+	c.hist = buildHistogram(codes, maxCodeFor(k))
+	c.data = build(codes, k, arena)
+	if bs, ok := byteSliceOf(c.data); ok && zoneMaps {
+		bs.BuildZoneMaps()
+	}
+	if c.wl == nil {
+		c.wl = &obs.ColumnWorkload{}
+	}
+	return &c, nil
+}
+
+// encodeAll encodes every value through the column's encoder.
+func encodeAll[T any](name string, values []T, encode func(T) (uint32, error)) ([]uint32, error) {
+	codes := make([]uint32, len(values))
+	for i, v := range values {
+		c, err := encode(v)
+		if err != nil {
+			return nil, fmt.Errorf("column %s row %d: %w", name, i, err)
+		}
+		codes[i] = c
+	}
+	return codes, nil
 }
 
 // NewIntColumn builds an integer column over the closed domain [min, max]
 // using frame-of-reference encoding. Every value must lie in the domain;
 // filter constants may not.
 func NewIntColumn(name string, values []int64, min, max int64, opts ...ColumnOption) (*Column, error) {
-	cfg := applyOpts(opts)
-	build, err := cfg.builder()
-	if err != nil {
-		return nil, err
-	}
 	enc, err := encoding.NewIntEncoder(min, max)
 	if err != nil {
 		return nil, err
 	}
-	codes := make([]uint32, len(values))
-	for i, v := range values {
-		c, err := enc.Encode(v)
-		if err != nil {
-			return nil, fmt.Errorf("column %s row %d: %w", name, i, err)
-		}
-		codes[i] = c
-	}
-	nulls, err := buildNulls(cfg.nullRows, len(codes))
+	codes, err := encodeAll(name, values, enc.Encode)
 	if err != nil {
 		return nil, err
 	}
-	return cfg.finish(&Column{nulls: nulls, name: name, kind: KindInt, ints: enc,
-		hist: buildHistogram(codes, maxCodeFor(enc.Width())),
-		data: build(codes, enc.Width(), arena)}, nil)
+	return applyOpts(opts).build(Column{name: name, kind: KindInt, ints: enc}, enc.Width(), codes)
 }
 
 // NewDecimalColumn builds a fixed-precision decimal column over [min, max]
 // with the given number of decimal digits, scaled to integer codes.
 func NewDecimalColumn(name string, values []float64, min, max float64, digits int, opts ...ColumnOption) (*Column, error) {
-	cfg := applyOpts(opts)
-	build, err := cfg.builder()
-	if err != nil {
-		return nil, err
-	}
 	enc, err := encoding.NewDecimalEncoder(min, max, digits)
 	if err != nil {
 		return nil, err
 	}
-	codes := make([]uint32, len(values))
-	for i, v := range values {
-		c, err := enc.Encode(v)
-		if err != nil {
-			return nil, fmt.Errorf("column %s row %d: %w", name, i, err)
-		}
-		codes[i] = c
-	}
-	nulls, err := buildNulls(cfg.nullRows, len(codes))
+	codes, err := encodeAll(name, values, enc.Encode)
 	if err != nil {
 		return nil, err
 	}
-	return cfg.finish(&Column{nulls: nulls, name: name, kind: KindDecimal, decs: enc,
-		hist: buildHistogram(codes, maxCodeFor(enc.Width())),
-		data: build(codes, enc.Width(), arena)}, nil)
+	return applyOpts(opts).build(Column{name: name, kind: KindDecimal, decs: enc}, enc.Width(), codes)
 }
 
 // NewStringColumn builds a string column with an order-preserving sorted
 // dictionary built from the values themselves: string range predicates
 // translate directly to code range predicates.
 func NewStringColumn(name string, values []string, opts ...ColumnOption) (*Column, error) {
-	cfg := applyOpts(opts)
-	build, err := cfg.builder()
-	if err != nil {
-		return nil, err
-	}
 	dict := encoding.NewDictionary(values)
-	codes := make([]uint32, len(values))
-	for i, v := range values {
-		c, err := dict.Encode(v)
-		if err != nil {
-			return nil, fmt.Errorf("column %s row %d: %w", name, i, err)
-		}
-		codes[i] = c
-	}
-	nulls, err := buildNulls(cfg.nullRows, len(codes))
+	codes, err := encodeAll(name, values, dict.Encode)
 	if err != nil {
 		return nil, err
 	}
-	return cfg.finish(&Column{nulls: nulls, name: name, kind: KindString, dict: dict,
-		hist: buildHistogram(codes, maxCodeFor(dict.Width())),
-		data: build(codes, dict.Width(), arena)}, nil)
+	return applyOpts(opts).build(Column{name: name, kind: KindString, dict: dict}, dict.Width(), codes)
 }
 
 // NewCodeColumn builds a column from pre-encoded k-bit codes (for callers
 // that manage their own encoding).
 func NewCodeColumn(name string, codes []uint32, k int, opts ...ColumnOption) (*Column, error) {
-	cfg := applyOpts(opts)
-	build, err := cfg.builder()
-	if err != nil {
-		return nil, err
-	}
 	if k < 1 || k > 32 {
 		return nil, fmt.Errorf("byteslice: column %s: width %d out of range [1,32]", name, k)
 	}
@@ -229,13 +205,7 @@ func NewCodeColumn(name string, codes []uint32, k int, opts ...ColumnOption) (*C
 			return nil, fmt.Errorf("byteslice: column %s row %d: code %d exceeds width %d", name, i, c, k)
 		}
 	}
-	nulls, err := buildNulls(cfg.nullRows, len(codes))
-	if err != nil {
-		return nil, err
-	}
-	return cfg.finish(&Column{nulls: nulls, name: name, kind: KindCode,
-		hist: buildHistogram(codes, maxCodeFor(k)),
-		data: build(codes, k, arena)}, nil)
+	return applyOpts(opts).build(Column{name: name, kind: KindCode}, k, codes)
 }
 
 // Name returns the column name.

@@ -271,18 +271,26 @@ func TestCompressedQueriesMatchRaw(t *testing.T) {
 	}
 }
 
-// TestTableWithCompression: the table-level rebuild compresses eligible
-// columns, leaves others alone, rejects unknown names, and the rebuilt
-// table answers queries identically.
+// TestTableWithCompression: re-laying a table out as ByteSliceC runs the
+// build-time compression decision on the named columns (all of them,
+// whatever their layout, when no names are given) and reaches the same
+// layouts as building with WithCompression; it rejects unknown names, is
+// idempotent, and the rebuilt table answers queries identically.
 func TestTableWithCompression(t *testing.T) {
-	raw, _ := compressionTables(t, 8192)
-	comp, err := raw.WithCompression()
+	raw, built := compressionTables(t, 8192)
+	comp, err := raw.WithLayout(byteslice.FormatByteSliceC)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc, _ := comp.Column("sorted")
 	if !sc.Compressed() {
-		t.Fatal("sorted column did not compress through Table.WithCompression")
+		t.Fatal("sorted column did not compress through WithLayout(FormatByteSliceC)")
+	}
+	for _, want := range built.Columns() {
+		got, _ := comp.Column(want.Name())
+		if got.Format() != want.Format() {
+			t.Fatalf("column %s: re-layout gave %s, build gave %s", want.Name(), got.Format(), want.Format())
+		}
 	}
 	f := []byteslice.Filter{byteslice.IntFilter("sorted", byteslice.Le, 2000)}
 	rr, err := raw.Filter(f)
@@ -297,7 +305,7 @@ func TestTableWithCompression(t *testing.T) {
 		t.Fatal("table-level compression changed filter results")
 	}
 
-	one, err := raw.WithCompression("sorted")
+	one, err := raw.WithLayout(byteslice.FormatByteSliceC, "sorted")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,17 +317,65 @@ func TestTableWithCompression(t *testing.T) {
 	if od.Compressed() {
 		t.Fatal("unnamed column was compressed")
 	}
-	if _, err := raw.WithCompression("missing"); err == nil {
+	if _, err := raw.WithLayout(byteslice.FormatByteSliceC, "missing"); err == nil {
 		t.Fatal("unknown column name accepted")
 	}
 	// Idempotent: recompressing keeps already-compressed columns.
-	again, err := comp.WithCompression()
+	again, err := comp.WithLayout(byteslice.FormatByteSliceC)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ac, _ := again.Column("sorted")
 	if !ac.Compressed() {
 		t.Fatal("recompression dropped the compressed layout")
+	}
+	// A non-ByteSlice column goes through the same decision.
+	hbp, err := raw.WithLayout(byteslice.FormatHBP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromHBP, err := hbp.WithLayout(byteslice.FormatByteSliceC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hc, _ := fromHBP.Column("sorted"); !hc.Compressed() {
+		t.Fatalf("HBP column re-laid-out as %s, want compressed", hc.Format())
+	}
+}
+
+// TestWithLayoutCompressedKeepsZoneMaps: when compression does not pay,
+// re-laying a zone-mapped ByteSlice column out as ByteSliceC leaves it
+// raw ByteSlice with its zone maps, answering filters unchanged.
+func TestWithLayoutCompressedKeepsZoneMaps(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	vals := make([]int64, 16<<10)
+	for i := range vals {
+		vals[i] = int64(rng.Intn(4096))
+	}
+	col, err := byteslice.NewIntColumn("u", vals, 0, 4095, byteslice.WithZoneMaps())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := byteslice.NewTable(col)
+	got, err := tbl.WithLayout(byteslice.FormatByteSliceC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gc, _ := got.Column("u")
+	if gc.Format() != byteslice.FormatByteSlice || !gc.HasZoneMaps() {
+		t.Fatalf("format %s, zone maps %v; want raw ByteSlice with zone maps", gc.Format(), gc.HasZoneMaps())
+	}
+	f := []byteslice.Filter{byteslice.IntFilter("u", byteslice.Lt, 1000)}
+	want, err := tbl.Filter(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := got.Filter(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameRows(want.Rows(), res.Rows()) {
+		t.Fatal("re-layout changed filter results")
 	}
 }
 

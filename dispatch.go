@@ -1,8 +1,6 @@
 package byteslice
 
 import (
-	"context"
-
 	"byteslice/internal/bitvec"
 	"byteslice/internal/core"
 	"byteslice/internal/kernel"
@@ -102,27 +100,31 @@ func nativeKernelOf(c *Column) *layoutKernel {
 	return nativeKernels[c.Format()]
 }
 
-// materializeCodes stitches every row's code back out of the column using
-// its native lookup kernel (modelled layouts fall back to the engine) —
-// the first half of a re-layout. A nil ctx disables cancellation (the
-// kernels' usual convention); merge paths forward their caller's ctx so a
-// huge rebuild can be abandoned mid-column.
-func materializeCodes(ctx context.Context, c *Column) ([]uint32, error) {
-	n := c.Len()
-	rows := make([]int32, n)
-	for i := range rows {
-		rows[i] = int32(i)
+// materializeCodes stitches every row's code back out of the column — the
+// first half of a re-layout or merge.
+func materializeCodes(c *Column) ([]uint32, error) {
+	codes := make([]uint32, c.Len())
+	if err := gatherCodes(c, 0, codes); err != nil {
+		return nil, err
 	}
-	codes := make([]uint32, n)
+	return codes, nil
+}
+
+// gatherCodes fills codes with the codes of rows [lo, lo+len(codes))
+// through the layout's native lookup kernel (modelled layouts fall back
+// to the engine). It is the one code gather of re-layout, merge and
+// snapshot write; it runs serially and cannot be cancelled.
+func gatherCodes(c *Column, lo int, codes []uint32) error {
 	if lk := nativeKernelOf(c); lk != nil {
-		if err := lk.lookupMany(kernel.Exec{Ctx: ctx}, c, rows, codes); err != nil {
-			return nil, err
+		rows := make([]int32, len(codes))
+		for i := range rows {
+			rows[i] = int32(lo + i)
 		}
-		return codes, nil
+		return queryErr(lk.lookupMany(kernel.Exec{}, c, rows, codes))
 	}
 	e := (*Profile)(nil).engine()
 	for i := range codes {
-		codes[i] = c.data.Lookup(e, i)
+		codes[i] = c.data.Lookup(e, lo+i)
 	}
-	return codes, nil
+	return nil
 }

@@ -42,11 +42,6 @@ type ScanBenchEntry struct {
 	// ("ByteSlice", "HBP", "ByteSliceC"; "" elsewhere — the scan
 	// benchmarks predate the axis and imply ByteSlice).
 	Layout string `json:"layout,omitempty"`
-	// P50Ns / P99Ns are request-latency percentiles, set only by the
-	// serving-layer benchmarks ("serve_cN" modes), whose NsPerScan is the
-	// mean request latency and RowsPerSec the sustained queries/sec.
-	P50Ns float64 `json:"p50_ns,omitempty"`
-	P99Ns float64 `json:"p99_ns,omitempty"`
 }
 
 // ScanBenchResult is the payload bsbench -json writes: rows-per-second for

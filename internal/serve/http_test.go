@@ -321,3 +321,35 @@ func TestCacheKeyKeepsNumberLiteral(t *testing.T) {
 		}
 	}
 }
+
+// TestCacheKeyQuotesColumnNames: a column named "a,b" and the projection
+// of columns a and b are different requests, so neither may be served
+// the other's cached answer.
+func TestCacheKeyQuotesColumnNames(t *testing.T) {
+	var cols []*byteslice.Column
+	for _, name := range []string{"a", "b", "a,b"} {
+		c, err := byteslice.NewIntColumn(name, []int64{1, 2, 3}, 0, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols = append(cols, c)
+	}
+	tbl, err := byteslice.NewTable(cols...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{})
+	if err := s.cat.MountTable("abc", tbl); err != nil {
+		t.Fatal(err)
+	}
+	rows := func(cols ...string) *Request {
+		return &Request{Table: "abc", Op: "rows", Cols: cols, Where: leaf("a", "ge", 0)}
+	}
+	if r := mustDo(t, s, rows("a,b")); r.Cache != "miss" || len(r.Data) != 1 || r.Data["a,b"] == nil {
+		t.Fatalf("cols [a,b]: cache %q, data %v", r.Cache, r.Data)
+	}
+	r := mustDo(t, s, rows("a", "b"))
+	if r.Cache != "miss" || len(r.Data) != 2 || r.Data["a"] == nil || r.Data["b"] == nil {
+		t.Fatalf("cols [a b] after [a,b]: cache %q, data %v", r.Cache, r.Data)
+	}
+}

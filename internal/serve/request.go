@@ -137,16 +137,16 @@ func (n *Node) normalize() (string, error) {
 		if _, ok := ops[n.Op]; !ok {
 			return "", badQuery("unknown operator %q", n.Op)
 		}
-		parts := make([]string, 0, 2+len(n.Args))
-		parts = append(parts, n.Col, n.Op)
+		key := strconv.AppendQuote(make([]byte, 0, 64), n.Col)
+		key = append(append(key, '\x1f'), n.Op...)
 		for _, a := range n.Args {
 			s, err := argKey(a)
 			if err != nil {
 				return "", err
 			}
-			parts = append(parts, s)
+			key = append(append(key, '\x1f'), s...)
 		}
-		return strings.Join(parts, "\x1f"), nil
+		return string(key), nil
 	case len(n.All) > 0 && len(n.Any) > 0:
 		return "", badQuery("predicate node has both all and any")
 	case len(n.All) > 0:
@@ -172,7 +172,8 @@ func normalizeGroup(kind string, children []Node) (string, error) {
 
 // cacheKeyQuery renders the whole request canonically — everything that
 // determines the response content except the table version (which is the
-// other half of the cache key).
+// other half of the cache key). Column names are quoted, so a name
+// holding a separator cannot pass for a list of names.
 func (r *Request) cacheKeyQuery() (string, error) {
 	where, err := r.Where.normalize()
 	if err != nil {
@@ -182,10 +183,18 @@ func (r *Request) cacheKeyQuery() (string, error) {
 	if op == "" {
 		op = "count"
 	}
-	return strings.Join([]string{
-		op, r.Col, strings.Join(r.Cols, ","), r.OrderBy,
-		strconv.Itoa(r.Limit), where,
-	}, "\x1d"), nil
+	key := append(make([]byte, 0, 64+len(where)), op...)
+	key = strconv.AppendQuote(append(key, '\x1d'), r.Col)
+	key = append(key, '\x1d')
+	for i, c := range r.Cols {
+		if i > 0 {
+			key = append(key, ',')
+		}
+		key = strconv.AppendQuote(key, c)
+	}
+	key = strconv.AppendQuote(append(key, '\x1d'), r.OrderBy)
+	key = strconv.AppendInt(append(key, '\x1d'), int64(r.Limit), 10)
+	return string(append(append(key, '\x1d'), where...)), nil
 }
 
 // buildExpr translates the predicate tree into the facade's Expr against

@@ -49,6 +49,20 @@ func buildNulls(rows []int, n int) (*bitvec.Vector, error) {
 	return nv, nil
 }
 
+// nullRows lists the column's NULL rows in ascending order (nil when it
+// has none): the input newColumn rebuilds the NULL vector from.
+func (c *Column) nullRows() []int {
+	if c.nulls == nil {
+		return nil
+	}
+	pos := c.nulls.Positions(nil)
+	rows := make([]int, len(pos))
+	for i, r := range pos {
+		rows[i] = int(r)
+	}
+	return rows
+}
+
 // applyNulls clears a filter result's bits for rows that are NULL in the
 // filtered column (comparison with NULL is not true).
 func applyNulls(res *bitvec.Vector, c *Column) {

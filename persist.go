@@ -10,9 +10,7 @@ import (
 	"io"
 	"math"
 
-	"byteslice/internal/compress"
 	"byteslice/internal/encoding"
-	"byteslice/internal/obs"
 )
 
 // Table persistence. The on-disk representation stores each column's
@@ -20,7 +18,8 @@ import (
 // raw codes; loading re-encodes nothing and rebuilds the storage layout
 // deterministically from the codes — the formats themselves are derived
 // data, exactly as a column store would rebuild them when mapping a
-// snapshot back into memory.
+// snapshot back into memory. The loader assembles each column through
+// newColumn, the constructor every other build path uses.
 //
 // Format v3 (all integers little-endian) frames every section with a tag,
 // an explicit length and a CRC32-C of the payload, so torn writes, bit
@@ -213,7 +212,8 @@ func writeSection(cw *countingWriter, tag byte, payload []byte) error {
 }
 
 // writeCodesSection streams one column's codes without materialising the
-// payload: the length is known up front (4 bytes per row) and the checksum
+// payload: the length is known up front (4 bytes per row), the codes are
+// gathered ioChunk bytes' worth of rows at a time, and the checksum
 // accumulates chunk by chunk.
 func writeCodesSection(cw *countingWriter, c *Column, n int) error {
 	var hdr [9]byte
@@ -223,43 +223,19 @@ func writeCodesSection(cw *countingWriter, c *Column, n int) error {
 		return err
 	}
 	crc := crc32.New(castagnoli)
-	buf := make([]byte, 0, ioChunk)
-	emit := func(v uint32) error {
-		var word [4]byte
-		binary.LittleEndian.PutUint32(word[:], v)
-		buf = append(buf, word[:]...)
-		if len(buf) == ioChunk {
-			crc.Write(buf)
-			if _, err := cw.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
+	codes := make([]uint32, ioChunk/4)
+	buf := make([]byte, ioChunk)
+	for lo := 0; lo < n; lo += len(codes) {
+		chunk := codes[:min(len(codes), n-lo)]
+		if err := gatherCodes(c, lo, chunk); err != nil {
+			return err
 		}
-		return nil
-	}
-	if cc, ok := compressedOf(c.data); ok {
-		// Compressed columns stream block by block: each 512-code block
-		// decodes once instead of paying a per-row partial decode.
-		var block [compress.BlockCodes]uint32
-		for b := 0; b < cc.Blocks(); b++ {
-			rows := cc.DecodeBlock(b, &block)
-			for _, v := range block[:rows] {
-				if err := emit(v); err != nil {
-					return err
-				}
-			}
+		b := buf[:4*len(chunk)]
+		for i, v := range chunk {
+			binary.LittleEndian.PutUint32(b[4*i:], v)
 		}
-	} else {
-		e := nilProfile.engine()
-		for i := 0; i < n; i++ {
-			if err := emit(c.data.Lookup(e, i)); err != nil {
-				return err
-			}
-		}
-	}
-	if len(buf) > 0 {
-		crc.Write(buf)
-		if _, err := cw.Write(buf); err != nil {
+		crc.Write(b)
+		if _, err := cw.Write(b); err != nil {
 			return err
 		}
 	}
@@ -269,18 +245,15 @@ func writeCodesSection(cw *countingWriter, c *Column, n int) error {
 	return err
 }
 
-// nilProfile lets persistence reuse the engine plumbing without metrics.
-var nilProfile *Profile
-
 // ReadTable deserialises a table written by WriteTo, rebuilding every
-// column in the requested format (pass no option to restore the formats
-// recorded in the stream) and rebuilding the zone maps the stream records.
+// column in the format and with the zone maps the stream records (use
+// Table.WithLayout to re-lay the loaded table out).
 // It reads the current checksummed format (v3) and legacy v2 streams.
 // Structural defects are reported as errors wrapping ErrCorrupt; any
 // other version, the retired unframed v1 included, wraps ErrVersion.
 // ReadTable never allocates more memory than the stream actually
 // delivers, so a corrupt header cannot trigger an outsized allocation.
-func ReadTable(r io.Reader, opts ...ColumnOption) (*Table, error) {
+func ReadTable(r io.Reader) (*Table, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, 4)
 	if err := fill(br, magic); err != nil {
@@ -295,49 +268,40 @@ func ReadTable(r io.Reader, opts ...ColumnOption) (*Table, error) {
 	}
 	switch version := binary.LittleEndian.Uint16(verb[:]); version {
 	case persistV2, persistV3:
-		return readTableFramed(br, opts, version >= persistV3)
+		return readTableFramed(br, version >= persistV3)
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrVersion, version)
 	}
 }
 
 // columnSpec carries one column's parsed metadata from parseColumnMeta
-// to the rebuild step.
+// to newColumn: its identity (name, kind, encoder), code width, format,
+// NULL rows and zone-map flag, plus the size of its code domain.
 type columnSpec struct {
-	name           string
-	kind           Kind
-	format         Format
-	width          int
-	intMin, intMax int64
-	decMin, decMax float64
-	decDigits      int
-	vocab          []string
-	nullRows       []int
-	zoneMaps       bool
+	id       Column
+	width    int
+	format   Format
+	nullRows []int
+	zoneMaps bool
+	// domain counts the valid codes: the dictionary's cardinality for a
+	// string column, 2^width otherwise.
+	domain uint64
 }
 
-// rebuild reconstructs the column, classifying every rebuild failure as
-// corruption: the stream's own parameters could not reproduce a valid
-// column.
-func (s *columnSpec) rebuild(codes []uint32, override columnConfig) (*Column, error) {
-	format := s.format
-	if override.format != "" {
-		format = override.format
-	}
-	col, err := rebuildColumn(s.name, s.kind, format, s.width, codes,
-		s.intMin, s.intMax, s.decMin, s.decMax, s.decDigits, s.vocab, s.nullRows)
-	if err != nil {
-		if errors.Is(err, ErrCorrupt) {
-			return nil, err
+// build validates the stored codes against the column's domain — they
+// come from outside the program — and assembles the column. Every
+// failure is corruption: the stream's own parameters could not reproduce
+// a valid column.
+func (s *columnSpec) build(codes []uint32) (*Column, error) {
+	for i, c := range codes {
+		if uint64(c) >= s.domain {
+			return nil, corruptf("column %s row %d: code %d outside a domain of %d codes", s.id.name, i, c, s.domain)
 		}
+	}
+	col, err := newColumn(s.id, s.width, codes, s.nullRows, s.format, s.zoneMaps)
+	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
-	if s.zoneMaps {
-		if bs, ok := byteSliceOf(col.data); ok {
-			bs.BuildZoneMaps()
-		}
-	}
-	col.wl = &obs.ColumnWorkload{}
 	return col, nil
 }
 
@@ -345,7 +309,7 @@ func (s *columnSpec) rebuild(codes []uint32, override columnConfig) (*Column, er
 // Version 2 and 3 reader: framed, checksummed, streaming. flags reports
 // whether each metadata section ends with the v3 flags byte.
 
-func readTableFramed(br *bufio.Reader, opts []ColumnOption, flags bool) (*Table, error) {
+func readTableFramed(br *bufio.Reader, flags bool) (*Table, error) {
 	chunk := make([]byte, ioChunk)
 	hdr, err := readSection(br, secTable, 12, chunk)
 	if err != nil {
@@ -367,7 +331,6 @@ func readTableFramed(br *bufio.Reader, opts []ColumnOption, flags bool) (*Table,
 		return nil, corruptf("implausible shape %d×%d", ncols, nrows)
 	}
 
-	override := applyOpts(opts)
 	cols := make([]*Column, 0, min(uint64(ncols), 1024))
 	for ci := uint32(0); ci < ncols; ci++ {
 		meta, err := readSection(br, secMeta, maxMetaSection, chunk)
@@ -382,7 +345,7 @@ func readTableFramed(br *bufio.Reader, opts []ColumnOption, flags bool) (*Table,
 		if err != nil {
 			return nil, err
 		}
-		col, err := spec.rebuild(codes, override)
+		col, err := spec.build(codes)
 		if err != nil {
 			return nil, err
 		}
@@ -543,20 +506,21 @@ func (m *metaBuf) done() error {
 	return nil
 }
 
-// parseColumnMeta decodes one column's metadata payload; flags reports a
-// v3 payload, which ends with the flags byte.
+// parseColumnMeta decodes one column's metadata payload and builds its
+// encoder; flags reports a v3 payload, which ends with the flags byte.
 func parseColumnMeta(payload []byte, nrows uint64, flags bool) (*columnSpec, error) {
 	m := metaBuf{b: payload}
 	spec := &columnSpec{}
+	id := &spec.id
 	var err error
-	if spec.name, err = m.str(); err != nil {
+	if id.name, err = m.str(); err != nil {
 		return nil, err
 	}
 	kind, err := m.u8()
 	if err != nil {
 		return nil, err
 	}
-	spec.kind = Kind(kind)
+	id.kind = Kind(kind)
 	formatStr, err := m.str()
 	if err != nil {
 		return nil, err
@@ -568,26 +532,37 @@ func parseColumnMeta(payload []byte, nrows uint64, flags bool) (*columnSpec, err
 	}
 	spec.width = int(width)
 
-	switch spec.kind {
+	switch id.kind {
 	case KindInt:
-		if spec.intMin, err = m.i64(); err != nil {
+		lo, err := m.i64()
+		if err != nil {
 			return nil, err
 		}
-		if spec.intMax, err = m.i64(); err != nil {
+		hi, err := m.i64()
+		if err != nil {
 			return nil, err
 		}
+		if id.ints, err = encoding.NewIntEncoder(lo, hi); err != nil {
+			return nil, fmt.Errorf("%w: column %s: %w", ErrCorrupt, id.name, err)
+		}
+		spec.width = id.ints.Width()
 	case KindDecimal:
-		if spec.decMin, err = m.f64(); err != nil {
+		lo, err := m.f64()
+		if err != nil {
 			return nil, err
 		}
-		if spec.decMax, err = m.f64(); err != nil {
+		hi, err := m.f64()
+		if err != nil {
 			return nil, err
 		}
 		digits, err := m.u8()
 		if err != nil {
 			return nil, err
 		}
-		spec.decDigits = int(digits)
+		if id.decs, err = encoding.NewDecimalEncoder(lo, hi, int(digits)); err != nil {
+			return nil, fmt.Errorf("%w: column %s: %w", ErrCorrupt, id.name, err)
+		}
+		spec.width = id.decs.Width()
 	case KindString:
 		card, err := m.u32()
 		if err != nil {
@@ -596,17 +571,29 @@ func parseColumnMeta(payload []byte, nrows uint64, flags bool) (*columnSpec, err
 		if card > maxPersistDict {
 			return nil, corruptf("implausible dictionary size %d", card)
 		}
-		spec.vocab = make([]string, 0, min(uint64(card), 4096))
+		vocab := make([]string, 0, min(uint64(card), 4096))
 		for i := uint32(0); i < card; i++ {
 			s, err := m.str()
 			if err != nil {
 				return nil, err
 			}
-			spec.vocab = append(spec.vocab, s)
+			vocab = append(vocab, s)
 		}
+		id.dict = encoding.NewDictionary(vocab)
+		if id.dict.Cardinality() != len(vocab) {
+			return nil, corruptf("column %s: stored vocabulary has duplicates", id.name)
+		}
+		spec.width = id.dict.Width()
+		spec.domain = uint64(len(vocab))
 	case KindCode:
+		if spec.width < 1 || spec.width > 32 {
+			return nil, corruptf("column %s: bad width %d", id.name, spec.width)
+		}
 	default:
 		return nil, corruptf("unknown column kind %d", kind)
+	}
+	if id.kind != KindString {
+		spec.domain = 1 << uint(spec.width)
 	}
 
 	nullCount, err := m.u64()
@@ -633,7 +620,7 @@ func parseColumnMeta(payload []byte, nrows uint64, flags bool) (*columnSpec, err
 			return nil, err
 		}
 		if f&^metaZoneMaps != 0 {
-			return nil, corruptf("column %s: unknown flags %#x", spec.name, f)
+			return nil, corruptf("column %s: unknown flags %#x", id.name, f)
 		}
 		spec.zoneMaps = f&metaZoneMaps != 0
 	}
@@ -641,83 +628,6 @@ func parseColumnMeta(payload []byte, nrows uint64, flags bool) (*columnSpec, err
 		return nil, err
 	}
 	return spec, nil
-}
-
-// rebuildColumn reconstructs a column directly from its stored codes and
-// encoder parameters, avoiding native-value round trips (which would have
-// to special-case NULL placeholder rows).
-func rebuildColumn(name string, kind Kind, format Format, width int, codes []uint32,
-	intMin, intMax int64, decMin, decMax float64, decDigits int,
-	vocab []string, nullRows []int) (*Column, error) {
-
-	build, err := builderFor(format)
-	if err != nil {
-		return nil, err
-	}
-	nulls, err := buildNulls(nullRows, len(codes))
-	if err != nil {
-		return nil, err
-	}
-	checkCodes := func(k int) error {
-		if k < 1 || k > 32 {
-			return corruptf("column %s: bad width %d", name, k)
-		}
-		if k == 32 {
-			return nil
-		}
-		for i, c := range codes {
-			if c >= 1<<uint(k) {
-				return corruptf("column %s row %d: code %d exceeds width %d", name, i, c, k)
-			}
-		}
-		return nil
-	}
-
-	switch kind {
-	case KindInt:
-		enc, err := encoding.NewIntEncoder(intMin, intMax)
-		if err != nil {
-			return nil, err
-		}
-		if err := checkCodes(enc.Width()); err != nil {
-			return nil, err
-		}
-		return &Column{nulls: nulls, name: name, kind: KindInt, ints: enc,
-			hist: buildHistogram(codes, maxCodeFor(enc.Width())),
-			data: build(codes, enc.Width(), arena)}, nil
-	case KindDecimal:
-		enc, err := encoding.NewDecimalEncoder(decMin, decMax, decDigits)
-		if err != nil {
-			return nil, err
-		}
-		if err := checkCodes(enc.Width()); err != nil {
-			return nil, err
-		}
-		return &Column{nulls: nulls, name: name, kind: KindDecimal, decs: enc,
-			hist: buildHistogram(codes, maxCodeFor(enc.Width())),
-			data: build(codes, enc.Width(), arena)}, nil
-	case KindString:
-		dict := encoding.NewDictionary(vocab)
-		if dict.Cardinality() != len(vocab) {
-			return nil, corruptf("column %s: stored vocabulary has duplicates", name)
-		}
-		for i, c := range codes {
-			if int(c) >= dict.Cardinality() {
-				return nil, corruptf("column %s row %d: code %d outside dictionary", name, i, c)
-			}
-		}
-		return &Column{nulls: nulls, name: name, kind: KindString, dict: dict,
-			hist: buildHistogram(codes, maxCodeFor(dict.Width())),
-			data: build(codes, dict.Width(), arena)}, nil
-	case KindCode:
-		if err := checkCodes(width); err != nil {
-			return nil, err
-		}
-		return &Column{nulls: nulls, name: name, kind: KindCode,
-			hist: buildHistogram(codes, maxCodeFor(width)),
-			data: build(codes, width, arena)}, nil
-	}
-	return nil, corruptf("unknown kind %v", kind)
 }
 
 type countingWriter struct {

@@ -89,13 +89,13 @@ func isSyncUnsupported(err error) bool {
 // LoadFile reads a snapshot written by SaveFile (or any WriteTo stream on
 // disk), rebuilding every column like ReadTable. Corruption and version
 // errors wrap ErrCorrupt / ErrVersion.
-func LoadFile(path string, opts ...ColumnOption) (*Table, error) {
+func LoadFile(path string) (*Table, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("byteslice: load %s: %w", path, err)
 	}
 	defer f.Close() //nolint:errcheck // read-only
-	t, err := ReadTable(f, opts...)
+	t, err := ReadTable(f)
 	if err != nil {
 		return nil, fmt.Errorf("byteslice: load %s: %w", path, err)
 	}

@@ -9,8 +9,10 @@ import (
 )
 
 // TestPersistRoundTripMatrix round-trips one column of every kind through
-// every storage format and NULL pattern in the current (v3) stream,
-// asserting values and NULL masks survive exactly.
+// every storage format and NULL pattern in the current (v3) stream, then
+// re-lays the loaded table out into every other format and back, holding
+// load and re-layout to the same values, NULL masks and formats as a
+// fresh build.
 func TestPersistRoundTripMatrix(t *testing.T) {
 	const n = 97 // partial final segment
 	nullPatterns := map[string][]int{
@@ -36,6 +38,22 @@ func TestPersistRoundTripMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 				check(t, got)
+				for _, other := range formats {
+					if other == format {
+						continue
+					}
+					_, checkOther := matrixColumns(t, n, other, nulls)
+					there, err := got.WithLayout(other)
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkOther(t, there)
+					back, err := there.WithLayout(format)
+					if err != nil {
+						t.Fatal(err)
+					}
+					check(t, back)
+				}
 			})
 		}
 	}
@@ -50,8 +68,8 @@ func denseNulls(n int) []int {
 }
 
 // matrixColumns builds one column per kind in the given format and NULL
-// pattern, plus a checker that verifies a round-tripped table against the
-// source values.
+// pattern, plus a checker that verifies a loaded or re-laid-out table
+// against the source values and the source columns' formats.
 func matrixColumns(t *testing.T, n int, format byteslice.Format, nulls []int) ([]*byteslice.Column, func(*testing.T, *byteslice.Table)) {
 	t.Helper()
 	ints := make([]int64, n)
@@ -117,18 +135,24 @@ func matrixColumns(t *testing.T, n int, format byteslice.Format, nulls []int) ([
 		}
 		// ByteSliceC requests go through the build-time compression
 		// decision, which may deterministically fall back to raw
-		// ByteSlice; either way the round trip must reproduce exactly
-		// the layout the source column was built with.
-		if gi.Format() != ic.Format() {
-			t.Fatalf("format %s, want %s", gi.Format(), ic.Format())
+		// ByteSlice; either way the table must hold exactly the layout
+		// each source column was built with.
+		for _, pair := range [][2]*byteslice.Column{{gi, ic}, {gd, dc}, {gs, sc}, {gc, cc}} {
+			if pair[0].Format() != pair[1].Format() {
+				t.Fatalf("column %s: format %s, want %s", pair[1].Name(), pair[0].Format(), pair[1].Format())
+			}
 		}
-		if gi.NullCount() != len(nulls) {
-			t.Fatalf("null count %d, want %d", gi.NullCount(), len(nulls))
+		for _, g := range []*byteslice.Column{gi, gd, gs, gc} {
+			if g.NullCount() != len(nulls) {
+				t.Fatalf("column %s: null count %d, want %d", g.Name(), g.NullCount(), len(nulls))
+			}
+			for i := 0; i < n; i++ {
+				if g.IsNull(i) != isNull[i] {
+					t.Fatalf("column %s row %d: IsNull = %v, want %v", g.Name(), i, g.IsNull(i), isNull[i])
+				}
+			}
 		}
 		for i := 0; i < n; i++ {
-			if gi.IsNull(i) != isNull[i] {
-				t.Fatalf("row %d: IsNull = %v, want %v", i, gi.IsNull(i), isNull[i])
-			}
 			if v, _ := gi.LookupInt(nil, i); v != ints[i] {
 				t.Fatalf("int row %d: %d, want %d", i, v, ints[i])
 			}

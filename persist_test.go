@@ -11,7 +11,7 @@ import (
 	"byteslice"
 )
 
-func roundTripTable(t *testing.T, tbl *byteslice.Table, opts ...byteslice.ColumnOption) *byteslice.Table {
+func roundTripTable(t *testing.T, tbl *byteslice.Table) *byteslice.Table {
 	t.Helper()
 	var buf bytes.Buffer
 	n, err := tbl.WriteTo(&buf)
@@ -21,7 +21,7 @@ func roundTripTable(t *testing.T, tbl *byteslice.Table, opts ...byteslice.Column
 	if n != int64(buf.Len()) {
 		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
 	}
-	got, err := byteslice.ReadTable(&buf, opts...)
+	got, err := byteslice.ReadTable(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,13 +111,22 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPersistFormatOverride: a loaded table keeps its stored format and
+// re-lays out through WithLayout like any other.
 func TestPersistFormatOverride(t *testing.T) {
 	col := intColumn(t, "v", []int64{1, 2, 3}, 0, 10, byteslice.WithFormat(byteslice.FormatBitPacked))
 	tbl, _ := byteslice.NewTable(col)
-	got := roundTripTable(t, tbl, byteslice.WithFormat(byteslice.FormatByteSlice))
+	loaded := roundTripTable(t, tbl)
+	if c, _ := loaded.Column("v"); c.Format() != byteslice.FormatBitPacked {
+		t.Fatalf("stored format lost: %s", c.Format())
+	}
+	got, err := loaded.WithLayout(byteslice.FormatByteSlice)
+	if err != nil {
+		t.Fatal(err)
+	}
 	c, _ := got.Column("v")
 	if c.Format() != byteslice.FormatByteSlice {
-		t.Fatalf("override ignored: %s", c.Format())
+		t.Fatalf("re-layout ignored: %s", c.Format())
 	}
 	if v, _ := c.LookupInt(nil, 2); v != 3 {
 		t.Fatalf("value lost: %d", v)

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"byteslice/internal/bitvec"
-	"byteslice/internal/compress"
 	"byteslice/internal/core"
 	"byteslice/internal/kernel"
 	"byteslice/internal/layout"
@@ -70,66 +69,12 @@ func NewTable(cols ...*Column) (*Table, error) {
 // Len returns the number of rows.
 func (t *Table) Len() int { return t.n }
 
-// WithCompression returns a table whose named ByteSlice columns (all of
-// them when no names are given) are re-encoded through the build-time
-// compression decision: a column moves to the compressed FOR/delta block
-// layout when the bytes-moved cost model prices the fused compressed scan
-// below the raw SWAR scan, and stays raw otherwise. Columns already
-// compressed pass through unchanged; without explicit names non-ByteSlice
-// columns are skipped, while naming one is an error. The receiver is not
-// modified.
-func (t *Table) WithCompression(names ...string) (*Table, error) {
-	want := map[string]bool{}
-	for _, n := range names {
-		if _, err := t.Column(n); err != nil {
-			return nil, err
-		}
-		want[n] = true
-	}
-	cols := make([]*Column, len(t.cols))
-	for i, c := range t.cols {
-		_, isBS := byteSliceOf(c.data)
-		_, isCC := compressedOf(c.data)
-		switch {
-		case len(names) == 0 && !isBS && !isCC:
-			cols[i] = c
-			continue
-		case len(names) > 0 && !want[c.Name()]:
-			cols[i] = c
-			continue
-		}
-		nc, err := c.withCompression()
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = nc
-	}
-	return NewTable(cols...)
-}
-
-// withCompression re-encodes a raw ByteSlice column through the build-time
-// compression decision, sharing the encoders, NULL vector and histogram of
-// the receiver. Already-compressed columns pass through unchanged.
-func (c *Column) withCompression() (*Column, error) {
-	if _, ok := compressedOf(c.data); ok {
-		return c, nil
-	}
-	if _, ok := byteSliceOf(c.data); !ok {
-		return nil, fmt.Errorf("byteslice: column %s: format %s does not support compression", c.name, c.Format())
-	}
-	codes, err := materializeCodes(nil, c) // nil ctx: build-time re-encode, no caller cancellation
-	if err != nil {
-		return nil, queryErr(err)
-	}
-	nc := *c
-	nc.data = compress.NewBuilder(codes, c.Width(), arena)
-	return &nc, nil
-}
-
 // WithLayout returns a table whose named columns (all of them when no
 // names are given) are rebuilt in the given storage layout, sharing the
-// encoders, NULL vectors, histograms and workload counters of the
-// receiver's columns. Columns already in the requested layout pass
+// encoders and workload counters of the receiver's columns; zone maps
+// carry over whenever the result is raw ByteSlice. FormatByteSliceC runs
+// the build-time compression decision, so a column it would not pay off
+// for stays raw ByteSlice. Columns already in the requested layout pass
 // through unchanged. The receiver is not modified.
 func (t *Table) WithLayout(f Format, names ...string) (*Table, error) {
 	if _, err := builderFor(f); err != nil {
@@ -215,22 +160,16 @@ func (c *Column) autoLayoutTarget() (Format, bool) {
 }
 
 // withLayout rebuilds the column in the given layout, sharing the
-// encoders, NULL vector, histogram and workload counters of the receiver.
+// encoders and workload counters of the receiver.
 func (c *Column) withLayout(f Format) (*Column, error) {
 	if c.Format() == f {
 		return c, nil
 	}
-	build, err := builderFor(f)
+	codes, err := materializeCodes(c)
 	if err != nil {
 		return nil, err
 	}
-	codes, err := materializeCodes(nil, c) // nil ctx: build-time re-layout, no caller cancellation
-	if err != nil {
-		return nil, err
-	}
-	nc := *c
-	nc.data = build(codes, c.Width(), arena)
-	return &nc, nil
+	return newColumn(*c, c.Width(), codes, c.nullRows(), f, c.HasZoneMaps())
 }
 
 // Columns returns the table's columns in schema order. The slice is a

@@ -504,7 +504,7 @@ func (t *IngestTable) sealRowsLocked(n int) error {
 				nullRows = append(nullRows, r)
 			}
 		}
-		col, err := rebuildLike(c, c.Format(), t.tailCodes[i][:n:n], nullRows)
+		col, err := newColumn(*c, c.Width(), t.tailCodes[i][:n:n], nullRows, c.Format(), c.HasZoneMaps())
 		if err != nil {
 			return err
 		}
@@ -523,43 +523,6 @@ func (t *IngestTable) sealRowsLocked(n int) error {
 	t.publishLocked(v.epoch, v.base, sealed)
 	obs.Default.Ingest.SealedSegments.Add(1)
 	return nil
-}
-
-// rebuildLike reseals codes into a column sharing c's identity: the same
-// name, kind and encoders, the given storage format, zone maps rebuilt
-// when c carried them, and c's workload counters shared so the adaptive
-// layout decision survives the rebuild instead of restarting cold.
-func rebuildLike(c *Column, format Format, codes []uint32, nullRows []int) (*Column, error) {
-	var (
-		col *Column
-		err error
-	)
-	switch c.kind {
-	case KindInt:
-		col, err = rebuildColumn(c.name, KindInt, format, c.Width(), codes,
-			c.ints.Min(), c.ints.Max(), 0, 0, 0, nil, nullRows)
-	case KindDecimal:
-		col, err = rebuildColumn(c.name, KindDecimal, format, c.Width(), codes,
-			0, 0, c.decs.Min(), c.decs.Max(), c.decs.Digits(), nil, nullRows)
-	case KindString:
-		col, err = rebuildColumn(c.name, KindString, format, c.Width(), codes,
-			0, 0, 0, 0, 0, c.dict.Values(), nullRows)
-	default:
-		col, err = rebuildColumn(c.name, KindCode, format, c.Width(), codes,
-			0, 0, 0, 0, 0, nil, nullRows)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if c.HasZoneMaps() {
-		if bs, ok := byteSliceOf(col.data); ok {
-			bs.BuildZoneMaps()
-		}
-	}
-	if col.wl = c.wl; col.wl == nil {
-		col.wl = &obs.ColumnWorkload{}
-	}
-	return col, nil
 }
 
 // mergeOnce is one merge attempt, the background merger's run function:
@@ -682,42 +645,29 @@ func (t *IngestTable) commitMergeLocked(merged *Table, newEpoch uint64, covered 
 }
 
 // mergeTables rebuilds base plus the sealed segments into one fresh
-// Table, column by column, preserving each column's format, encoders,
-// zone maps and workload counters (rebuildLike).
+// Table, column by column, preserving each column's format, encoder,
+// zone maps and workload counters.
 func mergeTables(base *Table, sealed []*Table) (*Table, error) {
-	total := base.n
-	for _, s := range sealed {
-		total += s.n
+	parts := append([]*Table{base}, sealed...)
+	total := 0
+	for _, p := range parts {
+		total += p.n
 	}
 	cols := make([]*Column, len(base.cols))
 	for i, c := range base.cols {
-		codes := make([]uint32, 0, total)
-		bc, err := materializeCodes(nil, c) // nil ctx: background merge has no caller to cancel it
-		if err != nil {
-			return nil, queryErr(err)
-		}
-		codes = append(codes, bc...)
+		codes := make([]uint32, total)
 		var nullRows []int
-		if c.nulls != nil {
-			for _, r := range c.nulls.Positions(nil) {
-				nullRows = append(nullRows, int(r))
+		off := 0
+		for _, p := range parts {
+			if err := gatherCodes(p.cols[i], 0, codes[off:off+p.n]); err != nil {
+				return nil, err
 			}
+			for _, r := range p.cols[i].nullRows() {
+				nullRows = append(nullRows, off+r)
+			}
+			off += p.n
 		}
-		off := base.n
-		for _, s := range sealed {
-			sc, err := materializeCodes(nil, s.cols[i])
-			if err != nil {
-				return nil, queryErr(err)
-			}
-			codes = append(codes, sc...)
-			if s.cols[i].nulls != nil {
-				for _, r := range s.cols[i].nulls.Positions(nil) {
-					nullRows = append(nullRows, off+int(r))
-				}
-			}
-			off += s.n
-		}
-		col, err := rebuildLike(c, c.Format(), codes, nullRows)
+		col, err := newColumn(*c, c.Width(), codes, nullRows, c.Format(), c.HasZoneMaps())
 		if err != nil {
 			return nil, err
 		}
@@ -731,9 +681,9 @@ func mergeTables(base *Table, sealed []*Table) (*Table, error) {
 func appendTableRows(w *ingest.WAL, seg *Table) error {
 	colCodes := make([][]uint32, len(seg.cols))
 	for i, c := range seg.cols {
-		codes, err := materializeCodes(nil, c)
+		codes, err := materializeCodes(c)
 		if err != nil {
-			return queryErr(err)
+			return err
 		}
 		colCodes[i] = codes
 	}

@@ -107,7 +107,7 @@ func TestAppendTableRows(t *testing.T) {
 	// Non-NULL codes survive: decode back through the segment's encoders.
 	qcol := seg.cols[0]
 	for _, r := range []int{0, 2} {
-		wantCodes, err := materializeCodes(nil, qcol)
+		wantCodes, err := materializeCodes(qcol)
 		if err != nil {
 			t.Fatal(err)
 		}
