@@ -3,6 +3,7 @@ package byteslice_test
 import (
 	"math/rand/v2"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -715,5 +716,37 @@ func TestPersistDeltaInterplay(t *testing.T) {
 		if res.Count() != 1 {
 			t.Fatalf("%s: count = %d", what, res.Count())
 		}
+	}
+}
+
+// TestOnePredicateFilterAllocatesOneVector: a one-predicate Filter
+// allocates its result bit vector and little else — no second
+// table-length vector for a conjunct that never comes.
+func TestOnePredicateFilterAllocatesOneVector(t *testing.T) {
+	const rows = 1 << 20
+	vals := make([]int64, rows)
+	for i := range vals {
+		vals[i] = int64(i*7919) % 1000
+	}
+	tbl, err := byteslice.NewTable(intColumn(t, "v", vals, 0, 999))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := []byteslice.Filter{byteslice.IntFilter("v", byteslice.Lt, 100)}
+	if _, err := tbl.Filter(f); err != nil { // warm-up: lazily built state
+		t.Fatal(err)
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := tbl.Filter(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	if vector := float64(rows / 8); perRun >= 1.5*vector {
+		t.Fatalf("one-predicate Filter allocates %.0f B per run, want < 1.5 × the %.0f B result vector", perRun, vector)
 	}
 }

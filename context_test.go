@@ -115,6 +115,9 @@ func TestQueryContextPreCancelled(t *testing.T) {
 	if _, err := tab.OrderBy("v", res, opt); !errors.Is(err, context.Canceled) {
 		t.Fatalf("OrderBy: %v", err)
 	}
+	if _, err := tab.Top("v", res, 10, opt); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Top: %v", err)
+	}
 }
 
 // TestQueryWorkerPanicIsError: a panic inside a kernel worker surfaces as
@@ -141,6 +144,20 @@ func TestQueryWorkerPanicIsError(t *testing.T) {
 	}
 	if _, err := tab.SumIntBy("v", "v", nil); !errors.Is(err, bs.ErrQueryFault) {
 		t.Fatalf("SumIntBy err = %v, want ErrQueryFault", err)
+	}
+
+	// The native sort and top-n loops run in protected batches too.
+	kernel.BatchHook = nil
+	res, err := tab.Filter([]bs.Filter{bs.IntFilter("v", bs.Lt, 500)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kernel.BatchHook = func(int, int) { panic("injected kernel bug") }
+	if _, err := tab.Top("v", res, 10); !errors.Is(err, bs.ErrQueryFault) {
+		t.Fatalf("Top err = %v, want ErrQueryFault", err)
+	}
+	if _, err := tab.OrderBy("v", res); !errors.Is(err, bs.ErrQueryFault) {
+		t.Fatalf("OrderBy err = %v, want ErrQueryFault", err)
 	}
 }
 
@@ -176,6 +193,9 @@ func TestCompressedProjectPanicIsError(t *testing.T) {
 	}
 	if _, err := tab.OrderBy("v", res); !errors.Is(err, bs.ErrQueryFault) {
 		t.Fatalf("OrderBy err = %v, want ErrQueryFault", err)
+	}
+	if _, err := tab.Top("v", res, 5); !errors.Is(err, bs.ErrQueryFault) {
+		t.Fatalf("Top err = %v, want ErrQueryFault", err)
 	}
 }
 

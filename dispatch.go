@@ -110,21 +110,28 @@ func materializeCodes(c *Column) ([]uint32, error) {
 	return codes, nil
 }
 
-// gatherCodes fills codes with the codes of rows [lo, lo+len(codes))
-// through the layout's native lookup kernel (modelled layouts fall back
-// to the engine). It is the one code gather of re-layout, merge and
-// snapshot write; it runs serially and cannot be cancelled.
+// gatherCodes fills codes with the codes of rows [lo, lo+len(codes)) —
+// the one code gather of re-layout, merge and snapshot write. It runs
+// serially and cannot be cancelled.
 func gatherCodes(c *Column, lo int, codes []uint32) error {
+	rows := make([]int32, len(codes))
+	for i := range rows {
+		rows[i] = int32(lo + i)
+	}
+	return gatherRows(kernel.Exec{}, c, rows, codes)
+}
+
+// gatherRows fills codes with the codes of rows (ascending) through the
+// layout's native lookup kernel; layouts with only a modelled
+// implementation (BP, VBP) fall back to engine lookups, which x does not
+// reach.
+func gatherRows(x kernel.Exec, c *Column, rows []int32, codes []uint32) error {
 	if lk := nativeKernelOf(c); lk != nil {
-		rows := make([]int32, len(codes))
-		for i := range rows {
-			rows[i] = int32(lo + i)
-		}
-		return queryErr(lk.lookupMany(kernel.Exec{}, c, rows, codes))
+		return queryErr(lk.lookupMany(x, c, rows, codes))
 	}
 	e := (*Profile)(nil).engine()
-	for i := range codes {
-		codes[i] = c.data.Lookup(e, lo+i)
+	for i, r := range rows {
+		codes[i] = c.data.Lookup(e, int(r))
 	}
 	return nil
 }

@@ -9,9 +9,6 @@ import (
 	"byteslice/internal/datagen"
 	"byteslice/internal/kernel"
 	"byteslice/internal/layout/hbp"
-	"byteslice/internal/perf"
-	"byteslice/internal/simd"
-	"byteslice/internal/sortpart"
 )
 
 // LookupBench wall-clock-benchmarks the lookup-side kernels across
@@ -24,8 +21,8 @@ import (
 //     which is the only shape the facade ever hands it (each visited
 //     512-code block then decodes exactly once).
 //   - mode "order_by": the ORDER-BY materialisation — an ascending row
-//     list gathered and fed through the partitioned sort, as
-//     Table.OrderBy runs it.
+//     list gathered and radix-sorted by code (kernel.SortCodes), as the
+//     native Table.OrderBy runs it.
 //
 // Rows/sec counts looked-up rows, so the Layout axis is directly
 // comparable per width.
@@ -60,7 +57,6 @@ func LookupBench(cfg Config) []ScanBenchEntry {
 				func() { check(kernel.LookupManyCompressed(kernel.Exec{}, cc, asc, got)) },
 				func() { check(kernel.LookupManyCompressed(kernel.Exec{}, cc, asc, got)) }},
 		}
-		e := simd.New(perf.NewProfileNoCache())
 		for _, arm := range arms {
 			ns := measureScan(arm.gatherRandom)
 			en := entry(k, "native", 1, ns, cfg.Lookups)
@@ -70,7 +66,8 @@ func LookupBench(cfg Config) []ScanBenchEntry {
 			gather := arm.gatherAsc
 			ns = measureScan(func() {
 				gather()
-				sortpart.Sort(e, core.New(got, k, nil))
+				_, err := kernel.SortCodes(kernel.Exec{}, got, k, asc)
+				check(err)
 			})
 			en = entry(k, "native", 1, ns, cfg.Lookups)
 			en.Mode, en.Layout = "order_by", arm.layout

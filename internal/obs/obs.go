@@ -168,7 +168,7 @@ type Stage struct {
 	// Name identifies the stage for humans ("scan(price)"); Kind is the
 	// machine-readable stage class ("scan", "scan_zoned", "scan_multi",
 	// "pipelined", "sum", "extreme", "sum_by", "lookup", "project",
-	// "orderby").
+	// "orderby", "top").
 	Name, Kind string
 
 	workers     atomic.Int64
@@ -176,6 +176,7 @@ type Stage struct {
 	zoneSkipped atomic.Int64
 	maskSkipped atomic.Int64
 	rows        atomic.Int64
+	kept        atomic.Int64
 	bytes       atomic.Int64
 	batches     atomic.Int64
 	depth       [MaxDepth + 1]atomic.Int64
@@ -229,6 +230,9 @@ func (s *Stage) AddRows(n, bytes int64) {
 	s.bytes.Add(bytes)
 }
 
+// AddKept counts the rows a top-n stage kept out of the rows it read.
+func (s *Stage) AddKept(n int64) { s.kept.Add(n) }
+
 // AddBytes counts additional bytes touched (zone-map metadata, gate
 // mask words).
 func (s *Stage) AddBytes(n int64) { s.bytes.Add(n) }
@@ -243,6 +247,7 @@ func (s *Stage) Snapshot() StageStats {
 		ZoneSkipped:  s.zoneSkipped.Load(),
 		MaskSkipped:  s.maskSkipped.Load(),
 		Rows:         s.rows.Load(),
+		Kept:         s.kept.Load(),
 		BytesTouched: s.bytes.Load(),
 		Batches:      s.batches.Load(),
 		BatchNs:      s.batchNs.Snapshot(),
@@ -268,8 +273,10 @@ type StageStats struct {
 	Segments    int64 `json:"segments"`
 	ZoneSkipped int64 `json:"zone_skipped"`
 	MaskSkipped int64 `json:"mask_skipped,omitempty"`
-	// Rows counts rows for row-oriented stages (lookup, project, sort).
+	// Rows counts rows for row-oriented stages (lookup, project, sort,
+	// top); Kept is how many of them a top stage kept.
 	Rows int64 `json:"rows,omitempty"`
+	Kept int64 `json:"kept,omitempty"`
 	// BytesTouched is the column data (plus metadata) the stage read.
 	BytesTouched int64 `json:"bytes_touched"`
 	// EarlyStop is the byte-level early-stop histogram: EarlyStop[0]
@@ -291,6 +298,7 @@ func (s *StageStats) Merge(o StageStats) {
 	s.ZoneSkipped += o.ZoneSkipped
 	s.MaskSkipped += o.MaskSkipped
 	s.Rows += o.Rows
+	s.Kept += o.Kept
 	s.BytesTouched += o.BytesTouched
 	for i := range s.EarlyStop {
 		s.EarlyStop[i] += o.EarlyStop[i]
@@ -503,8 +511,11 @@ func (qs *QueryStats) Analyze() string {
 	for i := range qs.Stages {
 		st := &qs.Stages[i]
 		fmt.Fprintf(&b, "\n  %s: ", st.Name)
-		if st.Rows > 0 {
+		if st.Rows > 0 || st.Kind == "top" {
 			fmt.Fprintf(&b, "rows %d", st.Rows)
+			if st.Kind == "top" {
+				fmt.Fprintf(&b, ", kept %d", st.Kept)
+			}
 		} else {
 			fmt.Fprintf(&b, "segments %d", st.Segments)
 			if st.ZoneSkipped > 0 {

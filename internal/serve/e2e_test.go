@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/exec"
@@ -114,10 +115,12 @@ func TestServeE2E(t *testing.T) {
 		"-max-inflight", "2",
 		"-timeout", "10s",
 	)
-	stdout, err := srv.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Stdout goes to an io.Writer, not StdoutPipe: Wait closes a
+	// StdoutPipe as soon as the process exits, which can cut the reader
+	// off before the last line, while for a writer exec's own copier
+	// drains everything before Wait returns. The pipe closes after Wait.
+	stdout, stdoutW := io.Pipe()
+	srv.Stdout = stdoutW
 	srv.Stderr = logFile
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
@@ -141,7 +144,11 @@ func TestServeE2E(t *testing.T) {
 		}
 		outputc <- all.String()
 	}()
-	go func() { serverDone <- srv.Wait() }()
+	go func() {
+		err := srv.Wait()
+		stdoutW.Close() //nolint:errcheck // ends the reader's scan; never fails
+		serverDone <- err
+	}()
 
 	var base string
 	select {

@@ -156,9 +156,9 @@ func (s *Server) exec(ctx context.Context, req *Request, tenant string) (*Respon
 }
 
 // execRows materialises op "rows": the matching row ids (ordered when
-// asked, capped by the limit) plus the requested projected columns.
-// Projections need the immutable facade table; live ingest bindings
-// support ids only.
+// asked, capped by the limit) plus the requested projected columns, read
+// for the kept rows only. Projections need the immutable facade table;
+// live ingest bindings support ids only.
 //
 //bsvet:builder execRows fills the under-construction Response
 func (s *Server) execRows(req *Request, b binding, res *byteslice.Result, resp *Response, opts []byteslice.QueryOption) error {
@@ -170,30 +170,33 @@ func (s *Server) execRows(req *Request, b binding, res *byteslice.Result, resp *
 	if b.live && needsTable {
 		return errUnsupported("order_by and projections need a snapshot table, not a live ingest mount")
 	}
+	if limit < 0 {
+		limit = res.Count()
+	}
+	if b.live {
+		ids := res.Rows()
+		if len(ids) > limit {
+			// A copy, so a cached answer does not pin every match.
+			ids = append(make([]int32, 0, limit), ids[:limit]...)
+		}
+		resp.RowIDs = ids
+		return nil
+	}
 
-	var ids []int32
+	kept, err := b.tbl.Top(req.OrderBy, res, limit, opts...)
+	if err != nil {
+		return wrapFacadeErr(err)
+	}
 	if req.OrderBy != "" {
-		ordered, err := b.tbl.OrderBy(req.OrderBy, res, opts...)
-		if err != nil {
+		if resp.RowIDs, err = b.tbl.OrderBy(req.OrderBy, kept, opts...); err != nil {
 			return wrapFacadeErr(err)
 		}
-		ids = ordered
 	} else {
-		ids = res.Rows()
+		resp.RowIDs = kept.Rows()
 	}
-	if limit > 0 && len(ids) > limit {
-		ids = ids[:limit]
-	}
-	resp.RowIDs = ids
 
 	if len(req.Cols) == 0 {
 		return nil
-	}
-	// Projections return every matching row; intersect with the limited
-	// id set so the response stays bounded by the limit.
-	keep := make(map[int32]struct{}, len(ids))
-	for _, id := range ids {
-		keep[id] = struct{}{}
 	}
 	resp.Data = make(map[string]*ColumnData, len(req.Cols))
 	for _, name := range req.Cols {
@@ -204,40 +207,19 @@ func (s *Server) execRows(req *Request, b binding, res *byteslice.Result, resp *
 		d := &ColumnData{}
 		switch col.Kind() {
 		case byteslice.KindInt:
-			rows, vals, err := b.tbl.ProjectInt(name, res, opts...)
-			if err != nil {
-				return wrapFacadeErr(err)
-			}
-			for i, r := range rows {
-				if _, ok := keep[r]; ok {
-					d.Rows = append(d.Rows, r)
-					d.Ints = append(d.Ints, vals[i])
-				}
-			}
+			d.Rows, d.Ints, err = b.tbl.ProjectInt(name, kept, opts...)
 		case byteslice.KindDecimal:
-			rows, vals, err := b.tbl.ProjectDecimal(name, res, opts...)
-			if err != nil {
-				return wrapFacadeErr(err)
-			}
-			for i, r := range rows {
-				if _, ok := keep[r]; ok {
-					d.Rows = append(d.Rows, r)
-					d.Decimals = append(d.Decimals, vals[i])
-				}
-			}
+			d.Rows, d.Decimals, err = b.tbl.ProjectDecimal(name, kept, opts...)
 		case byteslice.KindString:
-			rows, vals, err := b.tbl.ProjectString(name, res, opts...)
-			if err != nil {
-				return wrapFacadeErr(err)
-			}
-			for i, r := range rows {
-				if _, ok := keep[r]; ok {
-					d.Rows = append(d.Rows, r)
-					d.Strings = append(d.Strings, vals[i])
-				}
-			}
+			d.Rows, d.Strings, err = b.tbl.ProjectString(name, kept, opts...)
 		default:
 			return errUnsupported("column %s: kind has no projection", name)
+		}
+		if err != nil {
+			return wrapFacadeErr(err)
+		}
+		if len(d.Rows) == 0 {
+			*d = ColumnData{} // no kept row has a value: "rows": null
 		}
 		resp.Data[name] = d
 	}

@@ -1,8 +1,8 @@
 package serve
 
 import (
+	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"hash/fnv"
 	"sort"
 	"strconv"
@@ -398,22 +398,33 @@ type ErrorResponse struct {
 	Code  string `json:"code"`
 }
 
-// fingerprint computes the response's content checksum.
+// fingerprint computes the response's content checksum: FNV-1a 64 over
+// a text rendering of the content. The text is the one fmt's %d, %g and
+// %s verbs produce (strconv's shortest 'g' form is exactly %g's), built
+// in one reused buffer that is hashed whenever it fills.
 func (r *Response) fingerprint() string {
 	h := fnv.New64a()
-	w := func(s string) { h.Write([]byte(s)) } //nolint:errcheck // hash.Write never fails
-	w(fmt.Sprintf("count=%d", r.Count))
+	buf := make([]byte, 0, 4096)
+	// flush hashes and empties buf once the next piece might not fit.
+	flush := func() {
+		if len(buf) > cap(buf)-64 {
+			h.Write(buf) //nolint:errcheck // hash.Write never fails
+			buf = buf[:0]
+		}
+	}
+	buf = strconv.AppendInt(append(buf, "count="...), int64(r.Count), 10)
 	if r.Value != nil {
-		w(fmt.Sprintf("|value=%g", *r.Value))
+		buf = strconv.AppendFloat(append(buf, "|value="...), *r.Value, 'g', -1, 64)
 	}
 	if r.IntValue != nil {
-		w(fmt.Sprintf("|int=%d", *r.IntValue))
+		buf = strconv.AppendInt(append(buf, "|int="...), *r.IntValue, 10)
 	}
 	if r.StrValue != nil {
-		w("|str=" + *r.StrValue)
+		buf = append(append(buf, "|str="...), *r.StrValue...)
 	}
 	for _, id := range r.RowIDs {
-		w(fmt.Sprintf("|r%d", id))
+		flush()
+		buf = strconv.AppendInt(append(buf, "|r"...), int64(id), 10)
 	}
 	cols := make([]string, 0, len(r.Data))
 	for c := range r.Data {
@@ -422,17 +433,23 @@ func (r *Response) fingerprint() string {
 	sort.Strings(cols)
 	for _, c := range cols {
 		d := r.Data[c]
-		w("|col=" + c)
+		buf = append(append(buf, "|col="...), c...)
+		if d.Ints == nil && d.Decimals == nil && d.Strings == nil {
+			continue // ids without values render nothing
+		}
 		for i, row := range d.Rows {
+			flush()
+			buf = append(strconv.AppendInt(append(buf, ';'), int64(row), 10), '=')
 			switch {
 			case d.Ints != nil:
-				w(fmt.Sprintf(";%d=%d", row, d.Ints[i]))
+				buf = strconv.AppendInt(buf, d.Ints[i], 10)
 			case d.Decimals != nil:
-				w(fmt.Sprintf(";%d=%g", row, d.Decimals[i]))
-			case d.Strings != nil:
-				w(fmt.Sprintf(";%d=%s", row, d.Strings[i]))
+				buf = strconv.AppendFloat(buf, d.Decimals[i], 'g', -1, 64)
+			default:
+				buf = append(buf, d.Strings[i]...)
 			}
 		}
 	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	h.Write(buf) //nolint:errcheck // hash.Write never fails
+	return hex.EncodeToString(h.Sum(nil))
 }

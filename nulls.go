@@ -70,3 +70,18 @@ func applyNulls(res *bitvec.Vector, c *Column) {
 		res.AndNot(c.nulls)
 	}
 }
+
+// dropNulls removes the rows that are NULL in c from rows, in place, and
+// returns the shortened slice.
+func (c *Column) dropNulls(rows []int32) []int32 {
+	if c.nulls == nil {
+		return rows
+	}
+	out := rows[:0]
+	for _, r := range rows {
+		if !c.nulls.Get(int(r)) {
+			out = append(out, r)
+		}
+	}
+	return out
+}

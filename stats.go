@@ -84,6 +84,15 @@ func (c *queryConfig) obsQuery() *obs.Query {
 	return nil
 }
 
+// resQuery returns the collector a call over res records its stages in:
+// res's own, or nil when the call runs modelled or unobserved.
+func (c *queryConfig) resQuery(res *Result) *obs.Query {
+	if c.native() && !c.noObs {
+		return res.stats
+	}
+	return nil
+}
+
 // stage opens one plan stage: it registers a Stage on q, starts the
 // tracer span, and returns the stage plus a close func recording the
 // stage's wall time. With q == nil both returns are no-ops (st == nil

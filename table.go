@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -190,6 +191,10 @@ func (t *Table) Column(name string) (*Column, error) {
 // Result is the outcome of a filter evaluation: one bit per row.
 type Result struct {
 	bv *bitvec.Vector
+	// rows, when non-nil, lists bv's set bits ascending. Top keeps it so
+	// that Count, Rows, OrderBy and the projections over its few rows
+	// cost O(n) rather than a pass over bv; And and Or drop it.
+	rows []int32
 	// explain records the planner's decision (plan.Decision.Explain) for
 	// the evaluation that produced this result; see Explain.
 	explain string
@@ -239,20 +244,32 @@ func (r *Result) Stats() *QueryStats {
 func (r *Result) ZoneSkipped() int { return r.zoneSkipped }
 
 // Count returns the number of matching rows.
-func (r *Result) Count() int { return r.bv.Count() }
+func (r *Result) Count() int {
+	if r.rows != nil {
+		return len(r.rows)
+	}
+	return r.bv.Count()
+}
 
 // Rows returns the matching record numbers in ascending order — the
-// scan-to-lookup conversion of §2.
-func (r *Result) Rows() []int32 { return r.bv.Positions(nil) }
+// scan-to-lookup conversion of §2. The slice is the caller's.
+func (r *Result) Rows() []int32 {
+	if r.rows != nil {
+		out := make([]int32, len(r.rows))
+		copy(out, r.rows)
+		return out
+	}
+	return r.bv.Positions(make([]int32, 0, r.bv.Count()))
+}
 
 // Contains reports whether row i matched.
 func (r *Result) Contains(i int) bool { return r.bv.Get(i) }
 
 // And intersects r with o in place and returns r.
-func (r *Result) And(o *Result) *Result { r.bv.And(o.bv); return r }
+func (r *Result) And(o *Result) *Result { r.rows = nil; r.bv.And(o.bv); return r }
 
 // Or unions r with o in place and returns r.
-func (r *Result) Or(o *Result) *Result { r.bv.Or(o.bv); return r }
+func (r *Result) Or(o *Result) *Result { r.rows = nil; r.bv.Or(o.bv); return r }
 
 // checkResult rejects a Result evaluated over a different row count —
 // another table, or a view with rows appended since — whose bits would
@@ -539,12 +556,15 @@ func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig,
 	}
 
 	acc := bitvec.New(t.n)
-	cur := bitvec.New(t.n)
+	var cur *bitvec.Vector // from the second predicate on
 	for i, r := range rs {
 		// Between-predicate cancellation point: the modelled engine loops
 		// are synchronous, so this is their only chance to observe ctx.
 		if err := cfg.ctxErr(); err != nil {
 			return nil, err
+		}
+		if i == 1 {
+			cur = bitvec.New(t.n)
 		}
 		if r.matchAll {
 			target := cur
@@ -784,13 +804,7 @@ func (t *Table) projectCodes(c *Column, res *Result, opts []QueryOption) ([]int3
 	for _, o := range opts {
 		o(&cfg)
 	}
-	rows := make([]int32, 0, res.Count())
-	for _, r := range res.Rows() {
-		if c.nulls != nil && c.nulls.Get(int(r)) {
-			continue
-		}
-		rows = append(rows, r)
-	}
+	rows := c.dropNulls(res.Rows())
 	codes := make([]uint32, len(rows))
 	c.wl.AddLookupRows(int64(len(rows)))
 	if lk := nativeKernelOf(c); lk != nil && cfg.native() {
@@ -798,11 +812,7 @@ func (t *Table) projectCodes(c *Column, res *Result, opts []QueryOption) ([]int3
 		// stitches, HBP extracts banks, compressed decodes each ascending
 		// block once. The stage lands in the filter result's collector, so
 		// res.Stats() after a projection shows scan and lookup together.
-		var obsQ *obs.Query
-		if !cfg.noObs {
-			obsQ = res.stats
-		}
-		st, done := cfg.stage(obsQ, "project("+c.Name()+")", "project")
+		st, done := cfg.stage(cfg.resQuery(res), "project("+c.Name()+")", "project")
 		defer done()
 		if err := cfg.ctxErr(); err != nil {
 			return nil, nil, err
@@ -835,10 +845,11 @@ func (t *Table) projectCodes(c *Column, res *Result, opts []QueryOption) ([]int3
 }
 
 // OrderBy returns the matching rows sorted by the named column's values in
-// ascending order (ties keep row order). ByteSlice columns sort via the §6
-// radix sort over their byte slices; other formats fall back to a
-// comparison sort on looked-up codes. NULL rows of the sort column are
-// excluded.
+// ascending order (ties keep row order). NULL rows of the sort column are
+// excluded. Natively the survivors' codes are gathered through the
+// layout's lookup kernel and radix-sorted; the modelled WithProfile path
+// sorts ByteSlice columns with the §6 radix sort over byte slices
+// (sortpart) and other formats with a comparison sort on looked-up codes.
 func (t *Table) OrderBy(col string, res *Result, opts ...QueryOption) ([]int32, error) {
 	c, err := t.Column(col)
 	if err != nil {
@@ -857,76 +868,129 @@ func (t *Table) OrderBy(col string, res *Result, opts ...QueryOption) ([]int32, 
 	if err := cfg.ctxErr(); err != nil {
 		return nil, err
 	}
-	e := cfg.profile.engine()
-
-	rows := make([]int32, 0, res.Count())
-	for _, r := range res.Rows() {
-		if c.nulls != nil && c.nulls.Get(int(r)) {
-			continue
-		}
-		rows = append(rows, r)
-	}
+	rows := c.dropNulls(res.Rows())
 	if len(rows) == 0 {
 		return rows, nil
 	}
-
-	var obsQ *obs.Query
-	if cfg.native() && !cfg.noObs {
-		obsQ = res.stats
-	}
-	st, done := cfg.stage(obsQ, "orderby("+col+")", "orderby")
+	st, done := cfg.stage(cfg.resQuery(res), "orderby("+col+")", "orderby")
 	if st != nil {
 		st.AddRows(int64(len(rows)), int64(len(rows))*int64((c.Width()+7)/8))
 	}
 	defer done()
 	c.wl.AddLookupRows(int64(len(rows)))
+	return sortRows(c, rows, &cfg)
+}
 
-	if lk := nativeKernelOf(c); lk != nil && cfg.native() {
-		// Native materialisation through the layout dispatch table — the
-		// survivors' codes come out of the column's native lookup kernel
-		// (ByteSlice stitch, HBP bank extract, compressed block decode)
-		// instead of modelled per-row lookups — then radix-sort the small
-		// materialised ByteSlice column; the permutation maps back to rows.
+// sortRows orders rows (ascending, none NULL in c) by c's codes, ties in
+// row order; rows is not modified.
+func sortRows(c *Column, rows []int32, cfg *queryConfig) ([]int32, error) {
+	if cfg.native() {
+		x := kernel.Exec{Ctx: cfg.ctx}
 		codes := make([]uint32, len(rows))
-		if err := lk.lookupMany(kernel.Exec{Ctx: cfg.ctx}, c, rows, codes); err != nil {
-			return nil, queryErr(err)
+		if err := gatherRows(x, c, rows, codes); err != nil {
+			return nil, err
 		}
-		sub := core.New(codes, c.Width(), nil)
-		order := sortpart.Sort(e, sub)
-		out := make([]int32, len(rows))
-		for i, idx := range order {
-			out[i] = rows[idx]
-		}
-		return out, nil
+		out, err := kernel.SortCodes(x, codes, c.Width(), rows)
+		return out, queryErr(err)
 	}
-	if bs, ok := byteSliceOf(c.data); ok {
-		// Modelled path: materialise the survivors' codes with per-row
-		// engine lookups and radix-sort them.
-		codes := make([]uint32, len(rows))
-		for i, r := range rows {
-			codes[i] = bs.Lookup(e, int(r))
-		}
-		sub := core.New(codes, c.Width(), nil)
-		order := sortpart.Sort(e, sub)
-		out := make([]int32, len(rows))
-		for i, idx := range order {
-			out[i] = rows[idx]
-		}
-		return out, nil
-	}
-
+	// Modelled path: materialise the survivors' codes with per-row engine
+	// lookups, then radix-sort ByteSlice codes over their byte slices.
+	e := cfg.profile.engine()
 	codes := make([]uint32, len(rows))
 	for i, r := range rows {
 		codes[i] = c.data.Lookup(e, int(r))
 	}
-	perm := make([]int, len(rows))
-	for i := range perm {
-		perm[i] = i
+	var order []int32
+	if _, ok := byteSliceOf(c.data); ok {
+		order = sortpart.Sort(e, core.New(codes, c.Width(), nil))
+	} else {
+		order = make([]int32, len(rows))
+		for i := range order {
+			order[i] = int32(i)
+		}
+		sort.SliceStable(order, func(i, j int) bool { return codes[order[i]] < codes[order[j]] })
 	}
-	sort.SliceStable(perm, func(i, j int) bool { return codes[perm[i]] < codes[perm[j]] })
 	out := make([]int32, len(rows))
-	for i, idx := range perm {
+	for i, idx := range order {
 		out[i] = rows[idx]
 	}
 	return out, nil
+}
+
+// Top returns the rows OrderBy(col, res) lists first — at most n of them,
+// ties in row order, NULLs of col excluded — as a Result; col == "" keeps
+// the first n matches in row order. The Result remembers its ascending
+// row list, so Count, Rows, OrderBy and the projections over it cost O(n)
+// rather than a pass over the table's bit vector (And and Or drop the
+// list). It shares res's explain and statistics collector, so the stages
+// run over it appear in res.Explain as well. Picking the rows is the
+// OrderBy sort over the survivors — native or modelled, as the options
+// say — truncated to n.
+func (t *Table) Top(col string, res *Result, n int, opts ...QueryOption) (*Result, error) {
+	var c *Column
+	if col != "" {
+		var err error
+		if c, err = t.Column(col); err != nil {
+			return nil, err
+		}
+	}
+	if res == nil {
+		return nil, fmt.Errorf("byteslice: Top needs a filter result")
+	}
+	if n < 0 {
+		return nil, fmt.Errorf("byteslice: Top needs n >= 0, got %d", n)
+	}
+	if err := t.checkResult(res); err != nil {
+		return nil, err
+	}
+	var cfg queryConfig
+	for _, o := range opts {
+		o(&cfg)
+	}
+	if err := cfg.ctxErr(); err != nil {
+		return nil, err
+	}
+	rows := res.Rows()
+	if c != nil {
+		rows = c.dropNulls(rows)
+	}
+	st, done := cfg.stage(cfg.resQuery(res), "top("+col+")", "top")
+	kept, err := topRows(c, rows, n, &cfg, st)
+	done()
+	if err != nil {
+		return nil, err
+	}
+	// The bits keep Contains, And, Or and the aggregates over out exact.
+	out := &Result{bv: bitvec.New(t.n), rows: kept, explain: res.explain, zoneSkipped: res.zoneSkipped, stats: res.stats}
+	for _, r := range kept {
+		out.bv.Set(int(r), true)
+	}
+	return out, nil
+}
+
+// topRows picks Top's kept rows, ascending and never nil, out of the
+// candidate rows (ascending, none NULL in c; c == nil keeps row order),
+// and records the rows in, the rows kept and the column bytes read on st.
+func topRows(c *Column, rows []int32, n int, cfg *queryConfig, st *obs.Stage) ([]int32, error) {
+	kept := rows
+	var read int64 // none when n or row order decides
+	if n < len(rows) {
+		if c == nil {
+			kept = append(make([]int32, 0, n), rows[:n]...)
+		} else {
+			c.wl.AddLookupRows(int64(len(rows)))
+			order, err := sortRows(c, rows, cfg)
+			if err != nil {
+				return nil, err
+			}
+			kept = append(make([]int32, 0, n), order[:n]...)
+			slices.Sort(kept)
+			read = int64(len(rows)) * int64((c.Width()+7)/8)
+		}
+	}
+	if st != nil {
+		st.AddRows(int64(len(rows)), read)
+		st.AddKept(int64(len(kept)))
+	}
+	return kept, nil
 }
