@@ -19,13 +19,18 @@ import (
 // always excluded, matching SQL.
 
 // aggMask builds the effective row mask: the result's rows (or all rows)
-// minus the column's NULLs. Returns nil when every row participates.
+// minus the column's NULLs. Returns nil when every row participates. When
+// the column has no NULLs the mask is the result's own vector, which the
+// caller must not write.
 func (t *Table) aggMask(c *Column, res *Result) (*bitvec.Vector, error) {
 	if err := t.checkResult(res); err != nil {
 		return nil, err
 	}
-	if res == nil && c.nulls == nil {
-		return nil, nil
+	if c.nulls == nil {
+		if res == nil {
+			return nil, nil
+		}
+		return res.bv, nil
 	}
 	m := bitvec.New(t.n)
 	if res != nil {
@@ -337,15 +342,20 @@ func (t *Table) sumBy(v *Column, byCol string, res *Result, opts []QueryOption,
 	p := cfg.profile
 	e := p.engine()
 
-	// Effective mask: result rows minus NULLs of both columns.
+	// Effective mask: result rows minus NULLs of both columns. The group
+	// column's NULLs are cleared in place, so a mask that may be the
+	// result's own vector is copied first.
 	mask, err := t.aggMask(v, res)
 	if err != nil {
 		return nil, err
 	}
 	if g.nulls != nil {
-		if mask == nil {
+		switch {
+		case mask == nil:
 			mask = bitvec.New(t.n)
 			mask.Fill()
+		case v.nulls == nil:
+			mask = mask.Clone()
 		}
 		applyNulls(mask, g)
 	}

@@ -327,3 +327,109 @@ func TestSumDecimalByAndNulls(t *testing.T) {
 		t.Fatal("unknown group column accepted")
 	}
 }
+
+// resultGuardTable builds a table whose value columns come with and
+// without NULLs ("v"/"vn" integers, "d"/"dn" decimals) plus a small group
+// column "g" with NULLs, and a filter result over it.
+func resultGuardTable(t *testing.T) (*byteslice.Table, *byteslice.Result) {
+	t.Helper()
+	rng := rand.New(rand.NewPCG(21, 21)) //nolint:gosec
+	const n = 3000
+	ints := make([]int64, n)
+	decs := make([]float64, n)
+	groups := make([]int64, n)
+	var nulls, groupNulls []int
+	for i := 0; i < n; i++ {
+		ints[i] = int64(rng.IntN(1000))
+		decs[i] = float64(rng.IntN(10000)) / 100
+		groups[i] = int64(rng.IntN(6))
+		if i%7 == 3 {
+			nulls = append(nulls, i)
+		}
+		if i%5 == 1 {
+			groupNulls = append(groupNulls, i)
+		}
+	}
+	dec := func(name string, opts ...byteslice.ColumnOption) *byteslice.Column {
+		c, err := byteslice.NewDecimalColumn(name, decs, 0, 100, 2, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	tbl, err := byteslice.NewTable(
+		intColumn(t, "v", ints, 0, 999),
+		intColumn(t, "vn", ints, 0, 999, byteslice.WithNulls(nulls)),
+		dec("d"),
+		dec("dn", byteslice.WithNulls(nulls)),
+		intColumn(t, "g", groups, 0, 5, byteslice.WithNulls(groupNulls)),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := tbl.Filter([]byteslice.Filter{byteslice.IntFilter("v", byteslice.Lt, 250)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl, res
+}
+
+// TestGroupedSumLeavesResultUnchanged pins that a grouped sum clearing the
+// group column's NULLs never writes through to the caller's result, which
+// an aggregate over a column without NULLs reads in place.
+func TestGroupedSumLeavesResultUnchanged(t *testing.T) {
+	tbl, res := resultGuardTable(t)
+	want := res.Count()
+	if _, err := tbl.SumIntBy("v", "g", res); err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Count(); got != want {
+		t.Fatalf("SumIntBy changed the result's Count from %d to %d", want, got)
+	}
+}
+
+// TestAggregatesLeaveResultUnchanged runs every aggregate over a result,
+// on columns with and without NULLs, on both execution paths, and checks
+// the result's Count and Rows afterwards.
+func TestAggregatesLeaveResultUnchanged(t *testing.T) {
+	tbl, res := resultGuardTable(t)
+	wantCount, wantRows := res.Count(), res.Rows()
+	for _, path := range []struct {
+		name string
+		opts []byteslice.QueryOption
+	}{
+		{"native", nil},
+		{"modelled", []byteslice.QueryOption{byteslice.WithProfile(byteslice.NewProfile())}},
+	} {
+		for _, cols := range [][2]string{{"v", "d"}, {"vn", "dn"}} {
+			iv, dv := cols[0], cols[1]
+			calls := map[string]func() error{
+				"SumInt":     func() error { _, _, err := tbl.SumInt(iv, res, path.opts...); return err },
+				"SumDecimal": func() error { _, _, err := tbl.SumDecimal(dv, res, path.opts...); return err },
+				"MinInt":     func() error { _, _, err := tbl.MinInt(iv, res, path.opts...); return err },
+				"MaxInt":     func() error { _, _, err := tbl.MaxInt(iv, res, path.opts...); return err },
+				"MinDecimal": func() error { _, _, err := tbl.MinDecimal(dv, res, path.opts...); return err },
+				"MaxDecimal": func() error { _, _, err := tbl.MaxDecimal(dv, res, path.opts...); return err },
+				"SumIntBy":   func() error { _, err := tbl.SumIntBy(iv, "g", res, path.opts...); return err },
+				"SumDecimalBy": func() error {
+					_, err := tbl.SumDecimalBy(dv, "g", res, path.opts...)
+					return err
+				},
+			}
+			for name, call := range calls {
+				if err := call(); err != nil {
+					t.Fatalf("%s %s(%s): %v", path.name, name, iv, err)
+				}
+				rows := res.Rows()
+				if res.Count() != wantCount || len(rows) != len(wantRows) {
+					t.Fatalf("%s %s(%s): result now has %d rows, want %d", path.name, name, iv, res.Count(), wantCount)
+				}
+				for i := range rows {
+					if rows[i] != wantRows[i] {
+						t.Fatalf("%s %s(%s): row %d is %d, want %d", path.name, name, iv, i, rows[i], wantRows[i])
+					}
+				}
+			}
+		}
+	}
+}

@@ -121,6 +121,14 @@ func (v *Vector) Word32(i int) uint32 {
 	return uint32(v.words[i>>6] >> (uint(i) & 63))
 }
 
+// Words returns the vector's backing words: bit i is bit i%64 of word
+// i/64. The pipelined scans and the masked aggregates walk a selection 64
+// rows at a time through it. A caller that writes it must keep the bits
+// past Len zero.
+//
+//bsvet:hotloop
+func (v *Vector) Words() []uint64 { return v.words }
+
 // Count returns the number of set bits.
 func (v *Vector) Count() int {
 	c := 0

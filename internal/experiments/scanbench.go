@@ -30,7 +30,8 @@ type ScanBenchEntry struct {
 	// scan under another operator; "scan_zoned" a zone-map-pruned scan;
 	// "agg_two_pass" the filter→sum shape;
 	// "multi_column_first"/"multi_pred_first" the multi-predicate
-	// conjunction shapes.
+	// conjunction shapes, "multi_clustered" the column-first one behind a
+	// sorted, zone-mapped leading column.
 	Mode string `json:"mode,omitempty"`
 	// Preds is the conjunct count of the multi-predicate benchmarks.
 	Preds int `json:"preds,omitempty"`
@@ -245,7 +246,10 @@ func CompressedScanBench(cfg Config, workerCounts []int) []ScanBenchEntry {
 // MultiPredBench measures an npreds-way conjunction (12-bit uniform
 // columns, 30% selectivity each) in the two native shapes the planner
 // chooses between: the column-first pipeline and the predicate-first
-// multi-scan.
+// multi-scan. A third arm, mode "multi_clustered", runs the column-first
+// pipeline behind a sorted, zone-mapped leading column at 10%: the zone
+// map settles its scan and leaves 90% of the later scans' gate words
+// dead, the shape of a date-range conjunction.
 func MultiPredBench(cfg Config, npreds int, workerCounts []int) []ScanBenchEntry {
 	const (
 		k   = 12
@@ -259,17 +263,23 @@ func MultiPredBench(cfg Config, npreds int, workerCounts []int) []ScanBenchEntry
 		cols[i] = core.New(codes, k, nil)
 		preds[i] = constFor(codes, k, layout.Lt, sel)
 	}
+	sorted := datagen.Sorted(rng, cfg.N, k)
+	lead := core.New(sorted, k, nil)
+	lead.BuildZoneMaps()
+	clustered := append([]*core.ByteSlice{lead}, cols[1:]...)
+	clusteredPreds := append([]layout.Predicate{constFor(sorted, k, layout.Lt, 0.10)}, preds[1:]...)
 	acc, cur := bitvec.New(cfg.N), bitvec.New(cfg.N)
+	columnFirst := func(x kernel.Exec, cols []*core.ByteSlice, preds []layout.Predicate) {
+		check2(kernel.Scan(x, cols[0], preds[0], nil, false, acc))
+		for i := 1; i < len(cols); i++ {
+			check2(kernel.Scan(x, cols[i], preds[i], acc, false, cur))
+			acc, cur = cur, acc
+		}
+	}
 	var out []ScanBenchEntry
 	for _, w := range append([]int{1}, workerCounts...) {
 		x := kernel.Exec{Workers: w}
-		ns := measureScan(func() {
-			check2(kernel.Scan(x, cols[0], preds[0], nil, false, acc))
-			for i := 1; i < npreds; i++ {
-				check2(kernel.Scan(x, cols[i], preds[i], acc, false, cur))
-				acc, cur = cur, acc
-			}
-		})
+		ns := measureScan(func() { columnFirst(x, cols, preds) })
 		e := entry(k, "native", w, ns, cfg.N)
 		e.Mode, e.Preds = "multi_column_first", npreds
 		out = append(out, e)
@@ -277,6 +287,11 @@ func MultiPredBench(cfg Config, npreds int, workerCounts []int) []ScanBenchEntry
 		ns = measureScan(func() { check2(kernel.ScanMulti(x, cols, preds, false, acc)) })
 		e = entry(k, "native", w, ns, cfg.N)
 		e.Mode, e.Preds = "multi_pred_first", npreds
+		out = append(out, e)
+
+		ns = measureScan(func() { columnFirst(x, clustered, clusteredPreds) })
+		e = entry(k, "native", w, ns, cfg.N)
+		e.Data, e.Mode, e.Preds = "sorted", "multi_clustered", npreds
 		out = append(out, e)
 	}
 	return out

@@ -17,9 +17,11 @@ import (
 //   - Min/Max stitch the codes of the selected rows directly from the
 //     byte slices (the selection is usually sparse after a filter).
 //
-// All kernels honour an optional selection mask and ignore the padding
-// rows of the final segment (their bytes are zero and their mask bits are
-// never set).
+// A selection mask is walked once, one 64-row word at a time, for every
+// byte slice: a zero word costs one load and no data, so a filtered
+// aggregate pays per surviving word rather than per segment of the
+// table. All kernels ignore the padding rows of the final segment (their
+// bytes are zero and their mask bits are never set).
 
 // evenB selects the even byte lanes of a word, widened to 16 bits.
 const evenB = 0x00FF00FF00FF00FF
@@ -53,13 +55,34 @@ func pairSum(w uint64) uint64 {
 // stays below 65536, so partial sums are folded out every 124 words.
 const foldEvery = 124
 
-// SumRange returns the padded byte-weighted sum over segments
-// [segLo, segHi): Σ (code << pad) for the selected rows. Range partials
-// add, and the caller removes the shared pad shift once at the end.
+// stitchMax is the survivor count up to which a masked 64-row word is
+// summed by stitching its rows' codes (one load per byte slice per row)
+// rather than by the masked pair sums over all eight words of every byte
+// slice.
+const stitchMax = 8
+
+// segsLive counts the 32-row segments of a mask word that hold a
+// survivor.
 //
 //bsvet:hotloop
-func sumRange(b *core.ByteSlice, mask *bitvec.Vector, segLo, segHi int) uint64 {
-	nb, n := b.NumSlices(), b.Len()
+func segsLive(m uint64) int {
+	n := 0
+	if uint32(m) != 0 {
+		n++
+	}
+	if m>>32 != 0 {
+		n++
+	}
+	return n
+}
+
+// sumRange returns the padded byte-weighted sum over every row of
+// segments [segLo, segHi): Σ (code << pad). Range partials add, and the
+// caller removes the shared pad shift once at the end.
+//
+//bsvet:hotloop
+func sumRange(b *core.ByteSlice, segLo, segHi int) uint64 {
+	nb := b.NumSlices()
 	var padded uint64
 	for j := 0; j < nb; j++ {
 		s := b.Slice(j)
@@ -67,22 +90,8 @@ func sumRange(b *core.ByteSlice, mask *bitvec.Vector, segLo, segHi int) uint64 {
 		cnt := 0
 		for seg := segLo; seg < segHi; seg++ {
 			off := seg * core.SegmentSize
-			if mask != nil {
-				var r uint32
-				if off < n {
-					r = mask.Word32(off)
-				}
-				if r == 0 {
-					continue
-				}
-				for u := 0; u < 4; u++ {
-					w := binary.LittleEndian.Uint64(s[off+8*u:]) & expand8(byte(r>>(8*u)))
-					acc += pairSum(w)
-				}
-			} else {
-				for u := 0; u < 4; u++ {
-					acc += pairSum(binary.LittleEndian.Uint64(s[off+8*u:]))
-				}
+			for u := 0; u < 4; u++ {
+				acc += pairSum(binary.LittleEndian.Uint64(s[off+8*u:]))
 			}
 			if cnt += 4; cnt >= foldEvery {
 				total += fold16(acc)
@@ -95,59 +104,138 @@ func sumRange(b *core.ByteSlice, mask *bitvec.Vector, segLo, segHi int) uint64 {
 	return padded
 }
 
+// sumMaskedRange is sumRange restricted to the rows set in mask. It reads
+// each mask word once for all byte slices: a zero word is skipped, a word
+// with at most stitchMax survivors stitches their codes, and a denser one
+// runs the masked pair sums over every byte slice. It also returns the
+// survivor count and the segments whose data it loaded.
+//
+//bsvet:hotloop
+func sumMaskedRange(b *core.ByteSlice, mask *bitvec.Vector, segLo, segHi int) (padded uint64, count, loaded int) {
+	nb := b.NumSlices()
+	var arr [4][]byte
+	slices := arr[:nb]
+	for j := range slices {
+		slices[j] = b.Slice(j)
+	}
+	lim := len(arr[0])
+	mw := mask.Words()
+	for w, end := segLo/2, min((segHi+1)/2, len(mw)); w < end; w++ {
+		m := mw[w]
+		if m == 0 {
+			continue
+		}
+		off := 64 * w
+		c := bits.OnesCount64(m)
+		count += c
+		loaded += segsLive(m)
+		if c <= stitchMax || off+64 > lim {
+			for ; m != 0; m &= m - 1 {
+				i := off + bits.TrailingZeros64(m)
+				var v uint64
+				for _, s := range slices {
+					v = v<<8 | uint64(s[i])
+				}
+				padded += v
+			}
+			continue
+		}
+		e0, e1, e2, e3 := expand8(byte(m)), expand8(byte(m>>8)), expand8(byte(m>>16)), expand8(byte(m>>24))
+		e4, e5, e6, e7 := expand8(byte(m>>32)), expand8(byte(m>>40)), expand8(byte(m>>48)), expand8(byte(m>>56))
+		for j, s := range slices {
+			s := s[off : off+64 : off+64]
+			acc := pairSum(binary.LittleEndian.Uint64(s[0:8])&e0) + pairSum(binary.LittleEndian.Uint64(s[8:16])&e1) +
+				pairSum(binary.LittleEndian.Uint64(s[16:24])&e2) + pairSum(binary.LittleEndian.Uint64(s[24:32])&e3) +
+				pairSum(binary.LittleEndian.Uint64(s[32:40])&e4) + pairSum(binary.LittleEndian.Uint64(s[40:48])&e5) +
+				pairSum(binary.LittleEndian.Uint64(s[48:56])&e6) + pairSum(binary.LittleEndian.Uint64(s[56:64])&e7)
+			padded += fold16(acc) << uint(8*(nb-1-j))
+		}
+	}
+	return padded, count, loaded
+}
+
+// maskWordBytes is the selection word a masked aggregate reads per 64
+// rows.
+const maskWordBytes = 8
+
+// maskWords is the number of 64-row mask words covering segments
+// [segLo, segHi), which start on a word.
+func maskWords(segLo, segHi int) int64 { return int64(segHi-segLo+1) / 2 }
+
 // Sum returns the sum of the codes of the rows set in mask (every row when
-// mask is nil) and the number of rows aggregated. Aggregate kernels have
-// no early stop, so stage bytes count every byte slice of every segment.
+// mask is nil) and the number of rows aggregated. Stage accounting charges
+// the mask words read plus the byte slices of the segments loaded; the
+// segments with no survivor count as mask-skipped.
 func Sum(x Exec, b *core.ByteSlice, mask *bitvec.Vector) (sum uint64, count int, err error) {
 	if mask != nil && mask.Len() != b.Len() {
 		panic("kernel: aggregate mask length mismatch")
 	}
-	count = b.Len()
-	if mask != nil {
-		count = mask.Count()
-	}
 	pad := uint(8*b.NumSlices() - b.Width())
 	segBytes := int64(core.SegmentSize * b.NumSlices())
 	st := x.Stage
-	padded, err := parallelRanges(x, b.Segments(), func(lo, hi int) uint64 {
-		if st != nil {
-			st.AddSegments(int64(hi-lo), int64(hi-lo)*segBytes)
+	if mask == nil {
+		padded, err := parallelRanges(x, b.Segments(), func(lo, hi int) uint64 {
+			if st != nil {
+				st.AddSegments(int64(hi-lo), int64(hi-lo)*segBytes)
+			}
+			return sumRange(b, lo, hi)
+		}, addUint64)
+		if err != nil {
+			return 0, 0, err
 		}
-		return sumRange(b, mask, lo, hi)
-	}, addUint64)
+		return padded >> pad, b.Len(), nil
+	}
+	part, err := parallelRanges(x, b.Segments(), func(lo, hi int) sumPartial {
+		padded, count, loaded := sumMaskedRange(b, mask, lo, hi)
+		if st != nil {
+			st.AddSegments(int64(loaded), maskWords(lo, hi)*maskWordBytes+int64(loaded)*segBytes)
+			st.AddMaskSkipped(int64(hi - lo - loaded))
+		}
+		return sumPartial{padded, count}
+	}, addSum)
 	if err != nil {
 		return 0, 0, err
 	}
-	return padded >> pad, count, nil
+	return part.padded >> pad, part.count, nil
 }
 
 // extremeRange scans segments [segLo, segHi) for the extreme code among
-// the selected rows, stitching candidate codes straight from the slices.
+// the selected rows (every row when mask is nil), walking the mask a
+// 64-row word at a time and stitching candidate codes straight from the
+// slices. It stops as soon as the running extreme is the domain bound
+// (code 0 for a minimum, 2^k−1 for a maximum) — no later row can beat it
+// — and returns the segments it walked and loaded.
 //
 //bsvet:hotloop
-func extremeRange(b *core.ByteSlice, mask *bitvec.Vector, isMin bool, segLo, segHi int) (uint32, bool) {
+func extremeRange(b *core.ByteSlice, mask *bitvec.Vector, isMin bool, segLo, segHi int) (best uint32, found bool, walked, loaded int) {
 	nb, n := b.NumSlices(), b.Len()
 	pad := uint(8*nb - b.Width())
 	var slices [4][]byte
 	for j := 0; j < nb; j++ {
 		slices[j] = b.Slice(j)
 	}
-	var best uint32
-	found := false
-	for seg := segLo; seg < segHi; seg++ {
-		off := seg * core.SegmentSize
-		if off >= n {
-			break
+	bound := uint32(0)
+	if !isMin {
+		bound = uint32(uint64(1)<<uint(b.Width()) - 1)
+	}
+	var mw []uint64
+	if mask != nil {
+		mw = mask.Words()
+	}
+	for w, end := segLo/2, min((segHi+1)/2, (n+63)/64); w < end; w++ {
+		off := 64 * w
+		m := ^uint64(0)
+		if mw != nil {
+			m = mw[w]
+		} else if rem := n - off; rem < 64 {
+			m = 1<<uint(rem) - 1
 		}
-		r := ^uint32(0)
-		if mask != nil {
-			r = mask.Word32(off)
-		} else if rem := n - off; rem < 32 {
-			r = 1<<uint(rem) - 1
+		if m == 0 {
+			continue
 		}
-		for r != 0 {
-			i := off + bits.TrailingZeros32(r)
-			r &= r - 1
+		loaded += segsLive(m)
+		for ; m != 0; m &= m - 1 {
+			i := off + bits.TrailingZeros64(m)
 			var v uint32
 			for j := 0; j < nb; j++ {
 				v = v<<8 | uint32(slices[j][i])
@@ -158,12 +246,17 @@ func extremeRange(b *core.ByteSlice, mask *bitvec.Vector, isMin bool, segLo, seg
 				found = true
 			}
 		}
+		if found && best == bound {
+			return best, found, min(2*w+2, segHi) - segLo, loaded
+		}
 	}
-	return best, found
+	return best, found, segHi - segLo, loaded
 }
 
 // Extreme returns the smallest (isMin) or largest code among the rows set
-// in mask (all rows when nil); ok is false when no row is selected.
+// in mask (all rows when nil); ok is false when no row is selected. Stage
+// accounting is Sum's over the segments each range walked before its
+// running extreme reached the domain bound.
 func Extreme(x Exec, b *core.ByteSlice, mask *bitvec.Vector, isMin bool) (uint32, bool, error) {
 	if mask != nil && mask.Len() != b.Len() {
 		panic("kernel: aggregate mask length mismatch")
@@ -171,10 +264,15 @@ func Extreme(x Exec, b *core.ByteSlice, mask *bitvec.Vector, isMin bool) (uint32
 	segBytes := int64(core.SegmentSize * b.NumSlices())
 	st := x.Stage
 	best, err := parallelRanges(x, b.Segments(), func(lo, hi int) extPartial {
+		v, ok, walked, loaded := extremeRange(b, mask, isMin, lo, hi)
 		if st != nil {
-			st.AddSegments(int64(hi-lo), int64(hi-lo)*segBytes)
+			bytes := int64(loaded) * segBytes
+			if mask != nil {
+				bytes += maskWords(lo, lo+walked) * maskWordBytes
+			}
+			st.AddSegments(int64(loaded), bytes)
+			st.AddMaskSkipped(int64(walked - loaded))
 		}
-		v, ok := extremeRange(b, mask, isMin, lo, hi)
 		return extPartial{v, ok}
 	}, mergeExtreme(isMin))
 	if err != nil {

@@ -234,6 +234,15 @@ func addUint64(a, b uint64) uint64 { return a + b }
 
 func dropUnit(a, _ struct{}) struct{} { return a }
 
+// sumPartial carries one range's padded sum and survivor count through
+// the merge.
+type sumPartial struct {
+	padded uint64
+	count  int
+}
+
+func addSum(a, b sumPartial) sumPartial { return sumPartial{a.padded + b.padded, a.count + b.count} }
+
 // extPartial carries one range's extreme candidate through the merge.
 type extPartial struct {
 	v  uint32

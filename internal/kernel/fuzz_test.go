@@ -16,7 +16,8 @@ import (
 // constants, worker count, previous-result mask, codes) and asserts that
 // every native kernel produces results bit-identical to its modelled
 // engine counterpart in internal/core: Scan vs Scan, the pipelined scans
-// for both polarities, worker-pool scans vs serial, and the aggregates.
+// for both polarities under a striped and a clustered gate, worker-pool
+// scans vs serial, and the aggregates under the same masks.
 // Run with `go test -fuzz FuzzNativeVsEngine ./internal/kernel` for
 // continuous fuzzing; the seed corpus runs in ordinary `go test`.
 func FuzzNativeVsEngine(f *testing.F) {
@@ -43,6 +44,20 @@ func FuzzNativeVsEngine(f *testing.F) {
 		{0, 3, 1, 0, 0, 0, 0, 0xA5},          // k=1 Ge 1
 	} {
 		f.Add(append(hdr[:], edgeBody...))
+	}
+
+	// Long clustered bodies: runs of similar codes the zone map decides,
+	// under gates and masks whose words are mostly dead.
+	for _, hdr := range [][8]byte{
+		{11, 6, 0x00, 0x40, 0x00, 0x60, 0, 0x1B}, // k=12 Between, serial
+		{15, 0, 0x00, 0x80, 0, 0, 3, 0x0A},       // k=16 Lt, 3 workers
+		{23, 2, 0x00, 0x20, 0, 0, 2, 0x25},       // k=24 Gt, 2 workers
+	} {
+		body := make([]byte, 3000)
+		for i := range body {
+			body[i] = byte(i / 12)
+		}
+		f.Add(append(hdr[:], body...))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -85,6 +100,15 @@ func FuzzNativeVsEngine(f *testing.F) {
 				prev.Set(i, true)
 			}
 		}
+		// runs is a clustered gate and mask: live runs of 16–2048 rows
+		// between dead ones twice as long, so whole 64-row words are dead.
+		runs := bitvec.New(n)
+		runLen, phase := 16<<(prevSeed&7), int(prevSeed>>3)%3
+		for i := 0; i < n; i++ {
+			if (i/runLen)%3 == phase {
+				runs.Set(i, true)
+			}
+		}
 
 		x := Exec{Workers: workers}
 
@@ -103,21 +127,23 @@ func FuzzNativeVsEngine(f *testing.F) {
 			t.Fatalf("k=%d %v n=%d workers=%d: native parallel scan differs", k, p, n, workers)
 		}
 
-		// Pipelined scans, both polarities.
-		for _, negate := range []bool{false, true} {
-			wantP := bitvec.New(n)
-			b.ScanPipelined(layouttest.Engine(), p, prev, negate, wantP)
-			gotP := bitvec.New(n)
-			gotP.Fill()
-			mustScan(t, x, b, p, prev, negate, gotP)
-			if !gotP.Equal(wantP) {
-				t.Fatalf("k=%d %v n=%d negate=%v workers=%d: native pipelined scan differs", k, p, n, negate, workers)
+		// Pipelined scans, both polarities, under both gates.
+		for _, gate := range []*bitvec.Vector{prev, runs} {
+			for _, negate := range []bool{false, true} {
+				wantP := bitvec.New(n)
+				b.ScanPipelined(layouttest.Engine(), p, gate, negate, wantP)
+				gotP := bitvec.New(n)
+				gotP.Fill()
+				mustScan(t, x, b, p, gate, negate, gotP)
+				if !gotP.Equal(wantP) {
+					t.Fatalf("k=%d %v n=%d negate=%v workers=%d: native pipelined scan differs", k, p, n, negate, workers)
+				}
 			}
 		}
 
 		// Aggregates unmasked, under a NULL-style mask and over the
 		// predicate's result mask vs the engine.
-		for _, mask := range []*bitvec.Vector{nil, prev, want} {
+		for _, mask := range []*bitvec.Vector{nil, prev, runs, want} {
 			wantSum, wantN := b.Sum(layouttest.Engine(), mask)
 			gotSum, gotN := mustSum(t, x, b, mask)
 			if gotSum != wantSum || gotN != wantN {
@@ -144,14 +170,16 @@ func FuzzNativeVsEngine(f *testing.F) {
 		if !got.Equal(want) {
 			t.Fatalf("k=%d %v n=%d workers=%d: zoned scan differs from engine", k, p, n, workers)
 		}
-		for _, negate := range []bool{false, true} {
-			wantP := bitvec.New(n)
-			b.ScanPipelined(layouttest.Engine(), p, prev, negate, wantP)
-			gotP := bitvec.New(n)
-			gotP.Fill()
-			mustScan(t, x, bz, p, prev, negate, gotP)
-			if !gotP.Equal(wantP) {
-				t.Fatalf("k=%d %v n=%d negate=%v workers=%d: zoned pipelined scan differs", k, p, n, negate, workers)
+		for _, gate := range []*bitvec.Vector{prev, runs} {
+			for _, negate := range []bool{false, true} {
+				wantP := bitvec.New(n)
+				b.ScanPipelined(layouttest.Engine(), p, gate, negate, wantP)
+				gotP := bitvec.New(n)
+				gotP.Fill()
+				mustScan(t, x, bz, p, gate, negate, gotP)
+				if !gotP.Equal(wantP) {
+					t.Fatalf("k=%d %v n=%d negate=%v workers=%d: zoned pipelined scan differs", k, p, n, negate, workers)
+				}
 			}
 		}
 
@@ -195,7 +223,7 @@ func FuzzNativeVsEngine(f *testing.F) {
 		if !got.Equal(want) {
 			t.Fatalf("k=%d %v n=%d workers=%d: compressed scan differs from engine", k, p, n, workers)
 		}
-		for _, mask := range []*bitvec.Vector{nil, prev} {
+		for _, mask := range []*bitvec.Vector{nil, prev, runs} {
 			wantSum, wantN := b.Sum(layouttest.Engine(), mask)
 			gotSum, gotN := mustSumCompressed(t, x, cc, mask)
 			if gotSum != wantSum || gotN != wantN {

@@ -28,6 +28,10 @@ import (
 // handful of atomic adds. Byte accounting follows the layout: 32 column
 // bytes per byte slice examined, 2 zone-metadata bytes per zone-consulted
 // segment, and 4 gate-mask bytes per segment a pipelined scan inspects.
+//
+// A pipelined scan pays per survivor: it walks the gate a 64-bit word at
+// a time, settles a dead word with one store, and runs the same loop as
+// the plain scan over each run of live words.
 
 // zoneMetaBytes is the zone-map metadata cost per consulted segment: one
 // min and one max byte.
@@ -59,9 +63,9 @@ func zoneFor(b *core.ByteSlice, p layout.Predicate) zoneInfo {
 // Scan evaluates p over the whole column into out, which must have length
 // b.Len() and is overwritten. Zone maps are used whenever the column has
 // them. A non-nil prev gates the scan (column-first Algorithm 2): with
-// negate=false the output is prev AND p, and segments with no live prev
-// row are skipped without touching the data; with negate=true the scan
-// considers the rows prev leaves unset and outputs prev OR p. It returns
+// negate=false the output is prev AND p, and 64-row words with no live
+// prev row are skipped without touching the data; with negate=true the
+// scan considers the rows prev leaves unset and outputs prev OR p. It returns
 // the number of segments decided without loading data: by the zone map,
 // or all of them for a domain-edge predicate (see strict).
 func Scan(x Exec, b *core.ByteSlice, p layout.Predicate, prev *bitvec.Vector, negate bool, out *bitvec.Vector) (int, error) {
@@ -103,7 +107,8 @@ func Scan(x Exec, b *core.ByteSlice, p layout.Predicate, prev *bitvec.Vector, ne
 // run evaluates segments [segLo, segHi) with the range loop the prepared
 // options select, returning the zone-resolved and gate-skipped segment
 // counts. A fixed verdict runs through gatedRange, which writes it
-// without loading data.
+// without loading data; a gated scan runs the plain loops over its live
+// words only.
 func (sc *scanner) run(segLo, segHi int, out *bitvec.Vector, dh *obs.DepthCounts) (pruned, masked int) {
 	switch {
 	case sc.prev != nil || sc.fixed != 0:
@@ -117,6 +122,8 @@ func (sc *scanner) run(segLo, segHi int, out *bitvec.Vector, dh *obs.DepthCounts
 
 // zonedRange is the zone-map-pruned scan loop over segments
 // [segLo, segHi); it returns the number of segments the zone map decided.
+//
+//bsvet:hotloop
 func (sc *scanner) zonedRange(segLo, segHi int, out *bitvec.Vector, dh *obs.DepthCounts) int {
 	// Hoisting the zone arrays and constants lets ZoneDecisionBytes inline
 	// into the loop: the decided case is then two byte loads and a couple of
@@ -147,60 +154,117 @@ func (sc *scanner) zonedRange(segLo, segHi int, out *bitvec.Vector, dh *obs.Dept
 	return pruned
 }
 
-// gatedRange is the pipelined scan loop over segments [segLo, segHi): the
-// previous result gates each segment, and a segment whose gate word has no
-// live row keeps its previous word without touching the data (0 for a
-// conjunction, all ones for a disjunction — the gate word either way).
-// Live segments take the fixed verdict, or consult the zone map first when
-// the column has one; without a previous result every segment is live. It
-// returns the zone-resolved and gate-skipped segment counts (fixed-verdict
-// segments count as zone-resolved: neither loads data).
+// gatedRange is the pipelined scan loop over segments [segLo, segHi),
+// which start on a 64-row word (parallelRanges partitions evenly). It
+// walks the previous result one word at a time. A dead word — no row live
+// under the gate — keeps prev's word without touching the data (0 for a
+// conjunction, all ones for the disjunctive form). A maximal run of live
+// words goes through the loop the column's plain scan runs (scanRange, or
+// zonedRange when zoned), and the gate is folded into the run word-wise
+// afterwards: AND for a conjunction, OR for a disjunction, which also
+// settles a dead half of a live word whatever the plain loop wrote there.
+// A fixed verdict runs through fixedRange. It returns the zone-resolved
+// and gate-skipped segment counts.
+//
+//bsvet:hotloop
 func (sc *scanner) gatedRange(segLo, segHi int, out *bitvec.Vector, dh *obs.DepthCounts) (pruned, masked int) {
-	prev, negate, zoned := sc.prev, sc.negate, sc.zone.ok
-	mn, mx := sc.zone.mn, sc.zone.mx
-	op, c1, c2 := sc.zone.op, sc.zone.c1, sc.zone.c2
-	for seg := segLo; seg < segHi; seg++ {
-		off := seg * core.SegmentSize
-		rprev := ^uint32(0)
-		if prev != nil {
-			rprev = 0
-			if off < sc.n {
-				rprev = prev.Word32(off)
-			}
-		}
-		gate := rprev
-		if negate {
-			gate = ^rprev
-		}
-		if gate == 0 {
-			out.SetWord32(off, rprev)
-			masked++
+	if sc.fixed != 0 {
+		return sc.fixedRange(segLo, segHi, out, dh)
+	}
+	pw, ow := sc.prev.Words(), out.Words()
+	ow = ow[:len(pw)]
+	dead, lastDead := sc.deadWords()
+	last := len(pw) - 1
+	w, end := segLo/2, min((segHi+1)/2, len(pw))
+	live := 0
+	for w < end {
+		if p := pw[w]; p == dead || (w == last && p == lastDead) {
+			ow[w] = p
+			w++
 			continue
 		}
-		decided := sc.fixed
-		if decided == 0 && zoned {
-			decided = core.ZoneDecisionBytes(op, mn[seg], mx[seg], c1, c2)
+		r := w + 1
+		for r < end && pw[r] != dead && (r != last || pw[r] != lastDead) {
+			r++
 		}
-		var r uint32
-		switch decided {
-		case 1:
-			r = ^uint32(0)
-			pruned++
-		case -1:
-			pruned++
-		default:
-			var d int
-			r, d = sc.segmentDepth(seg)
-			if dh != nil {
-				dh[d]++
+		runLo, runHi := 2*w, min(2*r, segHi)
+		live += runHi - runLo
+		if sc.zone.ok {
+			pruned += sc.zonedRange(runLo, runHi, out, dh)
+		} else {
+			sc.scanRange(runLo, runHi, out, dh)
+		}
+		if sc.negate {
+			for ; w < r; w++ {
+				ow[w] |= pw[w]
+			}
+		} else {
+			for ; w < r; w++ {
+				ow[w] &= pw[w]
 			}
 		}
-		if negate {
-			out.SetWord32(off, r|rprev)
-		} else {
-			out.SetWord32(off, r&rprev)
-		}
 	}
+	return pruned, segHi - segLo - live
+}
+
+// deadWords returns the previous-result word that leaves no row live
+// under the gate — 0 for a conjunction, all ones for the disjunctive
+// form — and its value for the vector's last word, which holds no rows
+// past the end.
+//
+//bsvet:hotloop
+func (sc *scanner) deadWords() (dead, lastDead uint64) {
+	if !sc.negate {
+		return 0, 0
+	}
+	lastDead = ^uint64(0)
+	if tail := uint(sc.n & 63); tail != 0 {
+		lastDead = 1<<tail - 1
+	}
+	return ^uint64(0), lastDead
+}
+
+// fixedRange writes a fixed verdict over segments [segLo, segHi) without
+// loading data: a word fill without a gate; with one, prev's word copied
+// or cleared for a conjunction, copied or filled for a disjunction.
+// Segments of a dead word count as gate-skipped, the rest as
+// zone-resolved.
+//
+//bsvet:hotloop
+func (sc *scanner) fixedRange(segLo, segHi int, out *bitvec.Vector, dh *obs.DepthCounts) (pruned, masked int) {
+	ow := out.Words()
+	fill := uint64(0)
+	if sc.fixed > 0 {
+		fill = ^uint64(0)
+	}
+	last, lastFill := len(ow)-1, fill
+	if tail := uint(sc.n & 63); tail != 0 {
+		lastFill &= 1<<tail - 1
+	}
+	var pw []uint64
+	if sc.prev != nil {
+		pw = sc.prev.Words()
+	}
+	dead, lastDead := sc.deadWords()
+	for w, end := segLo/2, min((segHi+1)/2, len(ow)); w < end; w++ {
+		v := fill
+		if w == last {
+			v = lastFill
+		}
+		if pw != nil {
+			switch p := pw[w]; {
+			case p == dead || (w == last && p == lastDead):
+				masked += min(2*w+2, segHi) - 2*w
+				v = p
+			case sc.negate:
+				v |= p
+			default:
+				v &= p
+			}
+		}
+		ow[w] = v
+	}
+	pruned = segHi - segLo - masked
 	if dh != nil {
 		dh[0] += int64(pruned)
 	}

@@ -220,7 +220,8 @@ func (s *Stage) AddSegments(n, bytes int64) {
 	s.bytes.Add(bytes)
 }
 
-// AddMaskSkipped counts segments a pipelined gate skipped outright.
+// AddMaskSkipped counts segments a pipelined gate skipped outright, or a
+// masked aggregate found no selected row in.
 func (s *Stage) AddMaskSkipped(n int64) { s.maskSkipped.Add(n) }
 
 // AddRows counts rows processed by row-oriented stages (lookups,
@@ -267,9 +268,10 @@ type StageStats struct {
 	Workers int `json:"workers"`
 	// Segments counts 32-code segments whose column data was examined;
 	// ZoneSkipped counts segments the zone map resolved without loading
-	// data; MaskSkipped counts segments a pipelined gate skipped. For a
-	// full-column scan, Segments + ZoneSkipped (+ MaskSkipped on
-	// pipelined stages) equals the column's segment count.
+	// data; MaskSkipped counts segments a pipelined gate skipped, or a
+	// masked aggregate found no selected row in. For a full-column scan,
+	// Segments + ZoneSkipped (+ MaskSkipped on pipelined stages) equals
+	// the column's segment count.
 	Segments    int64 `json:"segments"`
 	ZoneSkipped int64 `json:"zone_skipped"`
 	MaskSkipped int64 `json:"mask_skipped,omitempty"`

@@ -106,12 +106,17 @@ type Query struct {
 // one byte slice, ~2.8 ns per additional slice amortised over early
 // stopping on uniform data). Absolute accuracy is unnecessary — only the
 // ratios steer the choices — but keeping real units makes Explain legible.
+// nsGate comes from bsbench's multi_clustered row (4Mi rows, serial): the
+// row minus its zoned leading scan and the plain-scan cost of the 10% live
+// segments, split over the two pipelined scans, is 1.44 ns per segment on
+// a host whose plain k=12 scan runs 12.9 ns per segment — 0.6 ns at
+// nsSegFirst's scale.
 const (
 	nsSegFirst    = 5.6  // first byte slice of a monolithic scan, per segment
 	nsSegSlice    = 2.8  // each additional byte slice, amortised
 	nsSegDispatch = 4.0  // per-segment dispatch penalty of the generic kernels
 	nsZoneTest    = 0.6  // zone-map min/max test, per segment
-	nsGate        = 0.5  // pipelined mask-word read + combine, per segment
+	nsGate        = 0.6  // pipelined gate walk (dead words, fold), per segment
 	nsCombine     = 0.3  // bit-vector AND/OR word ops, per segment per pass
 	nsWorkerSpawn = 8000 // goroutine spawn/join, per worker
 
@@ -145,7 +150,24 @@ type Decision struct {
 	CostBaseline       float64
 
 	q     Query
-	preds []Pred // in chosen order
+	preds []Pred   // in chosen order
+	pin   Strategy // the caller's pin (Auto when the planner chose)
+}
+
+// Pin records a caller's strategy pin. ran is the strategy that executes:
+// the pin itself, or the baseline a pinned predicate-first falls back to
+// where it cannot run. Strategy and Cost become ran's, so Explain and the
+// statistics name what ran rather than the planner's pick.
+func (d *Decision) Pin(pin, ran Strategy) {
+	d.pin, d.Strategy = pin, ran
+	switch ran {
+	case ColumnFirst:
+		d.Cost = d.CostColumnFirst
+	case PredicateFirst:
+		d.Cost = d.CostPredicateFirst
+	case Baseline:
+		d.Cost = d.CostBaseline
+	}
 }
 
 // rawSegScanCost is the raw monolithic per-segment scan formula for a
@@ -382,19 +404,40 @@ func order(q Query, preds []Pred) []int {
 }
 
 // columnFirstCost estimates the per-segment cost of the column-first
-// pipeline over the ordered predicates.
+// pipeline over the ordered predicates. A pipelined conjunct runs the
+// column's plain scan loop over the live words of its gate, so it costs
+// its full-scan rate on the live fraction of segments. Behind a
+// zone-mapped conjunct that fraction is at most (1 − ZonePrune) + Sel: a
+// zone-decided segment is all-false or all-true, and all-true segments
+// hold at most Sel of the rows. Otherwise it is the row-independence
+// liveSegProb. Disjunctions keep the generic per-segment price.
 func columnFirstCost(q Query, preds []Pred) float64 {
 	if len(preds) == 0 {
 		return 0
 	}
 	cost := fullScanCost(preds[0])
 	frac := settledFrac(q, 0, preds[0].Sel)
+	bound := zoneLiveBound(preds[0])
 	for _, p := range preds[1:] {
 		live := liveSegProb(frac)
-		cost += nsGate + live*(perSegCost(p))
+		if q.Disjunct {
+			cost += nsGate + live*perSegCost(p)
+		} else {
+			cost += nsGate + math.Min(live, bound)*fullScanCost(p)
+			bound = math.Min(bound, zoneLiveBound(p))
+		}
 		frac = settledFrac(q, frac, p.Sel)
 	}
 	return cost
+}
+
+// zoneLiveBound bounds the fraction of segments a conjunct leaves live:
+// (1 − ZonePrune) + Sel behind a zone map, 1 without one.
+func zoneLiveBound(p Pred) float64 {
+	if !p.HasZoneMap {
+		return 1
+	}
+	return math.Min(1, 1-p.ZonePrune+p.Sel)
 }
 
 // settledFrac folds predicate selectivity s into the running fraction of
@@ -493,8 +536,16 @@ func (d Decision) Explain() string {
 		b.WriteString(")")
 	}
 	b.WriteString("\n")
-	fmt.Fprintf(&b, "  strategy: %s (est %s; column-first %s, predicate-first %s, baseline %s)\n",
-		d.Strategy, ms(d.Cost), ms(d.CostColumnFirst), ms(d.CostPredicateFirst), ms(d.CostBaseline))
+	how := ""
+	switch d.pin {
+	case Auto:
+	case d.Strategy:
+		how = " (pinned)"
+	default:
+		how = fmt.Sprintf(" (pinned %s, falls back)", d.pin)
+	}
+	fmt.Fprintf(&b, "  strategy: %s%s (est %s; column-first %s, predicate-first %s, baseline %s)\n",
+		d.Strategy, how, ms(d.Cost), ms(d.CostColumnFirst), ms(d.CostPredicateFirst), ms(d.CostBaseline))
 	pin := "auto"
 	if d.q.Workers > 0 {
 		pin = "pinned"

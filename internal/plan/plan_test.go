@@ -212,3 +212,62 @@ func TestExplainDeterministicAndComplete(t *testing.T) {
 		}
 	}
 }
+
+// TestColumnFirstLiveSegmentBound pins the pipelined pricing: behind a
+// zone-mapped conjunct a later conjunct pays its full-scan rate on at most
+// (1 − ZonePrune) + Sel of the segments, while disjunctions keep the
+// row-independence live fraction and the generic per-segment price.
+func TestColumnFirstLiveSegmentBound(t *testing.T) {
+	ship := Pred{Col: "shipdate", Slices: 2, Sel: 0.129, HasZoneMap: true, ZonePrune: 0.94}
+	disc := Pred{Col: "discount", Slices: 1, Sel: 0.27}
+	qty := Pred{Col: "quantity", Slices: 1, Sel: 0.5}
+	preds := []Pred{ship, disc, qty}
+
+	bound := 1 - ship.ZonePrune + ship.Sel
+	want := fullScanCost(ship) +
+		nsGate + bound*segScanCost(disc) +
+		nsGate + math.Min(liveSegProb(ship.Sel*disc.Sel), bound)*segScanCost(qty)
+	got := columnFirstCost(q(131072), preds)
+	if math.Abs(got-want) > 1e-9 {
+		t.Fatalf("column-first cost = %v ns/segment, want %v", got, want)
+	}
+	if d := Plan(q(131072), preds); d.Strategy != ColumnFirst {
+		t.Fatalf("clustered conjunction chose %v:\n%s", d.Strategy, d.Explain())
+	}
+
+	// Without a zone map the row-independence fraction stands.
+	uniform := []Pred{disc, qty}
+	want = segScanCost(disc) + nsGate + liveSegProb(disc.Sel)*segScanCost(qty)
+	if got := columnFirstCost(q(131072), uniform); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("unzoned column-first cost = %v, want %v", got, want)
+	}
+
+	// Disjunctions are priced as before the bound.
+	dis := q(131072)
+	dis.Disjunct = true
+	frac := 1 - ship.Sel
+	want = fullScanCost(ship) + nsGate + liveSegProb(frac)*perSegCost(disc)
+	frac *= 1 - disc.Sel
+	want += nsGate + liveSegProb(frac)*perSegCost(qty)
+	if got := columnFirstCost(dis, preds); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("disjunctive column-first cost = %v, want %v", got, want)
+	}
+}
+
+// TestExplainMarksPin pins the strategy line of a pinned decision: the
+// strategy that ran, its estimate, and (pinned) — or the fallback.
+func TestExplainMarksPin(t *testing.T) {
+	preds := []Pred{{Col: "a", Slices: 2, Sel: 0.2}, {Col: "b", Slices: 1, Sel: 0.5}}
+	d := Plan(q(1024), preds)
+	if strings.Contains(d.Explain(), "pinned") {
+		t.Fatalf("auto decision marked pinned:\n%s", d.Explain())
+	}
+	d.Pin(Baseline, Baseline)
+	if !strings.Contains(d.Explain(), "strategy: baseline (pinned) (est "+ms(d.CostBaseline)) || d.Cost != d.CostBaseline {
+		t.Fatalf("pinned baseline:\n%s", d.Explain())
+	}
+	d.Pin(PredicateFirst, Baseline)
+	if !strings.Contains(d.Explain(), "strategy: baseline (pinned predicate-first, falls back)") {
+		t.Fatalf("fallback:\n%s", d.Explain())
+	}
+}

@@ -287,3 +287,129 @@ func TestFilteredAggregatesMatchRowLoop(t *testing.T) {
 		}
 	}
 }
+
+// TestExplainNamesStrategyThatRan pins Explain's strategy line and the
+// statistics' strategy to what executed: a pin is named and marked
+// (pinned), and a pinned predicate-first that cannot run on a nullable
+// table reports the baseline it falls back to.
+func TestExplainNamesStrategyThatRan(t *testing.T) {
+	const n = 1 << 16
+	rng := rand.New(rand.NewPCG(3, 3)) //nolint:gosec
+	a := make([]int64, n)
+	b := make([]int64, n)
+	var nulls []int
+	for i := range a {
+		a[i] = int64(i * 10000 / n)
+		b[i] = int64(rng.IntN(10))
+		if i%97 == 0 {
+			nulls = append(nulls, i)
+		}
+	}
+	tbl, err := byteslice.NewTable(
+		intColumn(t, "a", a, 0, 9999, byteslice.WithZoneMaps()),
+		intColumn(t, "b", b, 0, 9),
+		intColumn(t, "bn", b, 0, 9, byteslice.WithNulls(nulls)),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(col string, s byteslice.Strategy) *byteslice.Result {
+		t.Helper()
+		res, err := tbl.Filter([]byteslice.Filter{
+			byteslice.IntFilter("a", byteslice.Between, 100, 200),
+			byteslice.IntFilter(col, byteslice.Between, 3, 5),
+		}, byteslice.WithStrategy(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for _, tc := range []struct {
+		col      string
+		pin      byteslice.Strategy
+		line     string
+		ran      string
+		multiRan bool
+	}{
+		{"b", byteslice.StrategyColumnFirst, "strategy: column-first (pinned) (est", "column-first", false},
+		{"b", byteslice.StrategyBaseline, "strategy: baseline (pinned) (est", "baseline", false},
+		{"b", byteslice.StrategyPredicateFirst, "strategy: predicate-first (pinned) (est", "predicate-first", true},
+		{"bn", byteslice.StrategyPredicateFirst, "strategy: baseline (pinned predicate-first, falls back) (est", "baseline", false},
+	} {
+		res := run(tc.col, tc.pin)
+		explain := res.Explain()
+		if !strings.Contains(explain, tc.line) {
+			t.Fatalf("pin %v on %s: Explain lacks %q:\n%s", tc.pin, tc.col, tc.line, explain)
+		}
+		if got := res.Stats().Strategy; got != tc.ran {
+			t.Fatalf("pin %v on %s: stats strategy %q, want %q", tc.pin, tc.col, got, tc.ran)
+		}
+		if strings.Contains(explain, "scan(multi)") != tc.multiRan {
+			t.Fatalf("pin %v on %s: scan(multi) stage present = %v, want %v:\n%s",
+				tc.pin, tc.col, !tc.multiRan, tc.multiRan, explain)
+		}
+	}
+	if explain := run("b", byteslice.StrategyAuto).Explain(); strings.Contains(explain, "pinned)") {
+		t.Fatalf("an unpinned plan is marked pinned:\n%s", explain)
+	}
+}
+
+// TestClusteredConjunctionPipelines runs the benchmark's Q6 shape — a
+// date window over a clustered, zone-mapped column, then a discount band
+// and a quantity cap over uniform columns — and checks that the planner
+// pipelines it and the later scans skip the segments the date window
+// leaves dead.
+func TestClusteredConjunctionPipelines(t *testing.T) {
+	const n = 1 << 18
+	rng := rand.New(rand.NewPCG(6, 6)) //nolint:gosec
+	ship := make([]int64, n)
+	disc := make([]float64, n)
+	qty := make([]int64, n)
+	for i := range ship {
+		ship[i] = min(max(int64(i*2556/n+rng.IntN(61)-30), 0), 2555)
+		disc[i] = float64(rng.IntN(11)) / 100
+		qty[i] = int64(1 + rng.IntN(50))
+	}
+	discCol, err := byteslice.NewDecimalColumn("discount", disc, 0, 0.10, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := byteslice.NewTable(
+		intColumn(t, "shipdate", ship, 0, 2555, byteslice.WithZoneMaps()),
+		discCol,
+		intColumn(t, "quantity", qty, 1, 50),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := tbl.Filter([]byteslice.Filter{
+		byteslice.IntFilter("shipdate", byteslice.Between, 1000, 1350),
+		byteslice.DecimalFilter("discount", byteslice.Between, 0.04, 0.06),
+		byteslice.IntFilter("quantity", byteslice.Lt, 25),
+	}, byteslice.WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for i := range ship {
+		if ship[i] >= 1000 && ship[i] <= 1350 && disc[i] >= 0.04 && disc[i] <= 0.06 && qty[i] < 25 {
+			want++
+		}
+	}
+	if res.Count() != want {
+		t.Fatalf("count = %d, want %d", res.Count(), want)
+	}
+	explain := res.Explain()
+	if !strings.Contains(explain, "strategy: column-first (est") {
+		t.Fatalf("the clustered conjunction should pipeline:\n%s", explain)
+	}
+	for _, st := range res.Stats().Stages {
+		if st.Name != "scan(discount)" && st.Name != "scan(quantity)" {
+			continue
+		}
+		total := st.Segments + st.ZoneSkipped + st.MaskSkipped
+		if float64(st.MaskSkipped) < 0.8*float64(total) {
+			t.Fatalf("%s: %d of %d segments mask-skipped, want ≥ 80%%:\n%s", st.Name, st.MaskSkipped, total, explain)
+		}
+	}
+}

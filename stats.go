@@ -116,7 +116,7 @@ func (c *queryConfig) stage(q *obs.Query, name, kind string) (*obs.Stage, func()
 }
 
 // aggStage opens a self-contained single-stage collector for an
-// aggregate entry point (sum, min/max, fused scan-aggregate): the stage
+// aggregate entry point (sum, min/max, grouped sum): the stage
 // feeds the process-wide registry when the returned finish runs. Both
 // returns are no-ops when observability is off.
 func (c *queryConfig) aggStage(name, kind string) (*obs.Stage, func(err error)) {

@@ -471,7 +471,16 @@ func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig,
 		}
 	}
 
+	pq := t.planQuery(rs, disjunct, anyNulls, &cfg)
 	strategy := cfg.strategy
+	if strategy == StrategyPredicateFirst && !pq.PredicateFirstOK {
+		// Predicate-first pipelines uncondensed masks across columns;
+		// per-column null clearing does not compose with it, so a pin on a
+		// nullable table (or with a match-all pseudo predicate, or a
+		// column that is not ByteSlice) runs baseline. The planner never
+		// picks it there.
+		strategy = StrategyBaseline
+	}
 	var explain string
 	var zoneSkipped int
 	if cfg.native() {
@@ -480,7 +489,7 @@ func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig,
 		// the OrderBySelectivity sort), chooses the evaluation strategy
 		// and sizes the worker pool from histogram selectivities, zone-map
 		// prune rates and the measured kernel throughput constants.
-		d := plan.Plan(t.planQuery(rs, disjunct, anyNulls, &cfg), t.planPreds(rs))
+		d := plan.Plan(pq, t.planPreds(rs))
 		if cfg.order == OrderBySelectivity && len(rs) > 1 {
 			ordered := make([]resolved, len(rs))
 			for i, idx := range d.Order {
@@ -490,13 +499,15 @@ func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig,
 		}
 		if strategy == StrategyAuto {
 			strategy = d.Strategy
+		} else {
+			d.Pin(cfg.strategy, strategy)
 		}
 		if cfg.workers == 0 {
 			cfg.workers = d.Workers
 		}
 		explain = d.Explain()
 		if q != nil {
-			q.SetPlan(explain, d.Strategy.String(), d.Workers)
+			q.SetPlan(explain, strategy.String(), d.Workers)
 		}
 	} else {
 		if strategy == StrategyAuto {
@@ -523,36 +534,26 @@ func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig,
 	}
 
 	if strategy == StrategyPredicateFirst {
-		pfOK := !anyNulls
+		// PredicateFirstOK held, so every column is ByteSlice.
+		cols, preds, _ := allBS(rs)
+		out := bitvec.New(t.n)
 		for _, r := range rs {
-			if r.matchAll {
-				pfOK = false // forces the baseline below
-			}
+			r.col.wl.AddScanRows(int64(t.n))
 		}
-		// Predicate-first pipelines uncondensed masks across columns;
-		// per-column null clearing does not compose with it, so nullable
-		// tables (and match-all pseudo predicates) fall back to baseline.
-		if cols, preds, ok := allBS(rs); pfOK && ok {
-			out := bitvec.New(t.n)
-			for _, r := range rs {
-				r.col.wl.AddScanRows(int64(t.n))
+		if cfg.native() {
+			st, done := cfg.stage(q, "scan(multi)", "scan_multi")
+			pruned, err := kernel.ScanMulti(cfg.exec(st, cols[0].Segments()), cols, preds, disjunct, out)
+			done()
+			if err != nil {
+				return nil, queryErr(err)
 			}
-			if cfg.native() {
-				st, done := cfg.stage(q, "scan(multi)", "scan_multi")
-				pruned, err := kernel.ScanMulti(cfg.exec(st, cols[0].Segments()), cols, preds, disjunct, out)
-				done()
-				if err != nil {
-					return nil, queryErr(err)
-				}
-				zoneSkipped += pruned
-			} else if disjunct {
-				core.ScanDisjunctionPredicateFirst(e, cols, preds, out)
-			} else {
-				core.ScanConjunctionPredicateFirst(e, cols, preds, out)
-			}
-			return &Result{bv: out, explain: explain, zoneSkipped: zoneSkipped}, nil
+			zoneSkipped += pruned
+		} else if disjunct {
+			core.ScanDisjunctionPredicateFirst(e, cols, preds, out)
+		} else {
+			core.ScanConjunctionPredicateFirst(e, cols, preds, out)
 		}
-		strategy = StrategyBaseline
+		return &Result{bv: out, explain: explain, zoneSkipped: zoneSkipped}, nil
 	}
 
 	acc := bitvec.New(t.n)
