@@ -38,9 +38,6 @@ func main() {
 		konst  = flag.Uint64("const", 0, "predicate constant")
 		zones  = flag.Bool("zones", false, "with -scan: show per-segment zone-map verdicts and the cost-based plan")
 		compr  = flag.Bool("compression", false, "show the compressed-layout report: block modes, footprints and the build decision")
-		lay    = flag.Bool("layout", false, "show the workload-driven layout decision for -scans/-lookups row counts")
-		scans  = flag.Int64("scans", 0, "with -layout: scan rows observed on the column")
-		looks  = flag.Int64("lookups", 0, "with -layout: lookup rows observed on the column")
 		ingDir = flag.String("ingest", "", "inspect an ingest directory: manifest, epoch artifacts and WAL health (non-mutating)")
 	)
 	flag.Parse()
@@ -106,10 +103,6 @@ func main() {
 
 	if *compr {
 		fmt.Printf("\n%s", compressionReport(codes, *k))
-	}
-
-	if *lay {
-		fmt.Printf("\n%s", layoutReport(*k, *scans, *looks))
 	}
 
 	if *scan != "" {
@@ -182,34 +175,6 @@ func zoneReport(codes []uint32, k int, p layout.Predicate) string {
 		}})
 	b.WriteString(d.Explain())
 	b.WriteString("\n")
-	return b.String()
-}
-
-// layoutReport renders the workload-driven layout decision for a column
-// of width k that has served the given scan and lookup row counts: the
-// scan:lookup ratio, both layouts' costs under the planner's nanosecond
-// terms, and the winner — the same plan.LayoutFor decision that
-// Table.AutoLayout applies per column from its observed workload.
-func layoutReport(k int, scanRows, lookupRows int64) string {
-	var b strings.Builder
-	slices := (k + 7) / 8
-	d := plan.LayoutFor(slices, scanRows, lookupRows)
-	fmt.Fprintf(&b, "— Layout decision: k=%d (%d byte slice(s)), workload %d scan row(s), %d lookup row(s) —\n",
-		k, slices, scanRows, lookupRows)
-	if lookupRows > 0 {
-		fmt.Fprintf(&b, "  scan:lookup ratio %.2f\n", float64(scanRows)/float64(lookupRows))
-	} else {
-		fmt.Fprintf(&b, "  scan:lookup ratio n/a (no lookups observed; scans keep the default layout)\n")
-	}
-	fmt.Fprintf(&b, "  ByteSlice est %8.0f ns  (scans priced per 32-code segment, lookups stitch %d slice(s))\n",
-		d.ByteSliceNs, slices)
-	fmt.Fprintf(&b, "  HBP       est %8.0f ns  (scans word-parallel without early stop, lookups load one bank)\n",
-		d.HBPNs)
-	chosen := "ByteSlice"
-	if d.HBP {
-		chosen = "HBP"
-	}
-	fmt.Fprintf(&b, "  chosen layout: %s\n", chosen)
 	return b.String()
 }
 
@@ -306,6 +271,9 @@ func ingestReport(dir string) (string, error) {
 }
 
 func parseValues(s string, k int) ([]uint32, error) {
+	if k < 1 || k > 32 {
+		return nil, fmt.Errorf("code width %d out of range [1,32]", k)
+	}
 	parts := strings.Split(s, ",")
 	codes := make([]uint32, 0, len(parts))
 	max := uint64(1)<<uint(k) - 1

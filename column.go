@@ -8,7 +8,6 @@ import (
 	"byteslice/internal/encoding"
 	"byteslice/internal/kernel"
 	"byteslice/internal/layout"
-	"byteslice/internal/obs"
 )
 
 // Kind is a column's native value type.
@@ -53,12 +52,6 @@ type Column struct {
 	// hist is the build-time equi-width histogram driving selectivity
 	// estimates (histogram.go).
 	hist *histogram
-
-	// wl accumulates the column's lifetime scan/lookup row counters — the
-	// input to the planner's layout decision (plan.LayoutWins). Held by
-	// pointer so facade-level column copies (re-layout, recompression)
-	// keep feeding the same counters.
-	wl *obs.ColumnWorkload
 }
 
 // ColumnOption customises column construction.
@@ -114,12 +107,11 @@ func applyOpts(opts []ColumnOption) columnConfig {
 }
 
 // newColumn is the one place a column is assembled from its k-bit codes:
-// id carries the name, kind, encoder and workload counters (fresh ones
-// when nil), and newColumn adds the NULL vector, the histogram, the
-// storage layout in format f and, when zoneMaps is set and the layout is
-// raw ByteSlice, the zone maps. Construction, snapshot load, ingest seal
-// and merge, and re-layout all build through it. The codes must already
-// lie in the encoder's domain.
+// id carries the name, kind and encoder, and newColumn adds the NULL
+// vector, the histogram, the storage layout in format f and, when
+// zoneMaps is set and the layout is raw ByteSlice, the zone maps.
+// Construction, snapshot load, ingest seal and merge, and re-layout all
+// build through it. The codes must already lie in the encoder's domain.
 func newColumn(id Column, k int, codes []uint32, nullRows []int, f Format, zoneMaps bool) (*Column, error) {
 	build, err := builderFor(f)
 	if err != nil {
@@ -133,9 +125,6 @@ func newColumn(id Column, k int, codes []uint32, nullRows []int, f Format, zoneM
 	c.data = build(codes, k, arena)
 	if bs, ok := byteSliceOf(c.data); ok && zoneMaps {
 		bs.BuildZoneMaps()
-	}
-	if c.wl == nil {
-		c.wl = &obs.ColumnWorkload{}
 	}
 	return &c, nil
 }
@@ -280,10 +269,11 @@ func (c *Column) HasZoneMaps() bool {
 }
 
 // LookupCode reconstructs the stored code of row i (the raw lookup the
-// paper benchmarks). The profile may be nil, in which case HBP columns
-// take the native single-load kernel instead of the modelled engine.
+// paper benchmarks). The profile may be nil, in which case ByteSlice
+// columns stitch the row's byte from each slice and HBP columns load its
+// bank through their native kernels; other layouts, and every profiled
+// lookup, take the modelled engine.
 func (c *Column) LookupCode(p *Profile, i int) uint32 {
-	c.wl.AddLookupRows(1)
 	if p == nil {
 		if h, ok := hbpOf(c.data); ok {
 			return kernel.LookupHBP(h, i)
@@ -293,14 +283,6 @@ func (c *Column) LookupCode(p *Profile, i int) uint32 {
 		}
 	}
 	return c.data.Lookup(p.engine(), i)
-}
-
-// Workload reports the column's lifetime access counters: rows examined
-// by predicate scans and rows materialised by point lookups. The planner
-// turns the ratio into the layout decision (see Table.AutoLayout).
-func (c *Column) Workload() (scanRows, lookupRows int64) {
-	s := c.wl.Snapshot()
-	return s.ScanRows, s.LookupRows
 }
 
 // LookupInt decodes row i of an integer column.

@@ -4,8 +4,8 @@
 // plus shift-and-mask where the ByteSlice stitch (Lookup, LookupMany)
 // touches one cache line per byte slice. The scan runs the word-parallel
 // XOR/ADD/NOT/AND guard arithmetic of BitWeaving Figure 4 on plain uint64
-// banks — no early stopping exists in this format, which is exactly why
-// the planner's LayoutWins term only moves lookup-dominated columns here.
+// banks — no early stopping exists in this format, which is why a caller
+// lays out only lookup-dominated columns here (Table.WithLayout).
 package kernel
 
 import (
@@ -204,8 +204,8 @@ func hbpSupers(h *hbp.HBP) int {
 // ScanHBP evaluates the predicate over an HBP column with the bank range
 // chunked across workers — the native counterpart of the modelled
 // hbp.HBP.Scan. HBP has no early stopping or zone maps: every bit of every
-// code is examined by construction, which is why the layout planner only
-// chooses HBP for lookup-dominated columns. For the stage, a super-bank is
+// code is examined by construction, which is why HBP suits only
+// lookup-dominated columns. For the stage, a super-bank is
 // perBank 32-code segments and reads 32 banks of 8 bytes.
 func ScanHBP(x Exec, h *hbp.HBP, p layout.Predicate, out *bitvec.Vector) error {
 	if out.Len() != h.Len() {

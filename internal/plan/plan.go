@@ -222,58 +222,6 @@ func CompressedWins(slices int, compBytesPerRow, blockPrune, uniform1 float64) b
 	return comp < raw
 }
 
-// Per-row layout constants for the workload-driven ByteSlice-vs-HBP
-// choice, measured on the calibration machine (internal/kernel
-// BenchmarkLookupMany / BenchmarkScanHBP, 1M rows, random row lists):
-// a ByteSlice point lookup stitches one byte — one cache line — per byte
-// slice, an HBP lookup is a single 8-byte bank load whatever the width,
-// and the HBP scan pays word-at-a-time guard arithmetic with no early
-// stopping or zone pruning.
-const (
-	nsLookupSlice = 2.9 // ByteSlice lookup: per byte slice, per row
-	nsLookupBank  = 4.0 // HBP lookup: one bank load + extract, per row
-	nsHBPScanRow  = 3.3 // HBP scan, per row (≈10 ns per 64-bit bank)
-)
-
-// LayoutDecision prices a column's observed workload under both storage
-// layouts. The rows counters come from the column's obs.ColumnWorkload;
-// the costs are the modelled nanoseconds to replay that workload in each
-// layout.
-type LayoutDecision struct {
-	// ScanRows and LookupRows are the observed workload.
-	ScanRows, LookupRows int64
-	// ByteSliceNs and HBPNs are the modelled replay costs.
-	ByteSliceNs, HBPNs float64
-	// HBP is true when the horizontal layout prices below ByteSlice.
-	HBP bool
-}
-
-// LayoutFor prices a column's observed scan/lookup workload under the
-// ByteSlice and HBP layouts: scans cost the monolithic SWAR scan
-// (ByteSlice, with early-stop amortisation folded into the slice
-// constants) versus the bank-arithmetic HBP scan, lookups cost the
-// slices-deep stitch versus a single bank load. A column with no observed
-// lookups never flips (the build default is ByteSlice).
-func LayoutFor(slices int, scanRows, lookupRows int64) LayoutDecision {
-	d := LayoutDecision{ScanRows: scanRows, LookupRows: lookupRows}
-	if slices <= 0 {
-		return d
-	}
-	scan, look := float64(scanRows), float64(lookupRows)
-	d.ByteSliceNs = scan*rawSegScanCost(slices)/32 + look*nsLookupSlice*float64(slices)
-	d.HBPNs = scan*nsHBPScanRow + look*nsLookupBank
-	d.HBP = lookupRows > 0 && d.HBPNs < d.ByteSliceNs
-	return d
-}
-
-// LayoutWins is the workload-driven layout decision: true when the
-// observed scan:lookup mix prices the HBP layout below ByteSlice for a
-// column of the given byte-slice count. The facade consults it in
-// Table.AutoLayout.
-func LayoutWins(slices int, scanRows, lookupRows int64) bool {
-	return LayoutFor(slices, scanRows, lookupRows).HBP
-}
-
 // Delta-merge constants (the write path's sibling of the layout choice,
 // after Krueger et al.'s merge cost model, cited in the paper's §2):
 // unmerged delta rows are evaluated row-at-a-time through interpreted

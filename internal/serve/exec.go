@@ -327,11 +327,12 @@ func extremeString(t *byteslice.Table, col string, res *byteslice.Result, isMin 
 	return t.MaxString(col, res, opts...)
 }
 
-// wrapFacadeErr passes context errors through untouched (they map to
-// deadline/cancel codes) and tags everything else — unknown columns,
-// kind mismatches — as a bad query.
+// wrapFacadeErr passes context errors (deadline/cancel codes) and kernel
+// faults (internal) through untouched and tags everything else — unknown
+// columns, kind mismatches — as a bad query.
 func wrapFacadeErr(err error) error {
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) ||
+		errors.Is(err, byteslice.ErrQueryFault) {
 		return err
 	}
 	return badQueryErr(err)

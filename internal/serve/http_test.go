@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"byteslice"
+	"byteslice/internal/kernel"
 )
 
 func postJSON(t *testing.T, url string, body string) (int, []byte) {
@@ -222,6 +223,32 @@ func TestHTTPAppendErrors(t *testing.T) {
 	}
 	if it.Len() != 6+2 {
 		t.Fatalf("live rows = %d, want the 6 base rows plus the 2 below the bound", it.Len())
+	}
+}
+
+// TestHTTPKernelFaultIsInternal: a panic inside a native kernel is the
+// server's fault (500 internal) wherever it strikes — in the filter, or
+// in an aggregate, Top/OrderBy or projection after a filter that ran no
+// kernel (price ge 0 spans the whole domain).
+func TestHTTPKernelFaultIsInternal(t *testing.T) {
+	s := newTestServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	kernel.BatchHook = func(int, int) { panic("injected kernel bug") }
+	defer func() { kernel.BatchHook = nil }()
+
+	const all = `"where":{"col":"price","op":"ge","args":[0]}`
+	for _, body := range []string{
+		`{"table":"t","op":"sum","col":"qty",` + all + `}`,
+		`{"table":"t","op":"max","col":"qty",` + all + `}`,
+		`{"table":"t","op":"rows","order_by":"qty","cols":["qty","price"],` + all + `}`,
+		`{"table":"t","where":{"col":"qty","op":"lt","args":[50]}}`,
+	} {
+		status, raw := postJSON(t, ts.URL+"/query", body)
+		var er ErrorResponse
+		if err := json.Unmarshal(raw, &er); err != nil || status != http.StatusInternalServerError || er.Code != "internal" {
+			t.Errorf("%s: %d %s, want 500 internal", body, status, raw)
+		}
 	}
 }
 

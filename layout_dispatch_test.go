@@ -126,13 +126,16 @@ func price0(tbl *byteslice.Table, t *testing.T) int64 {
 }
 
 // TestWithLayoutRoundTrip converts a column to HBP and back, checking the
-// format tag and query results at each step.
+// format tag and query results at each step, and that columns already in
+// the requested layout pass through while the receiver stays untouched.
 func TestWithLayoutRoundTrip(t *testing.T) {
 	tbl := layoutTestTable(t, 5000, "")
 	want, err := tbl.Filter([]byteslice.Filter{byteslice.IntFilter("price", byteslice.Lt, 40000)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	origPrice, _ := tbl.Column("price")
+	origQty, _ := tbl.Column("qty")
 
 	ht, err := tbl.WithLayout(byteslice.FormatHBP, "price")
 	if err != nil {
@@ -142,6 +145,15 @@ func TestWithLayoutRoundTrip(t *testing.T) {
 	qc, _ := ht.Column("qty")
 	if pc.Format() != byteslice.FormatHBP || qc.Format() != byteslice.FormatByteSlice {
 		t.Fatalf("formats after WithLayout: price=%s qty=%s", pc.Format(), qc.Format())
+	}
+	if qc != origQty {
+		t.Fatal("WithLayout rebuilt qty, which it was not asked to re-lay out")
+	}
+	if c, _ := tbl.Column("price"); c != origPrice || c.Format() != byteslice.FormatByteSlice {
+		t.Fatalf("WithLayout modified the receiver: price is %s", c.Format())
+	}
+	if c, _ := tbl.Column("qty"); c != origQty {
+		t.Fatal("WithLayout replaced the receiver's qty column")
 	}
 	got, err := ht.Filter([]byteslice.Filter{byteslice.IntFilter("price", byteslice.Lt, 40000)})
 	if err != nil {
@@ -159,6 +171,10 @@ func TestWithLayoutRoundTrip(t *testing.T) {
 	if pc.Format() != byteslice.FormatByteSlice {
 		t.Fatalf("format after round trip: %s", pc.Format())
 	}
+	// qty was named (all columns are) but is already ByteSlice.
+	if qc, _ := back.Column("qty"); qc != origQty {
+		t.Fatal("WithLayout rebuilt qty, already in the requested layout")
+	}
 	got, err = back.Filter([]byteslice.Filter{byteslice.IntFilter("price", byteslice.Lt, 40000)})
 	if err != nil {
 		t.Fatal(err)
@@ -172,81 +188,6 @@ func TestWithLayoutRoundTrip(t *testing.T) {
 	}
 	if _, err := tbl.WithLayout(byteslice.FormatHBP, "absent"); err == nil {
 		t.Fatal("unknown column accepted")
-	}
-}
-
-// TestAutoLayoutFlips drives a lookup-dominated workload into one column
-// and a scan-dominated workload into another, then checks AutoLayout moves
-// only the lookup-heavy column to HBP — and moves it back once scans
-// dominate again.
-func TestAutoLayoutFlips(t *testing.T) {
-	tbl := layoutTestTable(t, 20000, "")
-
-	// Scans hammer qty; price is only ever materialised via projections.
-	res, err := tbl.Filter([]byteslice.Filter{byteslice.IntFilter("qty", byteslice.Lt, 40)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if _, _, err := tbl.ProjectInt("price", res); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pc, _ := tbl.Column("price")
-	scan, look := pc.Workload()
-	if scan != 0 || look == 0 {
-		t.Fatalf("price workload scan=%d lookup=%d, want lookup-only", scan, look)
-	}
-
-	auto, err := tbl.AutoLayout()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc, _ = auto.Column("price")
-	qc, _ := auto.Column("qty")
-	if pc.Format() != byteslice.FormatHBP {
-		t.Fatalf("lookup-heavy price stayed %s, want HBP", pc.Format())
-	}
-	if qc.Format() != byteslice.FormatByteSlice {
-		t.Fatalf("scan-heavy qty moved to %s, want ByteSlice", qc.Format())
-	}
-
-	// The flipped table answers the same queries.
-	want, err := tbl.Filter([]byteslice.Filter{byteslice.IntFilter("price", byteslice.Gt, 70000)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := auto.Filter([]byteslice.Filter{byteslice.IntFilter("price", byteslice.Gt, 70000)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Count() != want.Count() {
-		t.Fatalf("HBP count %d, want %d", got.Count(), want.Count())
-	}
-
-	// Scans now dominate price (shared counters keep accumulating), so the
-	// next AutoLayout moves it back to ByteSlice.
-	for i := 0; i < 200; i++ {
-		if _, err := auto.Filter([]byteslice.Filter{byteslice.IntFilter("price", byteslice.Gt, 70000)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	back, err := auto.AutoLayout()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc, _ = back.Column("price")
-	if pc.Format() != byteslice.FormatByteSlice {
-		t.Fatalf("scan-heavy price stayed %s, want ByteSlice", pc.Format())
-	}
-
-	// With no workload change, AutoLayout is a no-op returning the receiver.
-	same, err := back.AutoLayout()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if same != back {
-		t.Fatal("idle AutoLayout rebuilt the table")
 	}
 }
 

@@ -59,7 +59,7 @@ func faultTable(t *testing.T) *byteslice.Table {
 		t.Fatal("fault-table column z should take the compressed layout")
 	}
 	// An HBP column, so the sweeps also cover the lookup-optimised layout
-	// a workload-driven re-layout (Table.AutoLayout) can choose.
+	// a caller can choose per column (Table.WithLayout).
 	hc, err := byteslice.NewCodeColumn("h", codes, 10, byteslice.WithFormat(byteslice.FormatHBP))
 	if err != nil {
 		t.Fatal(err)

@@ -72,11 +72,12 @@ func (t *Table) Len() int { return t.n }
 
 // WithLayout returns a table whose named columns (all of them when no
 // names are given) are rebuilt in the given storage layout, sharing the
-// encoders and workload counters of the receiver's columns; zone maps
-// carry over whenever the result is raw ByteSlice. FormatByteSliceC runs
-// the build-time compression decision, so a column it would not pay off
-// for stays raw ByteSlice. Columns already in the requested layout pass
-// through unchanged. The receiver is not modified.
+// encoders of the receiver's columns; zone maps carry over whenever the
+// result is raw ByteSlice. FormatByteSliceC runs the build-time
+// compression decision, so a column it would not pay off for stays raw
+// ByteSlice. Columns already in the requested layout pass through
+// unchanged. The receiver is not modified. A column's layout is always
+// the caller's choice: nothing re-lays a column out on its own.
 func (t *Table) WithLayout(f Format, names ...string) (*Table, error) {
 	if _, err := builderFor(f); err != nil {
 		return nil, err
@@ -103,65 +104,8 @@ func (t *Table) WithLayout(f Format, names ...string) (*Table, error) {
 	return NewTable(cols...)
 }
 
-// AutoLayout returns a table re-laid-out by the planner's workload model:
-// each column's observed scan:lookup row counters (see Column.Workload)
-// are priced under the ByteSlice and HBP layouts by plan.LayoutWins, and
-// columns whose cheapest layout differs from their current one are
-// rebuilt — lookup-dominated columns move to HBP's single-load banks,
-// scan-dominated HBP columns move back to ByteSlice. Only the raw
-// ByteSlice ↔ HBP pair participates: compressed, zone-mapped and
-// explicitly chosen baseline layouts are left alone. The rebuilt columns
-// keep feeding the same workload counters, so the decision keeps adapting
-// across AutoLayout calls. The receiver is not modified; when nothing
-// flips, the receiver itself is returned.
-func (t *Table) AutoLayout() (*Table, error) {
-	cols := make([]*Column, len(t.cols))
-	changed := false
-	for i, c := range t.cols {
-		cols[i] = c
-		target, flip := c.autoLayoutTarget()
-		if !flip {
-			continue
-		}
-		nc, err := c.withLayout(target)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = nc
-		changed = true
-	}
-	if !changed {
-		return t, nil
-	}
-	return NewTable(cols...)
-}
-
-// autoLayoutTarget resolves the workload-driven layout choice for one
-// column: the format to rebuild into, and whether a rebuild is needed.
-func (c *Column) autoLayoutTarget() (Format, bool) {
-	f := c.Format()
-	if f != FormatByteSlice && f != FormatHBP {
-		return "", false
-	}
-	if c.HasZoneMaps() {
-		// Zone maps change the scan cost in ways LayoutFor does not model
-		// (and would be lost in translation); zoned columns stay put.
-		return "", false
-	}
-	scan, look := c.Workload()
-	slices := (c.Width() + 7) / 8
-	if plan.LayoutWins(slices, scan, look) {
-		if f != FormatHBP {
-			return FormatHBP, true
-		}
-	} else if f == FormatHBP && scan+look > 0 {
-		return FormatByteSlice, true
-	}
-	return "", false
-}
-
 // withLayout rebuilds the column in the given layout, sharing the
-// encoders and workload counters of the receiver.
+// receiver's encoders.
 func (c *Column) withLayout(f Format) (*Column, error) {
 	if c.Format() == f {
 		return c, nil
@@ -537,9 +481,6 @@ func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig,
 		// PredicateFirstOK held, so every column is ByteSlice.
 		cols, preds, _ := allBS(rs)
 		out := bitvec.New(t.n)
-		for _, r := range rs {
-			r.col.wl.AddScanRows(int64(t.n))
-		}
 		if cfg.native() {
 			st, done := cfg.stage(q, "scan(multi)", "scan_multi")
 			pruned, err := kernel.ScanMulti(cfg.exec(st, cols[0].Segments()), cols, preds, disjunct, out)
@@ -583,7 +524,6 @@ func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig,
 			}
 			continue
 		}
-		r.col.wl.AddScanRows(int64(t.n))
 		if i == 0 {
 			if lk := nativeKernelOf(r.col); lk != nil && cfg.native() {
 				// Native dispatch: the layout's registered SWAR kernel
@@ -807,7 +747,6 @@ func (t *Table) projectCodes(c *Column, res *Result, opts []QueryOption) ([]int3
 	}
 	rows := c.dropNulls(res.Rows())
 	codes := make([]uint32, len(rows))
-	c.wl.AddLookupRows(int64(len(rows)))
 	if lk := nativeKernelOf(c); lk != nil && cfg.native() {
 		// Native projection through the layout dispatch table: ByteSlice
 		// stitches, HBP extracts banks, compressed decodes each ascending
@@ -878,7 +817,6 @@ func (t *Table) OrderBy(col string, res *Result, opts ...QueryOption) ([]int32, 
 		st.AddRows(int64(len(rows)), int64(len(rows))*int64((c.Width()+7)/8))
 	}
 	defer done()
-	c.wl.AddLookupRows(int64(len(rows)))
 	return sortRows(c, rows, &cfg)
 }
 
@@ -979,7 +917,6 @@ func topRows(c *Column, rows []int32, n int, cfg *queryConfig, st *obs.Stage) ([
 		if c == nil {
 			kept = append(make([]int32, 0, n), rows[:n]...)
 		} else {
-			c.wl.AddLookupRows(int64(len(rows)))
 			order, err := sortRows(c, rows, cfg)
 			if err != nil {
 				return nil, err

@@ -645,8 +645,8 @@ func (t *IngestTable) commitMergeLocked(merged *Table, newEpoch uint64, covered 
 }
 
 // mergeTables rebuilds base plus the sealed segments into one fresh
-// Table, column by column, preserving each column's format, encoder,
-// zone maps and workload counters.
+// Table, column by column, preserving each column's format, encoder and
+// zone maps.
 func mergeTables(base *Table, sealed []*Table) (*Table, error) {
 	parts := append([]*Table{base}, sealed...)
 	total := 0
