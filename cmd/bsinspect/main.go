@@ -111,7 +111,12 @@ func main() {
 			fmt.Fprintln(os.Stderr, "bsinspect:", err)
 			os.Exit(2)
 		}
-		p := layout.Predicate{Op: op, C1: uint32(*konst)}
+		c, err := parseConst(*konst, *k)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "bsinspect:", err)
+			os.Exit(2)
+		}
+		p := layout.Predicate{Op: op, C1: c}
 		prof := perf.NewProfileNoCache()
 		out := bitvec.New(len(codes))
 		bs.Scan(simd.New(prof), p, out)
@@ -291,6 +296,15 @@ func parseValues(s string, k int) ([]uint32, error) {
 		return nil, fmt.Errorf("no values")
 	}
 	return codes, nil
+}
+
+// parseConst checks a predicate constant against the k-bit code domain
+// the scanned values live in (k already checked by parseValues).
+func parseConst(c uint64, k int) (uint32, error) {
+	if max := uint64(1)<<uint(k) - 1; c > max {
+		return 0, fmt.Errorf("constant %d exceeds %d-bit domain", c, k)
+	}
+	return uint32(c), nil
 }
 
 func parseOp(s string) (layout.Op, error) {

@@ -29,6 +29,27 @@ func TestParseValues(t *testing.T) {
 	}
 }
 
+// TestParseConst: a -scan constant outside the k-bit domain is an error,
+// never a panic in the scan or a silent truncation to 32 bits.
+func TestParseConst(t *testing.T) {
+	for _, c := range []uint64{0, 2047} {
+		if got, err := parseConst(c, 11); err != nil || uint64(got) != c {
+			t.Fatalf("parseConst(%d, 11) = %d, %v", c, got, err)
+		}
+	}
+	for _, c := range []uint64{2048, 5000, 4294967298} {
+		if got, err := parseConst(c, 11); err == nil {
+			t.Fatalf("parseConst(%d, 11) accepted as %d", c, got)
+		}
+	}
+	if got, err := parseConst(1<<32-1, 32); err != nil || got != 1<<32-1 {
+		t.Fatalf("parseConst(2^32-1, 32) = %d, %v", got, err)
+	}
+	if _, err := parseConst(1<<32, 32); err == nil {
+		t.Fatal("parseConst(2^32, 32) accepted")
+	}
+}
+
 // TestZoneReportGolden pins the -zones rendering: segment verdicts, prune
 // rate and the planner's Explain (workers pinned, so machine-independent).
 func TestZoneReportGolden(t *testing.T) {

@@ -9,9 +9,9 @@ import (
 	"byteslice"
 )
 
-// Tests of the IngestTable's delta store — the sealed segments and the
-// tail that hold appended rows until a merge folds them into the next
-// epoch's base.
+// Tests of the IngestTable's delta — the append-only ByteSlice columns
+// that hold appended rows until a merge folds them into the next epoch's
+// base.
 
 // TestDeltaAppendValidation: every column kind's delta encoding rejects a
 // wrong-typed or out-of-domain value with ErrSchema, and a rejected row
@@ -25,7 +25,7 @@ func TestDeltaAppendValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	opts := []byteslice.IngestOption{byteslice.WithSealRows(2), byteslice.WithAutoMerge(false)}
+	opts := []byteslice.IngestOption{byteslice.WithAutoMerge(false)}
 	it, err := byteslice.CreateIngest(dir, base, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +34,6 @@ func TestDeltaAppendValidation(t *testing.T) {
 	good := func() map[string]any {
 		return map[string]any{"i": int64(1), "d": 0.5, "s": "cat", "c": uint32(7)}
 	}
-	// Two rows seal into a segment, the third stays in the tail.
 	for i := 0; i < 3; i++ {
 		if err := it.Append(good()); err != nil {
 			t.Fatal(err)
@@ -76,11 +75,11 @@ func TestDeltaAppendValidation(t *testing.T) {
 
 // TestDeltaContextCancel: every query entry over the delta — Filter,
 // FilterAny, Query and a Pinned view — observes a cancelled WithContext
-// while rows sit in sealed segments and the tail, and a cancelled query
-// leaves the entry answering exactly afterwards.
+// while rows sit in both a whole delta segment and the partial one, and a
+// cancelled query leaves the entry answering exactly afterwards.
 func TestDeltaContextCancel(t *testing.T) {
-	it, _ := ingestFixture(t, byteslice.WithSealRows(8), byteslice.WithAutoMerge(false))
-	const appended = 20
+	it, _ := ingestFixture(t, byteslice.WithAutoMerge(false))
+	const appended = 40
 	for i := 0; i < appended; i++ {
 		if err := it.Append(ingestRow(i)); err != nil {
 			t.Fatal(err)
@@ -129,7 +128,7 @@ func TestDeltaMerge(t *testing.T) {
 	res, err := it.Filter(f)
 	wantRows(t, "pre-merge", res, err, 1, 2, 3)
 
-	// Nothing is sealed yet, so the merge seals the tail and absorbs it.
+	// The merge covers every row the delta published.
 	if err := it.MergeNow(); err != nil {
 		t.Fatal(err)
 	}
@@ -245,14 +244,17 @@ func TestDeltaMatrix(t *testing.T) {
 	}
 }
 
-// TestDeltaObsStage: the scan(delta) stage covers the tail rows only —
-// sealed segments scan with their native layouts — and keeps reporting
-// the tail after a merge absorbs the sealed rows.
+// TestDeltaObsStage: the scan(delta) stage counts every delta row —
+// DeltaLen(), across a whole segment and the partial one — and after a
+// merge, which covers every published row, only the rows appended since.
 func TestDeltaObsStage(t *testing.T) {
-	it, _ := ingestFixture(t, byteslice.WithSealRows(4), byteslice.WithAutoMerge(false))
-	for i := 0; i < 10; i++ { // two sealed segments of 4, two rows in the tail
-		if err := it.Append(ingestRow(i)); err != nil {
-			t.Fatal(err)
+	it, _ := ingestFixture(t, byteslice.WithAutoMerge(false))
+	appendRows := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if err := it.Append(ingestRow(i)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	stageRows := func(what string) int64 {
@@ -273,16 +275,18 @@ func TestDeltaObsStage(t *testing.T) {
 		t.Fatalf("%s: no scan(delta) stage in %+v", what, qs.Stages)
 		return 0
 	}
-	if rows := stageRows("sealed"); rows != 2 {
-		t.Fatalf("sealed: scan(delta) covered %d rows, want the 2 tail rows", rows)
+	appendRows(0, 40) // one whole 32-row segment and 8 rows of the next
+	if rows := stageRows("unmerged"); rows != 40 || it.DeltaLen() != 40 {
+		t.Fatalf("unmerged: scan(delta) covered %d rows, delta %d, want 40", rows, it.DeltaLen())
 	}
 	if err := it.MergeNow(); err != nil {
 		t.Fatal(err)
 	}
-	if it.DeltaLen() != 2 {
-		t.Fatalf("delta after merge = %d, want the 2 tail rows", it.DeltaLen())
+	if it.DeltaLen() != 0 {
+		t.Fatalf("delta after merge = %d, want 0", it.DeltaLen())
 	}
+	appendRows(40, 42)
 	if rows := stageRows("merged"); rows != 2 {
-		t.Fatalf("merged: scan(delta) covered %d rows, want the 2 tail rows", rows)
+		t.Fatalf("merged: scan(delta) covered %d rows, want the 2 rows appended since", rows)
 	}
 }

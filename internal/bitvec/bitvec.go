@@ -284,17 +284,19 @@ func (v *Vector) OrWord32(i int, w uint32) {
 	v.words[i>>6] |= uint64(w) << (uint(i) & 63)
 }
 
-// CopyBits overwrites v's first min(v.Len, o.Len) bits with o's. Used when
-// a shorter result (e.g. over a table's sealed base rows) is embedded into
-// a longer one (base + delta rows).
-func (v *Vector) CopyBits(o *Vector) {
-	n := v.n
-	if o.n < n {
-		n = o.n
+// OrAt ORs o into v at bit offset off: bit i of o lands on bit off+i, and
+// o must fit (off+o.Len() ≤ v.Len()). It splices the result over one part
+// of a table into the result over the whole — one shifted word per 64
+// bits.
+func (v *Vector) OrAt(o *Vector, off int) {
+	if off < 0 || off+o.n > v.n {
+		panic(fmt.Sprintf("bitvec: %d bits at offset %d overflow length %d", o.n, off, v.n))
 	}
-	words := n / 64
-	copy(v.words[:words], o.words[:words])
-	for i := words * 64; i < n; i++ {
-		v.Set(i, o.Get(i))
+	w, s := off>>6, uint(off&63)
+	for i, x := range o.words {
+		v.words[w+i] |= x << s
+		if s != 0 && w+i+1 < len(v.words) {
+			v.words[w+i+1] |= x >> (64 - s)
+		}
 	}
 }

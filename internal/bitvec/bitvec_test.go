@@ -253,27 +253,43 @@ func TestSetWord32(t *testing.T) {
 	v.SetWord32(5, 0)
 }
 
-func TestCopyBits(t *testing.T) {
-	src := New(100)
-	for _, i := range []int{0, 63, 64, 99} {
-		src.Set(i, true)
-	}
-	dst := New(130)
-	dst.Set(120, true)
-	dst.Set(5, true) // must be overwritten
-	dst.CopyBits(src)
-	for i := 0; i < 100; i++ {
-		if dst.Get(i) != src.Get(i) {
-			t.Fatalf("bit %d not copied", i)
+// TestOrAt splices shorter vectors into a longer one at aligned and
+// unaligned offsets, against a bit-by-bit model; bits outside the spliced
+// range are kept.
+func TestOrAt(t *testing.T) {
+	for _, n := range []int{0, 1, 31, 64, 100, 130} {
+		for _, off := range []int{0, 1, 5, 63, 64, 65, 128 - n%64} {
+			if off+n > 200 || off < 0 {
+				continue
+			}
+			src := New(n)
+			for i := 0; i < n; i += 3 {
+				src.Set(i, true)
+			}
+			if n > 0 {
+				src.Set(n-1, true)
+			}
+			dst := New(off + n + 7)
+			dst.Set(dst.Len()-1, true)
+			if off > 0 {
+				dst.Set(off-1, true)
+			}
+			want := dst.Clone()
+			for i := 0; i < n; i++ {
+				if src.Get(i) {
+					want.Set(off+i, true)
+				}
+			}
+			dst.OrAt(src, off)
+			if !dst.Equal(want) {
+				t.Fatalf("n=%d off=%d: OrAt differs from the bit model", n, off)
+			}
 		}
 	}
-	if !dst.Get(120) {
-		t.Fatal("bits past the source must be preserved")
-	}
-	// Shorter destination truncates.
-	small := New(10)
-	small.CopyBits(src)
-	if small.Count() != 1 { // only bit 0 in range
-		t.Fatalf("truncated copy count = %d", small.Count())
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("OrAt past the end did not panic")
+		}
+	}()
+	New(10).OrAt(New(8), 3)
 }

@@ -62,33 +62,70 @@ var _ layout.Pipelined = (*ByteSlice)(nil)
 func New(codes []uint32, k int, arena *cache.Arena) *ByteSlice {
 	layout.CheckArgs(codes, k)
 	nb := (k + 7) / 8
-	n := len(codes)
-	padded := (n + SegmentSize - 1) / SegmentSize * SegmentSize
+	padded := (len(codes) + SegmentSize - 1) / SegmentSize * SegmentSize
 	if padded == 0 {
 		padded = SegmentSize
 	}
-	b := &ByteSlice{
+	slices := make([][]byte, nb)
+	for j := range slices {
+		slices[j] = make([]byte, 0, padded)
+	}
+	AppendCodes(slices, k, codes)
+	for j := range slices {
+		slices[j] = slices[j][:padded]
+	}
+	b := Adopt(slices, k, len(codes))
+	if arena != nil {
+		for j := range b.addrs {
+			b.addrs[j] = arena.Alloc(uint64(padded))
+		}
+	}
+	return b
+}
+
+// AppendCodes appends codes of width k to a column's byte slices, one
+// slice per byte of the padded code, most significant first: byte j of
+// each code lands at the end of slices[j]. It is the transposition New
+// builds with and an append-only delta grows by. Every slice must hold the
+// same number of codes, and len(slices) must be ⌈k/8⌉.
+func AppendCodes(slices [][]byte, k int, codes []uint32) {
+	nb := len(slices)
+	pad := uint(8*nb - k)
+	n := len(slices[0])
+	for j, s := range slices {
+		slices[j] = append(s, make([]byte, len(codes))...)
+	}
+	for i, v := range codes {
+		p := v << pad
+		for j := 0; j < nb; j++ {
+			slices[j][n+i] = byte(p >> uint(8*(nb-1-j)))
+		}
+	}
+}
+
+// Adopt wraps byte slices laid out as AppendCodes writes them as a column
+// of n k-bit codes, without copying. Every slice must hold the same whole
+// number (at least one) of segments covering n codes, with zero bytes past
+// n, and nobody may write the slices afterwards.
+func Adopt(slices [][]byte, k, n int) *ByteSlice {
+	nb := (k + 7) / 8
+	if k < 1 || k > 32 || len(slices) != nb {
+		panic("core: adopt needs ⌈k/8⌉ byte slices of a width in [1,32]")
+	}
+	for _, s := range slices {
+		if len(s) != len(slices[0]) || len(s) < n || len(s) == 0 || len(s)%SegmentSize != 0 {
+			panic("core: adopted byte slices must be equal whole segments covering n codes")
+		}
+	}
+	return &ByteSlice{
 		k:         k,
 		nb:        nb,
 		n:         n,
 		pad:       uint(8*nb - k),
-		slices:    make([][]byte, nb),
+		slices:    slices,
 		addrs:     make([]uint64, nb),
 		earlyStop: true,
 	}
-	for j := 0; j < nb; j++ {
-		b.slices[j] = make([]byte, padded)
-		if arena != nil {
-			b.addrs[j] = arena.Alloc(uint64(padded))
-		}
-	}
-	for i, v := range codes {
-		p := v << b.pad
-		for j := 0; j < nb; j++ {
-			b.slices[j][i] = byte(p >> uint(8*(nb-1-j)))
-		}
-	}
-	return b
 }
 
 // NewBuilder adapts New to the layout.Builder signature.

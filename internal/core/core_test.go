@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"byteslice/internal/bitvec"
+	"byteslice/internal/cache"
 	"byteslice/internal/core"
 	"byteslice/internal/layout"
 	"byteslice/internal/layout/layouttest"
@@ -15,6 +16,22 @@ import (
 func TestConformanceByteSlice(t *testing.T) { layouttest.Run(t, core.NewBuilder) }
 
 func TestConformanceByteSlice16(t *testing.T) { layouttest.Run(t, core.New16Builder) }
+
+// TestConformanceAppendAdopt: a column grown by AppendCodes in uneven
+// chunks, padded and wrapped by Adopt, passes the same suite as New.
+func TestConformanceAppendAdopt(t *testing.T) {
+	layouttest.Run(t, func(codes []uint32, k int, _ *cache.Arena) layout.Layout {
+		slices := make([][]byte, (k+7)/8)
+		for lo := 0; lo < len(codes); lo += 7 {
+			core.AppendCodes(slices, k, codes[lo:min(lo+7, len(codes))])
+		}
+		padded := max(1, (len(codes)+core.SegmentSize-1)/core.SegmentSize) * core.SegmentSize
+		for j := range slices {
+			slices[j] = append(slices[j], make([]byte, padded-len(slices[j]))...)
+		}
+		return core.Adopt(slices, k, len(codes))
+	})
+}
 
 func TestConformanceOption2(t *testing.T) {
 	// Option 2 supports every operator except BETWEEN; wrap the builder's

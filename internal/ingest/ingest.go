@@ -1,6 +1,6 @@
 // Package ingest is the durability and publication machinery behind
 // writable tables: a CRC-framed append-only write-ahead log (WAL) that
-// makes unsealed rows durable before they are queryable, a crash-atomic
+// makes appended rows durable before they are queryable, a crash-atomic
 // manifest that names the current epoch's base snapshot and WAL, and a
 // panic-isolated background merger loop with bounded retry/backoff.
 //
@@ -9,7 +9,7 @@
 // that merges periodically. This package supplies the robustness half of
 // that design — everything that must survive a crash or a fault — while
 // the facade (byteslice.IngestTable) owns the in-memory epoch views and
-// the ByteSlice segments themselves. The split keeps the I/O protocol
+// the delta's ByteSlice columns. The split keeps the I/O protocol
 // testable byte-by-byte without a table in sight: the fault sweeps in
 // wal_test.go drive every offset of a WAL through truncation, bit flips
 // and failed writes exactly like the snapshot sweeps in the root package.

@@ -20,17 +20,15 @@ func (g *Gauge) Load() int64 { return g.v.Load() }
 
 // IngestStats aggregates the write path's counters process-wide, the
 // ingest-side sibling of the query Registry: appends and their WAL bytes,
-// seals, merges (with their failure and recovered-panic tallies),
-// backpressure rejections, and what recovery replayed or truncated. All
-// fields are atomic — the appender, the background merger and any number
-// of observers touch them concurrently.
+// merges (with their failure and recovered-panic tallies), backpressure
+// rejections, and what recovery replayed or truncated. All fields are
+// atomic — the appender, the background merger and any number of
+// observers touch them concurrently.
 type IngestStats struct {
 	// AppendedRows / AppendedBytes count acknowledged appends and the WAL
 	// bytes that made them durable.
 	AppendedRows  Counter
 	AppendedBytes Counter
-	// SealedSegments counts delta tails sealed into immutable segments.
-	SealedSegments Counter
 	// Merges counts epoch switches; MergeFailures failed attempts (each
 	// retried with backoff); MergePanics recovered merge panics.
 	Merges        Counter
@@ -52,7 +50,6 @@ type IngestStats struct {
 type IngestSnapshot struct {
 	AppendedRows   int64 `json:"appended_rows"`
 	AppendedBytes  int64 `json:"appended_bytes"`
-	SealedSegments int64 `json:"sealed_segments"`
 	Merges         int64 `json:"merges"`
 	MergeFailures  int64 `json:"merge_failures"`
 	MergePanics    int64 `json:"merge_panics"`
@@ -69,7 +66,6 @@ func (s *IngestStats) Snapshot() IngestSnapshot {
 	return IngestSnapshot{
 		AppendedRows:   s.AppendedRows.Load(),
 		AppendedBytes:  s.AppendedBytes.Load(),
-		SealedSegments: s.SealedSegments.Load(),
 		Merges:         s.Merges.Load(),
 		MergeFailures:  s.MergeFailures.Load(),
 		MergePanics:    s.MergePanics.Load(),

@@ -28,8 +28,8 @@ type Registry struct {
 	StratBaseline       Counter
 	// QueryNs is the histogram of per-query wall times.
 	QueryNs Hist
-	// Ingest aggregates the write path: appends, seals, merges,
-	// backpressure and recovery outcomes, plus current epoch/delta gauges.
+	// Ingest aggregates the write path: appends, merges, backpressure and
+	// recovery outcomes, plus current epoch/delta gauges.
 	Ingest IngestStats
 	// Serve aggregates the serving layer's counters (admission, result
 	// cache, deadlines, reloads); Tenants its per-tenant accounting. Both

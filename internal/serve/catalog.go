@@ -218,8 +218,8 @@ func (c *Catalog) bind(name string) (binding, error) {
 }
 
 // schema returns the table whose columns resolve this binding's filters:
-// the table itself, or the pinned epoch's base for live mounts (sealed
-// segments and tail share the base schema).
+// the table itself, or the pinned epoch's base for live mounts (the
+// delta shares the base schema).
 func (b binding) schema() *byteslice.Table {
 	if b.live {
 		return b.pin.Base()

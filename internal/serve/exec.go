@@ -228,7 +228,7 @@ func (s *Server) execRows(req *Request, b binding, res *byteslice.Result, resp *
 
 // execAggregate runs sum/avg/min/max over Col, restricted to the filter
 // result. Aggregates run on the facade table; live ingest bindings are
-// rejected (their tail rows live outside the sealed base table).
+// rejected (their delta rows live outside the base table).
 //
 //bsvet:builder execAggregate fills the under-construction Response
 func (s *Server) execAggregate(req *Request, b binding, res *byteslice.Result, resp *Response, opts []byteslice.QueryOption) error {

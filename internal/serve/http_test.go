@@ -190,7 +190,7 @@ func TestHTTPAppendErrors(t *testing.T) {
 	s := newTestServer(t, Config{})
 	dir := t.TempDir()
 	it, err := byteslice.CreateIngest(dir, testTable(t),
-		byteslice.WithSealRows(2), byteslice.WithDeltaBound(2), byteslice.WithAutoMerge(false))
+		byteslice.WithDeltaBound(2), byteslice.WithAutoMerge(false))
 	if err != nil {
 		t.Fatal(err)
 	}

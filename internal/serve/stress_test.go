@@ -29,7 +29,7 @@ func TestServeRaceStress(t *testing.T) {
 	s := New(Config{MaxInflight: 32, CacheEntries: 256, Registry: &obs.Registry{}})
 	defer s.Close() //nolint:errcheck // ingest close checked below
 	dir := t.TempDir()
-	it, err := byteslice.CreateIngest(dir, testTable(t), byteslice.WithAutoMerge(false), byteslice.WithSealRows(16))
+	it, err := byteslice.CreateIngest(dir, testTable(t), byteslice.WithAutoMerge(false))
 	if err != nil {
 		t.Fatal(err)
 	}

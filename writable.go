@@ -5,13 +5,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"byteslice/internal/bitvec"
+	"byteslice/internal/core"
 	"byteslice/internal/ingest"
-	"byteslice/internal/layout"
 	"byteslice/internal/obs"
 	"byteslice/internal/plan"
 )
@@ -19,15 +20,16 @@ import (
 // IngestTable is the writable facade over the delta-merge design (§2,
 // after Krueger et al.): a single-writer append pipeline whose rows are
 // made durable through a CRC-framed write-ahead log before they become
-// queryable, accumulated in a small row-at-a-time tail, sealed into
-// immutable ByteSlice segments, and periodically merged into a fresh
-// read-optimised base epoch by a background merger.
+// queryable, kept as the delta — one append-only ByteSlice per column —
+// and periodically merged into a fresh read-optimised base epoch by a
+// background merger.
 //
 // Readers are wait-free: every query loads one atomic epoch-view pointer
-// and sees a consistent snapshot — the base epoch, the sealed segments
-// and a fixed prefix of the tail — no matter how many appends, seals or
-// merges race past it. Writers publish by swapping the pointer; nothing a
-// published view references is ever mutated.
+// and sees a consistent snapshot — the base epoch and a fixed prefix of
+// the delta — no matter how many appends or merges race past it, and
+// scans both with the same Table.Filter kernels. Writers publish by
+// swapping the pointer; nothing a published view references is ever
+// mutated, because the writer only appends past every published prefix.
 //
 // Durability is an on-disk directory owned by this table:
 //
@@ -36,7 +38,7 @@ import (
 //	wal-<E>.log     the epoch's append-only WAL
 //
 // A merge writes the next epoch's base snapshot, rotates the WAL
-// (re-appending the rows the merge does not cover) and swaps the manifest
+// (re-appending the rows appended while it ran) and swaps the manifest
 // atomically, so a crash at any byte of the switch leaves either the old
 // complete epoch or the new one — never a mix. OpenIngest replays the
 // WAL to the last intact frame: a torn tail (crash mid-append) is
@@ -56,13 +58,12 @@ type IngestTable struct {
 	// Load/Store touch it (publish happens under mu).
 	view atomic.Pointer[ingestView]
 
-	// mu serialises the write side: appends, seals, merge commits, close.
+	// mu serialises the write side: appends, merge commits, close.
 	// Queries never take it.
-	mu        sync.Mutex
-	wal       *ingest.WAL
-	tailCodes [][]uint32 // canonical per-column tail arrays (views window them)
-	tailNulls [][]bool
-	closed    bool
+	mu     sync.Mutex
+	wal    *ingest.WAL
+	delta  delta // the writer's unmerged rows; published views window them
+	closed bool
 
 	// mergeMu serialises whole merge attempts (background vs MergeNow).
 	mergeMu sync.Mutex
@@ -86,40 +87,148 @@ var (
 var ErrSchema = errors.New("byteslice: schema mismatch")
 
 // ingestView is one immutable published snapshot of the table: readers
-// load it once and never block. tailCodes/tailNulls are per-column
-// (base-column order) windows over the writer's backing arrays, each
-// exactly tailLen long; the writer appends beyond every published
-// window's length and publishes a longer window afterwards, so no
-// published element is ever written again.
+// load it once and never block. delta is a window of the writer's delta
+// that ends at the view's row count; the writer appends only past it.
 type ingestView struct {
-	epoch     uint64
-	base      *Table
-	sealed    []*Table
-	tailCodes [][]uint32
-	tailNulls [][]bool
-	tailLen   int
+	epoch uint64
+	base  *Table
+	delta delta
 }
-
-// sealedRows is the row count across the sealed (unmerged) segments.
-func (v *ingestView) sealedRows() int {
-	n := 0
-	for _, s := range v.sealed {
-		n += s.n
-	}
-	return n
-}
-
-// deltaRows is the unmerged row count: sealed segments plus tail.
-func (v *ingestView) deltaRows() int { return v.sealedRows() + v.tailLen }
 
 // rows is the total row count the view exposes to queries.
-func (v *ingestView) rows() int { return v.base.n + v.deltaRows() }
+func (v *ingestView) rows() int { return v.base.n + v.delta.n }
+
+// delta holds unmerged rows as one append-only ByteSlice per column, in
+// base order. The writer appends under mu; a published view holds a
+// window of it, and tables turns it into plain Tables.
+type delta struct {
+	n    int
+	cols []deltaCol
+}
+
+// deltaCol is one column's unmerged rows: byte j of every row's padded
+// k-bit code in slices[j], as core.AppendCodes lays them out (a NULL row
+// stores code 0), and the NULL rows, ascending.
+type deltaCol struct {
+	k      int
+	slices [][]byte
+	nulls  []int
+}
+
+// newDelta returns an empty delta shaped like base's columns.
+func newDelta(base *Table) delta {
+	d := delta{cols: make([]deltaCol, len(base.cols))}
+	for i, c := range base.cols {
+		d.cols[i] = deltaCol{k: c.Width(), slices: make([][]byte, (c.Width()+7)/8)}
+	}
+	return d
+}
+
+// appendRow appends one encoded row (codes and NULL flags in base order).
+func (d *delta) appendRow(codes []uint32, nulls []bool) {
+	for i := range d.cols {
+		c := &d.cols[i]
+		core.AppendCodes(c.slices, c.k, codes[i:i+1])
+		if nulls[i] {
+			c.nulls = append(c.nulls, d.n)
+		}
+	}
+	d.n++
+}
+
+// window returns d cut to its current rows: every slice ends, length and
+// capacity, at the last row, so later appends to d write past it or into
+// a new array, never into it.
+func (d *delta) window() delta {
+	nb := 0
+	for _, c := range d.cols {
+		nb += len(c.slices)
+	}
+	flat := make([][]byte, 0, nb)
+	cols := make([]deltaCol, len(d.cols))
+	for i, c := range d.cols {
+		lo := len(flat)
+		for _, s := range c.slices {
+			flat = append(flat, s[:d.n:d.n])
+		}
+		cols[i] = deltaCol{k: c.k, slices: flat[lo:len(flat):len(flat)], nulls: c.nulls[:len(c.nulls):len(c.nulls)]}
+	}
+	return delta{n: d.n, cols: cols}
+}
+
+// from returns a fresh copy of rows [m, n), renumbered from 0: the rows a
+// merge over the first m did not cover.
+func (d *delta) from(m int) delta {
+	out := delta{n: d.n - m, cols: make([]deltaCol, len(d.cols))}
+	for i, c := range d.cols {
+		nc := deltaCol{k: c.k, slices: make([][]byte, len(c.slices))}
+		for j, s := range c.slices {
+			nc.slices[j] = append([]byte(nil), s[m:]...)
+		}
+		for _, r := range c.nulls[sort.SearchInts(c.nulls, m):] {
+			nc.nulls = append(nc.nulls, r-m)
+		}
+		out.cols[i] = nc
+	}
+	return out
+}
+
+// tables turns d's rows into at most two plain Tables over base's
+// encoders and histograms, for Table.Filter to scan like any other: the
+// whole 32-row segments wrapped in place, then the partial last segment
+// copied into a padded segment of its own. No kernel therefore loads a
+// byte at or past d.n, where the writer may be appending.
+func (d *delta) tables(base *Table) ([]*Table, error) {
+	whole := d.n / core.SegmentSize * core.SegmentSize
+	var parts []*Table
+	for _, r := range [2][2]int{{0, whole}, {whole, d.n}} {
+		if r[0] == r[1] {
+			continue
+		}
+		cols := make([]*Column, len(base.cols))
+		for i, c := range base.cols {
+			cols[i] = d.cols[i].column(c, r[0], r[1])
+		}
+		t, err := NewTable(cols...)
+		if err != nil {
+			return nil, err
+		}
+		parts = append(parts, t)
+	}
+	return parts, nil
+}
+
+// column wraps rows [lo, hi) as a ByteSlice column sharing like's name,
+// kind, encoder and histogram — in place when the rows fill whole
+// segments, else copied into one zero-padded segment. Only the NULL
+// vector is built.
+func (c *deltaCol) column(like *Column, lo, hi int) *Column {
+	n := hi - lo
+	slices := make([][]byte, len(c.slices))
+	for j, s := range c.slices {
+		if n%core.SegmentSize == 0 {
+			slices[j] = s[lo:hi:hi]
+		} else {
+			slices[j] = make([]byte, core.SegmentSize)
+			copy(slices[j], s[lo:hi])
+		}
+	}
+	col := *like
+	col.data = core.Adopt(slices, c.k, n)
+	col.nulls = nil
+	if nulls := c.nulls[sort.SearchInts(c.nulls, lo):sort.SearchInts(c.nulls, hi)]; len(nulls) > 0 {
+		col.nulls = bitvec.New(n)
+		for _, r := range nulls {
+			col.nulls.Set(r-lo, true)
+		}
+	}
+	return &col
+}
 
 // IngestOption configures CreateIngest / OpenIngest.
 type IngestOption func(*ingestConfig)
 
 type ingestConfig struct {
-	sealRows   int
 	deltaBound int
 	autoMerge  bool
 	syncEach   bool
@@ -127,7 +236,7 @@ type ingestConfig struct {
 }
 
 func ingestDefaults() ingestConfig {
-	return ingestConfig{sealRows: 4096, deltaBound: 1 << 18, autoMerge: true, syncEach: true}
+	return ingestConfig{deltaBound: 1 << 18, autoMerge: true, syncEach: true}
 }
 
 func applyIngestOpts(opts []IngestOption) ingestConfig {
@@ -135,26 +244,16 @@ func applyIngestOpts(opts []IngestOption) ingestConfig {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.sealRows < 1 {
-		cfg.sealRows = 1
-	}
-	if cfg.deltaBound < cfg.sealRows {
-		cfg.deltaBound = cfg.sealRows
+	if cfg.deltaBound < 1 {
+		cfg.deltaBound = 1
 	}
 	return cfg
 }
 
-// WithSealRows sets how many tail rows accumulate before they are sealed
-// into an immutable ByteSlice segment (default 4096). Smaller segments
-// cut row-at-a-time tail scanning sooner; larger ones amortise the seal.
-func WithSealRows(n int) IngestOption {
-	return func(c *ingestConfig) { c.sealRows = n }
-}
-
-// WithDeltaBound caps the unmerged delta (sealed segments plus tail, in
-// rows; default 262144). At the bound Append fails with ErrBackpressure
-// — and triggers a merge — instead of growing the delta without limit
-// while the merger is failing or behind.
+// WithDeltaBound caps the unmerged delta (in rows; default 262144). At
+// the bound Append fails with ErrBackpressure — and triggers a merge —
+// instead of growing the delta without limit while the merger is failing
+// or behind.
 func WithDeltaBound(n int) IngestOption {
 	return func(c *ingestConfig) { c.deltaBound = n }
 }
@@ -169,7 +268,7 @@ func WithAutoMerge(enabled bool) IngestOption {
 
 // WithSyncedAppends controls per-append fsync (default true): every
 // acknowledged Append is durable before it returns. Disabled, WAL writes
-// are batched by the OS and fsynced at seals and merges — faster, but a
+// are batched by the OS and fsynced at merges and Close — faster, but a
 // power cut can lose the acknowledged-but-unsynced suffix (never corrupt
 // the prefix).
 func WithSyncedAppends(enabled bool) IngestOption {
@@ -220,7 +319,7 @@ func CreateIngest(dir string, base *Table, opts ...IngestOption) (*IngestTable, 
 		wal.Close() //nolint:errcheck // already failing
 		return nil, ingestErr("create ingest", err)
 	}
-	return newIngestTable(dir, cfg, base, wal, epoch, nil, nil), nil
+	return newIngestTable(dir, cfg, base, wal, epoch, newDelta(base)), nil
 }
 
 // OpenIngest resumes an ingest directory: it reads the manifest, loads
@@ -248,36 +347,24 @@ func OpenIngest(dir string, opts ...IngestOption) (*IngestTable, error) {
 		return nil, fmt.Errorf("byteslice: open ingest %s: %w: WAL (epoch %d, %d base rows) vs manifest epoch %d over %d rows",
 			dir, ingest.ErrMismatch, wal.Epoch(), wal.BaseRows(), m.Epoch, base.Len())
 	}
-	codes, nulls, err := decodeRowPayloads(base, rec.Rows)
+	d, err := decodeRowPayloads(base, rec.Rows)
 	if err != nil {
 		wal.Close() //nolint:errcheck // already failing
 		return nil, ingestErr("open ingest "+dir, err)
 	}
 	obs.Default.Ingest.ReplayedRows.Add(int64(len(rec.Rows)))
 	obs.Default.Ingest.TruncatedBytes.Add(rec.Truncated)
-	t := newIngestTable(dir, cfg, base, wal, m.Epoch, codes, nulls)
+	t := newIngestTable(dir, cfg, base, wal, m.Epoch, d)
 	t.cleanOrphans(m)
 	return t, nil
 }
 
 // newIngestTable assembles the in-memory state, publishes the first view
-// (sealing full replayed segments) and starts the background merger.
-func newIngestTable(dir string, cfg ingestConfig, base *Table, wal *ingest.WAL, epoch uint64, tailCodes [][]uint32, tailNulls [][]bool) *IngestTable {
-	t := &IngestTable{dir: dir, cfg: cfg, wal: wal}
-	if tailCodes == nil {
-		tailCodes = make([][]uint32, len(base.cols))
-		tailNulls = make([][]bool, len(base.cols))
-	}
-	t.tailCodes, t.tailNulls = tailCodes, tailNulls
+// and starts the background merger.
+func newIngestTable(dir string, cfg ingestConfig, base *Table, wal *ingest.WAL, epoch uint64, d delta) *IngestTable {
+	t := &IngestTable{dir: dir, cfg: cfg, wal: wal, delta: d}
 	t.mu.Lock()
-	t.publishLocked(epoch, base, nil)
-	for len(t.tailCodes[0]) >= cfg.sealRows {
-		// Replayed rows beyond a full segment seal immediately, so a
-		// recovered table queries as fast as the one that crashed.
-		if err := t.sealRowsLocked(cfg.sealRows); err != nil {
-			break // keep the remainder row-at-a-time; appends still work
-		}
-	}
+	t.publishLocked(epoch, base)
 	t.mu.Unlock()
 	t.merger = ingest.NewMerger(cfg.merger, t.mergeOnce)
 	t.syncGauges()
@@ -321,37 +408,38 @@ func encodeRowPayload(codes []uint32, nulls []bool) []byte {
 }
 
 // decodeRowPayloads validates replayed WAL rows against the base table's
-// schema and code domains, transposing them into per-column tail arrays.
+// schema and code domains and appends them, in order, to a fresh delta.
 // Any violation — wrong width, a code outside its column's domain, a
 // NULL flag with a non-zero code — wraps ingest.ErrCorrupt: the frame's
 // checksum passed, so the log was written by something that disagrees
 // with this schema, which must surface rather than decode as garbage.
-func decodeRowPayloads(base *Table, rows [][]byte) ([][]uint32, [][]bool, error) {
+func decodeRowPayloads(base *Table, rows [][]byte) (delta, error) {
 	ncols := len(base.cols)
-	codes := make([][]uint32, ncols)
-	nulls := make([][]bool, ncols)
+	d := newDelta(base)
+	codes := make([]uint32, ncols)
+	nulls := make([]bool, ncols)
 	for r, p := range rows {
 		if len(p) != 5*ncols {
-			return nil, nil, fmt.Errorf("%w: WAL row %d has %d bytes, schema wants %d", ingest.ErrCorrupt, r, len(p), 5*ncols)
+			return delta{}, fmt.Errorf("%w: WAL row %d has %d bytes, schema wants %d", ingest.ErrCorrupt, r, len(p), 5*ncols)
 		}
 		for i, c := range base.cols {
 			flag := p[5*i]
 			code := uint32(p[5*i+1]) | uint32(p[5*i+2])<<8 | uint32(p[5*i+3])<<16 | uint32(p[5*i+4])<<24
 			switch {
 			case flag > 1:
-				return nil, nil, fmt.Errorf("%w: WAL row %d column %s: NULL flag %d", ingest.ErrCorrupt, r, c.name, flag)
+				return delta{}, fmt.Errorf("%w: WAL row %d column %s: NULL flag %d", ingest.ErrCorrupt, r, c.name, flag)
 			case flag == 1 && code != 0:
-				return nil, nil, fmt.Errorf("%w: WAL row %d column %s: NULL row carries code %d", ingest.ErrCorrupt, r, c.name, code)
+				return delta{}, fmt.Errorf("%w: WAL row %d column %s: NULL row carries code %d", ingest.ErrCorrupt, r, c.name, code)
 			case flag == 0 && code > c.maxCode():
-				return nil, nil, fmt.Errorf("%w: WAL row %d column %s: code %d exceeds width %d", ingest.ErrCorrupt, r, c.name, code, c.Width())
+				return delta{}, fmt.Errorf("%w: WAL row %d column %s: code %d exceeds width %d", ingest.ErrCorrupt, r, c.name, code, c.Width())
 			case flag == 0 && c.kind == KindString && int64(code) >= int64(c.dict.Cardinality()):
-				return nil, nil, fmt.Errorf("%w: WAL row %d column %s: code %d outside dictionary", ingest.ErrCorrupt, r, c.name, code)
+				return delta{}, fmt.Errorf("%w: WAL row %d column %s: code %d outside dictionary", ingest.ErrCorrupt, r, c.name, code)
 			}
-			codes[i] = append(codes[i], code)
-			nulls[i] = append(nulls[i], flag == 1)
+			codes[i], nulls[i] = code, flag == 1
 		}
+		d.appendRow(codes, nulls)
 	}
-	return codes, nulls, nil
+	return d, nil
 }
 
 // Append appends one row. vals maps column names to native values —
@@ -369,11 +457,11 @@ func (t *IngestTable) Append(vals map[string]any) error {
 		return fmt.Errorf("byteslice: append: %w", ErrTableClosed)
 	}
 	v := t.view.Load()
-	if v.deltaRows() >= t.cfg.deltaBound {
+	if t.delta.n >= t.cfg.deltaBound {
 		obs.Default.Ingest.Backpressure.Add(1)
 		t.merger.Trigger()
 		return fmt.Errorf("byteslice: append: %d unmerged delta rows at bound %d: %w",
-			v.deltaRows(), t.cfg.deltaBound, ErrBackpressure)
+			t.delta.n, t.cfg.deltaBound, ErrBackpressure)
 	}
 	base := v.base
 	if len(vals) != len(base.cols) {
@@ -403,23 +491,13 @@ func (t *IngestTable) Append(vals map[string]any) error {
 	if err := t.wal.Append(payload); err != nil {
 		return fmt.Errorf("byteslice: append: %w", err)
 	}
-	for i := range t.tailCodes {
-		t.tailCodes[i] = append(t.tailCodes[i], codes[i])
-		t.tailNulls[i] = append(t.tailNulls[i], nulls[i])
-	}
-	t.publishLocked(v.epoch, base, v.sealed)
-	if len(t.tailCodes[0]) >= t.cfg.sealRows {
-		if err := t.sealRowsLocked(len(t.tailCodes[0])); err != nil {
-			// The row is durable and published; a failed seal only means
-			// it stays on the row-at-a-time path until the next attempt.
-			_ = err
-		}
-	}
+	t.delta.appendRow(codes, nulls)
+	t.publishLocked(v.epoch, base)
 	obs.Default.Ingest.AppendedRows.Add(1)
 	obs.Default.Ingest.AppendedBytes.Add(int64(len(payload)) + 9)
-	obs.Default.Ingest.DeltaRows.Store(int64(t.view.Load().deltaRows()))
+	obs.Default.Ingest.DeltaRows.Store(int64(t.delta.n))
 	obs.Default.Ingest.WALBytes.Store(t.wal.Size())
-	if t.cfg.autoMerge && plan.ShouldMerge(base.n, t.view.Load().deltaRows()) {
+	if t.cfg.autoMerge && plan.ShouldMerge(base.n, t.delta.n) {
 		t.merger.Trigger()
 	}
 	return nil
@@ -473,64 +551,16 @@ func (c *Column) encodeValue(v any) (uint32, error) {
 	return 0, fmt.Errorf("byteslice: unknown kind %v", c.kind)
 }
 
-// publishLocked builds and atomically publishes a new view over the
-// current canonical tail arrays. Callers hold mu.
-func (t *IngestTable) publishLocked(epoch uint64, base *Table, sealed []*Table) {
-	n := 0
-	if len(t.tailCodes) > 0 {
-		n = len(t.tailCodes[0])
-	}
-	tc := make([][]uint32, len(t.tailCodes))
-	tn := make([][]bool, len(t.tailNulls))
-	for i := range t.tailCodes {
-		tc[i] = t.tailCodes[i][:n:n]
-		tn[i] = t.tailNulls[i][:n:n]
-	}
-	t.view.Store(&ingestView{epoch: epoch, base: base, sealed: sealed, tailCodes: tc, tailNulls: tn, tailLen: n})
-}
-
-// sealRowsLocked seals the first n tail rows into an immutable ByteSlice
-// segment and publishes the new view. Callers hold mu.
-func (t *IngestTable) sealRowsLocked(n int) error {
-	v := t.view.Load()
-	if n <= 0 || n > len(t.tailCodes[0]) {
-		return nil
-	}
-	cols := make([]*Column, len(v.base.cols))
-	for i, c := range v.base.cols {
-		var nullRows []int
-		for r := 0; r < n; r++ {
-			if t.tailNulls[i][r] {
-				nullRows = append(nullRows, r)
-			}
-		}
-		col, err := newColumn(*c, c.Width(), t.tailCodes[i][:n:n], nullRows, c.Format(), c.HasZoneMaps())
-		if err != nil {
-			return err
-		}
-		cols[i] = col
-	}
-	seg, err := NewTable(cols...)
-	if err != nil {
-		return err
-	}
-	for i := range t.tailCodes {
-		t.tailCodes[i] = append([]uint32(nil), t.tailCodes[i][n:]...)
-		t.tailNulls[i] = append([]bool(nil), t.tailNulls[i][n:]...)
-	}
-	sealed := make([]*Table, 0, len(v.sealed)+1)
-	sealed = append(append(sealed, v.sealed...), seg)
-	t.publishLocked(v.epoch, v.base, sealed)
-	obs.Default.Ingest.SealedSegments.Add(1)
-	return nil
+// publishLocked atomically publishes a view of base and the writer's
+// current delta. Callers hold mu.
+func (t *IngestTable) publishLocked(epoch uint64, base *Table) {
+	t.view.Store(&ingestView{epoch: epoch, base: base, delta: t.delta.window()})
 }
 
 // mergeOnce is one merge attempt, the background merger's run function:
-// build the next epoch's base off-lock from immutable data (the sealed
-// segments; the tail is sealed first when nothing is sealed yet, so a
-// forced merge always makes progress), then commit under the writer lock
-// — rotate the WAL, re-appending the rows the merge does not cover
-// (segments sealed after the snapshot, and the tail), swap the manifest
+// build the next epoch's base off-lock from the current view — its base
+// and every delta row it published — then commit under the writer lock:
+// rotate the WAL, re-appending the rows appended since, swap the manifest
 // atomically and publish the new epoch. A failure at any step leaves the
 // previous epoch intact on disk and in memory; the merger retries with
 // backoff.
@@ -539,29 +569,22 @@ func (t *IngestTable) mergeOnce() error {
 	defer t.mergeMu.Unlock()
 
 	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil
-	}
+	closed := t.closed
 	v := t.view.Load()
-	if len(v.sealed) == 0 && v.tailLen > 0 {
-		if err := t.sealRowsLocked(len(t.tailCodes[0])); err != nil {
-			t.mu.Unlock()
-			return err
-		}
-		v = t.view.Load()
-	}
-	covered := len(v.sealed)
 	t.mu.Unlock()
-	if covered == 0 {
+	if closed || v.delta.n == 0 {
 		return nil
 	}
 
-	// Off-lock: the base and sealed segments are immutable, so the build
-	// races nothing. Appends proceed concurrently; whatever they add
-	// lands in segments after `covered` or in the tail, both re-appended
-	// into the rotated WAL at commit.
-	merged, err := mergeTables(v.base, v.sealed[:covered])
+	// Off-lock: the view is immutable, so the build races nothing.
+	// Appends proceed concurrently past its delta window; commit
+	// re-appends them into the rotated WAL.
+	parts, err := v.delta.tables(v.base)
+	if err != nil {
+		obs.Default.Ingest.MergeFailures.Add(1)
+		return err
+	}
+	merged, err := mergeTables(v.base, parts)
 	if err != nil {
 		obs.Default.Ingest.MergeFailures.Add(1)
 		return err
@@ -579,7 +602,7 @@ func (t *IngestTable) mergeOnce() error {
 		os.Remove(basePath) //nolint:errcheck // best-effort cleanup
 		return nil
 	}
-	err = t.commitMergeLocked(merged, newEpoch, covered)
+	err = t.commitMergeLocked(merged, newEpoch, v.delta.n)
 	if err != nil {
 		obs.Default.Ingest.MergeFailures.Add(1)
 	}
@@ -587,9 +610,10 @@ func (t *IngestTable) mergeOnce() error {
 }
 
 // commitMergeLocked rotates the WAL and swaps the manifest to publish
-// newEpoch, whose base covers the first `covered` sealed segments.
-// Callers hold mu. On failure the previous epoch's WAL, base and
-// manifest are untouched and the partial new WAL is removed.
+// newEpoch, whose base covers the first `covered` delta rows; the rest
+// become the new delta. Callers hold mu. On failure the previous epoch's
+// WAL, base, manifest and delta are untouched and the partial new WAL is
+// removed.
 func (t *IngestTable) commitMergeLocked(merged *Table, newEpoch uint64, covered int) error {
 	walPath := filepath.Join(t.dir, walName(newEpoch))
 	os.Remove(walPath) //nolint:errcheck // clear debris of a failed earlier attempt
@@ -602,20 +626,13 @@ func (t *IngestTable) commitMergeLocked(merged *Table, newEpoch uint64, covered 
 		os.Remove(walPath) //nolint:errcheck // best-effort cleanup
 		return fmt.Errorf("byteslice: merge: %w", err)
 	}
-	v := t.view.Load()
-	for _, seg := range v.sealed[covered:] {
-		if err := appendTableRows(nw, seg); err != nil {
-			return abort(err)
-		}
+	rest := t.delta.from(covered)
+	parts, err := rest.tables(merged)
+	if err != nil {
+		return abort(err)
 	}
-	for r := 0; r < len(t.tailCodes[0]); r++ {
-		row := make([]uint32, len(t.tailCodes))
-		nulls := make([]bool, len(t.tailCodes))
-		for i := range t.tailCodes {
-			row[i] = t.tailCodes[i][r]
-			nulls[i] = t.tailNulls[i][r]
-		}
-		if err := nw.Append(encodeRowPayload(row, nulls)); err != nil {
+	for _, p := range parts {
+		if err := appendTableRows(nw, p); err != nil {
 			return abort(err)
 		}
 	}
@@ -631,24 +648,24 @@ func (t *IngestTable) commitMergeLocked(merged *Table, newEpoch uint64, covered 
 	// bookkeeping on the now-stale epoch.
 	old := t.wal
 	t.wal = nw
-	remaining := append([]*Table(nil), v.sealed[covered:]...)
-	t.publishLocked(newEpoch, merged, remaining)
+	t.delta = rest
+	t.publishLocked(newEpoch, merged)
 	oldPath := old.Path()
 	old.Close()                                           //nolint:errcheck // stale epoch
 	os.Remove(oldPath)                                    //nolint:errcheck // best-effort
 	os.Remove(filepath.Join(t.dir, baseName(newEpoch-1))) //nolint:errcheck // best-effort
 	obs.Default.Ingest.Merges.Add(1)
 	obs.Default.Ingest.Epoch.Store(int64(newEpoch))
-	obs.Default.Ingest.DeltaRows.Store(int64(t.view.Load().deltaRows()))
+	obs.Default.Ingest.DeltaRows.Store(int64(t.delta.n))
 	obs.Default.Ingest.WALBytes.Store(t.wal.Size())
 	return nil
 }
 
-// mergeTables rebuilds base plus the sealed segments into one fresh
-// Table, column by column, preserving each column's format, encoder and
-// zone maps.
-func mergeTables(base *Table, sealed []*Table) (*Table, error) {
-	parts := append([]*Table{base}, sealed...)
+// mergeTables rebuilds base followed by the delta's tables into one fresh
+// Table, column by column, preserving each base column's format, encoder
+// and zone maps.
+func mergeTables(base *Table, delta []*Table) (*Table, error) {
+	parts := append([]*Table{base}, delta...)
 	total := 0
 	for _, p := range parts {
 		total += p.n
@@ -676,8 +693,8 @@ func mergeTables(base *Table, sealed []*Table) (*Table, error) {
 	return NewTable(cols...)
 }
 
-// appendTableRows re-frames a sealed segment's rows into a WAL — the
-// rotation path for segments a merge does not cover.
+// appendTableRows re-frames a table's rows into a WAL — the rotation path
+// for the delta rows a merge does not cover.
 func appendTableRows(w *ingest.WAL, seg *Table) error {
 	colCodes := make([][]uint32, len(seg.cols))
 	for i, c := range seg.cols {
@@ -705,10 +722,10 @@ func appendTableRows(w *ingest.WAL, seg *Table) error {
 }
 
 // Filter evaluates the conjunction of the filters over one consistent
-// view: the base epoch with its storage layouts, the sealed segments
-// with theirs, the tail row-at-a-time. Row numbers are stable across
-// appends and merges (base order, then append order). Readers never
-// block: concurrent appends, seals and merges affect only later calls.
+// view: the base epoch with its storage layouts, then the delta as
+// ByteSlice. Row numbers are stable across appends and merges (base
+// order, then append order). Readers never block: concurrent appends and
+// merges affect only later calls.
 func (t *IngestTable) Filter(filters []Filter, opts ...QueryOption) (*Result, error) {
 	return t.Pin().Filter(filters, opts...)
 }
@@ -725,13 +742,12 @@ func (t *IngestTable) Query(e Expr, opts ...QueryOption) (*Result, error) {
 }
 
 // Pinned is one immutable published view of an IngestTable: the epoch's
-// base, the sealed segments and a fixed tail prefix. Every query through
-// the same Pinned sees exactly the same rows no matter how many appends,
-// seals or merges race past it — Epoch and Len are the consistency anchor
-// a result cache can key on, because the row set a Pinned exposes is
-// fully determined by (Epoch, Len): appends grow Len within an epoch and
-// merges bump Epoch without changing Len, and published rows are never
-// mutated.
+// base and a fixed prefix of the delta. Every query through the same
+// Pinned sees exactly the same rows no matter how many appends or merges
+// race past it — Epoch and Len are the consistency anchor a result cache
+// can key on, because the row set a Pinned exposes is fully determined by
+// (Epoch, Len): appends grow Len within an epoch and merges bump Epoch
+// without changing Len, and published rows are never mutated.
 //
 //bsvet:sealed
 type Pinned struct {
@@ -748,7 +764,7 @@ func (p Pinned) Epoch() uint64 { return p.v.epoch }
 func (p Pinned) Len() int { return p.v.rows() }
 
 // DeltaLen returns the pinned view's unmerged row count.
-func (p Pinned) DeltaLen() int { return p.v.deltaRows() }
+func (p Pinned) DeltaLen() int { return p.v.delta.n }
 
 // Base returns the pinned epoch's immutable base table — the schema
 // authority for resolving filters against this view.
@@ -771,130 +787,46 @@ func (p Pinned) Query(e Expr, opts ...QueryOption) (*Result, error) {
 	return evalExpr(p, e, opts)
 }
 
-// deltaPred is a filter resolved once against the base table's encoders
-// for row-at-a-time evaluation over unmerged rows: the column's position
-// and its translated predicate, hoisted out of the per-row loop so
-// resolution work — and resolution errors — happen once per query, not
-// once per row.
-type deltaPred struct {
-	idx     int // position in base.cols, for positional code storage
-	pred    layout.Predicate
-	trivial *bool
-}
-
-// resolveDeltaPreds translates filters into code space against base's
-// encoders. A bad column name or filter constant fails here, up front,
-// instead of surfacing (or worse, being swallowed) mid-scan.
-func resolveDeltaPreds(base *Table, filters []Filter) ([]deltaPred, error) {
-	rs := make([]deltaPred, len(filters))
-	for i, f := range filters {
-		col, err := base.Column(f.Col)
-		if err != nil {
-			return nil, err
-		}
-		pred, trivial, err := col.predicate(f)
-		if err != nil {
-			return nil, err
-		}
-		idx := -1
-		for j, c := range base.cols {
-			if c == col {
-				idx = j
-				break
-			}
-		}
-		rs[i] = deltaPred{idx: idx, pred: pred, trivial: trivial}
-	}
-	return rs, nil
-}
-
-// evalDeltaRow combines the hoisted predicates over one delta row; code
-// fetches the row's (code, isNull) pair for a predicate's column.
-func evalDeltaRow(preds []deltaPred, disjunct bool, code func(p deltaPred) (uint32, bool)) bool {
-	match := !disjunct
-	for _, p := range preds {
-		c, isNull := code(p)
-		var m bool
-		switch {
-		case isNull:
-			m = false // comparisons with NULL are never true
-		case p.trivial != nil:
-			m = *p.trivial
-		default:
-			m = p.pred.Eval(c)
-		}
-		if disjunct {
-			match = match || m
-		} else {
-			match = match && m
-		}
-	}
-	return match
-}
-
-// eval evaluates the filters over the view: the base epoch with its
-// storage layouts, the sealed segments with theirs, the tail
-// row-at-a-time.
+// eval evaluates the filters over the view: Table.Filter / FilterAny on
+// the base and on each of the delta's tables alike, each result spliced
+// in at its rows' offset.
 func (v *ingestView) eval(filters []Filter, disjunct bool, opts []QueryOption) (*Result, error) {
-	var baseRes *Result
-	var err error
-	if disjunct {
-		baseRes, err = v.base.FilterAny(filters, opts...)
-	} else {
-		baseRes, err = v.base.Filter(filters, opts...)
+	baseRes, err := v.base.eval(filters, disjunct, opts)
+	if err != nil {
+		return nil, err
 	}
+	parts, err := v.delta.tables(v.base)
 	if err != nil {
 		return nil, err
 	}
 	out := bitvec.New(v.rows())
-	out.CopyBits(baseRes.bv)
+	out.OrAt(baseRes.bv, 0)
 
+	// The delta's evaluations run with per-query observability off, so a
+	// logical query counts once in the process-wide registry (the base
+	// evaluation); their work lands in one scan(delta) stage.
 	var cfg queryConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
-
-	// Sealed segments scan with their native layouts. Their evaluations
-	// run with per-query observability off so a logical query counts once
-	// in the process-wide registry (the base evaluation).
-	segOpts := append(append([]QueryOption(nil), opts...), WithObservability(false))
+	st, done := cfg.stage(baseRes.stats, "scan(delta)", "delta")
+	defer done()
+	partOpts := append(append([]QueryOption(nil), opts...), WithObservability(false))
 	off := v.base.n
-	for _, seg := range v.sealed {
-		var segRes *Result
-		if disjunct {
-			segRes, err = seg.FilterAny(filters, segOpts...)
-		} else {
-			segRes, err = seg.Filter(filters, segOpts...)
-		}
+	for _, p := range parts {
+		res, err := p.eval(filters, disjunct, partOpts)
 		if err != nil {
 			return nil, err
 		}
-		for _, r := range segRes.bv.Positions(nil) {
-			out.Set(off+int(r), true)
-		}
-		off += seg.n
-	}
-
-	// Tail rows: hoisted predicates, row-at-a-time, cancellable.
-	preds, err := resolveDeltaPreds(v.base, filters)
-	if err != nil {
-		return nil, err
-	}
-	st, done := cfg.stage(baseRes.stats, "scan(delta)", "delta")
-	defer done()
-	for r := 0; r < v.tailLen; r++ {
-		if r%8192 == 0 {
-			if err := cfg.ctxErr(); err != nil {
-				return nil, err
-			}
-		}
-		match := evalDeltaRow(preds, disjunct, func(p deltaPred) (uint32, bool) {
-			return v.tailCodes[p.idx][r], v.tailNulls[p.idx][r]
-		})
-		out.Set(off+r, match)
+		out.OrAt(res.bv, off)
+		off += p.n
 	}
 	if st != nil {
-		st.AddRows(int64(v.tailLen), int64(v.tailLen*5*len(preds)))
+		slices := 0
+		for _, f := range filters {
+			slices += (v.base.byName[f.Col].Width() + 7) / 8
+		}
+		st.AddRows(int64(v.delta.n), int64(v.delta.n*slices))
 	}
 	return &Result{bv: out, explain: baseRes.explain, zoneSkipped: baseRes.zoneSkipped, stats: baseRes.stats}, nil
 }
@@ -902,8 +834,8 @@ func (v *ingestView) eval(filters []Filter, disjunct bool, opts []QueryOption) (
 // Len returns the total queryable rows (base epoch + unmerged delta).
 func (t *IngestTable) Len() int { return t.view.Load().rows() }
 
-// DeltaLen returns the unmerged rows (sealed segments + tail).
-func (t *IngestTable) DeltaLen() int { return t.view.Load().deltaRows() }
+// DeltaLen returns the unmerged rows.
+func (t *IngestTable) DeltaLen() int { return t.view.Load().delta.n }
 
 // Epoch returns the current epoch number.
 func (t *IngestTable) Epoch() uint64 { return t.view.Load().epoch }
@@ -956,6 +888,6 @@ func (t *IngestTable) Close() error {
 func (t *IngestTable) syncGauges() {
 	v := t.view.Load()
 	obs.Default.Ingest.Epoch.Store(int64(v.epoch))
-	obs.Default.Ingest.DeltaRows.Store(int64(v.deltaRows()))
+	obs.Default.Ingest.DeltaRows.Store(int64(v.delta.n))
 	obs.Default.Ingest.WALBytes.Store(t.wal.Size())
 }

@@ -8,6 +8,31 @@ import (
 	"byteslice/internal/ingest"
 )
 
+// deltaCodes reads every row of d back through the tables queries scan:
+// codes[i][r] and nulls[i][r] for column i, row r.
+func deltaCodes(t *testing.T, base *Table, d delta) (codes [][]uint32, nulls [][]bool) {
+	t.Helper()
+	parts, err := d.tables(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	codes = make([][]uint32, len(base.cols))
+	nulls = make([][]bool, len(base.cols))
+	for _, p := range parts {
+		for i, c := range p.cols {
+			cc, err := materializeCodes(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			codes[i] = append(codes[i], cc...)
+			for r := 0; r < p.n; r++ {
+				nulls[i] = append(nulls[i], c.IsNull(r))
+			}
+		}
+	}
+	return codes, nulls
+}
+
 // TestRowPayloadRoundTrip: encodeRowPayload and decodeRowPayloads are
 // inverses over every kind, including NULLs.
 func TestRowPayloadRoundTrip(t *testing.T) {
@@ -27,10 +52,11 @@ func TestRowPayloadRoundTrip(t *testing.T) {
 		encodeRowPayload([]uint32{7, 1}, []bool{false, false}),
 		encodeRowPayload([]uint32{0, 0}, []bool{true, false}),
 	}
-	codes, nulls, err := decodeRowPayloads(base, rows)
+	d, err := decodeRowPayloads(base, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
+	codes, nulls := deltaCodes(t, base, d)
 	if codes[0][0] != 7 || codes[1][0] != 1 || nulls[0][0] || nulls[1][0] {
 		t.Fatalf("row 0 decoded as codes %v/%v nulls %v/%v", codes[0][0], codes[1][0], nulls[0][0], nulls[1][0])
 	}
@@ -58,13 +84,13 @@ func TestDecodeRowPayloadsRejects(t *testing.T) {
 		"code over width": {0, 0xFF, 0xFF, 0, 0},
 	}
 	for name, row := range cases {
-		if _, _, err := decodeRowPayloads(base, [][]byte{row}); !errors.Is(err, ingest.ErrCorrupt) {
+		if _, err := decodeRowPayloads(base, [][]byte{row}); !errors.Is(err, ingest.ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
 		}
 	}
 }
 
-// TestAppendTableRows: the WAL-rotation path for sealed segments a merge
+// TestAppendTableRows: the WAL-rotation path for the delta rows a merge
 // does not cover re-frames every row — codes and NULLs — losslessly.
 func TestAppendTableRows(t *testing.T) {
 	qty, err := NewIntColumn("qty", []int64{5, 50, 7}, 0, 100, WithNulls([]int{1}))
@@ -94,10 +120,11 @@ func TestAppendTableRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	codes, nulls, err := decodeRowPayloads(seg, rec.Rows)
+	d, err := decodeRowPayloads(seg, rec.Rows)
 	if err != nil {
 		t.Fatal(err)
 	}
+	codes, nulls := deltaCodes(t, seg, d)
 	if len(rec.Rows) != 3 {
 		t.Fatalf("replayed %d rows, want 3", len(rec.Rows))
 	}

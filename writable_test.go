@@ -111,7 +111,7 @@ func wantRows(t *testing.T, what string, res *byteslice.Result, err error, want 
 }
 
 func TestIngestAppendQueryReopen(t *testing.T) {
-	it, dir := ingestFixture(t, byteslice.WithSealRows(8))
+	it, dir := ingestFixture(t)
 	const n = 30
 	for i := 0; i < n; i++ {
 		if err := it.Append(ingestRow(i)); err != nil {
@@ -126,7 +126,7 @@ func TestIngestAppendQueryReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every acknowledged append survives a clean reopen.
-	it2, err := byteslice.OpenIngest(dir, byteslice.WithSealRows(8))
+	it2, err := byteslice.OpenIngest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestIngestAppendQueryReopen(t *testing.T) {
 }
 
 func TestIngestMergeAdvancesEpoch(t *testing.T) {
-	it, dir := ingestFixture(t, byteslice.WithSealRows(8), byteslice.WithAutoMerge(false))
+	it, dir := ingestFixture(t, byteslice.WithAutoMerge(false))
 	const n = 20
 	for i := 0; i < n; i++ {
 		if err := it.Append(ingestRow(i)); err != nil {
@@ -155,13 +155,12 @@ func TestIngestMergeAdvancesEpoch(t *testing.T) {
 	if it.Epoch() != 2 {
 		t.Fatalf("epoch = %d, want 2", it.Epoch())
 	}
-	// The merge covered the sealed segments; the tail (< sealRows) rode
-	// the WAL rotation and stays unmerged.
-	if d := it.DeltaLen(); d != n%8 {
-		t.Fatalf("delta after merge = %d, want %d", d, n%8)
+	// The merge covered every row the delta published.
+	if d := it.DeltaLen(); d != 0 {
+		t.Fatalf("delta after merge = %d, want 0", d)
 	}
-	if it.Base().Len() != 3+n-n%8 {
-		t.Fatalf("base len = %d", it.Base().Len())
+	if it.Base().Len() != 3+n {
+		t.Fatalf("base len = %d, want %d", it.Base().Len(), 3+n)
 	}
 	// Old epoch artifacts are gone; new ones exist.
 	for _, f := range []string{"base-1.bslc", "wal-1.log"} {
@@ -329,7 +328,7 @@ func TestIngestClosed(t *testing.T) {
 }
 
 func TestIngestContextCancel(t *testing.T) {
-	it, _ := ingestFixture(t, byteslice.WithSealRows(1<<20)) // keep rows in the tail
+	it, _ := ingestFixture(t)
 	for i := 0; i < 50; i++ {
 		if err := it.Append(ingestRow(i)); err != nil {
 			t.Fatal(err)
@@ -350,7 +349,7 @@ func TestIngestContextCancel(t *testing.T) {
 // with ErrBackpressure; once the fault clears and a merge lands, appends
 // resume.
 func TestIngestBackpressure(t *testing.T) {
-	it, _ := ingestFixture(t, byteslice.WithSealRows(4), byteslice.WithDeltaBound(12), byteslice.WithAutoMerge(false))
+	it, _ := ingestFixture(t, byteslice.WithDeltaBound(12), byteslice.WithAutoMerge(false))
 	// The hook function stays installed for the table's whole lifetime and
 	// gates on an atomic, so the background merger never races a hook swap.
 	var failing atomic.Bool
@@ -419,12 +418,12 @@ func copyDir(t testing.TB, src string) string {
 	return dst
 }
 
-// ingestTemplate builds a sealed ingest directory once: base + 30
-// appended rows with sealRows 8 (3 sealed segments + 6 tail rows).
+// ingestTemplate builds an ingest directory once: base + 30 appended
+// rows, all in epoch 1's delta and WAL.
 func ingestTemplate(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
-	it, err := byteslice.CreateIngest(dir, ingestBase(t), byteslice.WithSealRows(8), byteslice.WithAutoMerge(false))
+	it, err := byteslice.CreateIngest(dir, ingestBase(t), byteslice.WithAutoMerge(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,10 +438,11 @@ func ingestTemplate(t *testing.T) string {
 	return dir
 }
 
-// reopenTemplate opens a copy of the template and asserts all 30 rows.
-func reopenAndCheck(t *testing.T, dir string, wantEpoch uint64) {
+// reopenAndCheck opens dir and asserts the epoch and the base rows plus
+// ingestRow(0..appended).
+func reopenAndCheck(t *testing.T, dir string, wantEpoch uint64, appended int) {
 	t.Helper()
-	it, err := byteslice.OpenIngest(dir, byteslice.WithSealRows(8), byteslice.WithAutoMerge(false))
+	it, err := byteslice.OpenIngest(dir, byteslice.WithAutoMerge(false))
 	if err != nil {
 		t.Fatalf("recovery open failed: %v", err)
 	}
@@ -450,7 +450,7 @@ func reopenAndCheck(t *testing.T, dir string, wantEpoch uint64) {
 	if it.Epoch() != wantEpoch {
 		t.Fatalf("recovered epoch = %d, want %d", it.Epoch(), wantEpoch)
 	}
-	checkIngestRows(t, it, 30)
+	checkIngestRows(t, it, appended)
 }
 
 // crashWriter injects a fault at a byte offset and snapshots the ingest
@@ -483,17 +483,42 @@ func (c *crashWriter) Write(p []byte) (int, error) {
 // TestIngestCrashDuringMergeSweep drives a merge into a write fault at
 // every byte offset of each artifact the epoch switch writes — the new
 // base snapshot, the rotated WAL, the manifest — snapshotting the
-// directory at the exact fault point. Recovering from every snapshot
-// must yield the previous epoch with all 30 acknowledged rows; and the
-// failed merge must leave the live table consistent and retryable.
+// directory at the exact fault point. Three rows are appended while the
+// merge writes its snapshot, off the writer lock: the merge does not
+// cover them, so the rotated WAL re-frames them. Recovering from every
+// snapshot must yield the previous epoch with all 33 acknowledged rows;
+// and the failed merge must leave the live table consistent and
+// retryable.
 func TestIngestCrashDuringMergeSweep(t *testing.T) {
 	template := ingestTemplate(t)
+	const total = 33 // the template's 30 rows plus the 3 appended mid-merge
+
+	// duringSave returns a snapshot writer hook that first appends rows
+	// 30..32 to it — once, as mergeOnce saves the next base — and then
+	// hands the stream to next (nil: unchanged).
+	duringSave := func(it *byteslice.IngestTable, next func(io.Writer) io.Writer) func(io.Writer) io.Writer {
+		appended := false
+		return func(w io.Writer) io.Writer {
+			if !appended {
+				appended = true
+				for i := 30; i < total; i++ {
+					if err := it.Append(ingestRow(i)); err != nil {
+						t.Errorf("append during merge: %v", err)
+					}
+				}
+			}
+			if next == nil {
+				return w
+			}
+			return next(w)
+		}
+	}
 
 	// Probe each stream's full length with a successful merge.
 	var baseLen, walLen, manLen int64
 	{
 		dir := copyDir(t, template)
-		it, err := byteslice.OpenIngest(dir, byteslice.WithSealRows(8), byteslice.WithAutoMerge(false))
+		it, err := byteslice.OpenIngest(dir, byteslice.WithAutoMerge(false))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -503,7 +528,7 @@ func TestIngestCrashDuringMergeSweep(t *testing.T) {
 				return &countingWriter{w: w, n: n}
 			}
 		}
-		byteslice.SetSaveWriterHook(count(&baseLen))
+		byteslice.SetSaveWriterHook(duringSave(it, count(&baseLen)))
 		ingest.WriterHook = count(&walLen)
 		ingest.ManifestWriterHook = count(&manLen)
 		err = it.MergeNow()
@@ -513,22 +538,26 @@ func TestIngestCrashDuringMergeSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if it.DeltaLen() != total-30 {
+			t.Fatalf("probe: delta after merge = %d, want the %d rows appended mid-merge", it.DeltaLen(), total-30)
+		}
 		it.Close() //nolint:errcheck // probe only
-		reopenAndCheck(t, dir, 2)
+		reopenAndCheck(t, dir, 2, total)
 	}
 	if baseLen == 0 || walLen == 0 || manLen == 0 {
 		t.Fatalf("probe lengths: base %d wal %d manifest %d", baseLen, walLen, manLen)
 	}
 
-	type target struct {
-		name    string
-		length  int64
-		install func(hook func(io.Writer) io.Writer)
-	}
-	targets := []target{
-		{"base-snapshot", baseLen, func(h func(io.Writer) io.Writer) { byteslice.SetSaveWriterHook(h) }},
-		{"wal-rotation", walLen, func(h func(io.Writer) io.Writer) { ingest.WriterHook = h }},
-		{"manifest", manLen, func(h func(io.Writer) io.Writer) { ingest.ManifestWriterHook = h }},
+	targets := []struct {
+		name   string
+		length int64
+		// hook is the stream's writer hook; nil for the base snapshot,
+		// whose hook duringSave wraps.
+		hook *func(io.Writer) io.Writer
+	}{
+		{"base-snapshot", baseLen, nil},
+		{"wal-rotation", walLen, &ingest.WriterHook},
+		{"manifest", manLen, &ingest.ManifestWriterHook},
 	}
 	defer func() {
 		byteslice.SetSaveWriterHook(nil)
@@ -553,16 +582,25 @@ func TestIngestCrashDuringMergeSweep(t *testing.T) {
 			}
 			for _, off := range offsets {
 				dir := copyDir(t, template)
-				it, err := byteslice.OpenIngest(dir, byteslice.WithSealRows(8), byteslice.WithAutoMerge(false))
+				it, err := byteslice.OpenIngest(dir, byteslice.WithAutoMerge(false))
 				if err != nil {
 					t.Fatalf("offset %d: open: %v", off, err)
 				}
 				crash := ""
-				tgt.install(func(w io.Writer) io.Writer {
+				crashHook := func(w io.Writer) io.Writer {
 					return &crashWriter{w: w, failAt: off, dir: dir, crash: &crash, tb: t}
-				})
+				}
+				if tgt.hook == nil {
+					byteslice.SetSaveWriterHook(duringSave(it, crashHook))
+				} else {
+					byteslice.SetSaveWriterHook(duringSave(it, nil))
+					*tgt.hook = crashHook
+				}
 				err = it.MergeNow()
-				tgt.install(nil)
+				byteslice.SetSaveWriterHook(nil)
+				if tgt.hook != nil {
+					*tgt.hook = nil
+				}
 				if err == nil {
 					it.Close() //nolint:errcheck // cleanup
 					t.Fatalf("%s offset %d: merge succeeded through the fault", tgt.name, off)
@@ -572,14 +610,14 @@ func TestIngestCrashDuringMergeSweep(t *testing.T) {
 					t.Fatalf("%s offset %d: fault never fired", tgt.name, off)
 				}
 				// The crash image recovers to the previous epoch.
-				reopenAndCheck(t, crash, 1)
+				reopenAndCheck(t, crash, 1, total)
 				// The live table survived the failed merge too: still
 				// queryable, still appendable, and a retry commits.
-				checkIngestRows(t, it, 30)
+				checkIngestRows(t, it, total)
 				if err := it.MergeNow(); err != nil {
 					t.Fatalf("%s offset %d: retry merge: %v", tgt.name, off, err)
 				}
-				checkIngestRows(t, it, 30)
+				checkIngestRows(t, it, total)
 				if it.Epoch() != 2 {
 					t.Fatalf("%s offset %d: epoch %d after retry", tgt.name, off, it.Epoch())
 				}
@@ -600,7 +638,7 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// TestIngestWALFaultSweep corrupts the on-disk WAL of a sealed ingest
+// TestIngestWALFaultSweep corrupts the on-disk WAL of the template ingest
 // directory at every byte offset (truncate and bit-flip): OpenIngest
 // must either recover a clean prefix of the appended rows or fail with a
 // typed error — never panic, never invent or reorder rows.
@@ -619,7 +657,7 @@ func TestIngestWALFaultSweep(t *testing.T) {
 		t.Helper()
 		dir := copyDir(t, template)
 		mutate(filepath.Join(dir, m.WAL))
-		it, err := byteslice.OpenIngest(dir, byteslice.WithSealRows(8), byteslice.WithAutoMerge(false))
+		it, err := byteslice.OpenIngest(dir, byteslice.WithAutoMerge(false))
 		if err != nil {
 			if !errors.Is(err, ingest.ErrCorrupt) && !errors.Is(err, ingest.ErrVersion) &&
 				!errors.Is(err, ingest.ErrMismatch) {
@@ -654,27 +692,43 @@ func TestIngestWALFaultSweep(t *testing.T) {
 	}
 }
 
-// TestIngestStress runs the full pipeline under load: one appender,
-// a background merger (aggressive thresholds), and concurrent readers
-// that must always observe a consistent view — monotonically growing,
-// never torn. Run with -race this is the publication-safety proof.
+// TestIngestStress runs the full pipeline under load: one appender, a
+// merger running concurrently with it, and readers that each pin a view
+// and query it while the appender crosses hundreds of 32-row delta
+// segment boundaries between merges. On its pinned view a reader must
+// get the same answer twice, and the two halves of a split range must
+// add up to it; across views the matched set only grows. Run with -race
+// this is the publication-safety proof: readers never load a delta byte
+// the appender writes.
 func TestIngestStress(t *testing.T) {
 	it, _ := ingestFixture(t,
-		byteslice.WithSealRows(16),
+		byteslice.WithAutoMerge(false),
 		byteslice.WithDeltaBound(1<<20),
 		byteslice.WithSyncedAppends(false))
 	const (
-		readers = 4
-		rows    = 2000
+		readers    = 4
+		mergeEvery = 8192 // 256 segment boundaries between merges
+		rows       = 3 * mergeEvery
 	)
-	var appended atomic.Int64
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
+	merges := make(chan struct{}, 1)
+
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for range merges {
+			if err := it.MergeNow(); err != nil {
+				t.Errorf("merge: %v", err)
+			}
+		}
+	}()
 
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
-		go func() {
+		go func(seed uint64) {
 			defer wg.Done()
+			rng := rand.New(rand.NewPCG(seed, seed)) //nolint:gosec
 			last := 0
 			for {
 				select {
@@ -682,44 +736,62 @@ func TestIngestStress(t *testing.T) {
 					return
 				default:
 				}
-				// Always-true predicate (modulo NULLs): the matched set
-				// must grow monotonically and rows must stay stable.
-				res, err := it.Filter([]byteslice.Filter{byteslice.IntFilter("qty", byteslice.Ge, 0)})
-				if err != nil {
-					t.Errorf("reader: %v", err)
+				pin := it.Pin()
+				qty := func(op byteslice.Op, c int64) *byteslice.Result {
+					res, err := pin.Filter([]byteslice.Filter{byteslice.IntFilter("qty", op, c)})
+					if err != nil {
+						t.Errorf("reader: %v", err)
+						return nil
+					}
+					return res
+				}
+				c := rng.Int64N(101)
+				all, again, lt, ge := qty(byteslice.Ge, 0), qty(byteslice.Ge, 0), qty(byteslice.Lt, c), qty(byteslice.Ge, c)
+				if all == nil || again == nil || lt == nil || ge == nil {
 					return
 				}
-				if res.Count() < last {
-					t.Errorf("reader: matched rows went backwards: %d -> %d", last, res.Count())
+				rows := all.Rows()
+				if !sameRows(rows, again.Rows()) {
+					t.Errorf("reader: qty >= 0 answered %d then %d rows on one pinned view", all.Count(), again.Count())
 					return
 				}
-				last = res.Count()
+				if lt.Count()+ge.Count() != len(rows) || !sameRows(lt.Or(ge).Rows(), rows) {
+					t.Errorf("reader: qty < %d and qty >= %d split %d rows as %d + %d", c, c, len(rows), lt.Count(), ge.Count())
+					return
+				}
+				if len(rows) < last {
+					t.Errorf("reader: matched rows went backwards: %d -> %d", last, len(rows))
+					return
+				}
+				last = len(rows)
 				// Base rows are immutable: row 1 (qty 50, SHIP) always matches.
-				if !res.Contains(1) {
+				if !all.Contains(1) {
 					t.Error("reader: base row vanished")
 					return
 				}
 			}
-		}()
+		}(uint64(r))
 	}
 
 	for i := 0; i < rows; i++ {
 		if err := it.Append(ingestRow(i)); err != nil {
 			t.Fatal(err)
 		}
-		appended.Add(1)
-		if i%256 == 255 {
-			if err := it.MergeNow(); err != nil {
-				t.Fatal(err)
+		if i%mergeEvery == mergeEvery-1 {
+			select {
+			case merges <- struct{}{}:
+			default: // a merge is already pending
 			}
 		}
 	}
+	close(merges)
 	close(stop)
 	wg.Wait()
 	checkIngestRows(t, it, rows)
-	merges, panics, lastErr := it.MergeStats()
-	_ = merges
-	if panics != 0 || lastErr != nil {
+	if it.Epoch() < 2 {
+		t.Fatalf("epoch = %d, want merges", it.Epoch())
+	}
+	if _, panics, lastErr := it.MergeStats(); panics != 0 || lastErr != nil {
 		t.Fatalf("merger: %d panics, lastErr %v", panics, lastErr)
 	}
 	if err := it.Close(); err != nil {
@@ -743,7 +815,7 @@ func TestIngestMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 				dir := t.TempDir()
-				it, err := byteslice.CreateIngest(dir, base, byteslice.WithSealRows(8), byteslice.WithAutoMerge(false))
+				it, err := byteslice.CreateIngest(dir, base, byteslice.WithAutoMerge(false))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -824,7 +896,7 @@ func TestIngestMatrix(t *testing.T) {
 						}
 					}
 					// A disjunction of string and code predicates spans the
-					// base, the sealed segments and the tail: s is "bee" at
+					// base and the delta: s is "bee" at
 					// i%4 == 1 and c is 0 only at i == 0, on both sides.
 					var anyWant []int32
 					for i := 0; i < n+appended; i++ {
@@ -847,7 +919,8 @@ func TestIngestMatrix(t *testing.T) {
 					}
 				}
 				// checkBaseNulls: the merged base carries the NULLs of the
-				// appended rows it absorbed (the sealed ones, 16 of 21).
+				// appended rows it absorbed (all 21: a merge covers every
+				// published row).
 				checkBaseNulls := func(stage string) {
 					t.Helper()
 					col, err := it.Base().Column("i")
@@ -855,9 +928,9 @@ func TestIngestMatrix(t *testing.T) {
 						t.Fatal(err)
 					}
 					merged := it.Base().Len() - n
-					if merged != appended-appended%8 || col.NullCount() != nullsBefore(merged) {
+					if merged != appended || col.NullCount() != nullsBefore(merged) {
 						t.Fatalf("%s: base absorbed %d rows with %d NULLs, want %d with %d",
-							stage, merged, col.NullCount(), appended-appended%8, nullsBefore(merged))
+							stage, merged, col.NullCount(), appended, nullsBefore(appended))
 					}
 				}
 
@@ -873,7 +946,7 @@ func TestIngestMatrix(t *testing.T) {
 				if err := it.Close(); err != nil {
 					t.Fatal(err)
 				}
-				it, err = byteslice.OpenIngest(dir, byteslice.WithSealRows(8), byteslice.WithAutoMerge(false))
+				it, err = byteslice.OpenIngest(dir, byteslice.WithAutoMerge(false))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -884,10 +957,10 @@ func TestIngestMatrix(t *testing.T) {
 	}
 }
 
-// TestIngestObsStages: the delta tail scan lands as a stage in the
-// query's collector, and ingest counters reach the registry snapshot.
+// TestIngestObsStages: the delta scan lands as a stage in the query's
+// collector, and ingest counters reach the registry snapshot.
 func TestIngestObsStages(t *testing.T) {
-	it, _ := ingestFixture(t, byteslice.WithSealRows(1<<20))
+	it, _ := ingestFixture(t)
 	for i := 0; i < 10; i++ {
 		if err := it.Append(ingestRow(i)); err != nil {
 			t.Fatal(err)
@@ -919,7 +992,7 @@ func TestIngestObsStages(t *testing.T) {
 // TestIngestMergerRecovers: a transient merge fault is retried by the
 // background merger until it lands, without losing rows.
 func TestIngestMergerRecovers(t *testing.T) {
-	it, _ := ingestFixture(t, byteslice.WithSealRows(4), byteslice.WithDeltaBound(8), byteslice.WithAutoMerge(false))
+	it, _ := ingestFixture(t, byteslice.WithDeltaBound(8), byteslice.WithAutoMerge(false))
 	var fails atomic.Int32
 	fails.Store(3)
 	defer func() {
@@ -960,7 +1033,11 @@ func TestIngestMergerRecovers(t *testing.T) {
 }
 
 // TestIngestModelProperty runs a random sequence of appends (with NULLs),
-// queries, merges and reopens against a plain-Go model of the table.
+// queries, merges and reopens against a plain-Go model of the table, then
+// bursts that leave the delta, after a merge, at 0, 1, 31, 32, 33, 63, 64
+// and 65 rows: empty, a partial segment alone, whole segments alone, and
+// both. Every query shape is checked by exact rows, and a view pinned
+// before each step answers the same after it.
 func TestIngestModelProperty(t *testing.T) {
 	rng := rand.New(rand.NewPCG(120, 120)) //nolint:gosec
 	type row struct {
@@ -993,9 +1070,7 @@ func TestIngestModelProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := []byteslice.IngestOption{
-		byteslice.WithSealRows(8), byteslice.WithSyncedAppends(false), byteslice.WithAutoMerge(false),
-	}
+	opts := []byteslice.IngestOption{byteslice.WithSyncedAppends(false), byteslice.WithAutoMerge(false)}
 	dir := t.TempDir()
 	it, err := byteslice.CreateIngest(dir, tbl, opts...)
 	if err != nil {
@@ -1003,50 +1078,130 @@ func TestIngestModelProperty(t *testing.T) {
 	}
 	defer func() { it.Close() }() //nolint:errcheck // closes the latest instance; double close ok
 
+	appendRow := func(step int) {
+		r := row{v: int64(rng.IntN(1000)), vNull: rng.IntN(10) == 0, tagIdx: rng.IntN(len(tags))}
+		vals := map[string]any{"v": r.v, "tag": tags[r.tagIdx]}
+		if r.vNull {
+			vals["v"] = nil
+		}
+		if err := it.Append(vals); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		model = append(model, r)
+	}
+	merge := func(step int) {
+		if err := it.MergeNow(); err != nil {
+			t.Fatalf("step %d merge: %v", step, err)
+		}
+	}
+	reopen := func(step int) { // replay the WAL over the epoch's base
+		if err := it.Close(); err != nil {
+			t.Fatalf("step %d close: %v", step, err)
+		}
+		if it, err = byteslice.OpenIngest(dir, opts...); err != nil {
+			t.Fatalf("step %d reopen: %v", step, err)
+		}
+	}
+
+	// verify checks a conjunction, a disjunction, a nested expression
+	// (also on the modelled WithProfile path) and the nullable column's
+	// domain edges against the model.
 	verify := func(step int) {
-		c := int64(rng.IntN(1000))
+		c, c2 := int64(rng.IntN(1000)), int64(rng.IntN(1000))
 		tag := tags[rng.IntN(len(tags))]
-		res, err := it.Filter([]byteslice.Filter{
-			byteslice.IntFilter("v", byteslice.Le, c),
-			byteslice.StringFilter("tag", byteslice.Eq, tag),
-		})
-		var want []int32
-		for i, r := range model {
-			if !r.vNull && r.v <= c && tags[r.tagIdx] == tag {
-				want = append(want, int32(i))
+		le := byteslice.IntFilter("v", byteslice.Le, c)
+		eq := byteslice.StringFilter("tag", byteslice.Eq, tag)
+		nested := byteslice.All(byteslice.Leaf(le),
+			byteslice.Any(byteslice.Leaf(eq), byteslice.Leaf(byteslice.IntFilter("v", byteslice.Gt, c2))))
+		vle := func(r row) bool { return !r.vNull && r.v <= c }
+		teq := func(r row) bool { return tags[r.tagIdx] == tag }
+		inNested := func(r row) bool { return vle(r) && (teq(r) || !r.vNull && r.v > c2) }
+		cases := []struct {
+			name  string
+			run   func() (*byteslice.Result, error)
+			match func(r row) bool
+		}{
+			{"v <= c AND tag = t", func() (*byteslice.Result, error) {
+				return it.Filter([]byteslice.Filter{le, eq})
+			}, func(r row) bool { return vle(r) && teq(r) }},
+			{"v <= c OR tag = t", func() (*byteslice.Result, error) {
+				return it.FilterAny([]byteslice.Filter{le, eq})
+			}, func(r row) bool { return vle(r) || teq(r) }},
+			{"v <= c AND (tag = t OR v > c2)", func() (*byteslice.Result, error) {
+				return it.Query(nested)
+			}, inNested},
+			{"v <= c AND (tag = t OR v > c2), WithProfile", func() (*byteslice.Result, error) {
+				return it.Query(nested, byteslice.WithProfile(byteslice.NewProfile()))
+			}, inNested},
+			{"v >= 0", func() (*byteslice.Result, error) {
+				return it.Filter([]byteslice.Filter{byteslice.IntFilter("v", byteslice.Ge, 0)})
+			}, func(r row) bool { return !r.vNull }},
+			{"v > 5000", func() (*byteslice.Result, error) {
+				return it.Filter([]byteslice.Filter{byteslice.IntFilter("v", byteslice.Gt, 5000)})
+			}, func(row) bool { return false }},
+		}
+		for _, tc := range cases {
+			var want []int32
+			for i, r := range model {
+				if tc.match(r) {
+					want = append(want, int32(i))
+				}
+			}
+			res, err := tc.run()
+			wantRows(t, fmt.Sprintf("step %d: %s (c %d, c2 %d, tag %s)", step, tc.name, c, c2, tag), res, err, want...)
+		}
+	}
+
+	// pinned pins a view and records its answer to a fixed query; the
+	// returned check asserts the view still gives it after the step.
+	pinnedRows := func(p byteslice.Pinned) []int32 {
+		res, err := p.Filter([]byteslice.Filter{byteslice.IntFilter("v", byteslice.Le, 500)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Rows()
+	}
+	pinned := func() func(step int) {
+		p := it.Pin()
+		n, rows := p.Len(), pinnedRows(p)
+		return func(step int) {
+			if got := pinnedRows(p); p.Len() != n || !sameRows(got, rows) {
+				t.Fatalf("step %d: pinned view changed: %d rows, %d matches, was %d rows, %d matches",
+					step, p.Len(), len(got), n, len(rows))
 			}
 		}
-		wantRows(t, fmt.Sprintf("step %d (v <= %d, tag %s)", step, c, tag), res, err, want...)
 	}
 
 	for step := 0; step < 300; step++ {
+		check := pinned()
 		switch rng.IntN(10) {
-		case 0, 1, 2, 3, 4, 5: // append
-			r := row{v: int64(rng.IntN(1000)), vNull: rng.IntN(10) == 0, tagIdx: rng.IntN(len(tags))}
-			vals := map[string]any{"v": r.v, "tag": tags[r.tagIdx]}
-			if r.vNull {
-				vals["v"] = nil
-			}
-			if err := it.Append(vals); err != nil {
-				t.Fatalf("step %d: %v", step, err)
-			}
-			model = append(model, r)
-		case 6, 7, 8: // query
+		case 0, 1, 2, 3, 4, 5:
+			appendRow(step)
+		case 6, 7, 8:
 			verify(step)
-		case 9: // merge
-			if err := it.MergeNow(); err != nil {
-				t.Fatalf("step %d merge: %v", step, err)
-			}
+		case 9:
+			merge(step)
 		}
-		if step%50 == 49 { // reopen: replay the WAL over the epoch's base
-			if err := it.Close(); err != nil {
-				t.Fatalf("step %d close: %v", step, err)
-			}
-			if it, err = byteslice.OpenIngest(dir, opts...); err != nil {
-				t.Fatalf("step %d reopen: %v", step, err)
-			}
+		if step%50 == 49 {
+			reopen(step)
 			verify(step)
 		}
+		check(step)
+	}
+	for k, burst := range []int{0, 1, 31, 32, 33, 63, 64, 65} {
+		step := 1000 + k
+		check := pinned()
+		merge(step)
+		for i := 0; i < burst; i++ {
+			appendRow(step)
+		}
+		if it.DeltaLen() != burst {
+			t.Fatalf("step %d: delta %d after a merge and %d appends", step, it.DeltaLen(), burst)
+		}
+		verify(step)
+		reopen(step)
+		verify(step)
+		check(step)
 	}
 	verify(9999)
 	if it.Len() != len(model) {
