@@ -15,6 +15,12 @@
 // reported as missing and fails the gate; keys only in the current run
 // are reported as new and pass (the baseline is regenerated when
 // benchmarks are added).
+//
+// Both payloads' environment stamps are printed. When the baseline and a
+// current payload are both stamped and differ in GOARCH or in the scan
+// path that ran (AVX2 or SWAR), they measure different code: every
+// regression is reported as advisory. A different CPU model alone still
+// gates, and so does a payload without a stamp.
 package main
 
 import (
@@ -45,7 +51,34 @@ type entry struct {
 
 type payload struct {
 	Rows    int     `json:"rows"`
+	Env     *stamp  `json:"env"`
 	Results []entry `json:"results"`
+}
+
+// stamp mirrors experiments.Env: what produced a payload.
+type stamp struct {
+	GOARCH     string `json:"goarch"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+	GoVersion  string `json:"go_version"`
+	CPUModel   string `json:"cpu_model"`
+	AVX2       bool   `json:"avx2"`
+	AVX512F    bool   `json:"avx512f"`
+	KernelPath string `json:"kernel_path"`
+}
+
+func (s *stamp) String() string {
+	if s == nil {
+		return "unstamped"
+	}
+	return fmt.Sprintf("%s, %s kernels, GOMAXPROCS %d of %d CPUs, %s, %q (avx2 %v, avx512f %v)",
+		s.GOARCH, s.KernelPath, s.GOMAXPROCS, s.NumCPU, s.GoVersion, s.CPUModel, s.AVX2, s.AVX512F)
+}
+
+// differentCode reports whether two stamped payloads ran different code:
+// another architecture or another scan path.
+func differentCode(a, b *stamp) bool {
+	return a != nil && b != nil && (a.GOARCH != b.GOARCH || a.KernelPath != b.KernelPath)
 }
 
 type key struct {
@@ -111,9 +144,10 @@ func advisoryMode(mode, advisory string) bool {
 
 // diff compares baseline vs current best-per-key at the given regression
 // threshold (0.25 = fail when current is more than 25% slower). Keys whose
-// mode is advisory report regressions without failing; a MISSING advisory
-// key still fails (the harness broke, not the disk).
-func diff(base, cur map[key]float64, threshold float64, advisory string) []row {
+// mode is advisory — every key when allAdvisory — report regressions
+// without failing; a MISSING advisory key still fails (the harness broke,
+// not the disk).
+func diff(base, cur map[key]float64, threshold float64, advisory string, allAdvisory bool) []row {
 	keys := make(map[key]bool)
 	for k := range base {
 		keys[k] = true
@@ -134,7 +168,7 @@ func diff(base, cur map[key]float64, threshold float64, advisory string) []row {
 		default:
 			r.Delta = (c - b) / b
 			switch {
-			case r.Delta < -threshold && advisoryMode(k.Mode, advisory):
+			case r.Delta < -threshold && (allAdvisory || advisoryMode(k.Mode, advisory)):
 				r.Verdict = "regressed (advisory)"
 			case r.Delta < -threshold:
 				r.Verdict, r.Failing = "REGRESSION", true
@@ -225,20 +259,28 @@ func run(baselinePath, currentPath string, threshold float64, advisory string) (
 	if err != nil {
 		return "", 0, err
 	}
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "baseline %s: %s\n", baselinePath, base.Env)
 	cur := make(map[key]float64)
+	crossCode := false
 	for _, path := range strings.Split(currentPath, ",") {
-		p, err := load(strings.TrimSpace(path))
+		path = strings.TrimSpace(path)
+		p, err := load(path)
 		if err != nil {
 			return "", 0, err
 		}
+		fmt.Fprintf(&sb, "current  %s: %s\n", path, p.Env)
+		crossCode = crossCode || differentCode(base.Env, p.Env)
 		for k, v := range best(p) {
 			if v > cur[k] {
 				cur[k] = v
 			}
 		}
 	}
-	var sb strings.Builder
-	failed := render(&sb, diff(best(base), cur, threshold, advisory), threshold)
+	if crossCode {
+		fmt.Fprintln(&sb, "stamps differ in GOARCH or kernel path: the payloads measure different code, every key is advisory")
+	}
+	failed := render(&sb, diff(best(base), cur, threshold, advisory, crossCode), threshold)
 	if failed > 0 {
 		fmt.Fprintf(&sb, "FAIL: %d key(s) regressed beyond %.0f%%\n", failed, threshold*100)
 	} else {

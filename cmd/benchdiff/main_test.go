@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -303,5 +304,67 @@ func TestAdvisoryModeReportsWithoutFailing(t *testing.T) {
 	}
 	if failed != 1 {
 		t.Fatalf("missing advisory key passed (failed=%d)", failed)
+	}
+}
+
+// stamped returns a one-key payload measured at rate rows/s and stamped
+// with env ("" leaves it unstamped).
+func stamped(env string, rate float64) string {
+	body := fmt.Sprintf(`"results": [{"width": 12, "path": "native", "workers": 1, "rows_per_sec": %g}]`, rate)
+	if env == "" {
+		return "{" + body + "}"
+	}
+	return `{"env": ` + env + `, ` + body + "}"
+}
+
+const (
+	envAVX2 = `{"goarch": "amd64", "gomaxprocs": 2, "num_cpu": 2, "go_version": "go1.24.0", "cpu_model": "A", "avx2": true, "kernel_path": "avx2"}`
+	envSWAR = `{"goarch": "amd64", "gomaxprocs": 2, "num_cpu": 2, "go_version": "go1.24.0", "cpu_model": "A", "avx2": true, "kernel_path": "swar"}`
+	envARM  = `{"goarch": "arm64", "gomaxprocs": 2, "num_cpu": 2, "go_version": "go1.24.0", "cpu_model": "", "kernel_path": "swar"}`
+	envCPUB = `{"goarch": "amd64", "gomaxprocs": 2, "num_cpu": 2, "go_version": "go1.24.0", "cpu_model": "B", "avx2": true, "kernel_path": "avx2"}`
+)
+
+// TestStampsOfDifferentCodeAreAdvisory: payloads stamped with another
+// kernel path or another architecture measure different code, so a
+// tenfold slowdown reports as advisory and the gate passes; both stamps
+// are printed.
+func TestStampsOfDifferentCodeAreAdvisory(t *testing.T) {
+	for _, cur := range []string{envSWAR, envARM} {
+		report, failed, err := run(write(t, "base.json", stamped(envAVX2, 4e9)), write(t, "cur.json", stamped(cur, 4e8)), 0.25, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if failed != 0 || !strings.Contains(report, "regressed (advisory)") || !strings.Contains(report, "every key is advisory") {
+			t.Fatalf("failed = %d, want an advisory pass:\n%s", failed, report)
+		}
+		if !strings.Contains(report, "avx2 kernels") || !strings.Contains(report, "swar kernels") {
+			t.Fatalf("report must print both stamps:\n%s", report)
+		}
+	}
+}
+
+// TestStampsOfAnotherCPUStillGate: a different CPU model alone runs the
+// same code, so a tenfold slowdown still fails.
+func TestStampsOfAnotherCPUStillGate(t *testing.T) {
+	report, failed, err := run(write(t, "base.json", stamped(envAVX2, 4e9)), write(t, "cur.json", stamped(envCPUB, 4e8)), 0.25, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if failed != 1 || !strings.Contains(report, "REGRESSION") {
+		t.Fatalf("failed = %d, want the regression to gate:\n%s", failed, report)
+	}
+}
+
+// TestUnstampedPayloadStillGates: without a stamp on either side nothing
+// says the code differs, so a tenfold slowdown fails as before.
+func TestUnstampedPayloadStillGates(t *testing.T) {
+	for _, pair := range [][2]string{{"", envSWAR}, {envAVX2, ""}} {
+		report, failed, err := run(write(t, "base.json", stamped(pair[0], 4e9)), write(t, "cur.json", stamped(pair[1], 4e8)), 0.25, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if failed != 1 || !strings.Contains(report, "unstamped") {
+			t.Fatalf("failed = %d, want the regression to gate and the missing stamp named:\n%s", failed, report)
+		}
 	}
 }

@@ -113,3 +113,20 @@ func notAnnotated(n int) []byte {
 	defer helper(1)
 	return make([]byte, n)
 }
+
+// asmLeaf is implemented in asm.s. The annotation on its bodyless
+// declaration vouches for the assembly, so hot loops may call it.
+//
+//bsvet:hotloop
+func asmLeaf()
+
+// asmUnannotated is assembly too, but nothing vouches for it.
+func asmUnannotated()
+
+//bsvet:hotloop
+func callsAsmLeaf() { asmLeaf() }
+
+//bsvet:hotloop
+func callsUnannotatedAsm() {
+	asmUnannotated() // want `call to .*hotloop.asmUnannotated, which is not //bsvet:hotloop or intrinsic`
+}

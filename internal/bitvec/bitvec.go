@@ -129,6 +129,18 @@ func (v *Vector) Word32(i int) uint32 {
 //bsvet:hotloop
 func (v *Vector) Words() []uint64 { return v.words }
 
+// Prefix returns a vector of v's first n bits that shares v's words, so
+// writes through it land in v; a live view's base evaluation writes its
+// result into the view-length vector this way. Writes through the prefix
+// clear the bits of its last word past n, so v's later bits must be set
+// after the prefix is written.
+func (v *Vector) Prefix(n int) *Vector {
+	if n < 0 || n > v.n {
+		panic(fmt.Sprintf("bitvec: prefix of %d bits of a %d-bit vector", n, v.n))
+	}
+	return &Vector{words: v.words[:(n+63)/64], n: n}
+}
+
 // Count returns the number of set bits.
 func (v *Vector) Count() int {
 	c := 0

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"time"
 
 	"byteslice/internal/bitvec"
@@ -47,21 +48,52 @@ type ScanBenchEntry struct {
 
 // ScanBenchResult is the payload bsbench -json writes: rows-per-second for
 // the native kernels (serial and per worker count) against the modelled
-// engine path, per code width.
+// engine path, per code width, stamped with the machine that measured it.
 type ScanBenchResult struct {
 	Rows        int              `json:"rows"`
 	Op          string           `json:"op"`
 	Selectivity float64          `json:"selectivity"`
+	Env         *Env             `json:"env,omitempty"`
 	Results     []ScanBenchEntry `json:"results"`
+}
+
+// Env stamps a payload with what produced it. Rows from another
+// architecture or another scan path measure different code; benchdiff
+// reports them advisory.
+type Env struct {
+	GOARCH     string `json:"goarch"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+	GoVersion  string `json:"go_version"`
+	CPUModel   string `json:"cpu_model"`
+	AVX2       bool   `json:"avx2"`
+	AVX512F    bool   `json:"avx512f"`
+	// KernelPath names the scan loops that ran: "avx2" or "swar".
+	KernelPath string `json:"kernel_path"`
+}
+
+// CurrentEnv returns this process's stamp.
+func CurrentEnv() *Env {
+	cpu := kernel.CPU()
+	return &Env{
+		GOARCH:     runtime.GOARCH,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		GoVersion:  runtime.Version(),
+		CPUModel:   cpu.Model,
+		AVX2:       cpu.AVX2,
+		AVX512F:    cpu.AVX512F,
+		KernelPath: kernel.Path(),
+	}
 }
 
 // ScanBench wall-clock-benchmarks the two execution paths. Unlike the rest
 // of this package, which reports the cost model's cycle counts, these are
-// real elapsed-time measurements of the native SWAR kernels versus the
-// emulated engine interpreting the same layout.
+// real elapsed-time measurements of the native kernels (AVX2 or SWAR, as
+// the stamp says) versus the emulated engine interpreting the same layout.
 func ScanBench(cfg Config, workerCounts []int) *ScanBenchResult {
 	const sel = 0.10
-	res := &ScanBenchResult{Rows: cfg.N, Op: "lt", Selectivity: sel}
+	res := &ScanBenchResult{Rows: cfg.N, Op: "lt", Selectivity: sel, Env: CurrentEnv()}
 	for _, k := range cfg.Widths {
 		codes := datagen.Uniform(datagen.NewRand(cfg.Seed), cfg.N, k)
 		b := core.New(codes, k, nil)

@@ -8,6 +8,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+
+	"byteslice/internal/obs"
 )
 
 // WAL framing reuses the snapshot-v2 conventions: every frame is
@@ -291,9 +293,14 @@ func (w *WAL) Sync() error {
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("ingest: WAL sync: %w", err)
 	}
+	obs.Default.Ingest.WALSyncs.Add(1)
 	w.dirty = false
 	return nil
 }
+
+// SetSyncEach sets the policy for the appends that follow: fsync every
+// row frame, or leave syncing to Sync and Close.
+func (w *WAL) SetSyncEach(on bool) { w.syncEach = on }
 
 // Epoch returns the epoch this WAL extends.
 func (w *WAL) Epoch() uint64 { return w.epoch }
@@ -318,7 +325,9 @@ func (w *WAL) Close() error {
 	w.closed = true
 	var err error
 	if w.dirty && !w.failed {
-		err = w.f.Sync()
+		if err = w.f.Sync(); err == nil {
+			obs.Default.Ingest.WALSyncs.Add(1)
+		}
 	}
 	if cerr := w.f.Close(); err == nil {
 		err = cerr

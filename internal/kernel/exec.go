@@ -26,7 +26,8 @@ import (
 //     calling goroutine, instead of killing the process from a worker
 //     goroutine no caller can defend.
 //   - Accounting: with a Stage attached, every batch's wall time and the
-//     fan-out width actually used are recorded.
+//     fan-out width actually used are recorded. Batch times gather per
+//     worker and reach the Stage's atomics once per worker range.
 //
 // The first failure wins; the other workers drain at their next batch
 // boundary.
@@ -128,14 +129,15 @@ func runRange[T any](f *fanout, lo, hi int, fn func(segLo, segHi int) T, combine
 			return fn(segLo, segHi)
 		}
 	}
-	if st := f.st; st != nil {
-		inner := run
-		run = func(segLo, segHi int) T {
-			t0 := time.Now()
-			v := inner(segLo, segHi)
-			st.ObserveBatch(time.Since(t0).Nanoseconds())
-			return v
-		}
+	// With a stage, each batch is timed with one monotonic clock read — a
+	// batch runs from the end of the one before it — and the times flush
+	// once, when the range is done.
+	var bt obs.BatchTimes
+	var start time.Time
+	var last time.Duration
+	if f.st != nil {
+		defer f.st.AddBatches(&bt)
+		start = time.Now()
 	}
 	step := batchSegments
 	if f.ctx == nil && f.st == nil && hook == nil {
@@ -156,6 +158,11 @@ func runRange[T any](f *fanout, lo, hi int, fn func(segLo, segHi int) T, combine
 		if err != nil {
 			f.fail(err)
 			return acc
+		}
+		if f.st != nil {
+			now := time.Since(start)
+			bt.Observe(int64(now - last))
+			last = now
 		}
 		acc = combine(acc, v)
 	}

@@ -1,18 +1,26 @@
-// Package kernel implements native, unprofiled SWAR scan kernels over the
+// Package kernel implements native, unprofiled scan kernels over the
 // ByteSlice storage layout — the wall-clock fast path of the engine.
 //
 // The modelled path (internal/simd + internal/core) executes one Go method
 // call and updates instruction/branch/cache counters per emulated AVX2
 // instruction; that is what reproduces the paper's cycle counts, but it is
-// orders of magnitude slower than the hardware. ByteSlice's byte-per-slice
-// layout admits very fast portable word-at-a-time kernels without
-// intrinsics (the same observation Stream VByte makes for byte-oriented
-// codecs): a uint64 holds byte j of 8 consecutive codes, so per-byte
-// comparisons run 8 lanes at a time with carry-free SWAR arithmetic, and a
-// 32-code ByteSlice segment is covered by a 4×-unrolled word loop. The
-// paper's byte-level early stop is preserved at segment granularity: as
-// soon as no code in the segment can still match, the remaining byte
-// slices are not loaded.
+// orders of magnitude slower than the hardware. On amd64 hosts with AVX2
+// the plain and zone-mapped ByteSlice scans run real AVX2 assembly
+// (avx2.go, avx2_amd64.s): one 32-byte compare covers a segment's 32
+// codes, as in the paper's Algorithm 1, and a zone-map walk decides 32
+// segments per compare.
+//
+// Everywhere else — other architectures, hosts without AVX2, and every
+// other kernel — the kernels are portable SWAR. ByteSlice's byte-per-slice
+// layout admits very fast word-at-a-time kernels without intrinsics (the
+// same observation Stream VByte makes for byte-oriented codecs): a uint64
+// holds byte j of 8 consecutive codes, so per-byte comparisons run 8 lanes
+// at a time with carry-free SWAR arithmetic, and a 32-code ByteSlice
+// segment is covered by a 4×-unrolled word loop. The SWAR scan loops are
+// also the AVX2 loops' oracle in the tests. On both paths the paper's
+// byte-level early stop is preserved at segment granularity: as soon as no
+// code in the segment can still match, the remaining byte slices are not
+// loaded.
 //
 // Every kernel in this package is semantically identical to its modelled
 // counterpart in internal/core — the differential fuzz test in
@@ -446,10 +454,15 @@ func (sc *scanner) betweenDeep(off int, ga, gb bool) (uint32, int) {
 // scanRange dispatches the monolithic range loops. dh, when non-nil,
 // accumulates the early-stop depth histogram (observability path); a nil
 // dh costs one predicted branch per segment, keeping the uninstrumented
-// scan at its original throughput.
+// scan at its original throughput. With AVX2 the whole segments run
+// through the AVX2 loops (avx2.go), and the SWAR loops take only what
+// they leave.
 //
 //bsvet:hotloop
 func (sc *scanner) scanRange(segLo, segHi int, out *bitvec.Vector, dh *obs.DepthCounts) {
+	if useAVX2 {
+		segLo = sc.scanRangeAVX2(segLo, segHi, out, dh)
+	}
 	switch sc.p.Op {
 	case layout.Eq:
 		sc.rangeEq(segLo, segHi, false, out, dh)

@@ -155,9 +155,11 @@ func testPredicates(rng *rand.Rand, k int) []layout.Predicate {
 }
 
 // mustScan runs Scan under x and fails the test on an error; it returns
-// the zone-pruned segment count.
+// the zone-pruned segment count. On an AVX2 host it first checks that the
+// SWAR and AVX2 loops agree on the scan (comparePaths).
 func mustScan(t testing.TB, x Exec, b *core.ByteSlice, p layout.Predicate, prev *bitvec.Vector, negate bool, out *bitvec.Vector) int {
 	t.Helper()
+	comparePaths(t, x, b, p, prev, negate, out)
 	pruned, err := Scan(x, b, p, prev, negate, out)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"slices"
 	"testing"
 
 	"byteslice/internal/bitvec"
@@ -29,13 +30,25 @@ func obsColumn(t *testing.T, n int) *core.ByteSlice {
 	return b
 }
 
+// obsShape is one scan shape of TestScanObsMatchesPlain.
+type obsShape struct {
+	name string
+	// census is how many segment evaluations the stage must count
+	// (segments + zone-resolved + gate-skipped): exact when max == 0,
+	// otherwise a [min, max] range (short-circuiting multi scans).
+	census, max int64
+	run         func(x Exec, p layout.Predicate, out *bitvec.Vector) (int, error)
+}
+
 // TestScanObsMatchesPlain runs every scan shape — plain, zoned, pipelined
 // and pipelined-zoned in both polarities, multi-predicate conjunction and
 // disjunction, compressed and HBP — for every operator, serially and on
 // four workers, once with Stage nil and once with a Stage attached. The
 // two runs must produce identical bit vectors and prune counts, and the
 // stage must account for what ran: the fan-out width, timed batches, zone
-// resolutions and a segment census that covers the column.
+// resolutions and a segment census that covers the column. On an AVX2 host
+// every case runs on both paths, which must record the same words and
+// statistics.
 func TestScanObsMatchesPlain(t *testing.T) {
 	const n = 10_000
 	codes := obsCodes(n)
@@ -48,14 +61,6 @@ func TestScanObsMatchesPlain(t *testing.T) {
 	other := layout.Predicate{Op: layout.Gt, C1: 10_000}
 	segs := int64(plain.Segments())
 
-	type shape struct {
-		name string
-		// census is how many segment evaluations the stage must count
-		// (segments + zone-resolved + gate-skipped): exact when max == 0,
-		// otherwise a [min, max] range (short-circuiting multi scans).
-		census, max int64
-		run         func(x Exec, p layout.Predicate, out *bitvec.Vector) (int, error)
-	}
 	gated := func(b *core.ByteSlice, negate bool) func(Exec, layout.Predicate, *bitvec.Vector) (int, error) {
 		return func(x Exec, p layout.Predicate, out *bitvec.Vector) (int, error) {
 			return Scan(x, b, p, prev, negate, out)
@@ -66,7 +71,7 @@ func TestScanObsMatchesPlain(t *testing.T) {
 			return ScanMulti(x, []*core.ByteSlice{zoned, plain}, []layout.Predicate{p, other}, disjunct, out)
 		}
 	}
-	shapes := []shape{
+	shapes := []obsShape{
 		{"plain", segs, 0, func(x Exec, p layout.Predicate, out *bitvec.Vector) (int, error) {
 			return Scan(x, plain, p, nil, false, out)
 		}},
@@ -98,48 +103,70 @@ func TestScanObsMatchesPlain(t *testing.T) {
 	for _, sh := range shapes {
 		for _, p := range preds {
 			for _, workers := range []int{1, 4} {
-				want := bitvec.New(n)
-				wantPruned, err := sh.run(Exec{Workers: workers}, p, want)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := bitvec.New(n)
-				got.Fill() // stale bits must be overwritten
-				st := obs.NewQuery().NewStage(sh.name, sh.name)
-				pruned, err := sh.run(Exec{Workers: workers, Stage: st}, p, got)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !got.Equal(want) {
-					t.Fatalf("%s %v workers=%d: instrumented scan differs from plain", sh.name, p, workers)
-				}
-				if pruned != wantPruned {
-					t.Fatalf("%s %v workers=%d: pruned %d, plain %d", sh.name, p, workers, pruned, wantPruned)
-				}
-				s := st.Snapshot()
-				if s.Workers != workers {
-					t.Fatalf("%s %v: workers = %d, want %d", sh.name, p, s.Workers, workers)
-				}
-				if s.Batches == 0 || s.BatchNs.Count != s.Batches {
-					t.Fatalf("%s %v: batches = %d, hist count %d", sh.name, p, s.Batches, s.BatchNs.Count)
-				}
-				if s.ZoneSkipped != int64(pruned) || s.EarlyStop[0] != int64(pruned) {
-					t.Fatalf("%s %v: zoneSkipped = %d, depth[0] = %d, want %d", sh.name, p, s.ZoneSkipped, s.EarlyStop[0], pruned)
-				}
-				if s.Segments == 0 && s.ZoneSkipped == 0 && s.MaskSkipped == 0 || s.BytesTouched == 0 {
-					t.Fatalf("%s %v: stage recorded no work: %+v", sh.name, p, s)
-				}
-				census := s.Segments + s.ZoneSkipped + s.MaskSkipped
-				switch {
-				case sh.census == 0:
-				case sh.max == 0 && census != sh.census:
-					t.Fatalf("%s %v: segment census %d, want %d", sh.name, p, census, sh.census)
-				case sh.max > 0 && (census < sh.census || census > sh.max):
-					t.Fatalf("%s %v: segment census %d outside [%d,%d]", sh.name, p, census, sh.census, sh.max)
+				var swar scanRecord
+				for _, avx2 := range kernelPaths() {
+					var rec scanRecord
+					withAVX2(avx2, func() { rec = checkObsShape(t, sh, p, workers, n) })
+					if !avx2 {
+						swar = rec
+					} else if !slices.Equal(rec.words, swar.words) || rec.stats != swar.stats {
+						t.Fatalf("%s %v workers=%d: avx2 recorded %+v, swar %+v (words equal: %v)",
+							sh.name, p, workers, rec.stats, swar.stats, slices.Equal(rec.words, swar.words))
+					}
 				}
 			}
 		}
 	}
+}
+
+// checkObsShape runs one shape of TestScanObsMatchesPlain without and with
+// a stage and checks what the stage accounts for; it returns the
+// instrumented run's words and statistics.
+func checkObsShape(t *testing.T, sh obsShape, p layout.Predicate, workers, n int) scanRecord {
+	t.Helper()
+	want := bitvec.New(n)
+	wantPruned, err := sh.run(Exec{Workers: workers}, p, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := bitvec.New(n)
+	got.Fill() // stale bits must be overwritten
+	st := obs.NewQuery().NewStage(sh.name, sh.name)
+	pruned, err := sh.run(Exec{Workers: workers, Stage: st}, p, got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Fatalf("%s %v workers=%d: instrumented scan differs from plain", sh.name, p, workers)
+	}
+	if pruned != wantPruned {
+		t.Fatalf("%s %v workers=%d: pruned %d, plain %d", sh.name, p, workers, pruned, wantPruned)
+	}
+	s := st.Snapshot()
+	if s.Workers != workers {
+		t.Fatalf("%s %v: workers = %d, want %d", sh.name, p, s.Workers, workers)
+	}
+	if s.Batches == 0 || s.BatchNs.Count != s.Batches {
+		t.Fatalf("%s %v: batches = %d, hist count %d", sh.name, p, s.Batches, s.BatchNs.Count)
+	}
+	if s.ZoneSkipped != int64(pruned) || s.EarlyStop[0] != int64(pruned) {
+		t.Fatalf("%s %v: zoneSkipped = %d, depth[0] = %d, want %d", sh.name, p, s.ZoneSkipped, s.EarlyStop[0], pruned)
+	}
+	if s.Segments == 0 && s.ZoneSkipped == 0 && s.MaskSkipped == 0 || s.BytesTouched == 0 {
+		t.Fatalf("%s %v: stage recorded no work: %+v", sh.name, p, s)
+	}
+	census := s.Segments + s.ZoneSkipped + s.MaskSkipped
+	switch {
+	case sh.census == 0:
+	case sh.max == 0 && census != sh.census:
+		t.Fatalf("%s %v: segment census %d, want %d", sh.name, p, census, sh.census)
+	case sh.max > 0 && (census < sh.census || census > sh.max):
+		t.Fatalf("%s %v: segment census %d outside [%d,%d]", sh.name, p, census, sh.census, sh.max)
+	}
+	return scanRecord{words: slices.Clone(got.Words()), stats: scanStats{
+		pruned: pruned, segments: s.Segments, zone: s.ZoneSkipped, mask: s.MaskSkipped,
+		bytes: s.BytesTouched, batches: s.Batches, depth: s.EarlyStop,
+	}}
 }
 
 // TestZonedObsAccounting asserts zone-resolved segments count as depth 0

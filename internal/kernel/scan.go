@@ -47,6 +47,7 @@ const gateMaskBytes = 4
 type zoneInfo struct {
 	mn, mx []byte
 	op     layout.Op
+	kind   int // zoneKind(op), the AVX2 walk's decision shape
 	c1, c2 byte
 	ok     bool
 }
@@ -57,7 +58,7 @@ func zoneFor(b *core.ByteSlice, p layout.Predicate) zoneInfo {
 		return zoneInfo{}
 	}
 	c1, c2 := b.ZoneFirstBytes(p)
-	return zoneInfo{mn: mn, mx: mx, op: p.Op, c1: c1, c2: c2, ok: true}
+	return zoneInfo{mn: mn, mx: mx, op: p.Op, kind: zoneKind(p.Op), c1: c1, c2: c2, ok: true}
 }
 
 // Scan evaluates p over the whole column into out, which must have length
@@ -85,23 +86,47 @@ func Scan(x Exec, b *core.ByteSlice, p layout.Predicate, prev *bitvec.Vector, ne
 		meta += gateMaskBytes
 	}
 	st := x.Stage
-	return parallelRanges(x, b.Segments(), func(lo, hi int) int {
+	tot, err := parallelRanges(x, b.Segments(), func(lo, hi int) scanPartial {
+		var part scanPartial
 		if st == nil {
-			pruned, _ := sc.run(lo, hi, out, nil)
-			return pruned
+			part.pruned, _ = sc.run(lo, hi, out, nil)
+		} else {
+			part.pruned, part.masked = sc.run(lo, hi, out, &part.dh)
 		}
-		var dh obs.DepthCounts
-		pruned, masked := sc.run(lo, hi, out, &dh)
-		// Workers share the stage's counters: skip atomic adds of zero.
-		st.AddDepths(&dh)
-		if masked > 0 {
-			st.AddMaskSkipped(int64(masked))
+		return part
+	}, addScan)
+	if err != nil {
+		return 0, err
+	}
+	if st != nil {
+		// The batches' counts merged locally: the stage's shared counters
+		// take one round of atomic adds per scan.
+		st.AddDepths(&tot.dh)
+		if tot.masked > 0 {
+			st.AddMaskSkipped(int64(tot.masked))
 		}
 		if meta > 0 {
-			st.AddBytes(int64(hi-lo) * meta)
+			st.AddBytes(int64(b.Segments()) * meta)
 		}
-		return pruned
-	}, addInt)
+	}
+	return tot.pruned, nil
+}
+
+// scanPartial carries a range's zone-resolved and gate-skipped segment
+// counts and, with a stage attached, its early-stop depths through the
+// merge.
+type scanPartial struct {
+	pruned, masked int
+	dh             obs.DepthCounts
+}
+
+func addScan(a, b scanPartial) scanPartial {
+	a.pruned += b.pruned
+	a.masked += b.masked
+	for i := range a.dh {
+		a.dh[i] += b.dh[i]
+	}
+	return a
 }
 
 // run evaluates segments [segLo, segHi) with the range loop the prepared
@@ -122,15 +147,21 @@ func (sc *scanner) run(segLo, segHi int, out *bitvec.Vector, dh *obs.DepthCounts
 
 // zonedRange is the zone-map-pruned scan loop over segments
 // [segLo, segHi); it returns the number of segments the zone map decided.
+// With AVX2 the whole segments run through the AVX2 zone walk, which needs
+// zone arrays of at least one 32-segment chunk, and the loop below takes
+// only what it leaves.
 //
 //bsvet:hotloop
 func (sc *scanner) zonedRange(segLo, segHi int, out *bitvec.Vector, dh *obs.DepthCounts) int {
+	pruned := 0
+	if useAVX2 && len(sc.zone.mn) >= 32 {
+		pruned, segLo = sc.zonedRangeAVX2(segLo, segHi, out, dh)
+	}
 	// Hoisting the zone arrays and constants lets ZoneDecisionBytes inline
 	// into the loop: the decided case is then two byte loads and a couple of
 	// compares per segment, with no call.
 	mn, mx := sc.zone.mn, sc.zone.mx
 	op, c1, c2 := sc.zone.op, sc.zone.c1, sc.zone.c2
-	pruned := 0
 	for seg := segLo; seg < segHi; seg++ {
 		off := seg * core.SegmentSize
 		switch core.ZoneDecisionBytes(op, mn[seg], mx[seg], c1, c2) {

@@ -40,6 +40,9 @@ type IngestStats struct {
 	// the WAL and torn-tail bytes cut from it.
 	ReplayedRows   Counter
 	TruncatedBytes Counter
+	// WALSyncs counts the fsyncs that made WAL row frames durable: one
+	// per synced append, one per merge commit's rotated WAL.
+	WALSyncs Counter
 	// Epoch / DeltaRows / WALBytes are the pipeline's current position.
 	Epoch     Gauge
 	DeltaRows Gauge
@@ -56,6 +59,7 @@ type IngestSnapshot struct {
 	Backpressure   int64 `json:"backpressure_rejects"`
 	ReplayedRows   int64 `json:"replayed_rows"`
 	TruncatedBytes int64 `json:"truncated_bytes"`
+	WALSyncs       int64 `json:"wal_syncs"`
 	Epoch          int64 `json:"epoch"`
 	DeltaRows      int64 `json:"delta_rows"`
 	WALBytes       int64 `json:"wal_bytes"`
@@ -72,6 +76,7 @@ func (s *IngestStats) Snapshot() IngestSnapshot {
 		Backpressure:   s.Backpressure.Load(),
 		ReplayedRows:   s.ReplayedRows.Load(),
 		TruncatedBytes: s.TruncatedBytes.Load(),
+		WALSyncs:       s.WALSyncs.Load(),
 		Epoch:          s.Epoch.Load(),
 		DeltaRows:      s.DeltaRows.Load(),
 		WALBytes:       s.WALBytes.Load(),

@@ -190,10 +190,34 @@ func (s *Stage) SetWorkers(n int) { s.workers.Store(int64(n)) }
 // SetWallNs records the stage's end-to-end wall time.
 func (s *Stage) SetWallNs(ns int64) { s.wallNs.Store(ns) }
 
-// ObserveBatch records one worker batch's wall time.
-func (s *Stage) ObserveBatch(ns int64) {
-	s.batches.Add(1)
-	s.batchNs.Observe(ns)
+// BatchTimes accumulates one worker's batch wall times without atomics;
+// Stage.AddBatches folds them in once, when the worker's range is done.
+type BatchTimes struct {
+	count, sum int64
+	buckets    [histBuckets]int64
+}
+
+// Observe records one batch's wall time in nanoseconds.
+func (b *BatchTimes) Observe(ns int64) {
+	b.count++
+	b.sum += ns
+	b.buckets[bucketOf(ns)]++
+}
+
+// AddBatches merges a worker's batch times: the batch count and the
+// wall-time histogram.
+func (s *Stage) AddBatches(b *BatchTimes) {
+	if b.count == 0 {
+		return
+	}
+	s.batches.Add(b.count)
+	s.batchNs.count.Add(b.count)
+	s.batchNs.sum.Add(b.sum)
+	for i, n := range b.buckets {
+		if n != 0 {
+			s.batchNs.buckets[i].Add(n)
+		}
+	}
 }
 
 // AddDepths merges a range loop's local depth histogram: segment and

@@ -97,7 +97,9 @@ func TestStageParallelMerge(t *testing.T) {
 			defer wg.Done()
 			d := local
 			st.AddDepths(&d)
-			st.ObserveBatch(1000)
+			var bt BatchTimes
+			bt.Observe(1000)
+			st.AddBatches(&bt)
 		}()
 	}
 	wg.Wait()

@@ -42,6 +42,10 @@ type Registry struct {
 // import of this package.
 var Default = &Registry{}
 
+// KernelPath names the scan loops this process runs, "avx2" or "swar".
+// The kernel package sets it once, at start-up, from its CPU probe.
+var KernelPath string
+
 // RecordStrategy counts one planner decision by its Explain name.
 func (r *Registry) RecordStrategy(name string) {
 	switch name {
@@ -83,10 +87,12 @@ type RegistrySnapshot struct {
 		PredicateFirst int64 `json:"predicate_first"`
 		Baseline       int64 `json:"baseline"`
 	} `json:"strategies"`
-	QueryNs HistSnapshot              `json:"query_ns"`
-	Ingest  IngestSnapshot            `json:"ingest"`
-	Serve   ServeSnapshot             `json:"serve"`
-	Tenants map[string]TenantSnapshot `json:"tenants,omitempty"`
+	QueryNs HistSnapshot `json:"query_ns"`
+	// KernelPath names the scan loops the process runs (KernelPath).
+	KernelPath string                    `json:"kernel_path"`
+	Ingest     IngestSnapshot            `json:"ingest"`
+	Serve      ServeSnapshot             `json:"serve"`
+	Tenants    map[string]TenantSnapshot `json:"tenants,omitempty"`
 }
 
 // Snapshot captures the registry's current state.
@@ -102,6 +108,7 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 	s.Strategies.PredicateFirst = r.StratPredicateFirst.Load()
 	s.Strategies.Baseline = r.StratBaseline.Load()
 	s.QueryNs = r.QueryNs.Snapshot()
+	s.KernelPath = KernelPath
 	s.Ingest = r.Ingest.Snapshot()
 	s.Serve = r.Serve.Snapshot()
 	s.Tenants = r.Tenants.Snapshot()

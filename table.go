@@ -238,6 +238,12 @@ type queryConfig struct {
 	// tracer receives span hooks per plan stage.
 	noObs  bool
 	tracer obs.Tracer
+	// into, when set, is the zeroed t.n-bit vector the filter's result is
+	// written into: a live view's prefix of its view-length result.
+	into *bitvec.Vector
+	// noExplain skips formatting the plan for a result whose Explain
+	// nobody reads: a live view's delta parts.
+	noExplain bool
 }
 
 // ctxErr reports the query's context error, if a context was attached and
@@ -339,10 +345,16 @@ type resolved struct {
 }
 
 func (t *Table) eval(filters []Filter, disjunct bool, opts []QueryOption) (*Result, error) {
+	return t.evalInto(filters, disjunct, opts, nil)
+}
+
+// evalInto is eval writing its result into into (see queryConfig.into),
+// or into a new vector when into is nil.
+func (t *Table) evalInto(filters []Filter, disjunct bool, opts []QueryOption, into *bitvec.Vector) (*Result, error) {
 	if len(filters) == 0 {
 		return nil, fmt.Errorf("byteslice: no filters")
 	}
-	var cfg queryConfig
+	cfg := queryConfig{into: into}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -362,6 +374,12 @@ func (t *Table) eval(filters []Filter, disjunct bool, opts []QueryOption) (*Resu
 func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig, q *obs.Query) (*Result, error) {
 	cfg := *cfgp
 	e := cfg.profile.engine()
+	result := func() *bitvec.Vector {
+		if cfg.into != nil {
+			return cfg.into
+		}
+		return bitvec.New(t.n)
+	}
 
 	rs := make([]resolved, 0, len(filters))
 	for _, f := range filters {
@@ -379,13 +397,13 @@ func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig,
 			switch {
 			case !*trivial && !disjunct:
 				// false AND … = false, NULLs notwithstanding.
-				return &Result{bv: bitvec.New(t.n)}, nil
+				return &Result{bv: result()}, nil
 			case !*trivial && disjunct:
 				continue // false OR … : neutral
 			case *trivial && col.nulls == nil:
 				if disjunct {
 					// true OR … = true.
-					out := bitvec.New(t.n)
+					out := result()
 					out.Fill()
 					return &Result{bv: out}, nil
 				}
@@ -400,7 +418,7 @@ func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig,
 	}
 	if len(rs) == 0 {
 		// All filters were neutral: AND of nothing = all rows; OR = none.
-		out := bitvec.New(t.n)
+		out := result()
 		if !disjunct {
 			out.Fill()
 		}
@@ -449,7 +467,9 @@ func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig,
 		if cfg.workers == 0 {
 			cfg.workers = d.Workers
 		}
-		explain = d.Explain()
+		if !cfg.noExplain {
+			explain = d.Explain()
+		}
 		if q != nil {
 			q.SetPlan(explain, strategy.String(), d.Workers)
 		}
@@ -480,7 +500,7 @@ func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig,
 	if strategy == StrategyPredicateFirst {
 		// PredicateFirstOK held, so every column is ByteSlice.
 		cols, preds, _ := allBS(rs)
-		out := bitvec.New(t.n)
+		out := result()
 		if cfg.native() {
 			st, done := cfg.stage(q, "scan(multi)", "scan_multi")
 			pruned, err := kernel.ScanMulti(cfg.exec(st, cols[0].Segments()), cols, preds, disjunct, out)
@@ -497,7 +517,7 @@ func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig,
 		return &Result{bv: out, explain: explain, zoneSkipped: zoneSkipped}, nil
 	}
 
-	acc := bitvec.New(t.n)
+	acc := result()
 	var cur *bitvec.Vector // from the second predicate on
 	for i, r := range rs {
 		// Between-predicate cancellation point: the modelled engine loops
@@ -607,6 +627,12 @@ func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig,
 		} else {
 			acc.And(cur)
 		}
+	}
+	if cfg.into != nil && acc != cfg.into {
+		// Pipelined conjuncts swap acc and cur: the answer ended in the
+		// other vector.
+		copy(cfg.into.Words(), acc.Words())
+		acc = cfg.into
 	}
 	return &Result{bv: acc, explain: explain, zoneSkipped: zoneSkipped}, nil
 }

@@ -614,10 +614,15 @@ func (t *IngestTable) mergeOnce() error {
 // become the new delta. Callers hold mu. On failure the previous epoch's
 // WAL, base, manifest and delta are untouched and the partial new WAL is
 // removed.
+//
+// The new WAL takes the rest's rows unsynced and syncs once before the
+// manifest rename: until that rename the old WAL, which holds every one
+// of them durably, stays authoritative. Appends after the commit follow
+// the table's sync policy again.
 func (t *IngestTable) commitMergeLocked(merged *Table, newEpoch uint64, covered int) error {
 	walPath := filepath.Join(t.dir, walName(newEpoch))
 	os.Remove(walPath) //nolint:errcheck // clear debris of a failed earlier attempt
-	nw, err := ingest.Create(walPath, newEpoch, uint64(merged.Len()), t.cfg.syncEach)
+	nw, err := ingest.Create(walPath, newEpoch, uint64(merged.Len()), false)
 	if err != nil {
 		return fmt.Errorf("byteslice: merge: %w", err)
 	}
@@ -639,6 +644,7 @@ func (t *IngestTable) commitMergeLocked(merged *Table, newEpoch uint64, covered 
 	if err := nw.Sync(); err != nil {
 		return abort(err)
 	}
+	nw.SetSyncEach(t.cfg.syncEach)
 	m := ingest.Manifest{Epoch: newEpoch, Base: baseName(newEpoch), WAL: walName(newEpoch)}
 	if err := ingest.WriteManifest(t.dir, m); err != nil {
 		return abort(err)
@@ -788,10 +794,12 @@ func (p Pinned) Query(e Expr, opts ...QueryOption) (*Result, error) {
 }
 
 // eval evaluates the filters over the view: Table.Filter / FilterAny on
-// the base and on each of the delta's tables alike, each result spliced
-// in at its rows' offset.
+// the base and on each of the delta's tables alike. The base writes into
+// the first rows of the view-length result, and each delta result is
+// spliced in at its rows' offset.
 func (v *ingestView) eval(filters []Filter, disjunct bool, opts []QueryOption) (*Result, error) {
-	baseRes, err := v.base.eval(filters, disjunct, opts)
+	out := bitvec.New(v.rows())
+	baseRes, err := v.base.evalInto(filters, disjunct, opts, out.Prefix(v.base.n))
 	if err != nil {
 		return nil, err
 	}
@@ -799,8 +807,6 @@ func (v *ingestView) eval(filters []Filter, disjunct bool, opts []QueryOption) (
 	if err != nil {
 		return nil, err
 	}
-	out := bitvec.New(v.rows())
-	out.OrAt(baseRes.bv, 0)
 
 	// The delta's evaluations run with per-query observability off, so a
 	// logical query counts once in the process-wide registry (the base
@@ -811,7 +817,7 @@ func (v *ingestView) eval(filters []Filter, disjunct bool, opts []QueryOption) (
 	}
 	st, done := cfg.stage(baseRes.stats, "scan(delta)", "delta")
 	defer done()
-	partOpts := append(append([]QueryOption(nil), opts...), WithObservability(false))
+	partOpts := append(append([]QueryOption(nil), opts...), WithObservability(false), withoutExplain)
 	off := v.base.n
 	for _, p := range parts {
 		res, err := p.eval(filters, disjunct, partOpts)
@@ -830,6 +836,10 @@ func (v *ingestView) eval(filters []Filter, disjunct bool, opts []QueryOption) (
 	}
 	return &Result{bv: out, explain: baseRes.explain, zoneSkipped: baseRes.zoneSkipped, stats: baseRes.stats}, nil
 }
+
+// withoutExplain is the delta parts' query option: their results are
+// spliced into the view's and dropped, so their plans are never printed.
+func withoutExplain(c *queryConfig) { c.noExplain = true }
 
 // Len returns the total queryable rows (base epoch + unmerged delta).
 func (t *IngestTable) Len() int { return t.view.Load().rows() }

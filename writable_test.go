@@ -16,6 +16,7 @@ import (
 	"byteslice"
 	"byteslice/internal/faultio"
 	"byteslice/internal/ingest"
+	"byteslice/internal/obs"
 )
 
 // ingestFixture builds a small base table (int + string columns) and the
@@ -416,6 +417,56 @@ func copyDir(t testing.TB, src string) string {
 		}
 	}
 	return dst
+}
+
+// TestMergeCommitSyncsRotatedWALOnce pins the merge commit's single
+// fsync: under synced appends, a merge that carries rows appended
+// mid-merge into the rotated WAL writes them unsynced and syncs once
+// before the manifest rename — not once per row — and appends after the
+// commit fsync each row again.
+func TestMergeCommitSyncsRotatedWALOnce(t *testing.T) {
+	dir := copyDir(t, ingestTemplate(t))
+	it, err := byteslice.OpenIngest(dir, byteslice.WithAutoMerge(false), byteslice.WithSyncedAppends(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const mid = 4 // rows appended while the merge saves its base
+	var before int64
+	appended := false
+	byteslice.SetSaveWriterHook(func(w io.Writer) io.Writer {
+		if !appended {
+			appended = true
+			for i := 30; i < 30+mid; i++ {
+				if err := it.Append(ingestRow(i)); err != nil {
+					t.Errorf("append during merge: %v", err)
+				}
+			}
+			before = obs.Default.Ingest.WALSyncs.Load()
+		}
+		return w
+	})
+	err = it.MergeNow()
+	byteslice.SetSaveWriterHook(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if it.DeltaLen() != mid {
+		t.Fatalf("delta after merge = %d, want the %d rows appended mid-merge", it.DeltaLen(), mid)
+	}
+	if got := obs.Default.Ingest.WALSyncs.Load() - before; got != 1 {
+		t.Fatalf("merge commit made %d WAL fsyncs rotating %d rows, want 1", got, mid)
+	}
+	before = obs.Default.Ingest.WALSyncs.Load()
+	if err := it.Append(ingestRow(30 + mid)); err != nil {
+		t.Fatal(err)
+	}
+	if got := obs.Default.Ingest.WALSyncs.Load() - before; got != 1 {
+		t.Fatalf("synced append after the commit made %d WAL fsyncs, want 1", got)
+	}
+	if err := it.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopenAndCheck(t, dir, 2, 30+mid+1)
 }
 
 // ingestTemplate builds an ingest directory once: base + 30 appended
