@@ -143,9 +143,9 @@ type Strategy = plan.Strategy
 
 // Evaluation strategies.
 const (
-	// StrategyAuto lets the cost-based planner choose on the native path
-	// and evaluates column-first on the modelled (WithProfile) path, the
-	// paper's recommendation.
+	// StrategyAuto lets the cost-based planner choose between column-first
+	// and baseline on the native path, and evaluates column-first on the
+	// modelled (WithProfile) path, the paper's recommendation.
 	StrategyAuto = plan.Auto
 	// StrategyBaseline evaluates every predicate independently and
 	// combines result bit vectors.
@@ -154,7 +154,10 @@ const (
 	// the next column's scan (Algorithm 2).
 	StrategyColumnFirst = plan.ColumnFirst
 	// StrategyPredicateFirst evaluates all predicates per 32-row segment,
-	// pipelining the uncondensed bank masks (ByteSlice only).
+	// pipelining the uncondensed bank masks (§3.1.2). It is modelled only:
+	// under WithProfile it runs on NULL-free ByteSlice columns (baseline
+	// elsewhere), and a native query pinned to it runs baseline, which
+	// Explain reports as "baseline (pinned predicate-first, falls back)".
 	StrategyPredicateFirst = plan.PredicateFirst
 )
 

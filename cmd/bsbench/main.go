@@ -40,7 +40,7 @@ func main() {
 		widths   = flag.String("widths", "", "comma-separated code widths to sweep")
 		format   = flag.String("format", "table", "output format: table or csv")
 		jsonOut  = flag.String("json", "", "wall-clock scan benchmark: write native-vs-engine rows/sec per width and worker count to this file (e.g. BENCH_scan.json)")
-		preds    = flag.Int("preds", 0, "with -json: also benchmark an N-way conjunction, column-first vs predicate-first")
+		preds    = flag.Int("preds", 0, "with -json: also benchmark an N-way column-first conjunction, over uniform columns and behind a sorted zone-mapped lead")
 		zonemaps = flag.Bool("zonemaps", false, "with -json: also benchmark zone-map-pruned scans on sorted and clustered data")
 		agg      = flag.Bool("agg", false, "with -json: also benchmark filter→sum (a scan to a bit vector, then a masked sum)")
 		compr    = flag.Bool("compression", false, "with -json: also benchmark the fused compressed scan vs the raw SWAR scan")

@@ -68,7 +68,7 @@ func TestZoneReportGolden(t *testing.T) {
 
 plan: 1 predicate(s) over 40 rows (2 segments), conjunction
   order: values(sel=0.400, zone=0.50)
-  strategy: column-first (est 14ns; column-first 14ns, predicate-first n/a, baseline 14ns)
+  strategy: column-first (est 14ns; column-first 14ns, baseline 14ns)
   workers: 1 (pinned)
 `
 	if got != want {

@@ -115,12 +115,7 @@ func evalExpr(t filterEvaluator, e Expr, opts []QueryOption) (*Result, error) {
 			} else {
 				acc.bv.And(r.bv)
 			}
-			if r.explain != "" {
-				if acc.explain != "" {
-					acc.explain += "\n"
-				}
-				acc.explain += r.explain
-			}
+			acc.plans = append(acc.plans, r.plans...)
 			acc.zoneSkipped += r.zoneSkipped
 			if r.stats != nil {
 				if acc.stats == nil {

@@ -29,10 +29,9 @@ type ScanBenchEntry struct {
 	// Mode distinguishes the composite benchmarks: "" is a plain scan
 	// (the payload's Op); "op_le"/"op_ge"/"op_eq"/"op_between" the plain
 	// scan under another operator; "scan_zoned" a zone-map-pruned scan;
-	// "agg_two_pass" the filter→sum shape;
-	// "multi_column_first"/"multi_pred_first" the multi-predicate
-	// conjunction shapes, "multi_clustered" the column-first one behind a
-	// sorted, zone-mapped leading column.
+	// "agg_two_pass" the filter→sum shape; "multi_column_first" the
+	// column-first multi-predicate conjunction, "multi_clustered" the same
+	// pipeline behind a sorted, zone-mapped leading column.
 	Mode string `json:"mode,omitempty"`
 	// Preds is the conjunct count of the multi-predicate benchmarks.
 	Preds int `json:"preds,omitempty"`
@@ -276,12 +275,11 @@ func CompressedScanBench(cfg Config, workerCounts []int) []ScanBenchEntry {
 }
 
 // MultiPredBench measures an npreds-way conjunction (12-bit uniform
-// columns, 30% selectivity each) in the two native shapes the planner
-// chooses between: the column-first pipeline and the predicate-first
-// multi-scan. A third arm, mode "multi_clustered", runs the column-first
-// pipeline behind a sorted, zone-mapped leading column at 10%: the zone
-// map settles its scan and leaves 90% of the later scans' gate words
-// dead, the shape of a date-range conjunction.
+// columns, 30% selectivity each) through the native column-first
+// pipeline. A second arm, mode "multi_clustered", runs the pipeline
+// behind a sorted, zone-mapped leading column at 10%: the zone map
+// settles its scan and leaves 90% of the later scans' gate words dead,
+// the shape of a date-range conjunction.
 func MultiPredBench(cfg Config, npreds int, workerCounts []int) []ScanBenchEntry {
 	const (
 		k   = 12
@@ -314,11 +312,6 @@ func MultiPredBench(cfg Config, npreds int, workerCounts []int) []ScanBenchEntry
 		ns := measureScan(func() { columnFirst(x, cols, preds) })
 		e := entry(k, "native", w, ns, cfg.N)
 		e.Mode, e.Preds = "multi_column_first", npreds
-		out = append(out, e)
-
-		ns = measureScan(func() { check2(kernel.ScanMulti(x, cols, preds, false, acc)) })
-		e = entry(k, "native", w, ns, cfg.N)
-		e.Mode, e.Preds = "multi_pred_first", npreds
 		out = append(out, e)
 
 		ns = measureScan(func() { columnFirst(x, clustered, clusteredPreds) })

@@ -148,10 +148,6 @@ func TestCtxAggregates(t *testing.T) {
 	if _, _, err := Extreme(x, b, nil, true); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Extreme: %v", err)
 	}
-	out := bitvec.New(b.Len())
-	if _, err := ScanMulti(x, []*core.ByteSlice{b}, []layout.Predicate{p}, false, out); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ScanMulti: %v", err)
-	}
 	rows := []int32{0, 1, 2}
 	codes := make([]uint32, len(rows))
 	if err := LookupMany(x, b, rows, codes); !errors.Is(err, context.Canceled) {

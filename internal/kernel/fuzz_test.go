@@ -183,37 +183,6 @@ func FuzzNativeVsEngine(f *testing.F) {
 			}
 		}
 
-		// Multi-predicate kernel (the planner's predicate-first shape) vs
-		// independent engine scans, mixing a zoned and an unzoned column.
-		p2 := layout.Predicate{
-			Op: layout.Ops[(int(data[1])+3)%len(layout.Ops)],
-			C1: p.C2, C2: p.C1,
-		}
-		if p2.Op == layout.Between && p2.C1 > p2.C2 {
-			p2.C1, p2.C2 = p2.C2, p2.C1
-		}
-		cols := []*core.ByteSlice{b, bz}
-		preds := []layout.Predicate{p, p2}
-		for _, disjunct := range []bool{false, true} {
-			wantM := bitvec.New(n)
-			b.Scan(layouttest.Engine(), p, wantM)
-			other := bitvec.New(n)
-			b.Scan(layouttest.Engine(), p2, other)
-			if disjunct {
-				wantM.Or(other)
-			} else {
-				wantM.And(other)
-			}
-			gotM := bitvec.New(n)
-			gotM.Fill()
-			if _, err := ScanMulti(x, cols, preds, disjunct, gotM); err != nil {
-				t.Fatal(err)
-			}
-			if !gotM.Equal(wantM) {
-				t.Fatalf("k=%d %v/%v n=%d disjunct=%v workers=%d: multi scan differs", k, p, p2, n, disjunct, workers)
-			}
-		}
-
 		// Compressed column: the fused decode→compare scan and aggregates
 		// must be bit-identical to the engine on the raw layout, whatever
 		// mix of FOR, delta and uniform-1 blocks the codes produce.

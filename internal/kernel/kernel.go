@@ -22,6 +22,12 @@
 // code in the segment can still match, the remaining byte slices are not
 // loaded.
 //
+// Every scan covers one column. The query layer evaluates a
+// multi-predicate query column-first — each later Scan gated by the
+// previous result (its prev argument), so it reads only the live words —
+// or as independent scans combined through the bit vector; the paper's
+// predicate-first shape runs only on the modelled path.
+//
 // Every kernel in this package is semantically identical to its modelled
 // counterpart in internal/core — the differential fuzz test in
 // fuzz_test.go asserts bit-for-bit equality — and operates directly on the
@@ -280,22 +286,6 @@ func prepare(b *core.ByteSlice, p layout.Predicate) scanner {
 	return sc
 }
 
-// decide classifies one segment without loading its data: the fixed
-// verdict of a domain-edge predicate, else the zone map's (-1 no row
-// matches, +1 all rows match, 0 undecided or no zone map).
-//
-//bsvet:hotloop
-func (sc *scanner) decide(seg int) int {
-	if sc.fixed != 0 {
-		return sc.fixed
-	}
-	z := &sc.zone
-	if !z.ok {
-		return 0
-	}
-	return core.ZoneDecisionBytes(z.op, z.mn[seg], z.mx[seg], z.c1, z.c2)
-}
-
 // seg32 gives bounds-check-free access to the 32 bytes of one segment in
 // one byte slice.
 //
@@ -312,7 +302,7 @@ func seg32(s []byte, off int) []byte {
 // no code in the segment can still match, exactly like the modelled
 // scanSegment; padding rows in the final segment may produce garbage bits,
 // which the bitvec truncates on write. Callers resolve a fixed verdict
-// (decide) first.
+// first.
 //
 // The per-op bodies are manually 4x-unrolled over scalar mask words (see
 // movemask4) — a 32-code segment is 4 uint64s of 8 byte lanes each.

@@ -11,8 +11,8 @@ import (
 	"byteslice/internal/layout/layouttest"
 )
 
-// TestZonedKernelsOnShapedData runs the zoned plain, pipelined and multi
-// scans over the three distributions the planner is built for — sorted,
+// TestZonedKernelsOnShapedData runs the zoned plain and pipelined scans
+// over the three distributions the planner is built for — sorted,
 // clustered and uniform — and checks both bit-identical results against
 // the engine path and that pruning actually happens where the data shape
 // promises it.
@@ -70,34 +70,6 @@ func TestZonedKernelsOnShapedData(t *testing.T) {
 						}
 					}
 				})
-			}
-
-			// Multi-predicate conjunction/disjunction over all three
-			// predicates on the zoned column.
-			for _, disjunct := range []bool{false, true} {
-				wantM := bitvec.New(n)
-				b.Scan(layouttest.Engine(), preds[0], wantM)
-				tmp := bitvec.New(n)
-				for _, p := range preds[1:] {
-					b.Scan(layouttest.Engine(), p, tmp)
-					if disjunct {
-						wantM.Or(tmp)
-					} else {
-						wantM.And(tmp)
-					}
-				}
-				gotM := bitvec.New(n)
-				gotM.Fill()
-				pruned, err := ScanMulti(Exec{Workers: 4}, []*core.ByteSlice{b, b, b}, preds, disjunct, gotM)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !gotM.Equal(wantM) {
-					t.Fatalf("disjunct=%v: multi scan differs", disjunct)
-				}
-				if shape.wantPrune && pruned == 0 {
-					t.Fatalf("disjunct=%v: multi scan pruned nothing on %s data", disjunct, shape.name)
-				}
 			}
 		})
 	}

@@ -161,14 +161,14 @@ func (d *DepthCounts) Bytes() int64 {
 }
 
 // Stage collects one plan stage's execution statistics — one scan,
-// pipelined scan, multi-predicate pass, aggregate, projection or sort.
-// All fields are written with atomics so concurrent kernel workers can
-// share one Stage without locks.
+// pipelined scan, delta scan, aggregate, projection or sort. All fields
+// are written with atomics so concurrent kernel workers can share one
+// Stage without locks.
 type Stage struct {
 	// Name identifies the stage for humans ("scan(price)"); Kind is the
-	// machine-readable stage class ("scan", "scan_zoned", "scan_multi",
-	// "pipelined", "sum", "extreme", "sum_by", "lookup", "project",
-	// "orderby", "top").
+	// machine-readable stage class ("scan", "scan_zoned",
+	// "scan_compressed", "scan_hbp", "pipelined", "delta", "sum",
+	// "extreme", "sum_by", "project", "orderby", "top").
 	Name, Kind string
 
 	workers     atomic.Int64
@@ -343,7 +343,6 @@ func (s *StageStats) Merge(o StageStats) {
 type Query struct {
 	mu       sync.Mutex
 	stages   []*Stage
-	plan     string
 	strategy string
 	workers  int
 	panics   atomic.Int64
@@ -354,11 +353,12 @@ type Query struct {
 // NewQuery returns an empty collector.
 func NewQuery() *Query { return &Query{} }
 
-// SetPlan records the planner's decision: the full Explain rendering,
-// the chosen strategy name and the worker-pool size.
-func (q *Query) SetPlan(plan, strategy string, workers int) {
+// SetPlan records the planner's decision: the strategy that ran and the
+// worker-pool size. The Explain rendering stays with the caller, which
+// formats it only when it is read.
+func (q *Query) SetPlan(strategy string, workers int) {
 	q.mu.Lock()
-	q.plan, q.strategy, q.workers = plan, strategy, workers
+	q.strategy, q.workers = strategy, workers
 	q.mu.Unlock()
 }
 
@@ -380,23 +380,18 @@ func (q *Query) RecordCancel() { q.cancels.Add(1) }
 // AddWallNs accumulates evaluation wall time.
 func (q *Query) AddWallNs(ns int64) { q.wallNs.Add(ns) }
 
-// Absorb appends o's stages and plan blocks to q (used when an
-// expression evaluation combines several group evaluations).
+// Absorb appends o's stages to q (used when an expression evaluation
+// combines several group evaluations); q keeps its strategy unless it has
+// none yet.
 func (q *Query) Absorb(o *Query) {
 	if o == nil || o == q {
 		return
 	}
 	o.mu.Lock()
-	stages, plan, strategy, workers := o.stages, o.plan, o.strategy, o.workers
+	stages, strategy, workers := o.stages, o.strategy, o.workers
 	o.mu.Unlock()
 	q.mu.Lock()
 	q.stages = append(q.stages, stages...)
-	if plan != "" {
-		if q.plan != "" {
-			q.plan += "\n"
-		}
-		q.plan += plan
-	}
 	if q.strategy == "" {
 		q.strategy, q.workers = strategy, workers
 	}
@@ -412,7 +407,6 @@ func (q *Query) Snapshot() *QueryStats {
 	stages := make([]*Stage, len(q.stages))
 	copy(stages, q.stages)
 	qs := &QueryStats{
-		Plan:     q.plan,
 		Strategy: q.strategy,
 		Workers:  q.workers,
 	}
@@ -430,8 +424,9 @@ func (q *Query) Snapshot() *QueryStats {
 // Result.Stats().
 type QueryStats struct {
 	// Plan is the planner's Explain rendering (one block per evaluated
-	// group); Strategy the chosen strategy name; Workers the planned
-	// worker-pool size.
+	// group), which Result.Stats renders from the result's decisions;
+	// Strategy the chosen strategy name; Workers the planned worker-pool
+	// size.
 	Plan     string `json:"plan"`
 	Strategy string `json:"strategy"`
 	Workers  int    `json:"workers"`

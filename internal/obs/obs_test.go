@@ -150,8 +150,8 @@ func TestQueryStatsMerge(t *testing.T) {
 // evaluation.
 func TestQueryAbsorb(t *testing.T) {
 	a, b := NewQuery(), NewQuery()
-	a.SetPlan("plan A", "column-first", 2)
-	b.SetPlan("plan B", "baseline", 1)
+	a.SetPlan("column-first", 2)
+	b.SetPlan("baseline", 1)
 	a.NewStage("scan(a)", "scan").AddSegments(3, 96)
 	b.NewStage("scan(b)", "scan").AddSegments(4, 128)
 	b.RecordPanic()
@@ -160,8 +160,8 @@ func TestQueryAbsorb(t *testing.T) {
 	if len(qs.Stages) != 2 || qs.SegmentsScanned() != 7 || qs.Panics != 1 {
 		t.Fatalf("absorb lost data: %+v", qs)
 	}
-	if strings.Count(qs.Plan, "plan") != 2 {
-		t.Fatalf("absorb should join plans: %q", qs.Plan)
+	if qs.Strategy != "column-first" || qs.Workers != 2 {
+		t.Fatalf("absorb must keep the receiver's strategy, got %q/%d", qs.Strategy, qs.Workers)
 	}
 }
 
@@ -187,12 +187,12 @@ func TestRegistry(t *testing.T) {
 	qs := &QueryStats{Strategy: "column-first", WallNs: 1000,
 		Stages: []StageStats{{Segments: 10, ZoneSkipped: 22, BytesTouched: 320}}}
 	r.RecordQuery(qs)
-	r.RecordQuery(&QueryStats{Strategy: "predicate-first", Panics: 1})
+	r.RecordQuery(&QueryStats{Strategy: "baseline", Panics: 1})
 	s := r.Snapshot()
 	if s.Queries != 2 || s.Segments != 10 || s.ZoneSkipped != 22 || s.Bytes != 320 || s.Faults != 1 {
 		t.Fatalf("registry snapshot wrong: %+v", s)
 	}
-	if s.Strategies.ColumnFirst != 1 || s.Strategies.PredicateFirst != 1 {
+	if s.Strategies.ColumnFirst != 1 || s.Strategies.Baseline != 1 {
 		t.Fatalf("strategy counters wrong: %+v", s.Strategies)
 	}
 

@@ -23,9 +23,8 @@ type Registry struct {
 	ZoneSkipped Counter
 	Bytes       Counter
 	// Strategy counts the planner's decisions by name.
-	StratColumnFirst    Counter
-	StratPredicateFirst Counter
-	StratBaseline       Counter
+	StratColumnFirst Counter
+	StratBaseline    Counter
 	// QueryNs is the histogram of per-query wall times.
 	QueryNs Hist
 	// Ingest aggregates the write path: appends, merges, backpressure and
@@ -51,8 +50,6 @@ func (r *Registry) RecordStrategy(name string) {
 	switch name {
 	case "column-first":
 		r.StratColumnFirst.Add(1)
-	case "predicate-first":
-		r.StratPredicateFirst.Add(1)
 	case "baseline":
 		r.StratBaseline.Add(1)
 	}
@@ -83,9 +80,8 @@ type RegistrySnapshot struct {
 	ZoneSkipped int64 `json:"segments_zone_skipped"`
 	Bytes       int64 `json:"bytes_touched"`
 	Strategies  struct {
-		ColumnFirst    int64 `json:"column_first"`
-		PredicateFirst int64 `json:"predicate_first"`
-		Baseline       int64 `json:"baseline"`
+		ColumnFirst int64 `json:"column_first"`
+		Baseline    int64 `json:"baseline"`
 	} `json:"strategies"`
 	QueryNs HistSnapshot `json:"query_ns"`
 	// KernelPath names the scan loops the process runs (KernelPath).
@@ -105,7 +101,6 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 	s.ZoneSkipped = r.ZoneSkipped.Load()
 	s.Bytes = r.Bytes.Load()
 	s.Strategies.ColumnFirst = r.StratColumnFirst.Load()
-	s.Strategies.PredicateFirst = r.StratPredicateFirst.Load()
 	s.Strategies.Baseline = r.StratBaseline.Load()
 	s.QueryNs = r.QueryNs.Snapshot()
 	s.KernelPath = KernelPath

@@ -3,11 +3,13 @@
 // estimates, zone-map prune rates, code widths — it chooses the physical
 // shape of a multi-predicate query: the conjunct order (subsuming the
 // facade's OrderBySelectivity sort), the evaluation strategy (column-first
-// pipelining, native predicate-first, or independent baseline scans), and
-// the worker-pool size. The cost model is calibrated against the measured
-// per-kernel throughput of the SWAR kernels (BENCH_scan.json; see the
-// constants below), not the paper's modelled cycle counts: the planner
-// optimises wall clock, the profile engine reproduces the paper.
+// pipelining or independent baseline scans), and the worker-pool size.
+// Predicate-first evaluation is the modelled path's alone: the native path
+// has no executor for it, so Plan never returns it. The cost model is
+// calibrated against the measured per-kernel throughput of the native
+// kernels (BENCH_scan.json; see the constants below), not the paper's
+// modelled cycle counts: the planner optimises wall clock, the profile
+// engine reproduces the paper.
 //
 // Decisions carry an Explain rendering so tests, bsinspect and callers of
 // Result.Explain can assert on what the planner chose and why.
@@ -34,8 +36,9 @@ const (
 	// ColumnFirst pipelines each predicate's condensed result into the
 	// next column's scan (Algorithm 2, the paper's recommendation).
 	ColumnFirst
-	// PredicateFirst evaluates all predicates per 32-code segment with the
-	// native multi-scan kernel, materialising no intermediate vectors.
+	// PredicateFirst evaluates all predicates per 32-code segment,
+	// materialising no intermediate vectors. Only the modelled path runs
+	// it; Plan never returns it, and a native pin runs Baseline.
 	PredicateFirst
 )
 
@@ -89,10 +92,10 @@ type Query struct {
 	Rows, Segments int
 	// Disjunct is true for OR queries.
 	Disjunct bool
-	// PredicateFirstOK reports whether the native predicate-first kernel
-	// can run: every column is ByteSlice, none is nullable, and no
-	// conjunct is a match-all pseudo predicate.
-	PredicateFirstOK bool
+	// AsWritten pins the evaluation order to the order of the Plan call's
+	// predicates (OrderAsWritten): Plan costs that order instead of its
+	// own selectivity sort.
+	AsWritten bool
 	// Workers pins the worker count when > 0 (WithParallelism); 0 lets the
 	// planner size the pool.
 	Workers int
@@ -142,12 +145,10 @@ type Decision struct {
 	// query pinned one).
 	Workers int
 	// Cost is the estimated serial cost in ns of the chosen strategy;
-	// CostColumnFirst/CostPredicateFirst/CostBaseline record the
-	// candidates (NaN when a strategy was ineligible).
-	Cost               float64
-	CostColumnFirst    float64
-	CostPredicateFirst float64
-	CostBaseline       float64
+	// CostColumnFirst/CostBaseline record the candidates.
+	Cost            float64
+	CostColumnFirst float64
+	CostBaseline    float64
 
 	q     Query
 	preds []Pred   // in chosen order
@@ -156,15 +157,13 @@ type Decision struct {
 
 // Pin records a caller's strategy pin. ran is the strategy that executes:
 // the pin itself, or the baseline a pinned predicate-first falls back to
-// where it cannot run. Strategy and Cost become ran's, so Explain and the
+// on the native path. Strategy and Cost become ran's, so Explain and the
 // statistics name what ran rather than the planner's pick.
 func (d *Decision) Pin(pin, ran Strategy) {
 	d.pin, d.Strategy = pin, ran
 	switch ran {
 	case ColumnFirst:
 		d.Cost = d.CostColumnFirst
-	case PredicateFirst:
-		d.Cost = d.CostPredicateFirst
 	case Baseline:
 		d.Cost = d.CostBaseline
 	}
@@ -257,11 +256,12 @@ func ShouldMerge(baseRows, deltaRows int) bool {
 	return penalty > rebuild
 }
 
-// perSegCost is the per-segment cost of one predicate inside a generic
-// (per-segment dispatched) kernel — the zoned, pipelined and multi scans —
-// with the zone map resolving its share of segments for free. Compressed
-// columns always run their own block-gated kernel, whose cost already
-// amortises the bounds test.
+// perSegCost is the per-segment cost of one predicate priced as a
+// per-segment dispatched scan, with the zone map resolving its share of
+// segments for free: a zone-mapped predicate scanned alone (fullScanCost)
+// and a later disjunct of a column-first disjunction. Compressed columns
+// always run their own block-gated kernel, whose cost already amortises
+// the bounds test.
 func perSegCost(p Pred) float64 {
 	if p.Slices == 0 {
 		return 0
@@ -307,17 +307,10 @@ func Plan(q Query, preds []Pred) Decision {
 	S := float64(q.Segments)
 	d.CostColumnFirst = S * columnFirstCost(q, d.preds)
 	d.CostBaseline = S * baselineCost(d.preds)
-	d.CostPredicateFirst = math.NaN()
-	if q.PredicateFirstOK && len(preds) > 1 {
-		d.CostPredicateFirst = S * predicateFirstCost(q, d.preds)
-	}
 
 	d.Strategy, d.Cost = ColumnFirst, d.CostColumnFirst
 	if d.CostBaseline < d.Cost {
 		d.Strategy, d.Cost = Baseline, d.CostBaseline
-	}
-	if !math.IsNaN(d.CostPredicateFirst) && d.CostPredicateFirst < d.Cost {
-		d.Strategy, d.Cost = PredicateFirst, d.CostPredicateFirst
 	}
 	if len(preds) == 1 {
 		// A single predicate has one physical shape; call it column-first
@@ -329,15 +322,19 @@ func Plan(q Query, preds []Pred) Decision {
 	return d
 }
 
-// order returns the evaluation order: ascending selectivity for
-// conjunctions (most selective predicate settles the most rows first),
-// descending for disjunctions, with zone-map prune rate breaking ties —
-// a zone-pruned predicate is nearly free to evaluate, so among equally
-// selective conjuncts the pruned one should lead.
+// order returns the evaluation order: the input order when the query
+// pins it (AsWritten), else ascending selectivity for conjunctions (most
+// selective predicate settles the most rows first), descending for
+// disjunctions, with zone-map prune rate breaking ties — a zone-pruned
+// predicate is nearly free to evaluate, so among equally selective
+// conjuncts the pruned one should lead.
 func order(q Query, preds []Pred) []int {
 	idx := make([]int, len(preds))
 	for i := range idx {
 		idx[i] = i
+	}
+	if q.AsWritten {
+		return idx
 	}
 	const eps = 0.02
 	sort.SliceStable(idx, func(a, b int) bool {
@@ -403,19 +400,6 @@ func settledFrac(q Query, acc, s float64) float64 {
 	return acc * s
 }
 
-// predicateFirstCost estimates the per-segment cost of the native
-// multi-scan: every predicate pays the generic dispatch, later predicates
-// only on segments their predecessors left undecided.
-func predicateFirstCost(q Query, preds []Pred) float64 {
-	cost := perSegCost(preds[0])
-	frac := settledFrac(q, 0, preds[0].Sel)
-	for _, p := range preds[1:] {
-		cost += liveSegProb(frac) * perSegCost(p)
-		frac = settledFrac(q, frac, p.Sel)
-	}
-	return cost
-}
-
 // baselineCost estimates the per-segment cost of independent scans plus
 // the bit-vector combines.
 func baselineCost(preds []Pred) float64 {
@@ -451,8 +435,6 @@ func chooseWorkers(q Query, cost float64) int {
 // ms renders a ns cost for Explain.
 func ms(ns float64) string {
 	switch {
-	case math.IsNaN(ns):
-		return "n/a"
 	case ns >= 1e6:
 		return fmt.Sprintf("%.2fms", ns/1e6)
 	case ns >= 1e3:
@@ -494,8 +476,8 @@ func (d Decision) Explain() string {
 	default:
 		how = fmt.Sprintf(" (pinned %s, falls back)", d.pin)
 	}
-	fmt.Fprintf(&b, "  strategy: %s%s (est %s; column-first %s, predicate-first %s, baseline %s)\n",
-		d.Strategy, how, ms(d.Cost), ms(d.CostColumnFirst), ms(d.CostPredicateFirst), ms(d.CostBaseline))
+	fmt.Fprintf(&b, "  strategy: %s%s (est %s; column-first %s, baseline %s)\n",
+		d.Strategy, how, ms(d.Cost), ms(d.CostColumnFirst), ms(d.CostBaseline))
 	pin := "auto"
 	if d.q.Workers > 0 {
 		pin = "pinned"

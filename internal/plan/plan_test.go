@@ -7,7 +7,7 @@ import (
 )
 
 func q(segments int) Query {
-	return Query{Rows: segments * 32, Segments: segments, PredicateFirstOK: true, MaxWorkers: 8}
+	return Query{Rows: segments * 32, Segments: segments, MaxWorkers: 8}
 }
 
 func TestOrderBySelectivity(t *testing.T) {
@@ -26,6 +26,21 @@ func TestOrderBySelectivity(t *testing.T) {
 	d = Plan(dis, preds)
 	if d.Order[0] != 2 || d.Order[2] != 1 {
 		t.Fatalf("disjunction order = %v, want least selective first [2 0 1]", d.Order)
+	}
+
+	// OrderAsWritten pins the input order, which Plan then costs and
+	// prints.
+	pinned := q(1024)
+	pinned.AsWritten = true
+	d = Plan(pinned, preds)
+	if d.Order[0] != 0 || d.Order[1] != 1 || d.Order[2] != 2 {
+		t.Fatalf("as-written order = %v, want [0 1 2]", d.Order)
+	}
+	if want := 1024 * columnFirstCost(pinned, preds); d.CostColumnFirst != want {
+		t.Fatalf("column-first cost %v, want the as-written order's %v", d.CostColumnFirst, want)
+	}
+	if !strings.Contains(d.Explain(), "order: a(sel=0.500) → b(sel=0.010) → c(sel=0.900)") {
+		t.Fatalf("Explain should print the as-written order:\n%s", d.Explain())
 	}
 }
 
@@ -50,19 +65,31 @@ func TestSinglePredicateIsColumnFirst(t *testing.T) {
 	}
 }
 
-func TestPredicateFirstRequiresEligibility(t *testing.T) {
-	preds := []Pred{
-		{Col: "a", Slices: 2, Sel: 0.5},
-		{Col: "b", Slices: 2, Sel: 0.5},
-	}
-	ineligible := q(1024)
-	ineligible.PredicateFirstOK = false
-	d := Plan(ineligible, preds)
-	if !math.IsNaN(d.CostPredicateFirst) {
-		t.Fatalf("ineligible predicate-first should cost NaN, got %v", d.CostPredicateFirst)
-	}
-	if d.Strategy == PredicateFirst {
-		t.Fatal("ineligible query must not choose predicate-first")
+// TestPlanNeverChoosesPredicateFirst sweeps query shapes — selective and
+// unselective leading predicates, narrow and wide columns, zone-mapped or
+// not, both polarities — and checks that the planner only ever picks one of the two
+// native executors, and that Explain prices only those two.
+func TestPlanNeverChoosesPredicateFirst(t *testing.T) {
+	for _, disjunct := range []bool{false, true} {
+		for _, sel := range []float64{0.001, 0.05, 0.5, 0.99} {
+			for _, slices := range []int{1, 2, 4} {
+				for _, zone := range []float64{0, 0.9} {
+					qq := q(4096)
+					qq.Disjunct = disjunct
+					d := Plan(qq, []Pred{
+						{Col: "a", Slices: slices, Sel: sel, HasZoneMap: zone > 0, ZonePrune: zone},
+						{Col: "b", Slices: 1, Sel: 0.5},
+						{Col: "c", Slices: 4, Sel: 1 - sel},
+					})
+					if d.Strategy != ColumnFirst && d.Strategy != Baseline {
+						t.Fatalf("disjunct=%v sel=%v slices=%d zone=%v: chose %v", disjunct, sel, slices, zone, d.Strategy)
+					}
+					if strings.Contains(d.Explain(), "predicate-first") {
+						t.Fatalf("Explain prices predicate-first:\n%s", d.Explain())
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -127,27 +154,6 @@ func TestMatchAllPredicateIsFree(t *testing.T) {
 	// The pseudo predicate adds bookkeeping (a gate/combine) but no scan.
 	if with.Cost > alone.Cost*1.5 {
 		t.Fatalf("match-all pseudo predicate should be nearly free: %v vs %v", with.Cost, alone.Cost)
-	}
-}
-
-// TestExplainRendersNaNAsNA pins the NaN sentinel's rendering: an
-// ineligible predicate-first cost must print as "n/a", never "NaN".
-func TestExplainRendersNaNAsNA(t *testing.T) {
-	ineligible := q(1024)
-	ineligible.PredicateFirstOK = false
-	d := Plan(ineligible, []Pred{
-		{Col: "a", Slices: 2, Sel: 0.5},
-		{Col: "b", Slices: 2, Sel: 0.5},
-	})
-	if !math.IsNaN(d.CostPredicateFirst) {
-		t.Fatalf("setup: expected NaN predicate-first cost, got %v", d.CostPredicateFirst)
-	}
-	out := d.Explain()
-	if !strings.Contains(out, "predicate-first n/a") {
-		t.Fatalf("Explain should render the NaN sentinel as n/a:\n%s", out)
-	}
-	if strings.Contains(out, "NaN") {
-		t.Fatalf("Explain leaked a raw NaN:\n%s", out)
 	}
 }
 

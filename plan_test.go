@@ -290,8 +290,10 @@ func TestFilteredAggregatesMatchRowLoop(t *testing.T) {
 
 // TestExplainNamesStrategyThatRan pins Explain's strategy line and the
 // statistics' strategy to what executed: a pin is named and marked
-// (pinned), and a pinned predicate-first that cannot run on a nullable
-// table reports the baseline it falls back to.
+// (pinned), and a pinned predicate-first, which the native path has no
+// executor for, reports the baseline it falls back to on every table.
+// Under WithProfile the same pin still runs the modelled predicate-first
+// pipeline: column-first's answers, but its own profile counters.
 func TestExplainNamesStrategyThatRan(t *testing.T) {
 	const n = 1 << 16
 	rng := rand.New(rand.NewPCG(3, 3)) //nolint:gosec
@@ -325,16 +327,15 @@ func TestExplainNamesStrategyThatRan(t *testing.T) {
 		return res
 	}
 	for _, tc := range []struct {
-		col      string
-		pin      byteslice.Strategy
-		line     string
-		ran      string
-		multiRan bool
+		col  string
+		pin  byteslice.Strategy
+		line string
+		ran  string
 	}{
-		{"b", byteslice.StrategyColumnFirst, "strategy: column-first (pinned) (est", "column-first", false},
-		{"b", byteslice.StrategyBaseline, "strategy: baseline (pinned) (est", "baseline", false},
-		{"b", byteslice.StrategyPredicateFirst, "strategy: predicate-first (pinned) (est", "predicate-first", true},
-		{"bn", byteslice.StrategyPredicateFirst, "strategy: baseline (pinned predicate-first, falls back) (est", "baseline", false},
+		{"b", byteslice.StrategyColumnFirst, "strategy: column-first (pinned) (est", "column-first"},
+		{"b", byteslice.StrategyBaseline, "strategy: baseline (pinned) (est", "baseline"},
+		{"b", byteslice.StrategyPredicateFirst, "strategy: baseline (pinned predicate-first, falls back) (est", "baseline"},
+		{"bn", byteslice.StrategyPredicateFirst, "strategy: baseline (pinned predicate-first, falls back) (est", "baseline"},
 	} {
 		res := run(tc.col, tc.pin)
 		explain := res.Explain()
@@ -344,13 +345,128 @@ func TestExplainNamesStrategyThatRan(t *testing.T) {
 		if got := res.Stats().Strategy; got != tc.ran {
 			t.Fatalf("pin %v on %s: stats strategy %q, want %q", tc.pin, tc.col, got, tc.ran)
 		}
-		if strings.Contains(explain, "scan(multi)") != tc.multiRan {
-			t.Fatalf("pin %v on %s: scan(multi) stage present = %v, want %v:\n%s",
-				tc.pin, tc.col, !tc.multiRan, tc.multiRan, explain)
+		if strings.Contains(explain, "scan(multi)") || strings.Contains(explain, "predicate-first ") {
+			t.Fatalf("pin %v on %s: Explain names a predicate-first stage or candidate:\n%s", tc.pin, tc.col, explain)
+		}
+		for _, st := range res.Stats().Stages {
+			if st.Kind == "scan_multi" {
+				t.Fatalf("pin %v on %s: ran a scan_multi stage", tc.pin, tc.col)
+			}
 		}
 	}
 	if explain := run("b", byteslice.StrategyAuto).Explain(); strings.Contains(explain, "pinned)") {
 		t.Fatalf("an unpinned plan is marked pinned:\n%s", explain)
+	}
+
+	profiled := func(s byteslice.Strategy) (*byteslice.Result, *byteslice.Profile) {
+		t.Helper()
+		prof := byteslice.NewProfile()
+		res, err := tbl.Filter([]byteslice.Filter{
+			byteslice.IntFilter("a", byteslice.Between, 100, 200),
+			byteslice.IntFilter("b", byteslice.Between, 3, 5),
+		}, byteslice.WithStrategy(s), byteslice.WithProfile(prof))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, prof
+	}
+	pf, pfProf := profiled(byteslice.StrategyPredicateFirst)
+	cf, cfProf := profiled(byteslice.StrategyColumnFirst)
+	if pf.Count() != cf.Count() || pf.Count() == 0 {
+		t.Fatalf("modelled predicate-first matched %d rows, column-first %d", pf.Count(), cf.Count())
+	}
+	for i := 0; i < n; i++ {
+		if pf.Contains(i) != cf.Contains(i) {
+			t.Fatalf("modelled predicate-first and column-first disagree at row %d", i)
+		}
+	}
+	if pfProf.Instructions() == cfProf.Instructions() && pfProf.Cycles() == cfProf.Cycles() {
+		t.Fatalf("modelled predicate-first recorded column-first's counters: %d instructions, %.0f cycles",
+			pfProf.Instructions(), pfProf.Cycles())
+	}
+}
+
+// TestExplainRendersOnRead pins that a native Filter keeps its planner
+// decision and formats it only when Explain or Stats reads it: rendering
+// the plan costs about twenty allocations, which a caller that never
+// reads it must not pay.
+func TestExplainRendersOnRead(t *testing.T) {
+	const n = 1 << 20
+	v := make([]int64, n)
+	for i := range v {
+		v[i] = int64(i * 10000 / n)
+	}
+	tbl, err := byteslice.NewTable(intColumn(t, "a", v, 0, 9999, byteslice.WithZoneMaps()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	filter := func() *byteslice.Result {
+		res, err := tbl.Filter([]byteslice.Filter{byteslice.IntFilter("a", byteslice.Between, 1000, 2000)},
+			byteslice.WithObservability(false), byteslice.WithParallelism(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	unread := testing.AllocsPerRun(20, func() { filter() })
+	read := testing.AllocsPerRun(20, func() { _ = filter().Explain() })
+	if unread > 24 {
+		t.Fatalf("Filter made %.0f allocations, want at most 24", unread)
+	}
+	if read < unread+10 {
+		t.Fatalf("Explain should render on read: %.0f allocations with it, %.0f without", read, unread)
+	}
+	if got := filter().Explain(); !strings.HasPrefix(got, "plan: 1 predicate(s) over 1048576 rows") {
+		t.Fatalf("Explain read back:\n%s", got)
+	}
+}
+
+// TestExplainOrderAsWritten pins Explain to the order that executes: under
+// OrderAsWritten the plan prints and costs the filters as written, and the
+// analyze block's first scan is the first filter written.
+func TestExplainOrderAsWritten(t *testing.T) {
+	const n = 1 << 16
+	rng := rand.New(rand.NewPCG(5, 5)) //nolint:gosec
+	wide := make([]int64, n)
+	narrow := make([]int64, n)
+	for i := range wide {
+		wide[i] = int64(rng.IntN(1000))
+		narrow[i] = int64(rng.IntN(1000))
+	}
+	tbl, err := byteslice.NewTable(
+		intColumn(t, "wide", wide, 0, 999),
+		intColumn(t, "narrow", narrow, 0, 999),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	filters := []byteslice.Filter{
+		byteslice.IntFilter("wide", byteslice.Lt, 900),
+		byteslice.IntFilter("narrow", byteslice.Lt, 5),
+	}
+	written, err := tbl.Filter(filters, byteslice.WithFilterOrder(byteslice.OrderAsWritten))
+	if err != nil {
+		t.Fatal(err)
+	}
+	explain := written.Explain()
+	if !strings.Contains(explain, "order: wide(sel=") || !strings.Contains(explain, "→ narrow(sel=") {
+		t.Fatalf("OrderAsWritten should print the written order:\n%s", explain)
+	}
+	if st := written.Stats().Stages; len(st) != 2 || st[0].Name != "scan(wide)" {
+		t.Fatalf("OrderAsWritten should scan wide first, ran %+v", st)
+	}
+	sorted, err := tbl.Filter(filters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if explain := sorted.Explain(); !strings.Contains(explain, "order: narrow(sel=") {
+		t.Fatalf("the default order should lead with the selective filter:\n%s", explain)
+	}
+	if st := sorted.Stats().Stages; len(st) != 2 || st[0].Name != "scan(narrow)" {
+		t.Fatalf("the default order should scan narrow first, ran %+v", st)
+	}
+	if written.Count() != sorted.Count() {
+		t.Fatalf("orders disagree: %d vs %d rows", written.Count(), sorted.Count())
 	}
 }
 

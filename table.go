@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"byteslice/internal/bitvec"
@@ -139,9 +140,10 @@ type Result struct {
 	// that Count, Rows, OrderBy and the projections over its few rows
 	// cost O(n) rather than a pass over bv; And and Or drop it.
 	rows []int32
-	// explain records the planner's decision (plan.Decision.Explain) for
-	// the evaluation that produced this result; see Explain.
-	explain string
+	// plans records the planner's decisions for the evaluations that
+	// produced this result, one per evaluated group, rendered only when
+	// Explain or Stats reads them; a nil entry is a modelled-path group.
+	plans []*plan.Decision
 	// zoneSkipped counts the segment evaluations the zone maps resolved
 	// without touching column data during this evaluation (native path).
 	zoneSkipped int
@@ -154,19 +156,36 @@ type Result struct {
 // order with selectivity and zone-prune estimates, the chosen strategy
 // with its cost candidates, and the worker-pool size. It is set by Filter,
 // FilterAny and Query; results derived purely from bit-vector algebra
-// (And/Or) keep the receiver's explain string. When the evaluation
-// collected statistics, an "analyze" section with the executed stages —
-// segments, zone pruning, early-stop depths, bytes, wall times — follows
-// the plan.
+// (And/Or) keep the receiver's plan. When the evaluation collected
+// statistics, an "analyze" section with the executed stages — segments,
+// zone pruning, early-stop depths, bytes, wall times — follows the plan.
 func (r *Result) Explain() string {
+	p := r.planText()
 	if r.stats == nil {
-		return r.explain
+		return p
 	}
 	a := r.stats.Snapshot().Analyze()
-	if r.explain == "" {
+	if p == "" {
 		return a
 	}
-	return r.explain + "\n" + a
+	return p + "\n" + a
+}
+
+// planText renders the result's plan blocks, one per evaluated group; a
+// modelled-path group follows the paper's static policy, not the planner.
+func (r *Result) planText() string {
+	var b strings.Builder
+	for i, d := range r.plans {
+		if i > 0 {
+			b.WriteByte('\n')
+		}
+		if d == nil {
+			b.WriteString("plan: modelled path (WithProfile); strategy and order follow the paper's static policy")
+		} else {
+			b.WriteString(d.Explain())
+		}
+	}
+	return b.String()
 }
 
 // Stats returns the evaluation's statistics snapshot: the planner's
@@ -178,7 +197,9 @@ func (r *Result) Stats() *QueryStats {
 	if r.stats == nil {
 		return nil
 	}
-	return r.stats.Snapshot()
+	qs := r.stats.Snapshot()
+	qs.Plan = r.planText()
+	return qs
 }
 
 // ZoneSkipped returns the number of per-predicate segment evaluations that
@@ -241,9 +262,6 @@ type queryConfig struct {
 	// into, when set, is the zeroed t.n-bit vector the filter's result is
 	// written into: a live view's prefix of its view-length result.
 	into *bitvec.Vector
-	// noExplain skips formatting the plan for a result whose Explain
-	// nobody reads: a live view's delta parts.
-	noExplain bool
 }
 
 // ctxErr reports the query's context error, if a context was attached and
@@ -306,7 +324,12 @@ func WithContext(ctx context.Context) QueryOption {
 	return func(c *queryConfig) { c.ctx = ctx }
 }
 
-// WithStrategy overrides the complex-predicate evaluation strategy.
+// WithStrategy overrides the complex-predicate evaluation strategy. The
+// native path runs column-first and baseline as pinned; it has no
+// predicate-first executor, so a StrategyPredicateFirst pin runs baseline
+// there, and Explain and Stats().Strategy name the baseline that ran.
+// Under WithProfile every strategy runs as pinned, except predicate-first
+// over a nullable or non-ByteSlice column, which falls back to baseline.
 func WithStrategy(s Strategy) QueryOption {
 	return func(c *queryConfig) { c.strategy = s }
 }
@@ -425,25 +448,8 @@ func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig,
 		return &Result{bv: out}, nil
 	}
 
-	anyNulls := false
-	for _, r := range rs {
-		if r.col.nulls != nil {
-			anyNulls = true
-			break
-		}
-	}
-
-	pq := t.planQuery(rs, disjunct, anyNulls, &cfg)
 	strategy := cfg.strategy
-	if strategy == StrategyPredicateFirst && !pq.PredicateFirstOK {
-		// Predicate-first pipelines uncondensed masks across columns;
-		// per-column null clearing does not compose with it, so a pin on a
-		// nullable table (or with a match-all pseudo predicate, or a
-		// column that is not ByteSlice) runs baseline. The planner never
-		// picks it there.
-		strategy = StrategyBaseline
-	}
-	var explain string
+	var plans []*plan.Decision
 	var zoneSkipped int
 	if cfg.native() {
 		// Cost-based planning replaces the static StrategyAuto resolution
@@ -451,13 +457,19 @@ func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig,
 		// the OrderBySelectivity sort), chooses the evaluation strategy
 		// and sizes the worker pool from histogram selectivities, zone-map
 		// prune rates and the measured kernel throughput constants.
-		d := plan.Plan(pq, t.planPreds(rs))
+		d := plan.Plan(t.planQuery(disjunct, &cfg), t.planPreds(rs))
 		if cfg.order == OrderBySelectivity && len(rs) > 1 {
 			ordered := make([]resolved, len(rs))
 			for i, idx := range d.Order {
 				ordered[i] = rs[idx]
 			}
 			rs = ordered
+		}
+		if strategy == StrategyPredicateFirst {
+			// The native path evaluates conjunctions column-first or as
+			// baseline scans; predicate-first is the modelled path's
+			// alone, so a pin here runs baseline.
+			strategy = StrategyBaseline
 		}
 		if strategy == StrategyAuto {
 			strategy = d.Strategy
@@ -467,11 +479,9 @@ func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig,
 		if cfg.workers == 0 {
 			cfg.workers = d.Workers
 		}
-		if !cfg.noExplain {
-			explain = d.Explain()
-		}
+		plans = []*plan.Decision{&d}
 		if q != nil {
-			q.SetPlan(explain, strategy.String(), d.Workers)
+			q.SetPlan(strategy.String(), d.Workers)
 		}
 	} else {
 		if strategy == StrategyAuto {
@@ -490,7 +500,7 @@ func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig,
 				return si < sj
 			})
 		}
-		explain = "plan: modelled path (WithProfile); strategy and order follow the paper's static policy"
+		plans = []*plan.Decision{nil}
 	}
 
 	if err := cfg.ctxErr(); err != nil {
@@ -498,23 +508,21 @@ func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig,
 	}
 
 	if strategy == StrategyPredicateFirst {
-		// PredicateFirstOK held, so every column is ByteSlice.
-		cols, preds, _ := allBS(rs)
-		out := result()
-		if cfg.native() {
-			st, done := cfg.stage(q, "scan(multi)", "scan_multi")
-			pruned, err := kernel.ScanMulti(cfg.exec(st, cols[0].Segments()), cols, preds, disjunct, out)
-			done()
-			if err != nil {
-				return nil, queryErr(err)
+		// Modelled path only: a native pin ran baseline above.
+		if cols, preds, ok := predicateFirstInputs(rs); ok {
+			out := result()
+			if disjunct {
+				core.ScanDisjunctionPredicateFirst(e, cols, preds, out)
+			} else {
+				core.ScanConjunctionPredicateFirst(e, cols, preds, out)
 			}
-			zoneSkipped += pruned
-		} else if disjunct {
-			core.ScanDisjunctionPredicateFirst(e, cols, preds, out)
-		} else {
-			core.ScanConjunctionPredicateFirst(e, cols, preds, out)
+			return &Result{bv: out, plans: plans}, nil
 		}
-		return &Result{bv: out, explain: explain, zoneSkipped: zoneSkipped}, nil
+		// Predicate-first pipelines uncondensed masks across columns;
+		// per-column null clearing does not compose with it, so a pin on
+		// a nullable table (or with a match-all pseudo predicate, or a
+		// column that is not ByteSlice) runs baseline.
+		strategy = StrategyBaseline
 	}
 
 	acc := result()
@@ -634,30 +642,18 @@ func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig,
 		copy(cfg.into.Words(), acc.Words())
 		acc = cfg.into
 	}
-	return &Result{bv: acc, explain: explain, zoneSkipped: zoneSkipped}, nil
+	return &Result{bv: acc, plans: plans, zoneSkipped: zoneSkipped}, nil
 }
 
 // planQuery gathers the query-level inputs for the cost-based planner.
-func (t *Table) planQuery(rs []resolved, disjunct, anyNulls bool, cfg *queryConfig) plan.Query {
-	pfOK := !anyNulls
-	for _, r := range rs {
-		if r.matchAll {
-			pfOK = false
-			break
-		}
-	}
-	if pfOK {
-		if _, _, ok := allBS(rs); !ok {
-			pfOK = false
-		}
-	}
+func (t *Table) planQuery(disjunct bool, cfg *queryConfig) plan.Query {
 	return plan.Query{
-		Rows:             t.n,
-		Segments:         (t.n + core.SegmentSize - 1) / core.SegmentSize,
-		Disjunct:         disjunct,
-		PredicateFirstOK: pfOK,
-		Workers:          cfg.workers,
-		MaxWorkers:       runtime.NumCPU(),
+		Rows:       t.n,
+		Segments:   (t.n + core.SegmentSize - 1) / core.SegmentSize,
+		Disjunct:   disjunct,
+		AsWritten:  cfg.order == OrderAsWritten,
+		Workers:    cfg.workers,
+		MaxWorkers: runtime.NumCPU(),
 	}
 }
 
@@ -688,12 +684,16 @@ func (t *Table) planPreds(rs []resolved) []plan.Pred {
 	return preds
 }
 
-func allBS(rs []resolved) ([]*core.ByteSlice, []layout.Predicate, bool) {
+// predicateFirstInputs returns the columns and predicates of a modelled
+// predicate-first evaluation, or false when it cannot run: a column is
+// not ByteSlice or is nullable, or a filter is a match-all pseudo
+// predicate.
+func predicateFirstInputs(rs []resolved) ([]*core.ByteSlice, []layout.Predicate, bool) {
 	cols := make([]*core.ByteSlice, len(rs))
 	preds := make([]layout.Predicate, len(rs))
 	for i, r := range rs {
 		b, ok := byteSliceOf(r.col.data)
-		if !ok {
+		if !ok || r.matchAll || r.col.nulls != nil {
 			return nil, nil, false
 		}
 		cols[i] = b
@@ -887,7 +887,7 @@ func sortRows(c *Column, rows []int32, cfg *queryConfig) ([]int32, error) {
 // the first n matches in row order. The Result remembers its ascending
 // row list, so Count, Rows, OrderBy and the projections over it cost O(n)
 // rather than a pass over the table's bit vector (And and Or drop the
-// list). It shares res's explain and statistics collector, so the stages
+// list). It shares res's plans and statistics collector, so the stages
 // run over it appear in res.Explain as well. Picking the rows is the
 // OrderBy sort over the survivors — native or modelled, as the options
 // say — truncated to n.
@@ -926,7 +926,7 @@ func (t *Table) Top(col string, res *Result, n int, opts ...QueryOption) (*Resul
 		return nil, err
 	}
 	// The bits keep Contains, And, Or and the aggregates over out exact.
-	out := &Result{bv: bitvec.New(t.n), rows: kept, explain: res.explain, zoneSkipped: res.zoneSkipped, stats: res.stats}
+	out := &Result{bv: bitvec.New(t.n), rows: kept, plans: res.plans, zoneSkipped: res.zoneSkipped, stats: res.stats}
 	for _, r := range kept {
 		out.bv.Set(int(r), true)
 	}

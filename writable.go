@@ -817,7 +817,7 @@ func (v *ingestView) eval(filters []Filter, disjunct bool, opts []QueryOption) (
 	}
 	st, done := cfg.stage(baseRes.stats, "scan(delta)", "delta")
 	defer done()
-	partOpts := append(append([]QueryOption(nil), opts...), WithObservability(false), withoutExplain)
+	partOpts := append(append([]QueryOption(nil), opts...), WithObservability(false))
 	off := v.base.n
 	for _, p := range parts {
 		res, err := p.eval(filters, disjunct, partOpts)
@@ -834,12 +834,8 @@ func (v *ingestView) eval(filters []Filter, disjunct bool, opts []QueryOption) (
 		}
 		st.AddRows(int64(v.delta.n), int64(v.delta.n*slices))
 	}
-	return &Result{bv: out, explain: baseRes.explain, zoneSkipped: baseRes.zoneSkipped, stats: baseRes.stats}, nil
+	return &Result{bv: out, plans: baseRes.plans, zoneSkipped: baseRes.zoneSkipped, stats: baseRes.stats}, nil
 }
-
-// withoutExplain is the delta parts' query option: their results are
-// spliced into the view's and dropped, so their plans are never printed.
-func withoutExplain(c *queryConfig) { c.noExplain = true }
 
 // Len returns the total queryable rows (base epoch + unmerged delta).
 func (t *IngestTable) Len() int { return t.view.Load().rows() }
