@@ -5,16 +5,15 @@
 //
 //	benchdiff -baseline BENCH_scan.json -current /tmp/bench.json [-threshold 0.25] [-out diff.txt]
 //
-// Measurements are keyed by (width, path, mode, compression, layout);
-// within a
-// key the best rows-per-second across worker counts, data distributions
-// and predicate counts is compared, so scheduler jitter on one
-// configuration doesn't
-// fail the gate while a real kernel regression — which slows every
-// configuration of the key — does. A key present only in the baseline is
-// reported as missing and fails the gate; keys only in the current run
-// are reported as new and pass (the baseline is regenerated when
-// benchmarks are added).
+// Measurements are keyed by (width, path, mode, data, preds, compression,
+// layout); within a key the best rows-per-second across worker counts is
+// compared, so scheduler jitter on one worker count doesn't fail the gate
+// while a real kernel regression — which slows every worker count of the
+// key — does. Each data shape and predicate count is a key of its own: a
+// slow shape never hides behind a fast one. A key present only in the
+// baseline is reported as missing and fails the gate; keys only in the
+// current run are reported as new and pass (the baseline is regenerated
+// when benchmarks are added).
 //
 // Both payloads' environment stamps are printed. When the baseline and a
 // current payload are both stamped and differ in GOARCH or in the scan
@@ -85,6 +84,8 @@ type key struct {
 	Width    int
 	Path     string
 	Mode     string
+	Data     string
+	Preds    int
 	Compress string
 	Layout   string
 }
@@ -94,13 +95,20 @@ func (k key) String() string {
 	if mode == "" {
 		mode = "scan"
 	}
-	// The compression and layout axes render only when set, so keys from
-	// payloads predating them keep their exact historical spelling.
+	// The compression, layout, data and predicate-count axes render only
+	// when set, in the order they joined the key, so a key's historical
+	// spelling stays its prefix.
 	if k.Compress != "" {
 		mode += " " + k.Compress
 	}
 	if k.Layout != "" {
 		mode += " " + k.Layout
+	}
+	if k.Data != "" {
+		mode += " " + k.Data
+	}
+	if k.Preds != 0 {
+		mode += fmt.Sprintf(" preds=%d", k.Preds)
 	}
 	return fmt.Sprintf("w%-2d %-6s %s", k.Width, k.Path, mode)
 }
@@ -109,7 +117,7 @@ func (k key) String() string {
 func best(p *payload) map[key]float64 {
 	m := make(map[key]float64)
 	for _, e := range p.Results {
-		k := key{e.Width, e.Path, e.Mode, e.Compress, e.Layout}
+		k := key{e.Width, e.Path, e.Mode, e.Data, e.Preds, e.Compress, e.Layout}
 		if e.RowsPerSec > m[k] {
 			m[k] = e.RowsPerSec
 		}
@@ -189,6 +197,12 @@ func diff(base, cur map[key]float64, threshold float64, advisory string, allAdvi
 		if a.Key.Mode != b.Key.Mode {
 			return a.Key.Mode < b.Key.Mode
 		}
+		if a.Key.Data != b.Key.Data {
+			return a.Key.Data < b.Key.Data
+		}
+		if a.Key.Preds != b.Key.Preds {
+			return a.Key.Preds < b.Key.Preds
+		}
 		if a.Key.Compress != b.Key.Compress {
 			return a.Key.Compress < b.Key.Compress
 		}
@@ -201,14 +215,14 @@ func diff(base, cur map[key]float64, threshold float64, advisory string, allAdvi
 }
 
 func render(w io.Writer, rows []row, threshold float64) (failed int) {
-	fmt.Fprintf(w, "benchdiff: threshold %.0f%% (best rows/sec per width+path+mode+compression+layout)\n", threshold*100)
-	fmt.Fprintf(w, "%-30s %14s %14s %8s  %s\n", "key", "baseline", "current", "delta", "verdict")
+	fmt.Fprintf(w, "benchdiff: threshold %.0f%% (best rows/sec per width+path+mode+data+preds+compression+layout)\n", threshold*100)
+	fmt.Fprintf(w, "%-40s %14s %14s %8s  %s\n", "key", "baseline", "current", "delta", "verdict")
 	for _, r := range rows {
 		delta := "-"
 		if r.Base > 0 && r.Cur > 0 {
 			delta = fmt.Sprintf("%+.1f%%", r.Delta*100)
 		}
-		fmt.Fprintf(w, "%-30s %14s %14s %8s  %s\n",
+		fmt.Fprintf(w, "%-40s %14s %14s %8s  %s\n",
 			r.Key, mrows(r.Base), mrows(r.Cur), delta, r.Verdict)
 		if r.Failing {
 			failed++

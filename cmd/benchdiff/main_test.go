@@ -178,6 +178,44 @@ func TestCompressionAxisKeysSeparately(t *testing.T) {
 	}
 }
 
+// TestDataAndPredsAxesKeySeparately pins that the data arms of one mode,
+// and its predicate counts, are independent keys: the uniform arm of
+// agg_two_pass runs several times slower than its sorted arm, so a
+// collapse on it must fail rather than hide behind the sorted arm's
+// speed, and likewise a 3-predicate collapse behind the 2-predicate arm.
+func TestDataAndPredsAxesKeySeparately(t *testing.T) {
+	base := `{
+	  "rows": 1048576,
+	  "results": [
+	    {"width": 12, "path": "native", "workers": 1, "rows_per_sec": 1.4e9, "data": "uniform", "mode": "agg_two_pass"},
+	    {"width": 12, "path": "native", "workers": 1, "rows_per_sec": 9.2e9, "data": "sorted", "mode": "agg_two_pass"},
+	    {"width": 12, "path": "native", "workers": 2, "rows_per_sec": 3.0e9, "mode": "multi_column_first", "preds": 2},
+	    {"width": 12, "path": "native", "workers": 2, "rows_per_sec": 2.0e9, "mode": "multi_column_first", "preds": 3}
+	  ]
+	}`
+	current := `{
+	  "rows": 1048576,
+	  "results": [
+	    {"width": 12, "path": "native", "workers": 1, "rows_per_sec": 4.5e8, "data": "uniform", "mode": "agg_two_pass"},
+	    {"width": 12, "path": "native", "workers": 1, "rows_per_sec": 9.3e9, "data": "sorted", "mode": "agg_two_pass"},
+	    {"width": 12, "path": "native", "workers": 2, "rows_per_sec": 3.1e9, "mode": "multi_column_first", "preds": 2},
+	    {"width": 12, "path": "native", "workers": 2, "rows_per_sec": 6.0e8, "mode": "multi_column_first", "preds": 3}
+	  ]
+	}`
+	report, failed, err := run(write(t, "base.json", base), write(t, "cur.json", current), 0.25, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if failed != 2 {
+		t.Fatalf("the uniform-arm and 3-predicate collapses must fail one key each (failed=%d):\n%s", failed, report)
+	}
+	for _, want := range []string{"agg_two_pass uniform", "agg_two_pass sorted", "multi_column_first preds=2", "multi_column_first preds=3"} {
+		if !strings.Contains(report, want) {
+			t.Fatalf("report must render the key %q:\n%s", want, report)
+		}
+	}
+}
+
 // TestLayoutAxisKeysSeparately pins that the per-layout lookup arms of
 // the same width+path+mode are independent keys: an HBP lookup collapse
 // fails even when the ByteSlice arm is healthy, the key rendering names

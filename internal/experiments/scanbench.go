@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math/rand/v2"
 	"runtime"
 	"time"
 
@@ -24,7 +25,8 @@ type ScanBenchEntry struct {
 	NsPerScan  float64 `json:"ns_per_scan"`
 	RowsPerSec float64 `json:"rows_per_sec"`
 	// Data names the code distribution ("uniform" when empty; "sorted",
-	// "clustered" for the zone-map benchmarks).
+	// "clustered" for the zone-map benchmarks; "uniform60" for the
+	// operator axis's tie-heavy arm).
 	Data string `json:"data,omitempty"`
 	// Mode distinguishes the composite benchmarks: "" is a plain scan
 	// (the payload's Op); "op_le"/"op_ge"/"op_eq"/"op_between" the plain
@@ -106,16 +108,12 @@ func ScanBench(cfg Config, workerCounts []int) *ScanBenchResult {
 		ns = measureScan(func() { check2(kernel.Scan(kernel.Exec{}, b, p, nil, false, out)) })
 		res.Results = append(res.Results, entry(k, "native", 1, ns, cfg.N))
 
-		// The operator axis: the other range operators on the same codes,
-		// native and serial, at the same selectivity (Eq measures the code
-		// path; see constFor).
-		for _, o := range opModes {
-			q := constFor(codes, k, o.op, sel)
-			ns := measureScan(func() { check2(kernel.Scan(kernel.Exec{}, b, q, nil, false, out)) })
-			e := entry(k, "native", 1, ns, cfg.N)
-			e.Mode = o.mode
-			res.Results = append(res.Results, e)
-		}
+		// The operator axis: the other range operators, native and serial,
+		// at the same selectivity (Eq measures the code path; see
+		// constFor), on the same codes and on the tie-heavy arm.
+		res.Results = append(res.Results, opAxis(codes, b, "", sel, out)...)
+		lead := leadingCodes(datagen.NewRand(cfg.Seed), cfg.N, k)
+		res.Results = append(res.Results, opAxis(lead, core.New(lead, k, nil), leadingData, sel, out)...)
 
 		for _, w := range workerCounts {
 			if w < 2 {
@@ -127,6 +125,39 @@ func ScanBench(cfg Config, workerCounts []int) *ScanBenchResult {
 		}
 	}
 	return res
+}
+
+// opAxis measures the operator-axis rows over one column of codes: each
+// of opModes, native and serial, at selectivity sel.
+func opAxis(codes []uint32, b *core.ByteSlice, data string, sel float64, out *bitvec.Vector) []ScanBenchEntry {
+	var rows []ScanBenchEntry
+	for _, o := range opModes {
+		q := constFor(codes, b.Width(), o.op, sel)
+		ns := measureScan(func() { check2(kernel.Scan(kernel.Exec{}, b, q, nil, false, out)) })
+		e := entry(b.Width(), "native", 1, ns, len(codes))
+		e.Data, e.Mode = data, o.mode
+		rows = append(rows, e)
+	}
+	return rows
+}
+
+// leadingData names the operator axis's tie-heavy arm: codes uniform over
+// the first 60% of the k-bit domain (leadingCodes).
+const leadingData = "uniform60"
+
+// leadingCodes returns n codes uniform over the first 60% of the k-bit
+// domain: the repository benchmark's price column (cents 0..10^7 at
+// k = 24), whose first bytes span 0..152 only. A constant inside the data
+// then ties the first byte of about one segment in five, against one in
+// eight for codes over the whole domain, so more segments load a deeper
+// byte slice.
+func leadingCodes(rng *rand.Rand, n, k int) []uint32 {
+	span := max(uint64(1)<<uint(k)*3/5, 1)
+	codes := make([]uint32, n)
+	for i := range codes {
+		codes[i] = uint32(rng.Uint64N(span))
+	}
+	return codes
 }
 
 // opModes names the operator-axis rows of ScanBench.

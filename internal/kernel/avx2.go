@@ -13,14 +13,21 @@ import (
 // support AVX2, the plain and zoned scans run hand-written assembly
 // (avx2_amd64.s) instead of the SWAR loops: one 32-byte load holds byte j
 // of a whole segment's 32 codes, so the first-slice compare is one
-// instruction per segment, as in the paper's Algorithm 1. Tied segments
-// resolve through the deeper slices inside the same loop, keeping the
-// byte-level early stop and the per-segment depth counts, and every
+// instruction per segment, as in the paper's Algorithm 1, and every
 // segment's 32 result bits are stored straight into the bit vector.
 //
-// The zoned scan walks the zone arrays 32 segments per compare, stores
-// each decided segment as an all-zeros or all-ones word and sends only
-// the undecided ones through the AVX2 segment body.
+// A scan runs one zone window (256 segments) at a time, and each window
+// narrows the segments it loads through one chain of bitmaps, one bit per
+// segment. On a zoned column the zone walk decides 32 segments per
+// compare, stores each decided segment as an all-zeros or all-ones word
+// and marks the undecided ones; a plain scan, or a pipelined scan's live
+// run, starts from all of its segments. The decide pass then loads the
+// first byte slice of those segments only, stores their first-slice bits
+// and marks the segments where some lane ties the constant's first byte,
+// without a branch on the data. The resolve pass loads the deeper slices
+// of the marked segments only, while any lane is still tied, so the
+// byte-level early stop and the per-segment depth counts hold. A
+// one-slice column runs the decide pass alone.
 //
 // The SWAR loops stay the portable path: other architectures and hosts
 // without AVX2 run them, and they are the oracle the AVX2 loops are tested
@@ -59,8 +66,9 @@ func Path() string {
 	return "swar"
 }
 
-// zoneWindowWords is the number of 32-segment chunks one zone walk
-// covers, so a window's undecided segments fit one [zoneWindowWords]uint32.
+// zoneWindowWords is the number of 32-segment chunks one window covers,
+// so a window's undecided or tied segments fit one
+// [zoneWindowWords]uint32.
 const (
 	zoneWindowWords = 8
 	zoneWindow      = zoneWindowWords * 32
@@ -91,8 +99,9 @@ func zoneKind(op layout.Op) int {
 	return zoneBetween
 }
 
-// scanRangeAVX2 runs the AVX2 loop over the whole segments of
-// [segLo, segHi) and returns the first segment it left to the SWAR loops.
+// scanRangeAVX2 runs the AVX2 passes over the whole segments of
+// [segLo, segHi), one window at a time, and returns the first segment it
+// left to the SWAR loops.
 //
 //bsvet:hotloop
 func (sc *scanner) scanRangeAVX2(segLo, segHi int, out *bitvec.Vector, dh *obs.DepthCounts) int {
@@ -100,16 +109,19 @@ func (sc *scanner) scanRangeAVX2(segLo, segHi int, out *bitvec.Vector, dh *obs.D
 	if segLo >= full {
 		return segLo
 	}
+	words := out.Words()
 	var deep obs.DepthCounts
-	sc.bodyAVX2(segLo, full, nil, out.Words(), &deep)
+	for lo := segLo; lo < full; lo += zoneWindow {
+		sc.bodyAVX2(lo, min(lo+zoneWindow, full), nil, words, &deep)
+	}
 	if dh != nil {
 		addDeep(dh, &deep, full-segLo)
 	}
 	return full
 }
 
-// zonedRangeAVX2 runs the AVX2 zone walk and segment body over the whole
-// segments of [segLo, segHi), one zone window at a time. It returns the
+// zonedRangeAVX2 runs the AVX2 zone walk and passes over the whole
+// segments of [segLo, segHi), one window at a time. It returns the
 // segments the zone maps decided and the first segment it left to the
 // SWAR loop.
 //
@@ -140,28 +152,45 @@ func (sc *scanner) zonedRangeAVX2(segLo, segHi int, out *bitvec.Vector, dh *obs.
 	return pruned, full
 }
 
-// bodyAVX2 runs the operator's AVX2 segment loop over [segLo, segHi): every
-// segment when und is nil, else the segments und's bits name (bit i of
-// und[w] is segment segLo+32w+i). deep counts the segments that loaded a
-// deeper slice, by depth.
+// bodyAVX2 runs the operator's two AVX2 passes over one window
+// [segLo, segHi) of at most zoneWindow segments: every segment when und is
+// nil, else the segments und's bits name (bit i of und[w] is segment
+// segLo+32w+i). The decide pass marks the tied segments in tie, and the
+// resolve pass, on columns with deeper slices, walks those; deep counts
+// the segments it resolved, by depth.
 //
 //bsvet:hotloop
 func (sc *scanner) bodyAVX2(segLo, segHi int, und *[zoneWindowWords]uint32, words []uint64, deep *obs.DepthCounts) {
+	var tie [zoneWindowWords]uint32
+	resolve := sc.nb > 1
 	switch sc.p.Op {
-	case layout.Eq:
-		eqAVX2(sc, 0, segLo, segHi, und, words, deep)
-	case layout.Ne:
-		eqAVX2(sc, ^uint32(0), segLo, segHi, und, words, deep)
-	case layout.Lt:
-		cmpAVX2(sc, 0x80, segLo, segHi, und, words, deep)
-	case layout.Gt:
-		cmpAVX2(sc, 0x7F, segLo, segHi, und, words, deep)
-	case layout.Between:
-		same := uint32(0)
-		if sc.c1[0] == sc.c2[0] {
-			same = 1
+	case layout.Eq, layout.Ne:
+		ne := uint32(0)
+		if sc.p.Op == layout.Ne {
+			ne = ^uint32(0)
 		}
-		betweenAVX2(sc, same, segLo, segHi, und, words, deep)
+		eqFirstAVX2(sc, segLo, segHi, und, words, &tie, ne)
+		if resolve {
+			eqAVX2(sc, ne, segLo, segHi, &tie, words, deep)
+		}
+	case layout.Lt, layout.Gt:
+		flip := uint32(0x80)
+		if sc.p.Op == layout.Gt {
+			flip = 0x7F
+		}
+		cmpFirstAVX2(sc, segLo, segHi, und, words, &tie, flip)
+		if resolve {
+			cmpAVX2(sc, flip, segLo, segHi, &tie, words, deep)
+		}
+	case layout.Between:
+		betweenFirstAVX2(sc, segLo, segHi, und, words, &tie)
+		if resolve {
+			same := uint32(0)
+			if sc.c1[0] == sc.c2[0] {
+				same = 1
+			}
+			betweenAVX2(sc, same, segLo, segHi, &tie, words, deep)
+		}
 	default:
 		panic("kernel: unknown operator")
 	}

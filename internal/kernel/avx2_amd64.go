@@ -7,29 +7,53 @@ import (
 	"byteslice/internal/obs"
 )
 
-// The AVX2 loops in avx2_amd64.s. Each covers the segments [segLo, segHi)
-// (all of them when und is nil, else those und's bits name), stores each
-// segment's 32 result bits as one 32-bit word of out and counts the
-// segments that loaded a deeper byte slice in deep, by depth.
+// The AVX2 loops in avx2_amd64.s, one decide and one resolve pass per
+// operator family, each over one window [segLo, segHi) and storing each
+// segment's 32 result bits as one 32-bit word of out. A decide pass
+// evaluates every segment of the window when und is nil, else the
+// segments und's bits name; it loads the first byte slice only and sets
+// the bits of the segments with a tied lane in tie. A resolve pass walks
+// the segments tie names, needs a column of two or more byte slices, and
+// counts the segments it resolves in deep, by depth.
 
-// eqAVX2 is the Eq loop; ne = ^0 complements its bits for Ne.
+// eqFirstAVX2 is the Eq decide pass; ne = ^0 complements its bits for Ne.
 //
 //bsvet:hotloop
 //go:noescape
-func eqAVX2(sc *scanner, ne uint32, segLo, segHi int, und *[zoneWindowWords]uint32, out []uint64, deep *obs.DepthCounts)
+func eqFirstAVX2(sc *scanner, segLo, segHi int, und *[zoneWindowWords]uint32, out []uint64, tie *[zoneWindowWords]uint32, ne uint32)
 
-// cmpAVX2 is the strict compare loop: flip 0x80 for Lt, 0x7F for Gt.
+// cmpFirstAVX2 is the strict compare decide pass: flip 0x80 for Lt, 0x7F
+// for Gt.
 //
 //bsvet:hotloop
 //go:noescape
-func cmpAVX2(sc *scanner, flip uint32, segLo, segHi int, und *[zoneWindowWords]uint32, out []uint64, deep *obs.DepthCounts)
+func cmpFirstAVX2(sc *scanner, segLo, segHi int, und *[zoneWindowWords]uint32, out []uint64, tie *[zoneWindowWords]uint32, flip uint32)
 
-// betweenAVX2 is the open-interval Between loop; same is 1 when the
-// bounds share their first byte.
+// betweenFirstAVX2 is the open-interval Between decide pass.
 //
 //bsvet:hotloop
 //go:noescape
-func betweenAVX2(sc *scanner, same uint32, segLo, segHi int, und *[zoneWindowWords]uint32, out []uint64, deep *obs.DepthCounts)
+func betweenFirstAVX2(sc *scanner, segLo, segHi int, und *[zoneWindowWords]uint32, out []uint64, tie *[zoneWindowWords]uint32)
+
+// eqAVX2 is the Eq resolve pass; ne = ^0 complements its bits for Ne.
+//
+//bsvet:hotloop
+//go:noescape
+func eqAVX2(sc *scanner, ne uint32, segLo, segHi int, tie *[zoneWindowWords]uint32, out []uint64, deep *obs.DepthCounts)
+
+// cmpAVX2 is the strict compare resolve pass: flip 0x80 for Lt, 0x7F for
+// Gt.
+//
+//bsvet:hotloop
+//go:noescape
+func cmpAVX2(sc *scanner, flip uint32, segLo, segHi int, tie *[zoneWindowWords]uint32, out []uint64, deep *obs.DepthCounts)
+
+// betweenAVX2 is the open-interval Between resolve pass; same is 1 when
+// the bounds share their first byte.
+//
+//bsvet:hotloop
+//go:noescape
+func betweenAVX2(sc *scanner, same uint32, segLo, segHi int, tie *[zoneWindowWords]uint32, out []uint64, deep *obs.DepthCounts)
 
 // zoneAVX2 is the zone walk over at most zoneWindow segments: it stores
 // every decided segment's word and marks the undecided ones in und.

@@ -1,26 +1,43 @@
 #include "textflag.h"
 #include "go_asm.h"
 
-// The AVX2 range loops (see avx2.go). Each loop covers a segment range
-// [segLo, segHi) of whole segments: one 32-byte load holds byte j of 32
-// codes, so a segment's first-slice compare is one instruction and its 32
-// result bits are one VPMOVMSKB. Tied segments resolve through the deeper
-// byte slices inside the same loop, and each segment's result is stored
-// as one 32-bit word at its place in the bit vector.
+// The AVX2 range loops (see avx2.go). Every loop covers a segment range
+// [segLo, segHi) of whole segments, at most one zone window long: one
+// 32-byte load holds byte j of 32 codes, so a segment's first-slice
+// compare is one instruction and its 32 result bits are one VPMOVMSKB,
+// stored as one 32-bit word at the segment's place in the bit vector.
 //
-// All three loops share one segment walk. It takes the range in chunks
-// of 32 segments; und, when non-nil, holds one 32-bit word per chunk
-// whose set bits name the segments to evaluate (the zone walk's
-// undecided ones), and nil evaluates every segment. Registers across the
-// walk:
+// A window runs in two passes. The decide pass (eqFirstAVX2,
+// cmpFirstAVX2, betweenFirstAVX2) loads only the first byte slice: it
+// stores every evaluated segment's first-slice bits and sets the
+// segment's bit in tie when some lane ties the constant's first byte,
+// with no branch on the data. The resolve pass (eqAVX2, cmpAVX2,
+// betweenAVX2) walks tie's segments only and folds in the deeper slices
+// while any lane is still tied, so the byte-level early stop and the
+// per-segment depths hold. The bitmaps chain: on a zoned column the zone
+// walk (zoneAVX2) hands the decide pass its undecided segments as und,
+// and the decide pass hands the resolve pass its tied ones as tie.
+//
+// Every loop shares one segment walk. It takes the range in chunks of 32
+// segments; und, when non-nil, holds one 32-bit word per chunk whose set
+// bits name the segments to evaluate (the zone walk's undecided ones),
+// and nil evaluates every segment. The resolve pass walks tie the same
+// way. Registers across the walk:
 //
 //	R8  chunk base segment     R9  segHi        R10 und cursor (0 = all)
 //	R11 chunk's pending bits   AX  segment      DX  segment byte offset
-//	SI  byte slice 0           DI  result words R12 byte slices (nb)
-//	R13 *scanner               CX  deeper slice index, then depth
+//	SI  byte slice 0           DI  result words
 //
-// A segment that loads a deeper slice counts once at deep[depth]; the
-// callers derive the depth-1 count from the range.
+// and in the decide pass
+//
+//	BX  the segment's bit      R12 tie cursor   R13 chunk's tie bits
+//
+// and in the resolve pass
+//
+//	R12 byte slices (nb)       R13 *scanner     CX  deeper slice index, then depth
+//
+// A resolved segment counts once at deep[depth]; the callers derive the
+// depth-1 count from the range.
 //
 // Only VEX-encoded moves are used: a legacy SSE instruction while the
 // upper YMM halves are dirty costs a state transition per use.
@@ -62,22 +79,265 @@
 	LEAQ (CX)(CX*2), BX                \
 	MOVQ scanner_slices(R13)(BX*8), BX
 
-// LOAD_ARGS loads the three loops' common arguments into the walk's
-// registers.
+// LOAD_ARGS loads the resolve passes' common arguments into the walk's
+// registers; tie takes und's place.
 #define LOAD_ARGS \
 	MOVQ sc+0(FP), R13                 \
 	MOVQ scanner_nb(R13), R12          \
 	MOVQ scanner_slices(R13), SI       \
 	MOVQ segLo+16(FP), R8              \
 	MOVQ segHi+24(FP), R9              \
-	MOVQ und+32(FP), R10               \
+	MOVQ tie+32(FP), R10               \
 	MOVQ out_base+40(FP), DI
 
-// func eqAVX2(sc *scanner, ne uint32, segLo, segHi int, und *[zoneWindowWords]uint32, out []uint64, deep *obs.DepthCounts)
+// The decide pass walks a chunk whose 32 segments are all pending with a
+// straight loop: R11 points past the chunk's first-slice bytes, DX is the
+// segment's byte offset from there (-1024 up to -32) and AX points at its
+// result word. ADCL shifts each segment's tie bit in from the carry, so
+// the chunk's first segment ends up in bit 31 and REVERSE_BITS turns the
+// word around. A partial chunk pops its pending bits like the resolve
+// pass, with the popped bit in BX.
+
+// FULL_CHUNK jumps to full when the chunk's 32 segments are all pending.
+#define FULL_CHUNK(full) \
+	CMPL R11, $-1            \
+	JEQ  full
+
+// FULL_SETUP points R11, DX and AX at the chunk's first segment.
+#define FULL_SETUP \
+	MOVQ R8, DX              \
+	SHLQ $5, DX              \
+	LEAQ 1024(SI)(DX*1), R11 \
+	LEAQ (DI)(R8*4), AX      \
+	MOVQ $-1024, DX
+
+// FULL_NEXT shifts the segment's tie bit in from CX, the movemask of its
+// tied lanes (NEGL sets the carry exactly when CX is nonzero), and loops
+// to the chunk's next segment.
+#define FULL_NEXT(seg) \
+	NEGL CX                  \
+	ADCL R13, R13            \
+	ADDQ $4, AX              \
+	ADDQ $32, DX             \
+	JNZ  seg
+
+// REVERSE_BITS reverses the 32 bits of R13, using CX.
+#define REVERSE_BITS \
+	BSWAPL R13                \
+	MOVL   R13, CX            \
+	SHRL   $4, CX             \
+	ANDL   $0x0F0F0F0F, CX    \
+	ANDL   $0x0F0F0F0F, R13   \
+	SHLL   $4, R13            \
+	ORL    CX, R13            \
+	MOVL   R13, CX            \
+	SHRL   $2, CX             \
+	ANDL   $0x33333333, CX    \
+	ANDL   $0x33333333, R13   \
+	SHLL   $2, R13            \
+	ORL    CX, R13            \
+	MOVL   R13, CX            \
+	SHRL   $1, CX             \
+	ANDL   $0x55555555, CX    \
+	ANDL   $0x55555555, R13   \
+	ADDL   R13, R13           \
+	ORL    CX, R13
+
+// NEXT_FIRST is NEXT_SEGMENT for a partial chunk of the decide pass: it
+// also leaves the popped bit in BX, the segment's bit in the tie word.
+#define NEXT_FIRST(next) \
+	TESTL R11, R11         \
+	JZ    next             \
+	BSFL  R11, AX          \
+	MOVL  R11, BX          \
+	LEAL  -1(R11), DX      \
+	ANDL  DX, R11          \
+	XORL  R11, BX          \
+	ADDQ  R8, AX           \
+	MOVQ  AX, DX           \
+	SHLQ  $5, DX
+
+// TIE_BIT sets BX, the popped segment's tie bit, in R13 when CX, the
+// movemask of its tied lanes, is nonzero: SBBL spreads NEGL's carry into a
+// mask.
+#define TIE_BIT \
+	NEGL CX     \
+	SBBL CX, CX \
+	ANDL BX, CX \
+	ORL  CX, R13
+
+// NEXT_TIE_WORD stores the chunk's tie word and moves to the next chunk.
+#define NEXT_TIE_WORD(chunk) \
+	MOVL R13, (R12) \
+	ADDQ $4, R12    \
+	ADDQ $32, R8    \
+	JMP  chunk
+
+// LOAD_FIRST loads the decide pass's common arguments into the walk's
+// registers, leaving *scanner in R13 for the constants.
+#define LOAD_FIRST \
+	MOVQ sc+0(FP), R13                 \
+	MOVQ scanner_slices(R13), SI       \
+	MOVQ segLo+8(FP), R8               \
+	MOVQ segHi+16(FP), R9              \
+	MOVQ und+24(FP), R10               \
+	MOVQ out_base+32(FP), DI           \
+	MOVQ tie+56(FP), R12
+
+// The per-family decide bodies: each loads the segment's first slice
+// from src, stores its first-slice bits to dst and leaves the movemask of
+// its tied lanes in CX.
+
+// EQ_FIRST: the lanes equal to the constant's first byte are both the
+// tied lanes and, complemented by ne, the first-slice bits; tmp is a
+// free register.
+#define EQ_FIRST(src, dst, tmp) \
+	VPCMPEQB  src, Y0, Y3      \
+	VPMOVMSKB Y3, CX           \
+	MOVL      CX, tmp          \
+	XORL      ne+64(FP), tmp   \
+	MOVL      tmp, dst
+
+// CMP_FIRST: the strict compare of the first byte (flip as in cmpAVX2);
+// a lane ties when its byte equals the constant's.
+#define CMP_FIRST(src, dst) \
+	VMOVDQU   src, Y3          \
+	VPXOR     Y3, Y1, Y4       \
+	VPCMPGTB  Y4, Y2, Y4       \
+	VPMOVMSKB Y4, CX           \
+	MOVL      CX, dst          \
+	VPCMPEQB  Y3, Y0, Y5       \
+	VPMOVMSKB Y5, CX
+
+// BETWEEN_FIRST: a_0 < w_0 < b_0; a lane ties when its byte equals
+// either bound's.
+#define BETWEEN_FIRST(src, dst) \
+	VMOVDQU   src, Y3          \
+	VPXOR     Y3, Y1, Y4       \
+	VPCMPGTB  Y2, Y4, Y5       \
+	VPCMPGTB  Y4, Y11, Y4      \
+	VPAND     Y5, Y4, Y4       \
+	VPMOVMSKB Y4, CX           \
+	MOVL      CX, dst          \
+	VPCMPEQB  Y3, Y0, Y5       \
+	VPCMPEQB  Y3, Y10, Y6      \
+	VPOR      Y5, Y6, Y5       \
+	VPMOVMSKB Y5, CX
+
+// func eqFirstAVX2(sc *scanner, segLo, segHi int, und *[zoneWindowWords]uint32, out []uint64, tie *[zoneWindowWords]uint32, ne uint32)
 //
-// Eq and Ne: a lane stays live while every loaded slice equals the
-// constant's byte; deeper slices load while any lane is live. ne
-// complements the segment's bits.
+// The Eq and Ne decide pass.
+TEXT ·eqFirstAVX2(SB), NOSPLIT, $0-68
+	LOAD_FIRST
+	VPBROADCASTB scanner_c1(R13), Y0
+
+efChunk:
+	CHUNK_BITS(efDone)
+	XORL R13, R13
+	FULL_CHUNK(efFull)
+
+efSegment:
+	NEXT_FIRST(efNext)
+	EQ_FIRST((SI)(DX*1), (DI)(AX*4), DX)
+	TIE_BIT
+	JMP efSegment
+
+efFull:
+	FULL_SETUP
+
+efFullSegment:
+	EQ_FIRST((R11)(DX*1), (AX), BX)
+	FULL_NEXT(efFullSegment)
+	REVERSE_BITS
+
+efNext:
+	NEXT_TIE_WORD(efChunk)
+
+efDone:
+	VZEROUPPER
+	RET
+
+// func cmpFirstAVX2(sc *scanner, segLo, segHi int, und *[zoneWindowWords]uint32, out []uint64, tie *[zoneWindowWords]uint32, flip uint32)
+//
+// The strict Lt and Gt decide pass.
+TEXT ·cmpFirstAVX2(SB), NOSPLIT, $0-68
+	LOAD_FIRST
+	VPBROADCASTB scanner_c1(R13), Y0
+	MOVL         flip+64(FP), BX
+	VMOVD        BX, X1
+	VPBROADCASTB X1, Y1
+	VPXOR        Y0, Y1, Y2
+
+cfChunk:
+	CHUNK_BITS(cfDone)
+	XORL R13, R13
+	FULL_CHUNK(cfFull)
+
+cfSegment:
+	NEXT_FIRST(cfNext)
+	CMP_FIRST((SI)(DX*1), (DI)(AX*4))
+	TIE_BIT
+	JMP cfSegment
+
+cfFull:
+	FULL_SETUP
+
+cfFullSegment:
+	CMP_FIRST((R11)(DX*1), (AX))
+	FULL_NEXT(cfFullSegment)
+	REVERSE_BITS
+
+cfNext:
+	NEXT_TIE_WORD(cfChunk)
+
+cfDone:
+	VZEROUPPER
+	RET
+
+// func betweenFirstAVX2(sc *scanner, segLo, segHi int, und *[zoneWindowWords]uint32, out []uint64, tie *[zoneWindowWords]uint32)
+//
+// The open-interval Between decide pass.
+TEXT ·betweenFirstAVX2(SB), NOSPLIT, $0-64
+	LOAD_FIRST
+	VPBROADCASTB scanner_c1(R13), Y0
+	VPBROADCASTB scanner_c2(R13), Y10
+	MOVL         $0x80, BX
+	VMOVD        BX, X1
+	VPBROADCASTB X1, Y1
+	VPXOR        Y0, Y1, Y2
+	VPXOR        Y10, Y1, Y11
+
+bfChunk:
+	CHUNK_BITS(bfDone)
+	XORL R13, R13
+	FULL_CHUNK(bfFull)
+
+bfSegment:
+	NEXT_FIRST(bfNext)
+	BETWEEN_FIRST((SI)(DX*1), (DI)(AX*4))
+	TIE_BIT
+	JMP bfSegment
+
+bfFull:
+	FULL_SETUP
+
+bfFullSegment:
+	BETWEEN_FIRST((R11)(DX*1), (AX))
+	FULL_NEXT(bfFullSegment)
+	REVERSE_BITS
+
+bfNext:
+	NEXT_TIE_WORD(bfChunk)
+
+bfDone:
+	VZEROUPPER
+	RET
+
+// func eqAVX2(sc *scanner, ne uint32, segLo, segHi int, tie *[zoneWindowWords]uint32, out []uint64, deep *obs.DepthCounts)
+//
+// The Eq and Ne resolve pass: a lane stays live while every loaded slice
+// equals the constant's byte; deeper slices load while any lane is live.
+// ne complements the segment's bits.
 TEXT ·eqAVX2(SB), NOSPLIT, $0-72
 	LOAD_ARGS
 	VPBROADCASTB scanner_c1(R13), Y0
@@ -88,10 +348,6 @@ eqChunk:
 eqSegment:
 	NEXT_SEGMENT(eqNext)
 	VPCMPEQB (SI)(DX*1), Y0, Y3
-	CMPQ     R12, $1
-	JEQ      eqStore
-	VPTEST   Y3, Y3
-	JZ       eqStore
 	MOVQ     $1, CX
 
 eqDeep:
@@ -106,10 +362,8 @@ eqDeep:
 	JLT          eqDeep
 
 eqCount:
-	MOVQ deep+64(FP), BX
-	INCQ (BX)(CX*8)
-
-eqStore:
+	MOVQ      deep+64(FP), BX
+	INCQ      (BX)(CX*8)
 	VPMOVMSKB Y3, BX
 	XORL      ne+8(FP), BX
 	MOVL      BX, (DI)(AX*4)
@@ -123,12 +377,13 @@ eqDone:
 	VZEROUPPER
 	RET
 
-// func cmpAVX2(sc *scanner, flip uint32, segLo, segHi int, und *[zoneWindowWords]uint32, out []uint64, deep *obs.DepthCounts)
+// func cmpAVX2(sc *scanner, flip uint32, segLo, segHi int, tie *[zoneWindowWords]uint32, out []uint64, deep *obs.DepthCounts)
 //
-// Strict Lt and Gt. flip's low byte is 0x80 for Lt and 0x7F for Gt: a
-// lane matches on slice j when (c_j^flip) > (w_j^flip) as signed bytes,
-// which is w_j < c_j unsigned for 0x80 and w_j > c_j for 0x7F. Lanes tied
-// with the constant's first byte resolve through the deeper slices.
+// The strict Lt and Gt resolve pass. flip's low byte is 0x80 for Lt and
+// 0x7F for Gt: a lane matches on slice j when (c_j^flip) > (w_j^flip) as
+// signed bytes, which is w_j < c_j unsigned for 0x80 and w_j > c_j for
+// 0x7F. Lanes tied with the constant's first byte resolve through the
+// deeper slices.
 TEXT ·cmpAVX2(SB), NOSPLIT, $0-72
 	LOAD_ARGS
 	VPBROADCASTB scanner_c1(R13), Y0
@@ -145,11 +400,7 @@ cmpSegment:
 	VMOVDQU  (SI)(DX*1), Y3
 	VPXOR    Y3, Y1, Y4
 	VPCMPGTB Y4, Y2, Y4
-	CMPQ     R12, $1
-	JEQ      cmpStore
 	VPCMPEQB Y3, Y0, Y5
-	VPTEST   Y5, Y5
-	JZ       cmpStore
 	MOVQ     $1, CX
 
 cmpDeep:
@@ -170,10 +421,8 @@ cmpDeep:
 	JNZ          cmpDeep
 
 cmpCount:
-	MOVQ deep+64(FP), BX
-	INCQ (BX)(CX*8)
-
-cmpStore:
+	MOVQ      deep+64(FP), BX
+	INCQ      (BX)(CX*8)
 	VPMOVMSKB Y4, BX
 	MOVL      BX, (DI)(AX*4)
 	JMP       cmpSegment
@@ -186,15 +435,15 @@ cmpDone:
 	VZEROUPPER
 	RET
 
-// func betweenAVX2(sc *scanner, same uint32, segLo, segHi int, und *[zoneWindowWords]uint32, out []uint64, deep *obs.DepthCounts)
+// func betweenAVX2(sc *scanner, same uint32, segLo, segHi int, tie *[zoneWindowWords]uint32, out []uint64, deep *obs.DepthCounts)
 //
-// The open interval (a, b): on the first slice a lane is inside when
-// a_0 < w_0 < b_0. Lanes tied with a bound's first byte walk the deeper
-// slices for both bounds at once — g collects the lanes tied with a that
-// turn out above it, l those tied with b that turn out below it — while
-// any lane is still tied. same is nonzero when the bounds share their
-// first byte: a lane must then pass both (g AND l); otherwise a lane tied
-// with one bound lies strictly inside the other (g OR l).
+// The open-interval Between resolve pass: on the first slice a lane is
+// inside when a_0 < w_0 < b_0. Lanes tied with a bound's first byte walk
+// the deeper slices for both bounds at once — g collects the lanes tied
+// with a that turn out above it, l those tied with b that turn out below
+// it — while any lane is still tied. same is nonzero when the bounds
+// share their first byte: a lane must then pass both (g AND l); otherwise
+// a lane tied with one bound lies strictly inside the other (g OR l).
 TEXT ·betweenAVX2(SB), NOSPLIT, $0-72
 	LOAD_ARGS
 	VPBROADCASTB scanner_c1(R13), Y0
@@ -215,13 +464,8 @@ btSegment:
 	VPCMPGTB Y2, Y4, Y5
 	VPCMPGTB Y4, Y11, Y4
 	VPAND    Y5, Y4, Y4
-	CMPQ     R12, $1
-	JEQ      btStore
 	VPCMPEQB Y3, Y0, Y5
 	VPCMPEQB Y3, Y10, Y6
-	VPOR     Y5, Y6, Y7
-	VPTEST   Y7, Y7
-	JZ       btStore
 	VPXOR    Y8, Y8, Y8
 	VPXOR    Y9, Y9, Y9
 	MOVQ     $1, CX
@@ -264,9 +508,7 @@ btEither:
 	VPOR Y8, Y9, Y8
 
 btMerge:
-	VPOR Y8, Y4, Y4
-
-btStore:
+	VPOR      Y8, Y4, Y4
 	VPMOVMSKB Y4, BX
 	MOVL      BX, (DI)(AX*4)
 	JMP       btSegment

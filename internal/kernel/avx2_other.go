@@ -11,17 +11,32 @@ import "byteslice/internal/obs"
 func probe() Features { return Features{} }
 
 //bsvet:hotloop
-func eqAVX2(sc *scanner, ne uint32, segLo, segHi int, und *[zoneWindowWords]uint32, out []uint64, deep *obs.DepthCounts) {
+func eqFirstAVX2(sc *scanner, segLo, segHi int, und *[zoneWindowWords]uint32, out []uint64, tie *[zoneWindowWords]uint32, ne uint32) {
 	panic("kernel: AVX2 loop on a non-amd64 build")
 }
 
 //bsvet:hotloop
-func cmpAVX2(sc *scanner, flip uint32, segLo, segHi int, und *[zoneWindowWords]uint32, out []uint64, deep *obs.DepthCounts) {
+func cmpFirstAVX2(sc *scanner, segLo, segHi int, und *[zoneWindowWords]uint32, out []uint64, tie *[zoneWindowWords]uint32, flip uint32) {
 	panic("kernel: AVX2 loop on a non-amd64 build")
 }
 
 //bsvet:hotloop
-func betweenAVX2(sc *scanner, same uint32, segLo, segHi int, und *[zoneWindowWords]uint32, out []uint64, deep *obs.DepthCounts) {
+func betweenFirstAVX2(sc *scanner, segLo, segHi int, und *[zoneWindowWords]uint32, out []uint64, tie *[zoneWindowWords]uint32) {
+	panic("kernel: AVX2 loop on a non-amd64 build")
+}
+
+//bsvet:hotloop
+func eqAVX2(sc *scanner, ne uint32, segLo, segHi int, tie *[zoneWindowWords]uint32, out []uint64, deep *obs.DepthCounts) {
+	panic("kernel: AVX2 loop on a non-amd64 build")
+}
+
+//bsvet:hotloop
+func cmpAVX2(sc *scanner, flip uint32, segLo, segHi int, tie *[zoneWindowWords]uint32, out []uint64, deep *obs.DepthCounts) {
+	panic("kernel: AVX2 loop on a non-amd64 build")
+}
+
+//bsvet:hotloop
+func betweenAVX2(sc *scanner, same uint32, segLo, segHi int, tie *[zoneWindowWords]uint32, out []uint64, deep *obs.DepthCounts) {
 	panic("kernel: AVX2 loop on a non-amd64 build")
 }
 

@@ -60,6 +60,32 @@ func FuzzNativeVsEngine(f *testing.F) {
 		f.Add(append(hdr[:], body...))
 	}
 
+	// Bodies longer than one 256-segment window (9,000 codes) drawn from a
+	// few bytes around the constants' first bytes, so most segments tie
+	// the constant and the deeper slices decide them. A code's first byte
+	// is body byte i+1 at k=16, i+2 at k=24 and i+3 at k=32 (constants
+	// there stay below 2^16, first byte 0); at k=20 it mixes the nibbles
+	// of bytes i+1 and i+2 (the last seed's bounds share first byte 5).
+	for _, s := range []struct {
+		hdr      [8]byte
+		alphabet []byte
+	}{
+		{[8]byte{15, 6, 0x10, 0x5A, 0x80, 0x5B, 3, 0xAA}, []byte{0x59, 0x5A, 0x5B, 0x5C}}, // k=16 Between
+		{[8]byte{15, 0, 0x40, 0x7F, 0, 0, 0, 0x0F}, []byte{0x7E, 0x7F, 0x80}},             // k=16 Lt
+		{[8]byte{15, 4, 0x33, 0x22, 0, 0, 2, 0x55}, []byte{0x21, 0x22, 0x23, 0x33}},       // k=16 Eq
+		{[8]byte{23, 2, 0x34, 0x12, 0, 0, 2, 0x25}, []byte{0x00, 0x01, 0x12, 0x34}},       // k=24 Gt
+		{[8]byte{31, 5, 0x00, 0x01, 0, 0, 1, 0xF0}, []byte{0x00, 0x01, 0x02}},             // k=32 Ne
+		{[8]byte{19, 6, 0x00, 0x51, 0x00, 0x5F, 4, 0x33}, []byte{0x4F, 0x50, 0x51, 0x60}}, // k=20 Between
+	} {
+		body := make([]byte, 9000)
+		x := uint32(s.hdr[0])
+		for i := range body {
+			x = x*1664525 + 1013904223
+			body[i] = s.alphabet[x>>24%uint32(len(s.alphabet))]
+		}
+		f.Add(append(s.hdr[:], body...))
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 9 {
 			return

@@ -17,10 +17,17 @@
 // holds byte j of 8 consecutive codes, so per-byte comparisons run 8 lanes
 // at a time with carry-free SWAR arithmetic, and a 32-code ByteSlice
 // segment is covered by a 4×-unrolled word loop. The SWAR scan loops are
-// also the AVX2 loops' oracle in the tests. On both paths the paper's
-// byte-level early stop is preserved at segment granularity: as soon as no
-// code in the segment can still match, the remaining byte slices are not
-// loaded.
+// also the AVX2 loops' oracle in the tests.
+//
+// On both paths the paper's byte-level early stop is preserved at segment
+// granularity: a segment loads its deeper byte slices only while some code
+// still ties the constant, and no further. The SWAR loops test that per
+// segment, as a branch. The AVX2 loops take the branch off the data: per
+// 256-segment window, a decide pass loads the first byte slice of the
+// segments still in play (all of them, or the zone walk's undecided
+// ones) and marks the tied segments in a bitmap, without branching on
+// the data; a resolve pass then loads the deeper slices of the marked
+// segments only.
 //
 // Every scan covers one column. The query layer evaluates a
 // multi-predicate query column-first — each later Scan gated by the

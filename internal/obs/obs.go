@@ -477,26 +477,6 @@ func (qs *QueryStats) EarlyStopDepths() DepthCounts {
 	return d
 }
 
-// Merge folds o into qs: scalars add, stages append.
-func (qs *QueryStats) Merge(o *QueryStats) {
-	if o == nil {
-		return
-	}
-	if o.Plan != "" {
-		if qs.Plan != "" {
-			qs.Plan += "\n"
-		}
-		qs.Plan += o.Plan
-	}
-	if qs.Strategy == "" {
-		qs.Strategy, qs.Workers = o.Strategy, o.Workers
-	}
-	qs.WallNs += o.WallNs
-	qs.Panics += o.Panics
-	qs.Cancels += o.Cancels
-	qs.Stages = append(qs.Stages, o.Stages...)
-}
-
 // fmtBytes renders a byte count for Analyze.
 func fmtBytes(b int64) string {
 	switch {

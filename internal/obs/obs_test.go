@@ -124,28 +124,6 @@ func TestStageParallelMerge(t *testing.T) {
 	}
 }
 
-// TestQueryStatsMerge pins snapshot merging: stages append, scalars add,
-// plans join.
-func TestQueryStatsMerge(t *testing.T) {
-	a := &QueryStats{Plan: "plan A", Strategy: "column-first", Workers: 4, WallNs: 10,
-		Stages: []StageStats{{Name: "scan(a)", Segments: 5, BytesTouched: 160}}}
-	b := &QueryStats{Plan: "plan B", Strategy: "baseline", WallNs: 7, Panics: 1,
-		Stages: []StageStats{{Name: "scan(b)", Segments: 7, ZoneSkipped: 2}}}
-	a.Merge(b)
-	if len(a.Stages) != 2 {
-		t.Fatalf("stages = %d, want 2", len(a.Stages))
-	}
-	if a.SegmentsScanned() != 12 || a.ZoneSkipped() != 2 || a.WallNs != 17 || a.Panics != 1 {
-		t.Fatalf("merged scalars wrong: %+v", a)
-	}
-	if !strings.Contains(a.Plan, "plan A") || !strings.Contains(a.Plan, "plan B") {
-		t.Fatalf("merged plan should join both blocks: %q", a.Plan)
-	}
-	if a.Strategy != "column-first" {
-		t.Fatalf("merge must keep the receiver's strategy, got %q", a.Strategy)
-	}
-}
-
 // TestQueryAbsorb pins the live-collector combination used by Expr
 // evaluation.
 func TestQueryAbsorb(t *testing.T) {
@@ -181,15 +159,21 @@ func TestAnalyzeRendering(t *testing.T) {
 	}
 }
 
-// TestRegistry pins the fold-in and the HTTP snapshot.
+// TestRegistry pins the fold-in of live collectors and the HTTP snapshot.
 func TestRegistry(t *testing.T) {
 	r := &Registry{}
-	qs := &QueryStats{Strategy: "column-first", WallNs: 1000,
-		Stages: []StageStats{{Segments: 10, ZoneSkipped: 22, BytesTouched: 320}}}
-	r.RecordQuery(qs)
-	r.RecordQuery(&QueryStats{Strategy: "baseline", Panics: 1})
+	q := NewQuery()
+	q.SetPlan("column-first", 2)
+	q.AddWallNs(1000)
+	q.NewStage("scan(a)", "scan_zoned").AddDepths(&DepthCounts{0: 22, 1: 10})
+	r.RecordQuery(q)
+	faulted := NewQuery()
+	faulted.SetPlan("baseline", 1)
+	faulted.RecordPanic()
+	r.RecordQuery(faulted)
 	s := r.Snapshot()
-	if s.Queries != 2 || s.Segments != 10 || s.ZoneSkipped != 22 || s.Bytes != 320 || s.Faults != 1 {
+	if s.Queries != 2 || s.Segments != 10 || s.ZoneSkipped != 22 || s.Bytes != 320 || s.Faults != 1 ||
+		s.QueryNs.Count != 2 || s.QueryNs.SumNs != 1000 {
 		t.Fatalf("registry snapshot wrong: %+v", s)
 	}
 	if s.Strategies.ColumnFirst != 1 || s.Strategies.Baseline != 1 {

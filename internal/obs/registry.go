@@ -55,19 +55,29 @@ func (r *Registry) RecordStrategy(name string) {
 	}
 }
 
-// RecordQuery folds one finished query's statistics into the registry.
-func (r *Registry) RecordQuery(qs *QueryStats) {
-	if qs == nil {
+// RecordQuery folds one finished query's live collector into the
+// registry: its stages' counters are read in place, without a snapshot.
+func (r *Registry) RecordQuery(q *Query) {
+	if q == nil {
 		return
 	}
+	var segments, zoneSkipped, bytes int64
+	q.mu.Lock()
+	strategy := q.strategy
+	for _, st := range q.stages {
+		segments += st.segments.Load()
+		zoneSkipped += st.zoneSkipped.Load()
+		bytes += st.bytes.Load()
+	}
+	q.mu.Unlock()
 	r.Queries.Add(1)
-	r.Faults.Add(qs.Panics)
-	r.Cancels.Add(qs.Cancels)
-	r.Segments.Add(qs.SegmentsScanned())
-	r.ZoneSkipped.Add(qs.ZoneSkipped())
-	r.Bytes.Add(qs.BytesTouched())
-	r.QueryNs.Observe(qs.WallNs)
-	r.RecordStrategy(qs.Strategy)
+	r.Faults.Add(q.panics.Load())
+	r.Cancels.Add(q.cancels.Load())
+	r.Segments.Add(segments)
+	r.ZoneSkipped.Add(zoneSkipped)
+	r.Bytes.Add(bytes)
+	r.QueryNs.Observe(q.wallNs.Load())
+	r.RecordStrategy(strategy)
 }
 
 // RegistrySnapshot is the JSON shape of a Registry, served by expvar

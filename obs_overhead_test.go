@@ -80,6 +80,31 @@ func TestObservabilityOverhead(t *testing.T) {
 	}
 }
 
+// TestFilterAllocs pins the heap allocations of one native Filter on one
+// worker, with observability off and on. A native query builds no
+// modelled engine, and an observed one folds its live collector into the
+// registry without snapshotting it.
+func TestFilterAllocs(t *testing.T) {
+	tbl := overheadTable(t, 1<<20)
+	f := []byteslice.Filter{byteslice.IntFilter("a", byteslice.Between, 1000, 2000)}
+	for _, c := range []struct {
+		on  bool
+		max float64
+	}{{false, 15}, {true, 19}} {
+		opts := []byteslice.QueryOption{byteslice.WithObservability(c.on), byteslice.WithParallelism(1)}
+		got := testing.AllocsPerRun(100, func() {
+			res, err := tbl.Filter(f, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_ = res.Count()
+		})
+		if got > c.max {
+			t.Errorf("observability %v: %.0f allocations per Filter, want at most %.0f", c.on, got, c.max)
+		}
+	}
+}
+
 // overheadTable builds a 17-bit sorted zone-mapped column large enough
 // that the scan dominates query setup.
 func overheadTable(tb testing.TB, n int) *byteslice.Table {

@@ -147,5 +147,5 @@ func finishQuery(q *obs.Query, t0 time.Time, err error) {
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		q.RecordCancel()
 	}
-	obs.Default.RecordQuery(q.Snapshot())
+	obs.Default.RecordQuery(q)
 }

@@ -16,6 +16,7 @@ import (
 	"byteslice/internal/layout"
 	"byteslice/internal/obs"
 	"byteslice/internal/plan"
+	"byteslice/internal/simd"
 	"byteslice/internal/sortpart"
 )
 
@@ -396,7 +397,6 @@ func (t *Table) evalInto(filters []Filter, disjunct bool, opts []QueryOption, in
 
 func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig, q *obs.Query) (*Result, error) {
 	cfg := *cfgp
-	e := cfg.profile.engine()
 	result := func() *bitvec.Vector {
 		if cfg.into != nil {
 			return cfg.into
@@ -446,6 +446,14 @@ func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig,
 			out.Fill()
 		}
 		return &Result{bv: out}, nil
+	}
+
+	// The modelled engine runs every scan of a profiled query; a native
+	// query needs it only for a layout without a native kernel (BitPacked,
+	// VBP).
+	var e *simd.Engine
+	if !cfg.native() || slices.ContainsFunc(rs, func(r resolved) bool { return !r.matchAll && nativeKernelOf(r.col) == nil }) {
+		e = cfg.profile.engine()
 	}
 
 	strategy := cfg.strategy
