@@ -14,9 +14,10 @@ import (
 // ByteSlice columns aggregate with SIMD directly on the byte slices
 // (masked SAD sums, slice-wise min/max tournaments — see
 // internal/core/aggregate.go); other formats fall back to per-row lookups.
-// Without a profile, the native SWAR kernels in internal/kernel run
-// instead of the modelled engine. NULL rows of the aggregated column are
-// always excluded, matching SQL.
+// Without a profile, the native kernels in internal/kernel run instead of
+// the modelled engine: AVX2 where the start-up probe found it (VPSADBW
+// sums, a first-slice VPMINUB walk for Min/Max), SWAR elsewhere. NULL
+// rows of the aggregated column are always excluded, matching SQL.
 
 // aggMask builds the effective row mask: the result's rows (or all rows)
 // minus the column's NULLs. Returns nil when every row participates. When
@@ -403,7 +404,7 @@ func (t *Table) sumBy(v *Column, byCol string, res *Result, opts []QueryOption,
 			if mask != nil {
 				groupMask.And(mask)
 			}
-			count := groupMask.Count()
+			count := kernel.Count(groupMask)
 			if count == 0 {
 				continue
 			}

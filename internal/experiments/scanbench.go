@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"runtime"
 	"time"
@@ -31,9 +32,12 @@ type ScanBenchEntry struct {
 	// Mode distinguishes the composite benchmarks: "" is a plain scan
 	// (the payload's Op); "op_le"/"op_ge"/"op_eq"/"op_between" the plain
 	// scan under another operator; "scan_zoned" a zone-map-pruned scan;
-	// "agg_two_pass" the filter→sum shape; "multi_column_first" the
-	// column-first multi-predicate conjunction, "multi_clustered" the same
-	// pipeline behind a sorted, zone-mapped leading column.
+	// "agg_two_pass" the filter→sum shape; "sum", "min" and "count" the
+	// aggregate kernels alone over a filter's result (their data arms,
+	// "sel1", "sel10" and "sel50", name its uniform selectivity in
+	// percent); "multi_column_first" the column-first multi-predicate
+	// conjunction, "multi_clustered" the same pipeline behind a sorted,
+	// zone-mapped leading column.
 	Mode string `json:"mode,omitempty"`
 	// Preds is the conjunct count of the multi-predicate benchmarks.
 	Preds int `json:"preds,omitempty"`
@@ -220,10 +224,11 @@ func ZonedScanBench(cfg Config, workerCounts []int) []ScanBenchEntry {
 }
 
 // AggBench measures the filter→sum shape every filtered aggregate takes
-// (scan to a bit vector, then a masked SWAR sum re-reading it): a 12-bit
+// (scan to a bit vector, then a masked sum re-reading it): a 12-bit
 // filter column at 10% selectivity and a uniform 16-bit value column. Two
 // filter shapes run: uniform without zone maps, and a sorted zone-mapped
-// date-range shape whose scan prunes segments, as the facade's does.
+// date-range shape whose scan prunes segments, as the facade's does. The
+// aggregate kernels are then timed alone, native and serial (aggAxis).
 func AggBench(cfg Config, workerCounts []int) []ScanBenchEntry {
 	const (
 		kf  = 12
@@ -257,6 +262,45 @@ func AggBench(cfg Config, workerCounts []int) []ScanBenchEntry {
 			})
 			e := entry(kv, "native", w, ns, cfg.N)
 			e.Data, e.Mode = s.name, "agg_two_pass"
+			out = append(out, e)
+		}
+	}
+	return append(out, aggAxis(cfg, v, shapes[0].codes, kf)...)
+}
+
+// aggAxis times the aggregate kernels alone, native and serial, over the
+// result of a filter on the uniform kf-bit codes at 1, 10 and 50%
+// selectivity: Sum over the 16-bit value column v, Min over a
+// price-shaped 24-bit column (codes uniform over the first 60% of the
+// domain, leadingCodes, so the domain bound that ends a Min early almost
+// never occurs), and, once, Count of the 10% result.
+func aggAxis(cfg Config, v *core.ByteSlice, codes []uint32, kf int) []ScanBenchEntry {
+	const kp = 24
+	f := core.New(codes, kf, nil)
+	price := core.New(leadingCodes(datagen.NewRand(cfg.Seed+1), cfg.N, kp), kp, nil)
+	mask := bitvec.New(cfg.N)
+	var out []ScanBenchEntry
+	for _, pct := range []int{1, 10, 50} {
+		check2(kernel.Scan(kernel.Exec{}, f, constFor(codes, kf, layout.Lt, float64(pct)/100), nil, false, mask))
+		data := fmt.Sprintf("sel%d", pct)
+		ns := measureScan(func() {
+			_, _, err := kernel.Sum(kernel.Exec{}, v, mask)
+			check(err)
+		})
+		e := entry(v.Width(), "native", 1, ns, cfg.N)
+		e.Data, e.Mode = data, "sum"
+		out = append(out, e)
+		ns = measureScan(func() {
+			_, _, err := kernel.Extreme(kernel.Exec{}, price, mask, true)
+			check(err)
+		})
+		e = entry(kp, "native", 1, ns, cfg.N)
+		e.Data, e.Mode = data, "min"
+		out = append(out, e)
+		if pct == 10 {
+			ns = measureScan(func() { kernel.Count(mask) })
+			e = entry(kf, "native", 1, ns, cfg.N)
+			e.Data, e.Mode = data, "count"
 			out = append(out, e)
 		}
 	}

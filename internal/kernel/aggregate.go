@@ -3,25 +3,38 @@ package kernel
 import (
 	"encoding/binary"
 	"math/bits"
+	"sync/atomic"
 
 	"byteslice/internal/bitvec"
 	"byteslice/internal/core"
+	"byteslice/internal/obs"
 )
 
 // Native aggregation over ByteSlice columns, mirroring the modelled
 // kernels in internal/core/aggregate.go:
 //
-//   - Sum works slice-wise: Σ codes = (Σⱼ 256^(nb−1−j) · sliceSumⱼ) >> pad,
-//     and a slice's bytes are summed 8 at a time by splitting each word
-//     into even/odd bytes and accumulating four 16-bit SWAR lanes.
-//   - Min/Max stitch the codes of the selected rows directly from the
-//     byte slices (the selection is usually sparse after a filter).
+//   - Sum works slice-wise: Σ codes = (Σⱼ 256^(nb−1−j) · sliceSumⱼ) >> pad.
+//     The SWAR loop sums a slice's bytes 8 at a time by splitting each
+//     word into even/odd bytes and accumulating four 16-bit lanes; the
+//     AVX2 loop ANDs a slice's 64 bytes with the mask word expanded to
+//     byte lanes and adds them with VPSADBW into four 64-bit lanes.
+//   - Min/Max: the SWAR loop stitches the codes of the selected rows
+//     directly from the byte slices. The AVX2 loop takes the scans'
+//     decide/resolve shape per 256-segment window: a branch-free pass
+//     over the first slice folds the selected rows' first bytes with
+//     VPMINUB (a maximum compares complemented bytes) and marks the rows
+//     that tie or beat the running extreme's first byte, and a resolve
+//     pass stitches the deeper slices of those rows only.
+//   - Both stop at the domain bound (code 0 for a minimum, 2^k−1 for a
+//     maximum), and the running extreme carries across batches and
+//     workers, so the stop ends the whole fan-out.
 //
 // A selection mask is walked once, one 64-row word at a time, for every
-// byte slice: a zero word costs one load and no data, so a filtered
-// aggregate pays per surviving word rather than per segment of the
-// table. All kernels ignore the padding rows of the final segment (their
-// bytes are zero and their mask bits are never set).
+// byte slice: a dead word loads no data (the AVX2 loops skip four at a
+// time), so a filtered aggregate pays per surviving word rather than per
+// segment of the table. All kernels ignore the padding rows of the final
+// segment (their mask bits are never set). The SWAR loops are the
+// portable path and the AVX2 loops' oracle, as for the scans (avx2.go).
 
 // evenB selects the even byte lanes of a word, widened to 16 bits.
 const evenB = 0x00FF00FF00FF00FF
@@ -162,6 +175,65 @@ const maskWordBytes = 8
 // [segLo, segHi), which start on a word.
 func maskWords(segLo, segHi int) int64 { return int64(segHi-segLo+1) / 2 }
 
+// aggCounts is what the ranges of one aggregate call read, merged through
+// parallelRanges' partials so that a stage takes one round of atomic adds
+// per call: the segments whose data was loaded, the segments the mask
+// skipped and the bytes touched.
+type aggCounts struct {
+	segs, skipped, bytes int64
+}
+
+func (c aggCounts) add(o aggCounts) aggCounts {
+	return aggCounts{c.segs + o.segs, c.skipped + o.skipped, c.bytes + o.bytes}
+}
+
+// record adds the counts to st, if any.
+func (c aggCounts) record(st *obs.Stage) {
+	if st == nil {
+		return
+	}
+	st.AddSegments(c.segs, c.bytes)
+	if c.skipped > 0 {
+		st.AddMaskSkipped(c.skipped)
+	}
+}
+
+// aggCols is what the AVX2 aggregate loops read (aggregate_amd64.s): a
+// column's byte slices, the selection's mask words (nil selects every
+// row) and, for Extreme, the key transform. A Min/Max key is a padded code
+// XOR flip — flip is 0 for a minimum and all ones for a maximum, so the
+// best code always has the smallest key — and bound is the key of the
+// domain bound, past which no code can improve.
+type aggCols struct {
+	slices [4][]byte
+	mw     []uint64
+	nb     int
+	flip   uint32
+	bound  uint32
+}
+
+func newAggCols(b *core.ByteSlice, mask *bitvec.Vector) *aggCols {
+	a := &aggCols{nb: b.NumSlices()}
+	for j := 0; j < a.nb; j++ {
+		a.slices[j] = b.Slice(j)
+	}
+	if mask != nil {
+		a.mw = mask.Words()
+	}
+	return a
+}
+
+// Count returns the number of set bits of v. It is the count every query
+// takes of a result vector — a Result's, a masked SumCompressed's, a
+// group's — and runs the AVX2 popcount where the probe found AVX2; the
+// portable loop, bitvec.Vector.Count, is its oracle.
+func Count(v *bitvec.Vector) int {
+	if useAVX2 {
+		return popcountAVX2(v.Words())
+	}
+	return v.Count()
+}
+
 // Sum returns the sum of the codes of the rows set in mask (every row when
 // mask is nil) and the number of rows aggregated. Stage accounting charges
 // the mask words read plus the byte slices of the segments loaded; the
@@ -171,32 +243,60 @@ func Sum(x Exec, b *core.ByteSlice, mask *bitvec.Vector) (sum uint64, count int,
 		panic("kernel: aggregate mask length mismatch")
 	}
 	pad := uint(8*b.NumSlices() - b.Width())
+	segs := b.Segments()
 	segBytes := int64(core.SegmentSize * b.NumSlices())
-	st := x.Stage
+	var a *aggCols
+	if useAVX2 {
+		a = newAggCols(b, mask)
+	}
 	if mask == nil {
-		padded, err := parallelRanges(x, b.Segments(), func(lo, hi int) uint64 {
-			if st != nil {
-				st.AddSegments(int64(hi-lo), int64(hi-lo)*segBytes)
+		padded, err := parallelRanges(x, segs, func(lo, hi int) uint64 {
+			if a != nil {
+				return sumSegmentsAVX2(a, lo, hi)
 			}
 			return sumRange(b, lo, hi)
 		}, addUint64)
 		if err != nil {
 			return 0, 0, err
 		}
+		aggCounts{segs: int64(segs), bytes: int64(segs) * segBytes}.record(x.Stage)
 		return padded >> pad, b.Len(), nil
 	}
-	part, err := parallelRanges(x, b.Segments(), func(lo, hi int) sumPartial {
-		padded, count, loaded := sumMaskedRange(b, mask, lo, hi)
-		if st != nil {
-			st.AddSegments(int64(loaded), maskWords(lo, hi)*maskWordBytes+int64(loaded)*segBytes)
-			st.AddMaskSkipped(int64(hi - lo - loaded))
+	part, err := parallelRanges(x, segs, func(lo, hi int) sumPartial {
+		var p sumPartial
+		var loaded int
+		if a != nil {
+			p.padded, p.count, loaded = sumMaskedRangeAVX2(a, b, mask, segs/2*2, lo, hi)
+		} else {
+			p.padded, p.count, loaded = sumMaskedRange(b, mask, lo, hi)
 		}
-		return sumPartial{padded, count}
+		p.segs, p.skipped = int64(loaded), int64(hi-lo-loaded)
+		p.bytes = maskWords(lo, hi)*maskWordBytes + int64(loaded)*segBytes
+		return p
 	}, addSum)
 	if err != nil {
 		return 0, 0, err
 	}
+	part.record(x.Stage)
 	return part.padded >> pad, part.count, nil
+}
+
+// sumMaskedRangeAVX2 is sumMaskedRange on the AVX2 loop, which takes the
+// words of [segLo, segHi) below segment pairs, the column's segments
+// rounded down to whole words; an odd last segment goes through
+// sumMaskedRange.
+//
+//bsvet:hotloop
+func sumMaskedRangeAVX2(a *aggCols, b *core.ByteSlice, mask *bitvec.Vector, pairs, segLo, segHi int) (padded uint64, count, loaded int) {
+	mid := max(segLo, min(segHi, pairs))
+	if segLo < mid {
+		padded, count, loaded = sumMaskedAVX2(a, segLo/2, mid/2)
+	}
+	if mid < segHi {
+		p, c, l := sumMaskedRange(b, mask, mid, segHi)
+		padded, count, loaded = padded+p, count+c, loaded+l
+	}
+	return padded, count, loaded
 }
 
 // extremeRange scans segments [segLo, segHi) for the extreme code among
@@ -204,7 +304,8 @@ func Sum(x Exec, b *core.ByteSlice, mask *bitvec.Vector) (sum uint64, count int,
 // 64-row word at a time and stitching candidate codes straight from the
 // slices. It stops as soon as the running extreme is the domain bound
 // (code 0 for a minimum, 2^k−1 for a maximum) — no later row can beat it
-// — and returns the segments it walked and loaded.
+// — and returns the segments it walked (up to the end of the word where
+// it stopped) and loaded (those holding a selected row).
 //
 //bsvet:hotloop
 func extremeRange(b *core.ByteSlice, mask *bitvec.Vector, isMin bool, segLo, segHi int) (best uint32, found bool, walked, loaded int) {
@@ -253,31 +354,161 @@ func extremeRange(b *core.ByteSlice, mask *bitvec.Vector, isMin bool, segLo, seg
 	return best, found, segHi - segLo, loaded
 }
 
+// noKey is the Min/Max key of "no row yet": above every code's key.
+const noKey = uint64(1) << 32
+
+// extremeRangeAVX2 is extremeRange on the AVX2 passes, over the whole
+// mask words of [segLo, segHi) (both even), from the running key. Per
+// window, the decide pass folds the selected rows' first key bytes and
+// marks the rows whose first key byte ties or beats the running key's;
+// when the window's best first byte ties or beats it, the resolve pass
+// stitches the marked rows holding that byte. Before any row, the decide
+// pass runs twice: once for the window's best first byte, then to mark
+// the rows holding it. Walked and loaded are extremeRange's: the stop
+// comes at the word of the first selected row whose code is the domain
+// bound, and the decide pass over the words up to it recounts the
+// segments holding a selected row.
+//
+//bsvet:hotloop
+func extremeRangeAVX2(a *aggCols, segLo, segHi int, key uint64) (best uint64, walked, loaded int) {
+	top := uint(8 * (a.nb - 1))
+	var cand [zoneWindow / 2]uint64
+	for lo := segLo; lo < segHi; lo += zoneWindow {
+		wLo, wHi := lo/2, min(lo+zoneWindow, segHi)/2
+		t := uint32(0xFF)
+		if key != noKey {
+			t = uint32(byte(key >> top))
+		}
+		fold, live := extremeFirstAVX2(a, wLo, wHi, t, &cand)
+		if live == 0 {
+			continue
+		}
+		if key == noKey && fold != t {
+			extremeFirstAVX2(a, wLo, wHi, fold, &cand)
+		} else if fold > t {
+			loaded += live
+			continue
+		}
+		var stop int
+		key, stop = extremeResolveAVX2(a, wLo, wHi, fold, &cand, key)
+		if stop >= 0 {
+			_, live = extremeFirstAVX2(a, wLo, stop+1, fold, &cand)
+			return key, 2*stop + 2 - segLo, loaded + live
+		}
+		loaded += live
+	}
+	return key, segHi - segLo, loaded
+}
+
+// extreme is extremeRange on the AVX2 loops over segments [lo, hi), from
+// and into the running extreme: the segments below whole, in whole
+// 64-row words, go through extremeRangeAVX2, and a column's partial last
+// word through extremeRange. A range that starts with the running
+// extreme at the domain bound walks nothing.
+func (a *aggCols) extreme(b *core.ByteSlice, mask *bitvec.Vector, isMin bool, run *runningExtreme, whole, lo, hi int) (v uint32, ok bool, walked, loaded int) {
+	pad := uint(8*a.nb - b.Width())
+	v, ok = run.load()
+	key := noKey
+	if ok {
+		key = uint64(v<<pad ^ a.flip)
+	}
+	if key == uint64(a.bound) {
+		return v, ok, 0, 0
+	}
+	mid := max(lo, min(hi, whole))
+	key, walked, loaded = extremeRangeAVX2(a, lo, mid, key)
+	if key != uint64(a.bound) && mid < hi {
+		tv, tok, w, l := extremeRange(b, mask, isMin, mid, hi)
+		if k := uint64(tv<<pad ^ a.flip); tok && k < key {
+			key = k
+		}
+		walked, loaded = walked+w, loaded+l
+	}
+	if key == noKey {
+		return 0, false, walked, loaded
+	}
+	v = (uint32(key) ^ a.flip) >> pad
+	run.offer(v, true)
+	return v, true, walked, loaded
+}
+
+// extremeBound is the code no other can beat: 0 for a minimum, 2^k−1
+// for a maximum.
+func extremeBound(k int, isMin bool) uint32 {
+	if isMin {
+		return 0
+	}
+	return uint32(uint64(1)<<uint(k) - 1)
+}
+
+// runningExtreme is one Extreme call's best code so far, shared by its
+// batches and workers: each AVX2 batch starts from it, so a later batch
+// resolves only rows that can still beat it.
+type runningExtreme struct {
+	isMin bool
+	v     atomic.Uint64 // 1<<32 | best; 0 before any row
+}
+
+func (r *runningExtreme) load() (uint32, bool) {
+	s := r.v.Load()
+	return uint32(s), s != 0
+}
+
+// offer makes v the running extreme if it beats it.
+func (r *runningExtreme) offer(v uint32, ok bool) {
+	for ok {
+		s := r.v.Load()
+		if s != 0 && (uint32(s) == v || r.isMin == (uint32(s) < v)) {
+			return
+		}
+		if r.v.CompareAndSwap(s, 1<<32|uint64(v)) {
+			return
+		}
+	}
+}
+
 // Extreme returns the smallest (isMin) or largest code among the rows set
-// in mask (all rows when nil); ok is false when no row is selected. Stage
-// accounting is Sum's over the segments each range walked before its
-// running extreme reached the domain bound.
+// in mask (all rows when nil); ok is false when no row is selected. Once
+// the extreme is the domain bound, no later row can beat it: the range
+// stops there and the fan-out ends for every worker at its next batch.
+// Stage accounting is Sum's over the segments walked up to the stop: the
+// mask words of those segments, plus the byte slices of the ones holding
+// a selected row.
 func Extreme(x Exec, b *core.ByteSlice, mask *bitvec.Vector, isMin bool) (uint32, bool, error) {
 	if mask != nil && mask.Len() != b.Len() {
 		panic("kernel: aggregate mask length mismatch")
 	}
+	pad := uint(8*b.NumSlices() - b.Width())
 	segBytes := int64(core.SegmentSize * b.NumSlices())
-	st := x.Stage
-	best, err := parallelRanges(x, b.Segments(), func(lo, hi int) extPartial {
-		v, ok, walked, loaded := extremeRange(b, mask, isMin, lo, hi)
-		if st != nil {
-			bytes := int64(loaded) * segBytes
-			if mask != nil {
-				bytes += maskWords(lo, lo+walked) * maskWordBytes
-			}
-			st.AddSegments(int64(loaded), bytes)
-			st.AddMaskSkipped(int64(walked - loaded))
+	bound := extremeBound(b.Width(), isMin)
+	whole := b.Len() / 64 * 2 // segments in whole 64-row words
+	var a *aggCols
+	run := &runningExtreme{isMin: isMin}
+	if useAVX2 {
+		a = newAggCols(b, mask)
+		if !isMin {
+			a.flip = ^uint32(0)
 		}
-		return extPartial{v, ok}
-	}, mergeExtreme(isMin))
+		a.bound = bound<<pad ^ a.flip
+	}
+	best, err := parallelRangesUntil(x, b.Segments(), func(lo, hi int) extPartial {
+		var p extPartial
+		var walked, loaded int
+		if a != nil {
+			p.v, p.ok, walked, loaded = a.extreme(b, mask, isMin, run, whole, lo, hi)
+		} else {
+			p.v, p.ok, walked, loaded = extremeRange(b, mask, isMin, lo, hi)
+		}
+		p.segs, p.skipped, p.bytes = int64(loaded), int64(walked-loaded), int64(loaded)*segBytes
+		if mask != nil {
+			p.bytes += maskWords(lo, lo+walked) * maskWordBytes
+		}
+		return p
+	}, mergeExtreme(isMin), func(p extPartial) bool { return p.ok && p.v == bound })
 	if err != nil {
 		return 0, false, err
 	}
+	best.record(x.Stage)
 	return best.v, best.ok, nil
 }
 

@@ -48,8 +48,9 @@ type Features struct {
 // cpu is the start-up probe's finding (probe is per architecture).
 var cpu = probe()
 
-// useAVX2 selects the AVX2 range loops. It is set once at start-up from
-// the probe; tests switch it off to run the SWAR oracle on the same host.
+// useAVX2 selects the AVX2 range loops, the scans' and the aggregates'
+// (aggregate.go). It is set once at start-up from the probe; tests switch
+// it off to run the SWAR oracle on the same host.
 var useAVX2 = cpu.AVX2
 
 // The registry reports the start-up path in /stats and expvar.
@@ -58,7 +59,8 @@ func init() { obs.KernelPath = Path() }
 // CPU returns what the start-up probe found.
 func CPU() Features { return cpu }
 
-// Path names the range loops the scans run: "avx2" or "swar".
+// Path names the range loops the scans and aggregates run: "avx2" or
+// "swar".
 func Path() string {
 	if useAVX2 {
 		return "avx2"

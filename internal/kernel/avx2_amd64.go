@@ -62,27 +62,71 @@ func betweenAVX2(sc *scanner, same uint32, segLo, segHi int, tie *[zoneWindowWor
 //go:noescape
 func zoneAVX2(z *zoneInfo, segLo, segHi int, out []uint64, und *[zoneWindowWords]uint32)
 
+// The AVX2 aggregate loops in aggregate_amd64.s. Each covers a run of
+// 64-row mask words [wLo, wHi) whose rows lie in whole segments; a
+// masked loop reads a.mw, and nil selects every row.
+
+// popcountAVX2 returns the number of set bits in words.
+//
+//bsvet:hotloop
+//go:noescape
+func popcountAVX2(words []uint64) int
+
+// sumSegmentsAVX2 returns the padded byte-weighted sum over every row of
+// segments [segLo, segHi), as sumRange does.
+//
+//bsvet:hotloop
+//go:noescape
+func sumSegmentsAVX2(a *aggCols, segLo, segHi int) uint64
+
+// sumMaskedAVX2 is sumMaskedRange over mask words [wLo, wHi): the padded
+// sum of the selected rows, their count and the segments holding one.
+//
+//bsvet:hotloop
+//go:noescape
+func sumMaskedAVX2(a *aggCols, wLo, wHi int) (padded uint64, count, loaded int)
+
+// extremeFirstAVX2 is the Min/Max decide pass over mask words [wLo, wHi),
+// at most one window: it returns the smallest first key byte of the
+// selected rows (0xFF when none) and the segments holding a selected row,
+// and marks in cand[w-wLo] the selected rows whose first key byte is at
+// most t.
+//
+//bsvet:hotloop
+//go:noescape
+func extremeFirstAVX2(a *aggCols, wLo, wHi int, t uint32, cand *[zoneWindow / 2]uint64) (fold uint32, live int)
+
+// extremeResolveAVX2 is the Min/Max resolve pass: it stitches the rows
+// cand marks whose first key byte is t and returns the smallest key below
+// key, and the word where that key reached a.bound (-1 when it did not).
+//
+//bsvet:hotloop
+//go:noescape
+func extremeResolveAVX2(a *aggCols, wLo, wHi int, t uint32, cand *[zoneWindow / 2]uint64, key uint64) (best uint64, stop int)
+
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
 // probe reads the CPU's features with CPUID and the operating system's
 // enabled register state with XGETBV: AVX2 needs the XMM and YMM state,
-// AVX-512 the opmask and ZMM state as well.
+// AVX-512 the opmask and ZMM state as well. The AVX2 loops count bits with
+// POPCNT, so AVX2 is reported only with it (every AVX2 CPU has it).
 func probe() Features {
 	f := Features{Model: brand()}
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
 		return f
 	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
+	const popcnt, osxsave, avx = 1 << 23, 1 << 27, 1 << 28
+	_, _, ecx1, _ := cpuid(1, 0)
+	if ecx1&osxsave == 0 || ecx1&avx == 0 {
 		return f
 	}
 	xcr0, _ := xgetbv()
 	_, ebx, _, _ := cpuid(7, 0)
 	ymm := xcr0&0x6 == 0x6
-	f.AVX2 = ymm && ebx&(1<<5) != 0
+	f.AVX2 = ymm && ebx&(1<<5) != 0 && ecx1&popcnt != 0
 	f.AVX512F = ymm && xcr0&0xE0 == 0xE0 && ebx&(1<<16) != 0
 	return f
 }

@@ -44,3 +44,28 @@ func betweenAVX2(sc *scanner, same uint32, segLo, segHi int, tie *[zoneWindowWor
 func zoneAVX2(z *zoneInfo, segLo, segHi int, out []uint64, und *[zoneWindowWords]uint32) {
 	panic("kernel: AVX2 loop on a non-amd64 build")
 }
+
+//bsvet:hotloop
+func popcountAVX2(words []uint64) int {
+	panic("kernel: AVX2 loop on a non-amd64 build")
+}
+
+//bsvet:hotloop
+func sumSegmentsAVX2(a *aggCols, segLo, segHi int) uint64 {
+	panic("kernel: AVX2 loop on a non-amd64 build")
+}
+
+//bsvet:hotloop
+func sumMaskedAVX2(a *aggCols, wLo, wHi int) (padded uint64, count, loaded int) {
+	panic("kernel: AVX2 loop on a non-amd64 build")
+}
+
+//bsvet:hotloop
+func extremeFirstAVX2(a *aggCols, wLo, wHi int, t uint32, cand *[zoneWindow / 2]uint64) (fold uint32, live int) {
+	panic("kernel: AVX2 loop on a non-amd64 build")
+}
+
+//bsvet:hotloop
+func extremeResolveAVX2(a *aggCols, wLo, wHi int, t uint32, cand *[zoneWindow / 2]uint64, key uint64) (best uint64, stop int) {
+	panic("kernel: AVX2 loop on a non-amd64 build")
+}

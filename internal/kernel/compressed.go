@@ -258,31 +258,32 @@ func SumCompressed(x Exec, c *compress.Column, mask *bitvec.Vector) (sum uint64,
 	}
 	count = c.Len()
 	if mask != nil {
-		count = mask.Count()
+		count = Count(mask)
 	}
-	st := x.Stage
-	sum, err = parallelRanges(x, c.Blocks(), func(lo, hi int) uint64 {
-		s, segs, bytes := sumCompressedRange(c, mask, lo, hi)
-		if st != nil {
-			st.AddSegments(segs, bytes)
-		}
-		return s
-	}, addUint64)
+	part, err := parallelRanges(x, c.Blocks(), func(lo, hi int) sumPartial {
+		var p sumPartial
+		p.padded, p.segs, p.bytes = sumCompressedRange(c, mask, lo, hi)
+		return p
+	}, addSum)
 	if err != nil {
 		return 0, 0, err
 	}
-	return sum, count, nil
+	part.record(x.Stage)
+	return part.padded, count, nil
 }
 
 // extremeCompressedRange finds the min/max decoded code among mask's live
-// rows in blocks [blo, bhi). A block whose exact bounds cannot improve
-// the running extreme is skipped without reading its mask words or
-// streams.
-func extremeCompressedRange(c *compress.Column, mask *bitvec.Vector, isMin bool, blo, bhi int) (best uint32, ok bool, segs, bytes int64) {
+// rows in blocks [blo, bhi), starting from the running extreme (best, ok).
+// A block whose exact bounds cannot improve the running extreme is
+// skipped without reading its mask words or streams, and the walk stops
+// once the extreme is the domain bound.
+func extremeCompressedRange(c *compress.Column, mask *bitvec.Vector, isMin bool, blo, bhi int, best uint32, ok bool) (uint32, bool, int64, int64) {
 	var buf [compress.BlockCodes]uint32
 	mins, maxs := c.Mins(), c.Maxs()
 	offs := c.DataOffs()
-	for b := blo; b < bhi; b++ {
+	bound := extremeBound(c.Width(), isMin)
+	var segs, bytes int64
+	for b := blo; b < bhi && !(ok && best == bound); b++ {
 		bytes += blockMetaBytes
 		if ok && ((isMin && mins[b] >= best) || (!isMin && maxs[b] <= best)) {
 			continue
@@ -321,6 +322,8 @@ func extremeCompressedRange(c *compress.Column, mask *bitvec.Vector, isMin bool,
 // ExtremeCompressed returns the min (isMin) or max code of a compressed
 // column restricted to mask. A nil mask answers from the exact per-block
 // bounds without decoding anything; ok is false when no row qualifies.
+// Every batch and worker starts from the running extreme, and the
+// fan-out ends once it is the domain bound, as in Extreme.
 func ExtremeCompressed(x Exec, c *compress.Column, mask *bitvec.Vector, isMin bool) (uint32, bool, error) {
 	if mask != nil && mask.Len() != c.Len() {
 		panic("kernel: aggregate mask length mismatch")
@@ -343,16 +346,19 @@ func ExtremeCompressed(x Exec, c *compress.Column, mask *bitvec.Vector, isMin bo
 		}
 		return best, ok, nil
 	}
-	best, err := parallelRanges(x, c.Blocks(), func(lo, hi int) extPartial {
-		v, ok, segs, bytes := extremeCompressedRange(c, mask, isMin, lo, hi)
-		if st != nil {
-			st.AddSegments(segs, bytes)
-		}
-		return extPartial{v, ok}
-	}, mergeExtreme(isMin))
+	bound := extremeBound(c.Width(), isMin)
+	run := &runningExtreme{isMin: isMin}
+	best, err := parallelRangesUntil(x, c.Blocks(), func(lo, hi int) extPartial {
+		var p extPartial
+		p.v, p.ok = run.load()
+		p.v, p.ok, p.segs, p.bytes = extremeCompressedRange(c, mask, isMin, lo, hi, p.v, p.ok)
+		run.offer(p.v, p.ok)
+		return p
+	}, mergeExtreme(isMin), func(p extPartial) bool { return p.ok && p.v == bound })
 	if err != nil {
 		return 0, false, err
 	}
+	best.record(st)
 	return best.v, best.ok, nil
 }
 

@@ -16,10 +16,11 @@ import (
 // kernel takes an Exec and runs through parallelRanges, which gives three
 // guarantees the bare range loops do not:
 //
-//   - Cancellation: the work range is processed in batches of
-//     batchSegments; between batches every worker observes the context, so
-//     a cancelled query stops within one batch (~8K rows per worker)
-//     instead of running the column to completion.
+//   - Cancellation: under a context, the work range is processed in
+//     batches of batchSegments; between batches every worker observes the
+//     context, so a cancelled query stops within one batch (~8K rows per
+//     worker) instead of running the column to completion. Without one,
+//     nothing can stop the range, and a worker runs it as one batch.
 //   - Panic isolation: each batch runs under recover. A panic inside a
 //     kernel — a latent bug, a corrupt layout — becomes a *PanicError
 //     naming the failing range and is returned as an error from the
@@ -30,7 +31,9 @@ import (
 //     worker and reach the Stage's atomics once per worker range.
 //
 // The first failure wins; the other workers drain at their next batch
-// boundary.
+// boundary. A kernel that knows its answer before the range ends — an
+// extreme that reached its domain bound — ends the fan-out the same way,
+// without an error (parallelRangesUntil).
 
 // Exec describes how one kernel invocation runs. The zero value is a
 // serial, never-cancelled, uninstrumented run.
@@ -63,7 +66,8 @@ func (e *PanicError) Error() string {
 }
 
 // fanout coordinates one parallelRanges call: the first error
-// (cancellation or panic) stops every worker at its next batch boundary.
+// (cancellation or panic), or a halt, stops every worker at its next
+// batch boundary.
 type fanout struct {
 	ctx     context.Context
 	st      *obs.Stage // nil = observability disabled
@@ -80,6 +84,9 @@ func (f *fanout) fail(err error) {
 	f.mu.Unlock()
 	f.stopped.Store(true)
 }
+
+// halt stops every worker at its next batch boundary without an error.
+func (f *fanout) halt() { f.stopped.Store(true) }
 
 // stop reports whether workers should cease scheduling new batches,
 // folding a freshly-cancelled context into the recorded error.
@@ -119,8 +126,9 @@ func protect[T any](lo, hi int, fn func(segLo, segHi int) T) (out T, err error) 
 var BatchHook func(segLo, segHi int)
 
 // runRange executes fn over [lo, hi) in cancellation batches with panic
-// isolation, merging per-batch results via combine.
-func runRange[T any](f *fanout, lo, hi int, fn func(segLo, segHi int) T, combine func(T, T) T) T {
+// isolation, merging per-batch results via combine. When done is non-nil
+// and reports the merged result final, it halts the fan-out.
+func runRange[T any](f *fanout, lo, hi int, fn func(segLo, segHi int) T, combine func(T, T) T, done func(T) bool) T {
 	run := fn
 	hook := BatchHook
 	if hook != nil {
@@ -140,9 +148,11 @@ func runRange[T any](f *fanout, lo, hi int, fn func(segLo, segHi int) T, combine
 		start = time.Now()
 	}
 	step := batchSegments
-	if f.ctx == nil && f.st == nil && hook == nil {
-		// Nothing to observe between batches: run the range in one
-		// protected call, as the bare range loop would.
+	if f.ctx == nil && hook == nil {
+		// No context to observe between batches: run the range in one
+		// protected, timed call, as the bare range loop would. A stage
+		// then records one batch per worker, and the query pays no
+		// per-batch clock read, recover or merge.
 		step = hi - lo
 	}
 	var acc T
@@ -165,6 +175,10 @@ func runRange[T any](f *fanout, lo, hi int, fn func(segLo, segHi int) T, combine
 			last = now
 		}
 		acc = combine(acc, v)
+		if done != nil && done(acc) {
+			f.halt()
+			return acc
+		}
 	}
 	return acc
 }
@@ -175,6 +189,14 @@ func runRange[T any](f *fanout, lo, hi int, fn func(segLo, segHi int) T, combine
 // error the zero T is returned: partial results of a failed fan-out are
 // meaningless because an arbitrary suffix of the work never ran.
 func parallelRanges[T any](x Exec, segs int, fn func(segLo, segHi int) T, combine func(T, T) T) (T, error) {
+	return parallelRangesUntil(x, segs, fn, combine, nil)
+}
+
+// parallelRangesUntil is parallelRanges for a kernel that can know its
+// answer early: once done reports a worker's merged result final, every
+// worker stops at its next batch boundary, and the partials merge as
+// usual, without an error. A nil done runs every batch.
+func parallelRangesUntil[T any](x Exec, segs int, fn func(segLo, segHi int) T, combine func(T, T) T, done func(T) bool) (T, error) {
 	f := &fanout{ctx: x.Ctx, st: x.Stage}
 	var zero T
 	workers := x.Workers
@@ -188,7 +210,7 @@ func parallelRanges[T any](x Exec, segs int, fn func(segLo, segHi int) T, combin
 		x.Stage.SetWorkers(workers)
 	}
 	if workers == 1 {
-		v := runRange(f, 0, segs, fn, combine)
+		v := runRange(f, 0, segs, fn, combine, done)
 		if err := f.finish(); err != nil {
 			return zero, err
 		}
@@ -205,7 +227,7 @@ func parallelRanges[T any](x Exec, segs int, fn func(segLo, segHi int) T, combin
 		wg.Add(1)
 		go func(i, lo, hi int) {
 			defer wg.Done()
-			partials[i] = runRange(f, lo, hi, fn, combine)
+			partials[i] = runRange(f, lo, hi, fn, combine, done)
 		}(i, lo, hi)
 	}
 	wg.Wait()
@@ -241,32 +263,33 @@ func addUint64(a, b uint64) uint64 { return a + b }
 
 func dropUnit(a, _ struct{}) struct{} { return a }
 
-// sumPartial carries one range's padded sum and survivor count through
-// the merge.
+// sumPartial carries one range's sum (padded, for a ByteSlice column),
+// survivor count and stage counts through the merge.
 type sumPartial struct {
 	padded uint64
 	count  int
+	aggCounts
 }
 
-func addSum(a, b sumPartial) sumPartial { return sumPartial{a.padded + b.padded, a.count + b.count} }
+func addSum(a, b sumPartial) sumPartial {
+	return sumPartial{a.padded + b.padded, a.count + b.count, a.aggCounts.add(b.aggCounts)}
+}
 
-// extPartial carries one range's extreme candidate through the merge.
+// extPartial carries one range's extreme candidate and stage counts
+// through the merge.
 type extPartial struct {
 	v  uint32
 	ok bool
+	aggCounts
 }
 
 func mergeExtreme(isMin bool) func(a, b extPartial) extPartial {
 	return func(a, b extPartial) extPartial {
-		switch {
-		case !a.ok:
-			return b
-		case !b.ok:
-			return a
-		case isMin == (b.v < a.v):
-			return b
-		default:
-			return a
+		out := a
+		if !a.ok || (b.ok && isMin == (b.v < a.v)) {
+			out = b
 		}
+		out.aggCounts = a.aggCounts.add(b.aggCounts)
+		return out
 	}
 }

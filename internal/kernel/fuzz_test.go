@@ -17,7 +17,8 @@ import (
 // every native kernel produces results bit-identical to its modelled
 // engine counterpart in internal/core: Scan vs Scan, the pipelined scans
 // for both polarities under a striped and a clustered gate, worker-pool
-// scans vs serial, and the aggregates under the same masks.
+// scans vs serial, and the aggregates and Count under the same masks. On
+// an AVX2 host every scan, aggregate and Count also runs on both paths.
 // Run with `go test -fuzz FuzzNativeVsEngine ./internal/kernel` for
 // continuous fuzzing; the seed corpus runs in ordinary `go test`.
 func FuzzNativeVsEngine(f *testing.F) {
@@ -170,6 +171,9 @@ func FuzzNativeVsEngine(f *testing.F) {
 		// Aggregates unmasked, under a NULL-style mask and over the
 		// predicate's result mask vs the engine.
 		for _, mask := range []*bitvec.Vector{nil, prev, runs, want} {
+			if mask != nil {
+				mustCount(t, mask)
+			}
 			wantSum, wantN := b.Sum(layouttest.Engine(), mask)
 			gotSum, gotN := mustSum(t, x, b, mask)
 			if gotSum != wantSum || gotN != wantN {

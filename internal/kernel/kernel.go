@@ -8,7 +8,11 @@
 // the plain and zone-mapped ByteSlice scans run real AVX2 assembly
 // (avx2.go, avx2_amd64.s): one 32-byte compare covers a segment's 32
 // codes, as in the paper's Algorithm 1, and a zone-map walk decides 32
-// segments per compare.
+// segments per compare. So do the ByteSlice aggregates and the result
+// count (aggregate.go, aggregate_amd64.s), as in the paper's §5: a masked
+// Sum by VPSADBW over the byte slices, Min/Max by a VPMINUB walk over the
+// first slice that resolves only the rows tying the running extreme, and
+// Count by a VPSHUFB nibble popcount.
 //
 // Everywhere else — other architectures, hosts without AVX2, and every
 // other kernel — the kernels are portable SWAR. ByteSlice's byte-per-slice
@@ -16,8 +20,8 @@
 // same observation Stream VByte makes for byte-oriented codecs): a uint64
 // holds byte j of 8 consecutive codes, so per-byte comparisons run 8 lanes
 // at a time with carry-free SWAR arithmetic, and a 32-code ByteSlice
-// segment is covered by a 4×-unrolled word loop. The SWAR scan loops are
-// also the AVX2 loops' oracle in the tests.
+// segment is covered by a 4×-unrolled word loop. The SWAR loops are also
+// the AVX2 loops' oracle in the tests.
 //
 // On both paths the paper's byte-level early stop is preserved at segment
 // granularity: a segment loads its deeper byte slices only while some code

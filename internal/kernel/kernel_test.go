@@ -167,9 +167,12 @@ func mustScan(t testing.TB, x Exec, b *core.ByteSlice, p layout.Predicate, prev 
 	return pruned
 }
 
-// mustSum runs Sum under x and fails the test on an error.
+// mustSum runs Sum under x and fails the test on an error. On an AVX2
+// host it first checks that the SWAR and AVX2 loops agree on the sum
+// (compareSumPaths).
 func mustSum(t testing.TB, x Exec, b *core.ByteSlice, mask *bitvec.Vector) (uint64, int) {
 	t.Helper()
+	compareSumPaths(t, x, b, mask)
 	sum, count, err := Sum(x, b, mask)
 	if err != nil {
 		t.Fatal(err)
@@ -177,9 +180,12 @@ func mustSum(t testing.TB, x Exec, b *core.ByteSlice, mask *bitvec.Vector) (uint
 	return sum, count
 }
 
-// mustExtreme runs Extreme under x and fails the test on an error.
+// mustExtreme runs Extreme under x and fails the test on an error. On an
+// AVX2 host it first checks that the SWAR and AVX2 loops agree on the
+// extreme (compareExtremePaths).
 func mustExtreme(t testing.TB, x Exec, b *core.ByteSlice, mask *bitvec.Vector, isMin bool) (uint32, bool) {
 	t.Helper()
+	compareExtremePaths(t, x, b, mask, isMin)
 	v, ok, err := Extreme(x, b, mask, isMin)
 	if err != nil {
 		t.Fatal(err)

@@ -214,7 +214,7 @@ func (r *Result) Count() int {
 	if r.rows != nil {
 		return len(r.rows)
 	}
-	return r.bv.Count()
+	return kernel.Count(r.bv)
 }
 
 // Rows returns the matching record numbers in ascending order — the
@@ -225,7 +225,7 @@ func (r *Result) Rows() []int32 {
 		copy(out, r.rows)
 		return out
 	}
-	return r.bv.Positions(make([]int32, 0, r.bv.Count()))
+	return r.bv.Positions(make([]int32, 0, kernel.Count(r.bv)))
 }
 
 // Contains reports whether row i matched.
