@@ -31,11 +31,11 @@ func (t *Table) aggMask(c *Column, res *Result) (*bitvec.Vector, error) {
 		if res == nil {
 			return nil, nil
 		}
-		return res.bv, nil
+		return res.vector(), nil
 	}
 	m := bitvec.New(t.n)
 	if res != nil {
-		m.Or(res.bv)
+		m.Or(res.vector())
 	} else {
 		m.Fill()
 	}

@@ -124,6 +124,8 @@ func evalExpr(t filterEvaluator, e Expr, opts []QueryOption) (*Result, error) {
 					acc.stats.Absorb(r.stats)
 				}
 			}
+			// r's bits are folded into acc and r goes no further.
+			r.release()
 		}
 		var run []Filter
 		flush := func() error {

@@ -20,6 +20,13 @@ type Vector struct {
 	pos int
 }
 
+// Release hands a finished query result's lent vectors back for reuse.
+// The byteslice package sets it at start-up to release a
+// *byteslice.Result, whose vectors are unexported; internal/serve calls
+// it once a request's response no longer reads its result. It is an
+// internal seam, not API: a library caller's results are never released.
+var Release func(result any)
+
 // New returns a zeroed vector of n bits positioned for appending at bit 0.
 func New(n int) *Vector {
 	if n < 0 {

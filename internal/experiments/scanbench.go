@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 	"runtime"
@@ -12,6 +13,7 @@ import (
 	"byteslice/internal/datagen"
 	"byteslice/internal/kernel"
 	"byteslice/internal/layout"
+	"byteslice/internal/obs"
 	"byteslice/internal/perf"
 	"byteslice/internal/simd"
 )
@@ -37,7 +39,10 @@ type ScanBenchEntry struct {
 	// "sel1", "sel10" and "sel50", name its uniform selectivity in
 	// percent); "multi_column_first" the column-first multi-predicate
 	// conjunction, "multi_clustered" the same pipeline behind a sorted,
-	// zone-mapped leading column.
+	// zone-mapped leading column; "served_scan", "served_scan_zoned" and
+	// "served_sum" the serial Lt scan, zoned scan and masked sum of the
+	// "", "scan_zoned" and "sum" rows, under the Exec a served query runs
+	// its kernels with (servedExec): what a served query pays per kernel.
 	Mode string `json:"mode,omitempty"`
 	// Preds is the conjunct count of the multi-predicate benchmarks.
 	Preds int `json:"preds,omitempty"`
@@ -99,6 +104,8 @@ func CurrentEnv() *Env {
 func ScanBench(cfg Config, workerCounts []int) *ScanBenchResult {
 	const sel = 0.10
 	res := &ScanBenchResult{Rows: cfg.N, Op: "lt", Selectivity: sel, Env: CurrentEnv()}
+	ctx, cancel := servedContext()
+	defer cancel()
 	for _, k := range cfg.Widths {
 		codes := datagen.Uniform(datagen.NewRand(cfg.Seed), cfg.N, k)
 		b := core.New(codes, k, nil)
@@ -111,6 +118,11 @@ func ScanBench(cfg Config, workerCounts []int) *ScanBenchResult {
 
 		ns = measureScan(func() { check2(kernel.Scan(kernel.Exec{}, b, p, nil, false, out)) })
 		res.Results = append(res.Results, entry(k, "native", 1, ns, cfg.N))
+
+		ns = measureScan(func() { check2(kernel.Scan(servedExec(ctx, "scan"), b, p, nil, false, out)) })
+		served := entry(k, "native", 1, ns, cfg.N)
+		served.Mode = "served_scan"
+		res.Results = append(res.Results, served)
 
 		// The operator axis: the other range operators, native and serial,
 		// at the same selectivity (Eq measures the code path; see
@@ -129,6 +141,22 @@ func ScanBench(cfg Config, workerCounts []int) *ScanBenchResult {
 		}
 	}
 	return res
+}
+
+// servedExec is the Exec a served query runs a kernel under: serial, with
+// a cancellable context (servedContext), which the kernel checks once per
+// batch, and a fresh stage of the given kind, whose batches each take a
+// clock read.
+func servedExec(ctx context.Context, kind string) kernel.Exec {
+	return kernel.Exec{Ctx: ctx, Stage: obs.NewQuery().NewStage(kind, kind)}
+}
+
+// servedContext returns a live context whose Err locks a mutex, like the
+// deadline context of a served request, for the served rows.
+//
+//bsvet:rootctx the served rows model a request's context; nothing above a benchmark cancels it
+func servedContext() (context.Context, context.CancelFunc) {
+	return context.WithCancel(context.Background())
 }
 
 // opAxis measures the operator-axis rows over one column of codes: each
@@ -186,7 +214,8 @@ func entry(k int, path string, workers int, ns float64, n int) ScanBenchEntry {
 // 12-bit column at 1% selectivity, sorted and clustered distributions,
 // plain scan versus zoned scan at each worker count (plus serial). The
 // plain arm scans a copy of the same codes built without zone maps, so
-// the delta is purely the pruning.
+// the delta is purely the pruning. The serial zoned scan also runs under a
+// served query's Exec (servedExec).
 func ZonedScanBench(cfg Config, workerCounts []int) []ScanBenchEntry {
 	const (
 		k   = 12
@@ -200,6 +229,8 @@ func ZonedScanBench(cfg Config, workerCounts []int) []ScanBenchEntry {
 		{"sorted", datagen.Sorted(rng, cfg.N, k)},
 		{"clustered", datagen.Clustered(rng, cfg.N, k, 4096)},
 	}
+	ctx, cancel := servedContext()
+	defer cancel()
 	var out []ScanBenchEntry
 	for _, s := range sets {
 		plain := core.New(s.codes, k, nil)
@@ -207,6 +238,10 @@ func ZonedScanBench(cfg Config, workerCounts []int) []ScanBenchEntry {
 		zoned.BuildZoneMaps()
 		p := constFor(s.codes, k, layout.Lt, sel)
 		res := bitvec.New(cfg.N)
+		ns := measureScan(func() { check2(kernel.Scan(servedExec(ctx, "scan_zoned"), zoned, p, nil, false, res)) })
+		e := entry(k, "native", 1, ns, cfg.N)
+		e.Data, e.Mode = s.name, "served_scan_zoned"
+		out = append(out, e)
 		for _, w := range append([]int{1}, workerCounts...) {
 			x := kernel.Exec{Workers: w}
 			ns := measureScan(func() { check2(kernel.Scan(x, plain, p, nil, false, res)) })
@@ -273,12 +308,15 @@ func AggBench(cfg Config, workerCounts []int) []ScanBenchEntry {
 // selectivity: Sum over the 16-bit value column v, Min over a
 // price-shaped 24-bit column (codes uniform over the first 60% of the
 // domain, leadingCodes, so the domain bound that ends a Min early almost
-// never occurs), and, once, Count of the 10% result.
+// never occurs), and, at 10%, the Sum again under a served query's Exec
+// (servedExec) and Count.
 func aggAxis(cfg Config, v *core.ByteSlice, codes []uint32, kf int) []ScanBenchEntry {
 	const kp = 24
 	f := core.New(codes, kf, nil)
 	price := core.New(leadingCodes(datagen.NewRand(cfg.Seed+1), cfg.N, kp), kp, nil)
 	mask := bitvec.New(cfg.N)
+	ctx, cancel := servedContext()
+	defer cancel()
 	var out []ScanBenchEntry
 	for _, pct := range []int{1, 10, 50} {
 		check2(kernel.Scan(kernel.Exec{}, f, constFor(codes, kf, layout.Lt, float64(pct)/100), nil, false, mask))
@@ -298,6 +336,13 @@ func aggAxis(cfg Config, v *core.ByteSlice, codes []uint32, kf int) []ScanBenchE
 		e.Data, e.Mode = data, "min"
 		out = append(out, e)
 		if pct == 10 {
+			ns = measureScan(func() {
+				_, _, err := kernel.Sum(servedExec(ctx, "sum"), v, mask)
+				check(err)
+			})
+			e = entry(v.Width(), "native", 1, ns, cfg.N)
+			e.Data, e.Mode = data, "served_sum"
+			out = append(out, e)
 			ns = measureScan(func() { kernel.Count(mask) })
 			e = entry(kf, "native", 1, ns, cfg.N)
 			e.Data, e.Mode = data, "count"

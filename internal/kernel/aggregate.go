@@ -250,7 +250,7 @@ func Sum(x Exec, b *core.ByteSlice, mask *bitvec.Vector) (sum uint64, count int,
 		a = newAggCols(b, mask)
 	}
 	if mask == nil {
-		padded, err := parallelRanges(x, segs, func(lo, hi int) uint64 {
+		padded, err := parallelRanges(x, segs, core.SegmentSize, func(lo, hi int) uint64 {
 			if a != nil {
 				return sumSegmentsAVX2(a, lo, hi)
 			}
@@ -262,7 +262,7 @@ func Sum(x Exec, b *core.ByteSlice, mask *bitvec.Vector) (sum uint64, count int,
 		aggCounts{segs: int64(segs), bytes: int64(segs) * segBytes}.record(x.Stage)
 		return padded >> pad, b.Len(), nil
 	}
-	part, err := parallelRanges(x, segs, func(lo, hi int) sumPartial {
+	part, err := parallelRanges(x, segs, core.SegmentSize, func(lo, hi int) sumPartial {
 		var p sumPartial
 		var loaded int
 		if a != nil {
@@ -491,7 +491,7 @@ func Extreme(x Exec, b *core.ByteSlice, mask *bitvec.Vector, isMin bool) (uint32
 		}
 		a.bound = bound<<pad ^ a.flip
 	}
-	best, err := parallelRangesUntil(x, b.Segments(), func(lo, hi int) extPartial {
+	best, err := parallelRangesUntil(x, b.Segments(), core.SegmentSize, func(lo, hi int) extPartial {
 		var p extPartial
 		var walked, loaded int
 		if a != nil {

@@ -113,7 +113,7 @@ func rangeOnPaths(t *testing.T, b *core.ByteSlice, p layout.Predicate, lo, hi in
 
 // TestAVX2Ranges drives the range loops directly over ranges the fan-out
 // never produces: odd starts and ends, one segment, ranges cut at the
-// 256-segment batch edge and at a 32-segment chunk edge, and ranges that
+// 256-segment window edge and at a 32-segment chunk edge, and ranges that
 // end on the column's partial last segment. Segments outside the range
 // must keep their stale bits.
 func TestAVX2Ranges(t *testing.T) {

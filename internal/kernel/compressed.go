@@ -15,8 +15,8 @@ import (
 // The raw column is never materialised: a worker walks 512-code blocks,
 // and for each block either
 //
-//   - resolves it from the 8 bytes of exact min/max metadata (writing 16
-//     segment words without touching the streams),
+//   - resolves it from the 8 bytes of exact min/max metadata (writing its
+//     8 result words without touching the streams),
 //   - compares the block's FOR bytes directly in SWAR registers when every
 //     value fits one byte (the strict predicate's constants are translated
 //     by the block reference, see uniformFor), or
@@ -136,12 +136,14 @@ func (sc *scanner) scanCompressedBlocks(p layout.Predicate, ctl, data []byte, of
 			d = sc.fixed
 		}
 		if d != 0 {
-			w := uint32(0)
+			w := uint64(0)
 			if d > 0 {
-				w = ^uint32(0)
+				w = ^uint64(0)
 			}
-			for s := 0; s < segCount; s++ {
-				out.SetWord32(base+s*core.SegmentSize, w)
+			// A block starts on a 64-row word: one plain store covers two
+			// segments, and SetWord64 truncates a partial last block.
+			for s := 0; s < segCount; s += 2 {
+				out.SetWord64(base+s*core.SegmentSize, w)
 			}
 			pruned += segCount
 			if dh != nil {
@@ -191,7 +193,7 @@ func ScanCompressed(x Exec, c *compress.Column, p layout.Predicate, out *bitvec.
 		panic("kernel: result vector length mismatch")
 	}
 	st := x.Stage
-	return parallelRanges(x, c.Blocks(), func(lo, hi int) int {
+	return parallelRanges(x, c.Blocks(), compress.BlockCodes, func(lo, hi int) int {
 		if st == nil {
 			pruned, _ := scanCompressedRange(c, p, lo, hi, out, nil)
 			return pruned
@@ -260,7 +262,7 @@ func SumCompressed(x Exec, c *compress.Column, mask *bitvec.Vector) (sum uint64,
 	if mask != nil {
 		count = Count(mask)
 	}
-	part, err := parallelRanges(x, c.Blocks(), func(lo, hi int) sumPartial {
+	part, err := parallelRanges(x, c.Blocks(), compress.BlockCodes, func(lo, hi int) sumPartial {
 		var p sumPartial
 		p.padded, p.segs, p.bytes = sumCompressedRange(c, mask, lo, hi)
 		return p
@@ -348,7 +350,7 @@ func ExtremeCompressed(x Exec, c *compress.Column, mask *bitvec.Vector, isMin bo
 	}
 	bound := extremeBound(c.Width(), isMin)
 	run := &runningExtreme{isMin: isMin}
-	best, err := parallelRangesUntil(x, c.Blocks(), func(lo, hi int) extPartial {
+	best, err := parallelRangesUntil(x, c.Blocks(), compress.BlockCodes, func(lo, hi int) extPartial {
 		var p extPartial
 		p.v, p.ok = run.load()
 		p.v, p.ok, p.segs, p.bytes = extremeCompressedRange(c, mask, isMin, lo, hi, p.v, p.ok)

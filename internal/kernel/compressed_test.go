@@ -15,8 +15,10 @@ import (
 // compressedShapes covers every per-block path: uniform random (mixed
 // lengths, nothing prunes), sorted (delta blocks, nearly everything
 // prunes), clustered (FOR, partial pruning), low-entropy (every block on
-// the uniform 1-byte no-decode path), and tail sizes around the block
-// boundary.
+// the uniform 1-byte no-decode path), tail sizes around the block
+// boundary, and sorted codes whose last block holds an odd number of
+// segments, three with the last partial, which the block bounds decide
+// either way as the constant moves.
 func compressedShapes(k int) map[string][]uint32 {
 	rng := datagen.NewRand(0xBEEF)
 	shapes := map[string][]uint32{
@@ -26,6 +28,7 @@ func compressedShapes(k int) map[string][]uint32 {
 		"block":     datagen.Uniform(rng, compress.BlockCodes, k),
 		"block+1":   datagen.Uniform(rng, compress.BlockCodes+1, k),
 		"block-1":   datagen.Uniform(rng, compress.BlockCodes-1, k),
+		"odd_tail":  datagen.Sorted(rng, 2*compress.BlockCodes+2*core.SegmentSize+7, k),
 	}
 	// Narrow-span values around a fixed base: frame-of-reference offsets
 	// all fit one byte, so every block takes the direct-compare path.

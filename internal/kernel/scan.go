@@ -86,7 +86,7 @@ func Scan(x Exec, b *core.ByteSlice, p layout.Predicate, prev *bitvec.Vector, ne
 		meta += gateMaskBytes
 	}
 	st := x.Stage
-	tot, err := parallelRanges(x, b.Segments(), func(lo, hi int) scanPartial {
+	tot, err := parallelRanges(x, b.Segments(), core.SegmentSize, func(lo, hi int) scanPartial {
 		var part scanPartial
 		if st == nil {
 			part.pruned, _ = sc.run(lo, hi, out, nil)

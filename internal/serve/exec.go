@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"byteslice"
+	"byteslice/internal/bitvec"
 )
 
 // defaultRowLimit caps op "rows" output when the request names no limit.
@@ -127,6 +128,9 @@ func (s *Server) exec(ctx context.Context, req *Request, tenant string) (*Respon
 	if err != nil {
 		return nil, err
 	}
+	// The response below copies what it needs out of res, so the result
+	// vector goes back to the table for the next request when exec ends.
+	defer bitvec.Release(res)
 
 	resp := &Response{Table: req.Table, Epoch: b.epoch, Rows: b.rows, Count: res.Count(), Cache: mode}
 	switch req.Op {
