@@ -11,13 +11,14 @@ import (
 )
 
 // Aggregates over columns, optionally restricted to a filter Result.
-// ByteSlice columns aggregate with SIMD directly on the byte slices
-// (masked SAD sums, slice-wise min/max tournaments — see
-// internal/core/aggregate.go); other formats fall back to per-row lookups.
-// Without a profile, the native kernels in internal/kernel run instead of
-// the modelled engine: AVX2 where the start-up probe found it (VPSADBW
-// sums, a first-slice VPMINUB walk for Min/Max), SWAR elsewhere. NULL
-// rows of the aggregated column are always excluded, matching SQL.
+// Sum, Min and Max run through the layout's aggregate entries
+// (dispatch.go). Profiled, ByteSlice columns aggregate with SIMD directly
+// on the byte slices (masked SAD sums, slice-wise min/max tournaments —
+// see internal/core/aggregate.go). Without a profile, the native kernels
+// in internal/kernel run on raw and compressed ByteSlice: AVX2 where the
+// start-up probe found it (VPSADBW sums, a first-slice VPMINUB walk for
+// Min/Max), SWAR elsewhere. Other layouts fall back to per-row lookups.
+// NULL rows of the aggregated column are always excluded, matching SQL.
 
 // aggMask builds the effective row mask: the result's rows (or all rows)
 // minus the column's NULLs. Returns nil when every row participates. When
@@ -55,49 +56,28 @@ func (t *Table) aggColumn(name string, kind Kind) (*Column, error) {
 	return c, nil
 }
 
-// sumCodes computes (Σ codes, row count) over the result's non-NULL rows.
-// ByteSlice columns aggregate with SIMD; without a profile the native SWAR
-// kernel runs instead of the modelled engine, chunked across workers when
-// the query is parallel.
+// sumCodes computes (Σ codes, row count) over the result's non-NULL rows
+// through the layout's sum entry on the query's engine (kernelOf), or by
+// per-row lookups where the layout has none.
 func (t *Table) sumCodes(c *Column, res *Result, cfg *queryConfig) (uint64, int, error) {
 	mask, err := t.aggMask(c, res)
 	if err != nil {
 		return 0, 0, err
 	}
-	if cc, ok := compressedOf(c.data); ok && cfg.native() {
+	if lk := cfg.kernelOf(c); lk != nil && lk.sum != nil {
 		st, finish := cfg.aggStage("sum("+c.Name()+")", "sum")
-		sum, count, err := kernel.SumCompressed(cfg.exec(st, cc.Segments()), cc, mask)
+		sum, count, err := lk.sum(cfg.exec(st, c.segments()), cfg.profile, c, mask)
 		err = queryErr(err)
 		finish(err)
 		return sum, count, err
 	}
-	if bs, ok := byteSliceOf(c.data); ok {
-		if cfg.native() {
-			st, finish := cfg.aggStage("sum("+c.Name()+")", "sum")
-			sum, count, err := kernel.Sum(cfg.exec(st, bs.Segments()), bs, mask)
-			err = queryErr(err)
-			finish(err)
-			return sum, count, err
-		}
-		sum, count := bs.Sum(cfg.profile.engine(), mask)
-		return sum, count, nil
-	}
-	e := cfg.profile.engine()
 	var sum uint64
 	count := 0
-	for i := 0; i < t.n; i++ {
-		if i%8192 == 0 {
-			if err := cfg.ctxErr(); err != nil {
-				return 0, 0, err
-			}
-		}
-		if mask != nil && !mask.Get(i) {
-			continue
-		}
-		sum += uint64(c.data.Lookup(e, i))
+	err = eachCode(cfg, c, mask, func(code uint32) {
+		sum += uint64(code)
 		count++
-	}
-	return sum, count, nil
+	})
+	return sum, count, err
 }
 
 // extremeCode computes min or max of the codes over the result's non-NULL
@@ -107,56 +87,25 @@ func (t *Table) extremeCode(c *Column, res *Result, cfg *queryConfig, isMin bool
 	if err != nil {
 		return 0, false, err
 	}
-	if cc, ok := compressedOf(c.data); ok && cfg.native() {
+	if lk := cfg.kernelOf(c); lk != nil && lk.extreme != nil {
 		name := "max(" + c.Name() + ")"
 		if isMin {
 			name = "min(" + c.Name() + ")"
 		}
 		st, finish := cfg.aggStage(name, "extreme")
-		v, found, err := kernel.ExtremeCompressed(cfg.exec(st, cc.Segments()), cc, mask, isMin)
+		v, found, err := lk.extreme(cfg.exec(st, c.segments()), cfg.profile, c, mask, isMin)
 		err = queryErr(err)
 		finish(err)
 		return v, found, err
 	}
-	if bs, ok := byteSliceOf(c.data); ok {
-		if cfg.native() {
-			name := "max(" + c.Name() + ")"
-			if isMin {
-				name = "min(" + c.Name() + ")"
-			}
-			st, finish := cfg.aggStage(name, "extreme")
-			v, found, err := kernel.Extreme(cfg.exec(st, bs.Segments()), bs, mask, isMin)
-			err = queryErr(err)
-			finish(err)
-			return v, found, err
-		}
-		e := cfg.profile.engine()
-		if isMin {
-			v, found := bs.Min(e, mask)
-			return v, found, nil
-		}
-		v, found := bs.Max(e, mask)
-		return v, found, nil
-	}
-	e := cfg.profile.engine()
 	var best uint32
 	found := false
-	for i := 0; i < t.n; i++ {
-		if i%8192 == 0 {
-			if err := cfg.ctxErr(); err != nil {
-				return 0, false, err
-			}
-		}
-		if mask != nil && !mask.Get(i) {
-			continue
-		}
-		v := c.data.Lookup(e, i)
+	err = eachCode(cfg, c, mask, func(v uint32) {
 		if !found || (isMin && v < best) || (!isMin && v > best) {
-			best = v
-			found = true
+			best, found = v, true
 		}
-	}
-	return best, found, nil
+	})
+	return best, found, err
 }
 
 // SumInt sums an integer column over the result's rows (all rows when res

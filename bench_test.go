@@ -427,22 +427,3 @@ func BenchmarkNativeScanParallel(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkParallelScanWall measures real goroutine-parallel scan
-// throughput over one shared ByteSlice column.
-func BenchmarkParallelScanWall(b *testing.B) {
-	const n, k = 1 << 21, 16
-	codes := datagen.Uniform(datagen.NewRand(8), n, k)
-	col := core.New(codes, k, cache.NewArena(64))
-	p := layout.Predicate{Op: layout.Lt, C1: datagen.SelectivityConstant(codes, 0.1)}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(strconv.Itoa(workers), func(b *testing.B) {
-			out := bitvec.New(n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				col.ParallelScan(p, workers, out)
-			}
-			b.ReportMetric(float64(n*b.N)/b.Elapsed().Seconds()/1e6, "Mcodes/s")
-		})
-	}
-}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"byteslice/internal/bitvec"
-
+	"byteslice/internal/compress"
 	"byteslice/internal/encoding"
 	"byteslice/internal/kernel"
 	"byteslice/internal/layout"
@@ -95,7 +95,7 @@ func (cfg columnConfig) build(id Column, k int, codes []uint32) (*Column, error)
 	if cfg.compress && (f == "" || f == FormatByteSlice) {
 		f = FormatByteSliceC
 	}
-	return newColumn(id, k, codes, cfg.nullRows, f, cfg.zoneMaps)
+	return newColumn(id, k, codes, cfg.nullRows, f, cfg.zoneMaps, true)
 }
 
 func applyOpts(opts []ColumnOption) columnConfig {
@@ -112,7 +112,10 @@ func applyOpts(opts []ColumnOption) columnConfig {
 // zoneMaps is set and the layout is raw ByteSlice, the zone maps.
 // Construction, snapshot load, ingest seal and merge, and re-layout all
 // build through it. The codes must already lie in the encoder's domain.
-func newColumn(id Column, k int, codes []uint32, nullRows []int, f Format, zoneMaps bool) (*Column, error) {
+// A ByteSliceC request runs the build-time compression decision only when
+// decide is set (construction and re-layout, the caller's choice); a
+// loaded or merged column stays compressed, as its first build chose.
+func newColumn(id Column, k int, codes []uint32, nullRows []int, f Format, zoneMaps, decide bool) (*Column, error) {
 	build, err := builderFor(f)
 	if err != nil {
 		return nil, err
@@ -122,7 +125,11 @@ func newColumn(id Column, k int, codes []uint32, nullRows []int, f Format, zoneM
 		return nil, err
 	}
 	c.hist = buildHistogram(codes, maxCodeFor(k))
-	c.data = build(codes, k, arena)
+	if f == FormatByteSliceC && !decide {
+		c.data = compress.New(codes, k, arena)
+	} else {
+		c.data = build(codes, k, arena)
+	}
 	if bs, ok := byteSliceOf(c.data); ok && zoneMaps {
 		bs.BuildZoneMaps()
 	}

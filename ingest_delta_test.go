@@ -164,7 +164,7 @@ func TestDeltaMerge(t *testing.T) {
 // once merged, read back exactly by row from the new base, whose columns
 // keep the base's storage formats.
 func TestDeltaMatrix(t *testing.T) {
-	const n, appended = 37, 21
+	const n, appended = matrixRows + 37, 21
 	nullEvery := map[string]int{"none": 0, "sparse": 7, "dense": 2}
 	formats := append(byteslice.Formats(), byteslice.FormatByteSliceC)
 	for _, format := range formats {

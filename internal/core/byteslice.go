@@ -54,8 +54,6 @@ type ByteSlice struct {
 	zones *zoneMap
 }
 
-var _ layout.Pipelined = (*ByteSlice)(nil)
-
 // New builds a ByteSlice column from codes of width k. The arena assigns
 // the simulated addresses of the byte slices; it may be nil when cache
 // behaviour is not being modelled.
@@ -304,13 +302,13 @@ func (b *ByteSlice) Scan(e *simd.Engine, p layout.Predicate, out *bitvec.Vector)
 	}
 }
 
-// ScanPipelined implements layout.Pipelined with Algorithm 2: the
-// column-first pipelined scan. The previous predicate's condensed result
-// bits gate each segment — a segment none of whose codes can still qualify
-// is skipped entirely — and the early-stopping test becomes
-// (r_prev & movemask(Meq)) == 0. With negate=false the output is
-// prev AND result (conjunction); with negate=true the scan considers only
-// rows where prev is unset and outputs prev OR result (disjunction).
+// ScanPipelined is Algorithm 2, the column-first pipelined scan. The
+// previous predicate's condensed result bits gate each segment — a
+// segment none of whose codes can still qualify is skipped entirely — and
+// the early-stopping test becomes (r_prev & movemask(Meq)) == 0. With
+// negate=false the output is prev AND result (conjunction); with
+// negate=true the scan considers only rows where prev is unset and
+// outputs prev OR result (disjunction, §4.1.3 / Appendix E).
 func (b *ByteSlice) ScanPipelined(e *simd.Engine, p layout.Predicate, prev *bitvec.Vector, negate bool, out *bitvec.Vector) {
 	if prev.Len() != b.n {
 		panic("core: pipelined scan with mismatched previous result length")

@@ -65,7 +65,44 @@ func TestOption2RejectsBetween(t *testing.T) {
 	l.Scan(layouttest.Engine(), layout.Predicate{Op: layout.Between, C1: 1, C2: 2}, bitvec.New(3))
 }
 
-func TestPipelinedByteSlice(t *testing.T) { layouttest.RunPipelined(t, core.NewBuilder) }
+// TestPipelinedByteSlice checks the column-first pipelined scan against
+// scan-then-combine, for both conjunction and disjunction, under previous
+// results of varying density.
+func TestPipelinedByteSlice(t *testing.T) {
+	rng := rand.New(rand.NewPCG(0xF1, 0)) //nolint:gosec
+	for _, k := range []int{5, 8, 12, 17, 24, 32} {
+		codes := layouttest.RandomCodes(rng, 2029, k, "uniform")
+		b := core.New(codes, k, nil)
+		max := uint32(uint64(1)<<uint(k) - 1)
+		for _, density := range []float64{0, 0.001, 0.1, 0.5, 0.99, 1} {
+			prev := bitvec.New(len(codes))
+			for i := range codes {
+				if rng.Float64() < density {
+					prev.Set(i, true)
+				}
+			}
+			for _, op := range []layout.Op{layout.Lt, layout.Eq, layout.Ne, layout.Ge, layout.Between} {
+				p := layout.Predicate{Op: op, C1: max / 3, C2: max / 2}
+				e := layouttest.Engine()
+				plain := bitvec.New(len(codes))
+				b.Scan(e, p, plain)
+				for _, negate := range []bool{false, true} {
+					got := bitvec.New(len(codes))
+					b.ScanPipelined(e, p, prev, negate, got)
+					want := plain.Clone()
+					if negate {
+						want.Or(prev)
+					} else {
+						want.And(prev)
+					}
+					if !got.Equal(want) {
+						t.Fatalf("k=%d %v density=%.3f negate=%v: pipelined scan differs", k, p, density, negate)
+					}
+				}
+			}
+		}
+	}
+}
 
 // TestPredicateFirst checks the predicate-first multi-column scans against
 // independent per-column scans combined with bit-vector algebra.

@@ -238,7 +238,7 @@ func parallelRangesUntil[T any](x Exec, segs, unitCost int, fn func(segLo, segHi
 		}
 		return v, nil
 	}
-	chunk := core.ChunkEven(segs, workers)
+	chunk := chunkEven(segs, workers)
 	partials := make([]T, (segs+chunk-1)/chunk)
 	var wg sync.WaitGroup
 	for i, lo := 0, 0; lo < segs; i, lo = i+1, lo+chunk {
@@ -261,6 +261,14 @@ func parallelRangesUntil[T any](x Exec, segs, unitCost int, fn func(segLo, segHi
 		acc = combine(acc, p)
 	}
 	return acc, nil
+}
+
+// chunkEven returns the per-worker chunk size (in segments) used to
+// partition segs segments across workers. Two segments share one 64-bit
+// word of the result vector; aligning chunk boundaries to even segment
+// numbers keeps each word owned by exactly one worker (no write races).
+func chunkEven(segs, workers int) int {
+	return ((segs+workers-1)/workers + 1) &^ 1
 }
 
 // parallelRows runs fn over the row-index ranges of an n-row lookup.

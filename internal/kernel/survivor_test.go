@@ -128,8 +128,8 @@ func survivorShapes(codes []uint32, k int) map[string]*bitvec.Vector {
 func survivorEdges(n int) []int {
 	segs := (n + core.SegmentSize - 1) / core.SegmentSize
 	batch := batchUnits(core.SegmentSize) * core.SegmentSize
-	half := core.ChunkEven(segs, 2) * core.SegmentSize
-	third := core.ChunkEven(segs, 3) * core.SegmentSize
+	half := chunkEven(segs, 2) * core.SegmentSize
+	third := chunkEven(segs, 3) * core.SegmentSize
 	return []int{zoneWindow * core.SegmentSize, half, third, 2 * third, batch, 2 * batch, half + batch}
 }
 

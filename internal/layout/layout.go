@@ -117,18 +117,6 @@ type Layout interface {
 	SizeBytes() uint64
 }
 
-// Pipelined is implemented by layouts that support the column-first
-// pipelined scan (Algorithm 2): segments whose bits are all zero in prev
-// are skipped, and the result is ANDed (conjunctive) with prev.
-type Pipelined interface {
-	Layout
-	// ScanPipelined evaluates p only where prev has a set bit, writing
-	// prev AND p into out. If negate is true the scan instead considers
-	// rows where prev is zero and writes prev OR p into out (disjunctive
-	// pipelining, §4.1.3 / Appendix E).
-	ScanPipelined(e *simd.Engine, p Predicate, prev *bitvec.Vector, negate bool, out *bitvec.Vector)
-}
-
 // Builder constructs a layout from codes of width k, registering its
 // memory regions with the arena (which determines simulated addresses for
 // the cache model). Builders must copy what they need: callers may reuse

@@ -191,53 +191,3 @@ func Run(t *testing.T, build layout.Builder) {
 		}
 	})
 }
-
-// RunPipelined executes the additional battery for layouts implementing
-// layout.Pipelined: the column-first pipelined scan must agree with
-// scan-then-combine for both conjunction and disjunction under previous
-// results of varying density.
-func RunPipelined(t *testing.T, build layout.Builder) {
-	t.Helper()
-	rng := rand.New(rand.NewPCG(0xF1, 0)) //nolint:gosec
-	for _, k := range []int{5, 8, 12, 17, 24, 32} {
-		codes := RandomCodes(rng, 2029, k, "uniform")
-		l := build(codes, k, nil)
-		pl, ok := l.(layout.Pipelined)
-		if !ok {
-			t.Fatalf("%s does not implement layout.Pipelined", l.Name())
-		}
-		max := uint32(uint64(1)<<uint(k) - 1)
-		for _, density := range []float64{0, 0.001, 0.1, 0.5, 0.99, 1} {
-			prev := bitvec.New(len(codes))
-			for i := range codes {
-				if rng.Float64() < density {
-					prev.Set(i, true)
-				}
-			}
-			for _, op := range []layout.Op{layout.Lt, layout.Eq, layout.Ne, layout.Ge, layout.Between} {
-				p := layout.Predicate{Op: op, C1: max / 3, C2: max / 2}
-				e := Engine()
-				plain := bitvec.New(len(codes))
-				l.Scan(e, p, plain)
-
-				// Conjunction.
-				got := bitvec.New(len(codes))
-				pl.ScanPipelined(e, p, prev, false, got)
-				want := plain.Clone()
-				want.And(prev)
-				if !got.Equal(want) {
-					t.Fatalf("%s k=%d %v density=%.3f: conjunctive pipelined scan differs", l.Name(), k, p, density)
-				}
-
-				// Disjunction.
-				got = bitvec.New(len(codes))
-				pl.ScanPipelined(e, p, prev, true, got)
-				want = plain.Clone()
-				want.Or(prev)
-				if !got.Equal(want) {
-					t.Fatalf("%s k=%d %v density=%.3f: disjunctive pipelined scan differs", l.Name(), k, p, density)
-				}
-			}
-		}
-	}
-}

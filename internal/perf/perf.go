@@ -93,14 +93,6 @@ type Counters struct {
 // Instructions is the total modelled instruction count.
 func (c Counters) Instructions() uint64 { return c.SIMD + c.Scalar + c.Branches }
 
-// Add accumulates o into c.
-func (c *Counters) Add(o Counters) {
-	c.SIMD += o.SIMD
-	c.Scalar += o.Scalar
-	c.Branches += o.Branches
-	c.Mispredicts += o.Mispredicts
-}
-
 // predictorState is a 2-bit saturating counter: 0,1 predict not-taken;
 // 2,3 predict taken.
 type predictorState uint8
@@ -282,12 +274,4 @@ func (p *Profile) Reset() {
 func (p *Profile) String() string {
 	return fmt.Sprintf("instr=%d (simd=%d scalar=%d br=%d misp=%d) cycles=%.0f",
 		p.C.Instructions(), p.C.SIMD, p.C.Scalar, p.C.Branches, p.C.Mispredicts, p.Cycles())
-}
-
-// Merge folds another profile's counters and stall cycles into p (used to
-// aggregate per-worker profiles of a parallel scan). Cache contents are
-// per-worker (per-core on hardware) and are not merged.
-func (p *Profile) Merge(o *Profile) {
-	p.C.Add(o.C)
-	p.stalls += o.stalls
 }

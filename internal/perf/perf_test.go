@@ -6,13 +6,8 @@ import (
 	"byteslice/internal/cache"
 )
 
-func TestCountersAdd(t *testing.T) {
-	a := Counters{SIMD: 1, Scalar: 2, Branches: 3, Mispredicts: 1}
-	b := Counters{SIMD: 10, Scalar: 20, Branches: 30, Mispredicts: 2}
-	a.Add(b)
-	if a.SIMD != 11 || a.Scalar != 22 || a.Branches != 33 || a.Mispredicts != 3 {
-		t.Fatalf("Add wrong: %+v", a)
-	}
+func TestCountersInstructions(t *testing.T) {
+	a := Counters{SIMD: 11, Scalar: 22, Branches: 33, Mispredicts: 3}
 	if a.Instructions() != 11+22+33 {
 		t.Fatalf("Instructions = %d", a.Instructions())
 	}
@@ -226,19 +221,5 @@ func TestModelLatencyLevels(t *testing.T) {
 	if m.latency(cache.L1) != 0 || m.latency(cache.L2) != 2 ||
 		m.latency(cache.L3) != 3 || m.latency(cache.Memory) != 4 {
 		t.Fatal("latency mapping wrong")
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a, b := NewProfileNoCache(), NewProfile()
-	a.C.SIMD = 5
-	b.C.SIMD = 7
-	b.Touch(0, 1) // cold miss → stalls in b
-	a.Merge(b)
-	if a.C.SIMD != 12 {
-		t.Fatalf("merged SIMD = %d", a.C.SIMD)
-	}
-	if a.MemStalls() != b.MemStalls() || a.MemStalls() == 0 {
-		t.Fatalf("merged stalls = %v", a.MemStalls())
 	}
 }

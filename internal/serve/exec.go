@@ -70,6 +70,13 @@ func (s *Server) exec(ctx context.Context, req *Request, tenant string) (*Respon
 	if err != nil {
 		return nil, err
 	}
+	if b.live {
+		// Refused before the cache probe and the lanes: a live mount's
+		// delta rows live outside the facade table these need.
+		if err := req.liveUnsupported(); err != nil {
+			return nil, err
+		}
+	}
 
 	ctx, cancel := context.WithTimeout(ctx, s.deadline(req.TimeoutMs))
 	defer cancel()
@@ -162,17 +169,13 @@ func (s *Server) exec(ctx context.Context, req *Request, tenant string) (*Respon
 // execRows materialises op "rows": the matching row ids (ordered when
 // asked, capped by the limit) plus the requested projected columns, read
 // for the kept rows only. Projections need the immutable facade table;
-// live ingest bindings support ids only.
+// live ingest bindings support ids only (exec refuses the rest).
 //
 //bsvet:builder execRows fills the under-construction Response
 func (s *Server) execRows(req *Request, b binding, res *byteslice.Result, resp *Response, opts []byteslice.QueryOption) error {
 	limit := req.Limit
 	if limit == 0 {
 		limit = defaultRowLimit
-	}
-	needsTable := req.OrderBy != "" || len(req.Cols) > 0
-	if b.live && needsTable {
-		return errUnsupported("order_by and projections need a snapshot table, not a live ingest mount")
 	}
 	if limit < 0 {
 		limit = res.Count()
@@ -231,14 +234,10 @@ func (s *Server) execRows(req *Request, b binding, res *byteslice.Result, resp *
 }
 
 // execAggregate runs sum/avg/min/max over Col, restricted to the filter
-// result. Aggregates run on the facade table; live ingest bindings are
-// rejected (their delta rows live outside the base table).
+// result, on the facade table (exec refuses them on a live mount).
 //
 //bsvet:builder execAggregate fills the under-construction Response
 func (s *Server) execAggregate(req *Request, b binding, res *byteslice.Result, resp *Response, opts []byteslice.QueryOption) error {
-	if b.live {
-		return errUnsupported("op %q needs a snapshot table, not a live ingest mount", req.Op)
-	}
 	col, err := b.tbl.Column(req.Col)
 	if err != nil {
 		return badQueryErr(err)

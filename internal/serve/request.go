@@ -100,6 +100,18 @@ func (r *Request) validate() error {
 	return nil
 }
 
+// liveUnsupported refuses what a live ingest mount cannot answer: an
+// aggregate, order_by or a projection, which need a snapshot table.
+func (r *Request) liveUnsupported() error {
+	switch {
+	case r.Op == "rows" && (r.OrderBy != "" || len(r.Cols) > 0):
+		return errUnsupported("order_by and projections need a snapshot table, not a live ingest mount")
+	case r.Op != "" && r.Op != "count" && r.Op != "rows":
+		return errUnsupported("op %q needs a snapshot table, not a live ingest mount", r.Op)
+	}
+	return nil
+}
+
 // argKey renders one argument for the canonical key, so that two
 // arguments share a key only when buildExpr reads them the same way: a
 // decoded number keeps its literal text (an integer column takes 10 but

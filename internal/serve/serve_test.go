@@ -391,13 +391,20 @@ func TestLiveMountUnsupportedOps(t *testing.T) {
 	if err := s.cat.add(&mount{name: "live", kind: "ingest", path: dir, ing: it}); err != nil {
 		t.Fatal(err)
 	}
+	// Refused before the filter runs: no query reaches the registry.
+	before := byteslice.StatsSnapshot().Queries
 	for _, req := range []*Request{
 		{Table: "live", Op: "sum", Col: "qty", Where: leaf("qty", "ge", 0)},
+		{Table: "live", Op: "min", Col: "qty", Where: leaf("qty", "ge", 0)},
 		{Table: "live", Op: "rows", Cols: []string{"qty"}, Where: leaf("qty", "ge", 0)},
+		{Table: "live", Op: "rows", OrderBy: "qty", Where: leaf("qty", "ge", 0)},
 	} {
 		if _, err := s.Do(context.Background(), req); !errors.Is(err, ErrUnsupported) {
 			t.Errorf("op %q on live mount: err = %v, want ErrUnsupported", req.Op, err)
 		}
+	}
+	if after := byteslice.StatsSnapshot().Queries; after != before {
+		t.Errorf("refused live-mount requests ran %d queries, want 0", after-before)
 	}
 	// Plain row ids stay supported on live mounts.
 	resp := mustDo(t, s, &Request{Table: "live", Op: "rows", Where: leaf("qty", "ge", 50)})

@@ -13,7 +13,7 @@ const (
 // Engine executes emulated vector instructions against a perf.Profile.
 // Every exported method models exactly one retired instruction unless its
 // documentation says otherwise. Engines are cheap to create and not safe
-// for concurrent use; parallel scans use one engine per worker.
+// for concurrent use.
 type Engine struct {
 	P *perf.Profile
 }

@@ -2,7 +2,9 @@ package byteslice_test
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"byteslice"
@@ -223,5 +225,189 @@ func TestChosenLayoutPersists(t *testing.T) {
 	}
 	if res.Count() != want.Count() {
 		t.Fatalf("loaded count %d, want %d", res.Count(), want.Count())
+	}
+}
+
+// TestDispatchMatrix runs every operation the layout dispatch serves —
+// Filter and FilterAny (a scan of the layout under test, a pipelined raw
+// ByteSlice conjunct and a match-all filter), ProjectInt, SumInt,
+// MinInt/MaxInt, SumIntBy and LookupCode — on every layout, with and
+// without NULLs, natively and profiled, against plain-loop oracles. Each
+// profiled case runs at WithParallelism(1) and at WithParallelism(4) and
+// must report identical modelled counters: the modelled path runs
+// serially whatever the pool size.
+func TestDispatchMatrix(t *testing.T) {
+	const n = 4099 // a partial final segment; long enough for ByteSliceC
+	rng := rand.New(rand.NewSource(29))
+	vals := make([]int64, n) // sorted over [0, 999]: ByteSliceC compresses it
+	ws := make([]int64, n)   // uniform over [0, 99]
+	gs := make([]int64, n)   // group keys in [0, 3]
+	ms := make([]int64, n)   // uniform over [0, 9], NULL every 5th row
+	var mNulls []int
+	for i := range vals {
+		vals[i] = int64(i * 1000 / n)
+		ws[i], gs[i], ms[i] = int64(rng.Intn(100)), int64(rng.Intn(4)), int64(rng.Intn(10))
+		if i%5 == 0 {
+			mNulls = append(mNulls, i)
+		}
+	}
+	w := intColumn(t, "w", ws, 0, 99)
+	g := intColumn(t, "g", gs, 0, 3)
+	m := intColumn(t, "m", ms, 0, 9, byteslice.WithNulls(mNulls))
+
+	mAll := byteslice.IntFilter("m", byteslice.Ge, -1) // below m's domain: match-all
+	queries := []struct {
+		disjunct bool
+		fs       []byteslice.Filter
+		want     func(v int64, vNull bool, i int) bool
+	}{
+		{false, []byteslice.Filter{byteslice.IntFilter("v", byteslice.Between, 200, 700), byteslice.IntFilter("w", byteslice.Lt, 60), mAll},
+			func(v int64, vNull bool, i int) bool { return !vNull && v >= 200 && v <= 700 && ws[i] < 60 && i%5 != 0 }},
+		{false, []byteslice.Filter{byteslice.IntFilter("w", byteslice.Lt, 60), byteslice.IntFilter("v", byteslice.Ge, 300)},
+			func(v int64, vNull bool, i int) bool { return !vNull && v >= 300 && ws[i] < 60 }},
+		{true, []byteslice.Filter{byteslice.IntFilter("v", byteslice.Lt, 100), byteslice.IntFilter("w", byteslice.Eq, 7), mAll},
+			func(v int64, vNull bool, i int) bool { return !vNull && v < 100 || ws[i] == 7 || i%5 != 0 }},
+		{true, []byteslice.Filter{byteslice.IntFilter("w", byteslice.Eq, 7), byteslice.IntFilter("v", byteslice.Gt, 900)},
+			func(v int64, vNull bool, i int) bool { return !vNull && v > 900 || ws[i] == 7 }},
+	}
+
+	for _, l := range []struct {
+		name   string
+		opt    byteslice.ColumnOption
+		format byteslice.Format
+	}{
+		{"ByteSlice", byteslice.WithFormat(byteslice.FormatByteSlice), byteslice.FormatByteSlice},
+		{"zoned", byteslice.WithZoneMaps(), byteslice.FormatByteSlice},
+		{"ByteSliceC", byteslice.WithCompression(), byteslice.FormatByteSliceC},
+		{"HBP", byteslice.WithFormat(byteslice.FormatHBP), byteslice.FormatHBP},
+		{"BitPacked", byteslice.WithFormat(byteslice.FormatBitPacked), byteslice.FormatBitPacked},
+		{"VBP", byteslice.WithFormat(byteslice.FormatVBP), byteslice.FormatVBP},
+	} {
+		for _, every := range []int{0, 7} {
+			opts := []byteslice.ColumnOption{l.opt}
+			var vNulls []int
+			for i := 0; every > 0 && i < n; i += every {
+				vNulls = append(vNulls, i)
+			}
+			if vNulls != nil {
+				opts = append(opts, byteslice.WithNulls(vNulls))
+			}
+			v := intColumn(t, "v", vals, 0, 999, opts...)
+			if v.Format() != l.format || v.HasZoneMaps() != (l.name == "zoned") {
+				t.Fatalf("%s: built %s (zone maps %v)", l.name, v.Format(), v.HasZoneMaps())
+			}
+			tbl, err := byteslice.NewTable(v, w, g, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			isNull := func(i int) bool { return every > 0 && i%every == 0 }
+
+			var counters [2]string
+			for mode, workers := range []int{0, 1, 4} {
+				var p *byteslice.Profile
+				qopts := []byteslice.QueryOption{
+					byteslice.WithFilterOrder(byteslice.OrderAsWritten),
+					byteslice.WithStrategy(byteslice.StrategyColumnFirst),
+				}
+				if workers > 0 {
+					p = byteslice.NewProfile()
+					qopts = append(qopts, byteslice.WithProfile(p), byteslice.WithParallelism(workers))
+				}
+				name := fmt.Sprintf("%s nulls=%v workers=%d profiled=%v", l.name, every > 0, workers, p != nil)
+				for qi, q := range queries {
+					var want []int32
+					for i := range vals {
+						if q.want(vals[i], isNull(i), i) {
+							want = append(want, int32(i))
+						}
+					}
+					checkDispatch(t, fmt.Sprintf("%s query %d", name, qi), tbl, q.disjunct, q.fs, qopts, want, vals, gs, isNull)
+				}
+				for i, want := range vals {
+					if got := v.LookupCode(p, i); int64(got) != want {
+						t.Fatalf("%s: LookupCode(%d) = %d, want %d", name, i, got, want)
+					}
+				}
+				if p != nil {
+					counters[mode-1] = fmt.Sprintf("%s l2=%d", p, p.L2Misses())
+				}
+			}
+			if counters[0] != counters[1] {
+				t.Errorf("%s nulls=%v: modelled counters differ by pool size:\n  1 worker:  %s\n  4 workers: %s",
+					l.name, every > 0, counters[0], counters[1])
+			}
+		}
+	}
+}
+
+// checkDispatch runs one filter and the operations over its result
+// against the oracle rows want (ascending) of v's values vals, grouped by
+// gs.
+func checkDispatch(t *testing.T, name string, tbl *byteslice.Table, disjunct bool, fs []byteslice.Filter, opts []byteslice.QueryOption,
+	want []int32, vals, gs []int64, isNull func(int) bool) {
+	t.Helper()
+	eval := tbl.Filter
+	if disjunct {
+		eval = tbl.FilterAny
+	}
+	res, err := eval(fs, opts...)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if got := res.Rows(); !slices.Equal(got, want) {
+		t.Fatalf("%s: %d rows, want %d", name, len(got), len(want))
+	}
+
+	var rows []int32
+	var sum, lo, hi int64
+	groups := map[int64]byteslice.GroupSum{}
+	for _, r := range want {
+		if isNull(int(r)) {
+			continue
+		}
+		x := vals[r]
+		if len(rows) == 0 || x < lo {
+			lo = x
+		}
+		if len(rows) == 0 || x > hi {
+			hi = x
+		}
+		rows = append(rows, r)
+		sum += x
+		gsum := groups[gs[r]]
+		gsum.Sum += float64(x)
+		gsum.Count++
+		groups[gs[r]] = gsum
+	}
+
+	gotRows, gotVals, err := tbl.ProjectInt("v", res, opts...)
+	if err != nil || !slices.Equal(gotRows, rows) {
+		t.Fatalf("%s: ProjectInt rows %d, want %d (%v)", name, len(gotRows), len(rows), err)
+	}
+	for i, r := range gotRows {
+		if gotVals[i] != vals[r] {
+			t.Fatalf("%s: ProjectInt row %d = %d, want %d", name, r, gotVals[i], vals[r])
+		}
+	}
+	if s, c, err := tbl.SumInt("v", res, opts...); err != nil || s != sum || c != len(rows) {
+		t.Fatalf("%s: SumInt = %d/%d, want %d/%d (%v)", name, s, c, sum, len(rows), err)
+	}
+	gotLo, okLo, err1 := tbl.MinInt("v", res, opts...)
+	gotHi, okHi, err2 := tbl.MaxInt("v", res, opts...)
+	if err1 != nil || err2 != nil || okLo != (len(rows) > 0) || okHi != okLo || okLo && (gotLo != lo || gotHi != hi) {
+		t.Fatalf("%s: Min/Max = %d/%d (%v), want %d/%d (%v)", name, gotLo, gotHi, okLo, lo, hi, len(rows) > 0)
+	}
+	sums, err := tbl.SumIntBy("v", "g", res, opts...)
+	if err != nil {
+		t.Fatalf("%s: SumIntBy: %v", name, err)
+	}
+	if len(sums) != len(groups) {
+		t.Fatalf("%s: SumIntBy returned %d groups, want %d", name, len(sums), len(groups))
+	}
+	for _, gsum := range sums {
+		k := gsum.Key.(int64)
+		if w := groups[k]; gsum.Sum != w.Sum || gsum.Count != w.Count {
+			t.Fatalf("%s: SumIntBy group %d = %v/%d, want %v/%d", name, k, gsum.Sum, gsum.Count, w.Sum, w.Count)
+		}
 	}
 }

@@ -163,3 +163,58 @@ func TestWithNullsValidation(t *testing.T) {
 		t.Fatal("empty null set should mean not nullable")
 	}
 }
+
+// TestMatchAllModelledOrder pins where the selectivity sort puts a
+// match-all filter (trivially true on a nullable column) under WithProfile:
+// at selectivity 1, last in a conjunction and first in a disjunction. Each
+// sorted query must cost exactly the modelled instructions of that order
+// written out, with dense and with sparse NULLs.
+func TestMatchAllModelledOrder(t *testing.T) {
+	const n = 16 << 10
+	for _, every := range []int{5, 997} {
+		av, bv := make([]int64, n), make([]int64, n)
+		var nulls []int
+		for i := range av {
+			av[i], bv[i] = int64(i%100), int64(i%7)
+			if i%every == 0 {
+				nulls = append(nulls, i)
+			}
+		}
+		tbl, err := byteslice.NewTable(
+			intColumn(t, "a", av, 0, 99, byteslice.WithNulls(nulls)),
+			intColumn(t, "b", bv, 0, 6),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := byteslice.IntFilter("a", byteslice.Ge, -5) // below the domain: match-all
+		b3 := byteslice.IntFilter("b", byteslice.Eq, 3)
+		cost := func(filters []byteslice.Filter, disjunct bool, opts ...byteslice.QueryOption) (uint64, int) {
+			t.Helper()
+			p := byteslice.NewProfile()
+			eval := tbl.Filter
+			if disjunct {
+				eval = tbl.FilterAny
+			}
+			res, err := eval(filters, append(opts, byteslice.WithProfile(p))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p.Instructions(), res.Count()
+		}
+		for _, c := range []struct {
+			disjunct      bool
+			written, want []byteslice.Filter
+		}{
+			{false, []byteslice.Filter{all, b3}, []byteslice.Filter{b3, all}},
+			{true, []byteslice.Filter{b3, all}, []byteslice.Filter{all, b3}},
+		} {
+			got, gotN := cost(c.written, c.disjunct)
+			want, wantN := cost(c.want, c.disjunct, byteslice.WithFilterOrder(byteslice.OrderAsWritten))
+			if gotN != wantN || got != want {
+				t.Errorf("NULL every %d rows, disjunct %v: sorted query %d matches, %d modelled instructions; want %d, %d",
+					every, c.disjunct, gotN, got, wantN, want)
+			}
+		}
+	}
+}

@@ -298,7 +298,7 @@ func (s *columnSpec) build(codes []uint32) (*Column, error) {
 			return nil, corruptf("column %s row %d: code %d outside a domain of %d codes", s.id.name, i, c, s.domain)
 		}
 	}
-	col, err := newColumn(s.id, s.width, codes, s.nullRows, s.format, s.zoneMaps)
+	col, err := newColumn(s.id, s.width, codes, s.nullRows, s.format, s.zoneMaps, false)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}

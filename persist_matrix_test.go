@@ -14,10 +14,10 @@ import (
 // load and re-layout to the same values, NULL masks and formats as a
 // fresh build.
 func TestPersistRoundTripMatrix(t *testing.T) {
-	const n = 97 // partial final segment
+	const n = matrixRows + 97 // partial final block and segment
 	nullPatterns := map[string][]int{
 		"none":   nil,
-		"sparse": {0, 13, 96},
+		"sparse": {0, 13, 96, n - 1},
 		"dense":  denseNulls(n),
 	}
 	formats := append(byteslice.Formats(), byteslice.FormatByteSliceC)
@@ -67,22 +67,36 @@ func denseNulls(n int) []int {
 	return nulls
 }
 
-// matrixColumns builds one column per kind in the given format and NULL
-// pattern, plus a checker that verifies a loaded or re-laid-out table
-// against the source values and the source columns' formats.
-func matrixColumns(t *testing.T, n int, format byteslice.Format, nulls []int) ([]*byteslice.Column, func(*testing.T, *byteslice.Table)) {
-	t.Helper()
+// matrixRows is the shortest matrix table whose ByteSliceC columns really
+// compress: below it the build-time decision (compress.NewBuilder) keeps
+// the sorted matrix columns raw.
+const matrixRows = 2048
+
+// matrixValues returns the n source rows of matrixColumns, each column
+// sorted over its whole domain: an int in [-200, 200], a decimal in
+// eighths of [0, 10), one of four words and a 9-bit code.
+func matrixValues(n int) ([]int64, []float64, []string, []uint32) {
 	ints := make([]int64, n)
 	decs := make([]float64, n)
 	strs := make([]string, n)
 	codes := make([]uint32, n)
 	words := []string{"ant", "bee", "cat", "dog"}
 	for i := 0; i < n; i++ {
-		ints[i] = int64(i*11%400) - 200
-		decs[i] = float64(i%77) / 8
-		strs[i] = words[i%len(words)]
-		codes[i] = uint32(i * 5 % 512)
+		ints[i] = int64(i*400/n) - 200
+		decs[i] = float64(i*80/n) / 8
+		strs[i] = words[i*len(words)/n]
+		codes[i] = uint32(i * 512 / n)
 	}
+	return ints, decs, strs, codes
+}
+
+// matrixColumns builds one column per kind in the given format and NULL
+// pattern, plus a checker that verifies a loaded or re-laid-out table
+// against the source values and the source columns' formats. A
+// ByteSliceC table needs at least matrixRows rows.
+func matrixColumns(t *testing.T, n int, format byteslice.Format, nulls []int) ([]*byteslice.Column, func(*testing.T, *byteslice.Table)) {
+	t.Helper()
+	ints, decs, strs, codes := matrixValues(n)
 	isNull := make(map[int]bool, len(nulls))
 	for _, i := range nulls {
 		isNull[i] = true
@@ -111,6 +125,11 @@ func matrixColumns(t *testing.T, n int, format byteslice.Format, nulls []int) ([
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, c := range []*byteslice.Column{ic, dc, sc, cc} {
+		if c.Format() != format {
+			t.Fatalf("column %s: built as %s, want %s", c.Name(), c.Format(), format)
+		}
+	}
 
 	check := func(t *testing.T, got *byteslice.Table) {
 		t.Helper()
@@ -133,10 +152,8 @@ func matrixColumns(t *testing.T, n int, format byteslice.Format, nulls []int) ([
 		if err != nil {
 			t.Fatal(err)
 		}
-		// ByteSliceC requests go through the build-time compression
-		// decision, which may deterministically fall back to raw
-		// ByteSlice; either way the table must hold exactly the layout
-		// each source column was built with.
+		// The table must hold exactly the layout each source column was
+		// built with.
 		for _, pair := range [][2]*byteslice.Column{{gi, ic}, {gd, dc}, {gs, sc}, {gc, cc}} {
 			if pair[0].Format() != pair[1].Format() {
 				t.Fatalf("column %s: format %s, want %s", pair[1].Name(), pair[0].Format(), pair[1].Format())

@@ -17,7 +17,6 @@ import (
 	"byteslice/internal/layout"
 	"byteslice/internal/obs"
 	"byteslice/internal/plan"
-	"byteslice/internal/simd"
 	"byteslice/internal/sortpart"
 )
 
@@ -135,7 +134,7 @@ func (c *Column) withLayout(f Format) (*Column, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newColumn(*c, c.Width(), codes, c.nullRows(), f, c.HasZoneMaps())
+	return newColumn(*c, c.Width(), codes, c.nullRows(), f, c.HasZoneMaps(), true)
 }
 
 // Columns returns the table's columns in schema order. The slice is a
@@ -420,13 +419,12 @@ func WithStrategy(s Strategy) QueryOption {
 
 // WithParallelism sets the number of worker goroutines used to evaluate
 // the query (§4.1.4: ByteSlice segments are independent, so a column is
-// partitioned across threads). On the native fast path (no Profile) it
-// sizes the worker pool for every ByteSlice scan, pipelined scan,
-// projection and aggregate of the query; the default there is already
-// runtime.NumCPU(), so the option mainly pins an exact count. On the
-// modelled path (WithProfile) it parallelises the driving (first)
-// predicate's scan, subsequent pipelined predicates stay serial, and
-// per-worker execution metrics are folded into the query profile.
+// partitioned across threads). It sizes the native pool only: on the
+// native fast path (no Profile) every scan, pipelined scan, projection
+// and aggregate of the query fans out across it; the default there is
+// already runtime.NumCPU(), so the option mainly pins an exact count.
+// The modelled path (WithProfile) runs serially whatever the count, so a
+// profile reports the same counters at every setting.
 func WithParallelism(workers int) QueryOption {
 	return func(c *queryConfig) { c.workers = workers }
 }
@@ -449,6 +447,15 @@ type resolved struct {
 	// row of a nullable column: it has no predicate to scan, but it still
 	// excludes the column's NULL rows (comparison with NULL is not true).
 	matchAll bool
+}
+
+// selectivity is the histogram's estimate of the share of rows r keeps;
+// a match-all filter keeps them all (its NULL rows aside).
+func (r resolved) selectivity() float64 {
+	if r.matchAll {
+		return 1
+	}
+	return r.col.hist.estimate(r.pred)
 }
 
 func (t *Table) eval(filters []Filter, disjunct bool, opts []QueryOption) (*Result, error) {
@@ -536,14 +543,6 @@ func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig,
 		return &Result{bv: out, pool: lent}, nil
 	}
 
-	// The modelled engine runs every scan of a profiled query; a native
-	// query needs it only for a layout without a native kernel (BitPacked,
-	// VBP).
-	var e *simd.Engine
-	if !cfg.native() || slices.ContainsFunc(rs, func(r resolved) bool { return !r.matchAll && nativeKernelOf(r.col) == nil }) {
-		e = cfg.profile.engine()
-	}
-
 	strategy := cfg.strategy
 	var plans []*plan.Decision
 	var zoneSkipped int
@@ -588,8 +587,7 @@ func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig,
 		// a disjunction, so the pipelined scans skip the most segments.
 		if cfg.order == OrderBySelectivity && len(rs) > 1 {
 			sort.SliceStable(rs, func(i, j int) bool {
-				si := rs[i].col.hist.estimate(rs[i].pred)
-				sj := rs[j].col.hist.estimate(rs[j].pred)
+				si, sj := rs[i].selectivity(), rs[j].selectivity()
 				if disjunct {
 					return si > sj
 				}
@@ -607,6 +605,7 @@ func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig,
 		// Modelled path only: a native pin ran baseline above.
 		if cols, preds, ok := predicateFirstInputs(rs); ok {
 			out := result()
+			e := cfg.profile.engine()
 			if disjunct {
 				core.ScanDisjunctionPredicateFirst(e, cols, preds, out)
 			} else {
@@ -621,6 +620,9 @@ func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig,
 		strategy = StrategyBaseline
 	}
 
+	// Each conjunct is one scan step into acc (the first) or cur (the rest):
+	// a pipelined step fuses acc in and swaps the two, any other folds cur
+	// into acc.
 	acc := result()
 	var cur *bitvec.Vector // from the second predicate on
 	for i, r := range rs {
@@ -629,106 +631,28 @@ func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig,
 		if err := cfg.ctxErr(); err != nil {
 			return nil, err
 		}
-		if i == 1 {
-			cur = t.vector()
-		}
-		if r.matchAll {
-			target := cur
-			if i == 0 {
-				target = acc
+		out, prev := acc, (*bitvec.Vector)(nil)
+		if i > 0 {
+			if cur == nil {
+				cur = t.vector()
 			}
-			target.Fill()
-			applyNulls(target, r.col)
-			if i > 0 {
-				if disjunct {
-					acc.Or(cur)
-				} else {
-					acc.And(cur)
-				}
-			}
-			continue
-		}
-		if i == 0 {
-			if lk := nativeKernelOf(r.col); lk != nil && cfg.native() {
-				// Native dispatch: the layout's registered SWAR kernel
-				// (dispatch.go) runs with whatever metadata pruning the
-				// layout carries — zone maps on ByteSlice, exact block
-				// bounds on compressed, none on HBP.
-				st, done := cfg.stage(q, "scan("+r.col.Name()+")", lk.scanKind(r.col))
-				pruned, err := lk.scan(cfg.exec(st, lk.segments(r.col)), r.col, r.pred, nil, false, acc)
-				done()
-				if err != nil {
-					return nil, queryErr(err)
-				}
-				zoneSkipped += pruned
-				applyNulls(acc, r.col)
-				continue
-			}
-			bs, isBS := byteSliceOf(r.col.data)
-			switch {
-			case isBS && cfg.workers > 1:
-				for _, wp := range bs.ParallelScan(r.pred, cfg.workers, acc) {
-					if cfg.profile != nil {
-						cfg.profile.p.Merge(wp)
-					}
-				}
-			case isBS && bs.HasZoneMaps():
-				bs.ScanZoned(e, r.pred, acc)
-			default:
-				r.col.data.Scan(e, r.pred, acc)
-			}
-			applyNulls(acc, r.col)
-			continue
-		}
-		if strategy == StrategyColumnFirst {
-			// Conjunctive pipelining composes with null clearing (rows
-			// NULL in this column drop out of prev AND scan afterwards);
-			// disjunctive pipelining does not, so a nullable column in a
-			// disjunction is scanned separately. Layouts without a native
-			// pipelined kernel (compressed, HBP) fall through to an
-			// independent scan combined through the bit vector.
-			if lk := nativeKernelOf(r.col); lk != nil && lk.pipelined && cfg.native() && !(disjunct && r.col.nulls != nil) {
-				st, done := cfg.stage(q, "scan("+r.col.Name()+")", "pipelined")
-				pruned, err := lk.scan(cfg.exec(st, lk.segments(r.col)), r.col, r.pred, acc, disjunct, cur)
-				done()
-				if err != nil {
-					return nil, queryErr(err)
-				}
-				zoneSkipped += pruned
-				if !disjunct {
-					applyNulls(cur, r.col)
-				}
-				acc, cur = cur, acc
-				continue
-			}
-			if p, ok := r.col.data.(layout.Pipelined); ok && !(cfg.native() && nativeKernelOf(r.col) != nil) && !(disjunct && r.col.nulls != nil) {
-				p.ScanPipelined(e, r.pred, acc, disjunct, cur)
-				if !disjunct {
-					applyNulls(cur, r.col)
-				}
-				acc, cur = cur, acc
-				continue
+			out = cur
+			if strategy == StrategyColumnFirst && r.pipelines(disjunct) {
+				prev = acc
 			}
 		}
-		if lk := nativeKernelOf(r.col); lk != nil && cfg.native() {
-			// Independent native scan through the layout dispatch table;
-			// the result combines through the bit vector.
-			st, done := cfg.stage(q, "scan("+r.col.Name()+")", lk.scanKind(r.col))
-			pruned, err := lk.scan(cfg.exec(st, lk.segments(r.col)), r.col, r.pred, nil, false, cur)
-			done()
-			if err != nil {
-				return nil, queryErr(err)
-			}
-			zoneSkipped += pruned
-		} else if bs, isBS := byteSliceOf(r.col.data); isBS && bs.HasZoneMaps() {
-			bs.ScanZoned(e, r.pred, cur)
-		} else {
-			r.col.data.Scan(e, r.pred, cur)
+		pruned, err := scanStep(&cfg, q, r, prev, disjunct, out)
+		if err != nil {
+			return nil, err
 		}
-		applyNulls(cur, r.col)
-		if disjunct {
+		zoneSkipped += pruned
+		switch {
+		case i == 0:
+		case prev != nil:
+			acc, cur = cur, acc
+		case disjunct:
 			acc.Or(cur)
-		} else {
+		default:
 			acc.And(cur)
 		}
 	}
@@ -764,9 +688,8 @@ func (t *Table) planQuery(disjunct bool, cfg *queryConfig) plan.Query {
 func (t *Table) planPreds(rs []resolved) []plan.Pred {
 	preds := make([]plan.Pred, len(rs))
 	for i, r := range rs {
-		p := plan.Pred{Col: r.col.Name(), Sel: 1}
+		p := plan.Pred{Col: r.col.Name(), Sel: r.selectivity()}
 		if !r.matchAll {
-			p.Sel = r.col.hist.estimate(r.pred)
 			p.Slices = (r.col.Width() + 7) / 8
 			if bs, ok := byteSliceOf(r.col.data); ok && bs.HasZoneMaps() {
 				p.HasZoneMap = true
@@ -857,8 +780,8 @@ func (t *Table) ProjectString(col string, res *Result, opts ...QueryOption) ([]i
 
 // projectCodes looks up a column's codes for the non-NULL matching rows —
 // the scan-to-lookup conversion of §2, feeding an array of a standard
-// type. Without a profile, ByteSlice columns stitch codes natively (and in
-// parallel across row chunks when the query is parallel); profiled runs
+// type — through the gather: natively ByteSlice stitches, HBP extracts
+// banks and compressed decodes each ascending block once; profiled runs
 // keep the modelled per-lookup engine path.
 func (t *Table) projectCodes(c *Column, res *Result, opts []QueryOption) ([]int32, []uint32, error) {
 	if res == nil {
@@ -873,39 +796,29 @@ func (t *Table) projectCodes(c *Column, res *Result, opts []QueryOption) ([]int3
 	}
 	rows := c.dropNulls(res.Rows())
 	codes := make([]uint32, len(rows))
-	if lk := nativeKernelOf(c); lk != nil && cfg.native() {
-		// Native projection through the layout dispatch table: ByteSlice
-		// stitches, HBP extracts banks, compressed decodes each ascending
-		// block once. The stage lands in the filter result's collector, so
-		// res.Stats() after a projection shows scan and lookup together.
-		st, done := cfg.stage(cfg.resQuery(res), "project("+c.Name()+")", "project")
+	// The stage lands in the filter result's collector, so res.Stats()
+	// after a projection shows scan and lookup together. Only a native
+	// lookup kernel records into it: a layout without one (BitPacked,
+	// VBP) looks its rows up on the engine, unstaged.
+	var st *obs.Stage
+	if cfg.kernelOf(c) != nil {
+		var done func()
+		st, done = cfg.stage(cfg.resQuery(res), "project("+c.Name()+")", "project")
 		defer done()
-		if err := cfg.ctxErr(); err != nil {
-			return nil, nil, err
-		}
-		// Row-chunk fan-out only on an explicit WithParallelism, and only
-		// while every worker still gets minSegmentsPerWorker segments' worth
-		// of rows.
-		workers := cfg.workers
-		if max := len(rows) / (minSegmentsPerWorker * core.SegmentSize); workers > max {
-			workers = max
-		}
-		x := kernel.Exec{Ctx: cfg.ctx, Workers: workers, Stage: st}
-		if err := lk.lookupMany(x, c, rows, codes); err != nil {
-			return nil, nil, queryErr(err)
-		}
-		return rows, codes, nil
 	}
-	e := cfg.profile.engine()
-	for i, r := range rows {
-		// Modelled per-lookup path: observe cancellation between row
-		// batches so a huge profiled projection can still be stopped.
-		if i%8192 == 0 {
-			if err := cfg.ctxErr(); err != nil {
-				return nil, nil, err
-			}
-		}
-		codes[i] = c.data.Lookup(e, int(r))
+	if err := cfg.ctxErr(); err != nil {
+		return nil, nil, err
+	}
+	// Row-chunk fan-out only on an explicit WithParallelism, and only
+	// while every worker still gets minSegmentsPerWorker segments' worth
+	// of rows.
+	workers := cfg.workers
+	if max := len(rows) / (minSegmentsPerWorker * core.SegmentSize); workers > max {
+		workers = max
+	}
+	x := kernel.Exec{Ctx: cfg.ctx, Workers: workers, Stage: st}
+	if err := gather(x, cfg.profile, c, rows, codes); err != nil {
+		return nil, nil, err
 	}
 	return rows, codes, nil
 }
@@ -949,22 +862,17 @@ func (t *Table) OrderBy(col string, res *Result, opts ...QueryOption) ([]int32, 
 // sortRows orders rows (ascending, none NULL in c) by c's codes, ties in
 // row order; rows is not modified.
 func sortRows(c *Column, rows []int32, cfg *queryConfig) ([]int32, error) {
+	x := kernel.Exec{Ctx: cfg.ctx}
+	codes := make([]uint32, len(rows))
+	if err := gather(x, cfg.profile, c, rows, codes); err != nil {
+		return nil, err
+	}
 	if cfg.native() {
-		x := kernel.Exec{Ctx: cfg.ctx}
-		codes := make([]uint32, len(rows))
-		if err := gatherRows(x, c, rows, codes); err != nil {
-			return nil, err
-		}
 		out, err := kernel.SortCodes(x, codes, c.Width(), rows)
 		return out, queryErr(err)
 	}
-	// Modelled path: materialise the survivors' codes with per-row engine
-	// lookups, then radix-sort ByteSlice codes over their byte slices.
+	// Modelled path: radix-sort ByteSlice codes over their byte slices.
 	e := cfg.profile.engine()
-	codes := make([]uint32, len(rows))
-	for i, r := range rows {
-		codes[i] = c.data.Lookup(e, int(r))
-	}
 	var order []int32
 	if _, ok := byteSliceOf(c.data); ok {
 		order = sortpart.Sort(e, core.New(codes, c.Width(), nil))

@@ -854,7 +854,8 @@ func TestIngestStress(t *testing.T) {
 // and NULL pattern end to end: build base → CreateIngest → Append (with
 // NULLs) → query → MergeNow → query → reopen → query.
 func TestIngestMatrix(t *testing.T) {
-	const n = 37
+	const n = matrixRows + 37
+	ints, _, strs, codes := matrixValues(n)
 	nullEvery := map[string]int{"none": 0, "sparse": 7, "dense": 2}
 	formats := append(byteslice.Formats(), byteslice.FormatByteSliceC)
 	for _, format := range formats {
@@ -930,8 +931,7 @@ func TestIngestMatrix(t *testing.T) {
 					}
 					// Base rows matching the range too.
 					var baseWant []int32
-					for i := 0; i < n; i++ {
-						v := int64(i*11%400) - 200
+					for i, v := range ints {
 						if v >= -90 && v < -50 {
 							baseWant = append(baseWant, int32(i))
 						}
@@ -947,12 +947,17 @@ func TestIngestMatrix(t *testing.T) {
 						}
 					}
 					// A disjunction of string and code predicates spans the
-					// base and the delta: s is "bee" at
-					// i%4 == 1 and c is 0 only at i == 0, on both sides.
+					// base and the delta: in the delta s is "bee" at
+					// j%4 == 1 and c is 0 only at j == 0.
 					var anyWant []int32
-					for i := 0; i < n+appended; i++ {
-						if j := i - n; i == 0 || j == 0 || i < n && i%4 == 1 || j >= 0 && j%4 == 1 {
+					for i := range n {
+						if strs[i] == "bee" || codes[i] == 0 {
 							anyWant = append(anyWant, int32(i))
+						}
+					}
+					for j := range appended {
+						if j == 0 || j%4 == 1 {
+							anyWant = append(anyWant, int32(n+j))
 						}
 					}
 					sres, err := it.FilterAny([]byteslice.Filter{
@@ -1003,6 +1008,16 @@ func TestIngestMatrix(t *testing.T) {
 				}
 				checkMatches("reopened")
 				checkBaseNulls("reopened")
+				// The merged and reloaded base keeps every column's layout.
+				for _, c := range cols {
+					got, err := it.Base().Column(c.Name())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Format() != c.Format() {
+						t.Fatalf("reopened column %s: format %s, want %s", c.Name(), got.Format(), c.Format())
+					}
+				}
 			})
 		}
 	}
