@@ -248,9 +248,10 @@ type GroupSum struct {
 
 // SumIntBy computes SUM(valCol) per distinct value of byCol over the
 // result's rows (all rows when res is nil), NULLs of either column
-// excluded. For low-cardinality group columns it runs one early-stopping
-// equality scan per group value and a masked SIMD sum per group — grouping
-// by scanning, which never materialises row lists; wider group columns
+// excluded. For low-cardinality group columns on layouts with scan and
+// sum kernels (dispatch.go) it runs one early-stopping equality scan per
+// group value and a masked sum per group — grouping by scanning, which
+// never materialises row lists; other layouts and wider group columns
 // fall back to per-row accumulation. Groups are returned in ascending key
 // order and empty groups are omitted.
 func (t *Table) SumIntBy(valCol, byCol string, res *Result, opts ...QueryOption) ([]GroupSum, error) {
@@ -290,7 +291,6 @@ func (t *Table) sumBy(v *Column, byCol string, res *Result, opts []QueryOption,
 		o(&cfg)
 	}
 	p := cfg.profile
-	e := p.engine()
 
 	// Effective mask: result rows minus NULLs of both columns. The group
 	// column's NULLs are cleared in place, so a mask that may be the
@@ -310,26 +310,25 @@ func (t *Table) sumBy(v *Column, byCol string, res *Result, opts []QueryOption,
 		applyNulls(mask, g)
 	}
 
-	bsVal, valIsBS := byteSliceOf(v.data)
-	bsGrp, grpIsBS := byteSliceOf(g.data)
-
 	type agg struct {
 		sum   float64
 		count int
 	}
 	groups := map[uint32]*agg{}
 
-	if valIsBS && grpIsBS && g.Width() <= groupScanMaxWidth {
+	grpK, valK := cfg.kernelOf(g), cfg.kernelOf(v)
+	if grpK != nil && grpK.scan != nil && valK != nil && valK.sum != nil && g.Width() <= groupScanMaxWidth {
 		// Grouping by scanning: one equality scan per candidate group code
-		// (early stopping makes misses cheap), one masked SIMD sum each.
-		// Unprofiled runs use the native kernels for both, under the
-		// query's context and worker pool, recording into one stage.
+		// (early stopping makes misses cheap), one masked sum each, both
+		// through the layouts' dispatch entries. Unprofiled runs use the
+		// native kernels under the query's context and worker pool,
+		// recording into one stage.
 		var x kernel.Exec
 		finish := func(error) {}
 		if cfg.native() {
 			var st *obs.Stage
 			st, finish = cfg.aggStage("sum_by("+v.Name()+" by "+g.Name()+")", "sum_by")
-			x = cfg.exec(st, bsGrp.Segments())
+			x = cfg.exec(st, g.segments())
 		}
 		fail := func(err error) ([]GroupSum, error) {
 			finish(err)
@@ -342,13 +341,8 @@ func (t *Table) sumBy(v *Column, byCol string, res *Result, opts []QueryOption,
 			if err := cfg.ctxErr(); err != nil {
 				return fail(err)
 			}
-			pred := layout.Predicate{Op: Eq, C1: code}
-			if cfg.native() {
-				if _, err := kernel.Scan(x, bsGrp, pred, nil, false, groupMask); err != nil {
-					return fail(queryErr(err))
-				}
-			} else {
-				bsGrp.Scan(e, pred, groupMask)
+			if _, err := grpK.scan(x, p, g, layout.Predicate{Op: Eq, C1: code}, nil, false, groupMask); err != nil {
+				return fail(queryErr(err))
 			}
 			if mask != nil {
 				groupMask.And(mask)
@@ -357,14 +351,9 @@ func (t *Table) sumBy(v *Column, byCol string, res *Result, opts []QueryOption,
 			if count == 0 {
 				continue
 			}
-			var codeSum uint64
-			if cfg.native() {
-				var err error
-				if codeSum, _, err = kernel.Sum(x, bsVal, groupMask); err != nil {
-					return fail(queryErr(err))
-				}
-			} else {
-				codeSum, _ = bsVal.Sum(e, groupMask)
+			codeSum, _, err := valK.sum(x, p, v, groupMask)
+			if err != nil {
+				return fail(queryErr(err))
 			}
 			// Σ decode(c) = count·decode(0) + (decode(1)−decode(0))·Σc for
 			// the affine decoders used here.
@@ -373,6 +362,7 @@ func (t *Table) sumBy(v *Column, byCol string, res *Result, opts []QueryOption,
 		}
 		finish(nil)
 	} else {
+		e := p.engine()
 		for i := 0; i < t.n; i++ {
 			if i%8192 == 0 {
 				if err := cfg.ctxErr(); err != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"byteslice"
@@ -296,6 +297,93 @@ func TestSumByGroups(t *testing.T) {
 	sum, _, _ := tbl.SumInt("v", res)
 	if math.Abs(total-float64(sum)) > 1e-6 {
 		t.Fatalf("fallback group total = %v, want %d", total, sum)
+	}
+}
+
+// TestSumByCompressedValue: a grouped sum over a compressed value column
+// scans per group and sums through the compressed kernel, under the
+// sum_by stage, and answers exactly as the raw layout does, with and
+// without a filter result and with NULL group keys.
+func TestSumByCompressedValue(t *testing.T) {
+	const n = 20_000
+	rng := rand.New(rand.NewPCG(31, 31)) //nolint:gosec
+	vals, ps, gs := make([]int64, n), make([]float64, n), make([]int64, n)
+	var gNulls []int
+	for i := range vals {
+		vals[i] = int64(i * 50_000 / n) // sorted: compresses to delta blocks
+		ps[i] = float64(i/4) / 100
+		gs[i] = int64(rng.IntN(4))
+		if i%13 == 0 {
+			gNulls = append(gNulls, i)
+		}
+	}
+	build := func(opts ...byteslice.ColumnOption) *byteslice.Table {
+		v := intColumn(t, "v", vals, 0, 49_999, opts...)
+		p, err := byteslice.NewDecimalColumn("p", ps, 0, float64(n)/400, 2, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := byteslice.NewTable(v, p, intColumn(t, "g", gs, 0, 3, byteslice.WithNulls(gNulls)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tbl
+	}
+	raw, comp := build(), build(byteslice.WithCompression())
+	for _, c := range []string{"v", "p"} {
+		if col, _ := comp.Column(c); !col.Compressed() {
+			t.Fatalf("column %s did not compress", c)
+		}
+	}
+	var spans []string
+	tr := byteslice.TracerFunc(func(name string) func() {
+		spans = append(spans, name)
+		return func() {}
+	})
+	for _, filtered := range []bool{false, true} {
+		var rawRes, compRes *byteslice.Result
+		if filtered {
+			f := []byteslice.Filter{byteslice.IntFilter("v", byteslice.Between, 10_000, 30_000)}
+			var err error
+			if rawRes, err = raw.Filter(f); err != nil {
+				t.Fatal(err)
+			}
+			if compRes, err = comp.Filter(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, c := range []struct {
+			name string
+			sum  func(tbl *byteslice.Table, res *byteslice.Result, opts ...byteslice.QueryOption) ([]byteslice.GroupSum, error)
+		}{
+			{"SumIntBy", func(tbl *byteslice.Table, res *byteslice.Result, opts ...byteslice.QueryOption) ([]byteslice.GroupSum, error) {
+				return tbl.SumIntBy("v", "g", res, opts...)
+			}},
+			{"SumDecimalBy", func(tbl *byteslice.Table, res *byteslice.Result, opts ...byteslice.QueryOption) ([]byteslice.GroupSum, error) {
+				return tbl.SumDecimalBy("p", "g", res, opts...)
+			}},
+		} {
+			want, err := c.sum(raw, rawRes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spans = spans[:0]
+			got, err := c.sum(comp, compRes, byteslice.WithTracer(tr), byteslice.WithParallelism(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) || len(got) != 4 {
+				t.Fatalf("%s filtered=%v: %d groups, raw layout %d", c.name, filtered, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s filtered=%v: group %d = %+v, raw layout %+v", c.name, filtered, i, got[i], want[i])
+				}
+			}
+			if len(spans) != 1 || !strings.HasPrefix(spans[0], "sum_by(") {
+				t.Fatalf("%s filtered=%v: spans %q, want one sum_by stage", c.name, filtered, spans)
+			}
+		}
 	}
 }
 

@@ -213,6 +213,15 @@ func (c *Column) Kind() Kind { return c.kind }
 // Len returns the number of rows.
 func (c *Column) Len() int { return c.data.Len() }
 
+// Digits returns a decimal column's number of decimal digits (its values
+// are integer codes scaled by 10^-Digits), and 0 for every other kind.
+func (c *Column) Digits() int {
+	if c.decs == nil {
+		return 0
+	}
+	return c.decs.Digits()
+}
+
 // Width returns the encoded code width in bits.
 func (c *Column) Width() int { return c.data.Width() }
 

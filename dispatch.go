@@ -29,9 +29,9 @@ type layoutKernel struct {
 	// pred over prev AND pred.
 	scan func(x kernel.Exec, p *Profile, c *Column, pred layout.Predicate, prev *bitvec.Vector, disjunct bool, out *bitvec.Vector) (pruned int, err error)
 	// lookupMany gathers the codes of rows (ascending) into codes — the
-	// projection / ORDER-BY materialisation path. Block-decoding layouts
-	// ignore x.Workers and keep the whole row list on one walker so each
-	// block decodes once.
+	// projection / ORDER-BY materialisation path. The compressed layout
+	// ignores x.Workers and keeps the whole row list on one walker, which
+	// selects a sparse block's rows and decodes a dense block once.
 	lookupMany func(x kernel.Exec, c *Column, rows []int32, codes []uint32) error
 	// sum and extreme aggregate the codes of mask's rows (every row when
 	// mask is nil), like scan under x or on p's engine: sum returns Σ

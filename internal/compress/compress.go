@@ -260,10 +260,14 @@ func (c *Column) Maxs() []uint32 { return c.maxs }
 func (c *Column) Modes() []byte { return c.modes }
 
 // BlockDelta reports whether block b is delta-encoded.
+//
+//bsvet:hotloop
 func (c *Column) BlockDelta(b int) bool { return c.modes[b]&modeDelta != 0 }
 
 // BlockUniformLen returns the uniform value byte length of block b, or 0
 // when the block mixes lengths.
+//
+//bsvet:hotloop
 func (c *Column) BlockUniformLen(b int) int { return int(c.modes[b] >> 1) }
 
 // ModeDelta reports whether a mode byte marks a delta block.
@@ -278,6 +282,8 @@ func ModeDelta(m byte) bool { return m&modeDelta != 0 }
 func ModeUniformLen(m byte) int { return int(m >> 1) }
 
 // BlockRows returns the number of real rows in block b.
+//
+//bsvet:hotloop
 func (c *Column) BlockRows(b int) int {
 	rows := c.n - b*BlockCodes
 	if rows > BlockCodes {
@@ -286,23 +292,42 @@ func (c *Column) BlockRows(b int) int {
 	return rows
 }
 
+// BlockBytes returns the control and data stream bytes of block b, what
+// a decode of it reads.
+func (c *Column) BlockBytes(b int) int {
+	return ctlBytes + int(c.dataOff[b+1]-c.dataOff[b])
+}
+
 // DecodeBlock reconstructs all BlockCodes codes of block b into out
 // (padding rows decode to the reference or last real code) and returns
-// the number of real rows.
+// the number of real rows. A uniform block needs no control walk: a FOR
+// block adds each value to the reference, a delta block is a plain
+// prefix sum of its gaps.
+//
+//bsvet:hotloop
 func (c *Column) DecodeBlock(b int, out *[BlockCodes]uint32) int {
 	ctl := c.ctl[b*ctlBytes : (b+1)*ctlBytes]
 	data := c.data[c.dataOff[b]:]
 	ref := c.refs[b]
-	if l := c.BlockUniformLen(b); l != 0 && !c.BlockDelta(b) {
+	delta := c.BlockDelta(b)
+	if l := c.BlockUniformLen(b); l != 0 {
 		mask := LenMask[l]
 		p := 0
+		if delta {
+			running := ref
+			for i := range out {
+				running += binary.LittleEndian.Uint32(data[p:]) & mask
+				out[i] = running
+				p += l
+			}
+			return c.BlockRows(b)
+		}
 		for i := range out {
 			out[i] = ref + binary.LittleEndian.Uint32(data[p:])&mask
 			p += l
 		}
 		return c.BlockRows(b)
 	}
-	delta := c.BlockDelta(b)
 	running := ref
 	p := 0
 	for i := range out {
@@ -317,6 +342,85 @@ func (c *Column) DecodeBlock(b int, out *[BlockCodes]uint32) int {
 		}
 	}
 	return c.BlockRows(b)
+}
+
+// Select returns the code at position r of block b without decoding the
+// block, and the stream bytes it read: a uniform FOR block loads one
+// value; a mixed FOR block sums the lengths of the ⌊r/4⌋ control bytes
+// before the value's and loads it; a uniform delta block sums its first
+// r+1 gaps eight bytes per word add; a mixed delta block replays its
+// control walk to r. (A delta block is uniform only at one byte: its
+// first gap is 0.)
+//
+//bsvet:hotloop
+func (c *Column) Select(b, r int) (code uint32, touched int) {
+	code, p, l := c.locate(b, r)
+	mode := c.modes[b]
+	if ModeUniformLen(mode) == 0 {
+		touched = r>>2 + 1
+	}
+	if ModeDelta(mode) {
+		return code, touched + p + l
+	}
+	return code, touched + l
+}
+
+// locate reads position r of block b as Select does, returning the code
+// and its value's byte offset and length within the block's data.
+//
+//bsvet:hotloop
+func (c *Column) locate(b, r int) (code uint32, p, l int) {
+	ctl := c.ctl[b*ctlBytes : (b+1)*ctlBytes]
+	data := c.data[c.dataOff[b]:]
+	ref, mode := c.refs[b], c.modes[b]
+	l = ModeUniformLen(mode)
+	if ModeDelta(mode) {
+		if l == 1 {
+			return ref + sumBytes(data, r+1), r, 1
+		}
+		running := ref
+		for j := 0; j <= r; j++ {
+			l = int(ctl[j>>2]>>uint((j&3)*2))&3 + 1
+			running += binary.LittleEndian.Uint32(data[p:]) & LenMask[l]
+			p += l
+		}
+		return running, p - l, l
+	}
+	if l != 0 {
+		p = r * l
+		return ref + binary.LittleEndian.Uint32(data[p:])&LenMask[l], p, l
+	}
+	for j := 0; j < r>>2; j++ {
+		p += int(lenSums[ctl[j]])
+	}
+	for j := r &^ 3; j < r; j++ {
+		p += int(ctl[j>>2]>>uint((j&3)*2))&3 + 1
+	}
+	l = int(ctl[r>>2]>>uint((r&3)*2))&3 + 1
+	return ref + binary.LittleEndian.Uint32(data[p:])&LenMask[l], p, l
+}
+
+// sumBytes returns the sum of data[:n], n at most a uniform one-byte
+// block's 512 data bytes, eight bytes per word add: each word's bytes
+// split into two sets of 16-bit lanes, which hold the sums of a block's
+// 64 words without carrying into each other. The last, partial word is
+// masked to its n%8 bytes; its load stays inside the block.
+//
+//bsvet:hotloop
+func sumBytes(data []byte, n int) uint32 {
+	const lanes = 0x00FF00FF00FF00FF
+	var acc uint64
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		w := binary.LittleEndian.Uint64(data[i:])
+		acc += w&lanes + w>>8&lanes
+	}
+	if rem := n - i; rem > 0 {
+		w := binary.LittleEndian.Uint64(data[i:]) & (1<<uint(8*rem) - 1)
+		acc += w&lanes + w>>8&lanes
+	}
+	acc = acc&0x0000FFFF0000FFFF + acc>>16&0x0000FFFF0000FFFF
+	return uint32(acc) + uint32(acc>>32)
 }
 
 // ZoneDecide classifies a block against a predicate from its exact code
@@ -430,49 +534,22 @@ func (c *Column) Scan(e *simd.Engine, p layout.Predicate, out *bitvec.Vector) {
 	}
 }
 
-// Lookup implements layout.Layout: uniform FOR blocks answer in O(1),
-// mixed FOR blocks walk the control bytes to the value's position, and
-// delta blocks replay the running sum up to the row.
+// Lookup implements layout.Layout through Select's read: uniform FOR
+// blocks answer in O(1), mixed FOR blocks sum control-byte lengths to the
+// value's position, and delta blocks sum their gaps up to the row.
 func (c *Column) Lookup(e *simd.Engine, i int) uint32 {
 	b, r := i/BlockCodes, i%BlockCodes
+	code, p, l := c.locate(b, r)
 	if e != nil {
 		e.ScalarLoad(c.ctlAddr+uint64(b*ctlBytes+r>>2), 1)
 		e.Scalar(2)
-	}
-	ctl := c.ctl[b*ctlBytes : (b+1)*ctlBytes]
-	data := c.data[c.dataOff[b]:]
-	ref := c.refs[b]
-	if c.BlockDelta(b) {
-		running := ref
-		p := 0
-		for j := 0; j <= r; j++ {
-			l := int(ctl[j>>2]>>uint((j&3)*2))&3 + 1
-			running += binary.LittleEndian.Uint32(data[p:]) & LenMask[l]
-			p += l
-		}
-		if e != nil {
+		if c.BlockDelta(b) {
 			e.ScalarLoad(c.dataAddr+uint64(c.dataOff[b]), 4)
+		} else {
+			e.ScalarLoad(c.dataAddr+uint64(c.dataOff[b])+uint64(p), uint64(l))
 		}
-		return running
 	}
-	if l := c.BlockUniformLen(b); l != 0 {
-		if e != nil {
-			e.ScalarLoad(c.dataAddr+uint64(c.dataOff[b])+uint64(r*l), uint64(l))
-		}
-		return ref + binary.LittleEndian.Uint32(data[r*l:])&LenMask[l]
-	}
-	p := 0
-	for j := 0; j < r>>2; j++ {
-		p += int(lenSums[ctl[j]])
-	}
-	for j := r &^ 3; j < r; j++ {
-		p += int(ctl[j>>2]>>uint((j&3)*2))&3 + 1
-	}
-	l := int(ctl[r>>2]>>uint((r&3)*2))&3 + 1
-	if e != nil {
-		e.ScalarLoad(c.dataAddr+uint64(c.dataOff[b])+uint64(p), uint64(l))
-	}
-	return ref + binary.LittleEndian.Uint32(data[p:])&LenMask[l]
+	return code
 }
 
 // BytesPerRow is the compressed footprint per row of the two scan streams

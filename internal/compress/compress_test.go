@@ -1,6 +1,8 @@
 package compress
 
 import (
+	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"byteslice/internal/bitvec"
@@ -181,5 +183,127 @@ func TestSizeBytesBelowRaw(t *testing.T) {
 	c := New(codes, 20, nil)
 	if c.SizeBytes() >= c.RawBytes() {
 		t.Fatalf("clustered 20-bit column: compressed %d >= raw %d", c.SizeBytes(), c.RawBytes())
+	}
+}
+
+// modeColumn is a column whose every block takes one mode.
+type modeColumn struct {
+	c     *Column
+	codes []uint32
+	mode  byte
+}
+
+// modeColumns returns a column per block mode, each 2½ blocks long so the
+// last block is partial: from build, sorted codes with small gaps
+// (uniform one-byte delta), sorted codes with large gaps mixed in (mixed
+// delta), codes of a narrow span (uniform one-byte FOR) and of a wide one
+// (mixed FOR); and hand-encoded uniform FOR blocks of 2, 3 and 4 bytes,
+// which build never makes: a FOR block's minimum and a delta block's
+// first gap are 0, one byte.
+func modeColumns() map[string]modeColumn {
+	const n = 2*BlockCodes + BlockCodes/2 + 3
+	rng := datagen.NewRand(0x5E1)
+	delta1, deltaMixed, for1, forMixed := make([]uint32, n), make([]uint32, n), make([]uint32, n), make([]uint32, n)
+	for i := 1; i < n; i++ {
+		delta1[i] = delta1[i-1] + rng.Uint32N(8)
+		gap := rng.Uint32N(200)
+		if rng.Uint32N(4) == 0 {
+			gap = rng.Uint32N(60000)
+		}
+		deltaMixed[i] = deltaMixed[i-1] + gap
+	}
+	for i := range for1 {
+		for1[i] = 5000 + rng.Uint32N(200)
+		forMixed[i] = rng.Uint32N(1 << 24)
+	}
+	cols := map[string]modeColumn{
+		"delta1":     {New(delta1, 32, nil), delta1, modeDelta | 1<<1},
+		"deltaMixed": {New(deltaMixed, 32, nil), deltaMixed, modeDelta},
+		"for1":       {New(for1, 32, nil), for1, 1 << 1},
+		"forMixed":   {New(forMixed, 32, nil), forMixed, 0},
+	}
+	for l := 2; l <= 4; l++ {
+		const ref = 1000
+		lo := uint32(1) << uint(8*(l-1))
+		span := uint32(1<<30) - lo
+		if l < 4 {
+			span = uint32(1)<<uint(8*l) - lo
+		}
+		codes := make([]uint32, n)
+		for i := range codes {
+			codes[i] = ref + lo + rng.Uint32N(span)
+		}
+		nb := (n + BlockCodes - 1) / BlockCodes
+		c := &Column{k: 32, n: n, ctl: make([]byte, nb*ctlBytes), dataOff: make([]uint32, nb+1),
+			refs: make([]uint32, nb), mins: make([]uint32, nb), maxs: make([]uint32, nb), modes: make([]byte, nb)}
+		for b := 0; b < nb; b++ {
+			c.refs[b], c.modes[b], c.mins[b] = ref, byte(l)<<1, ^uint32(0)
+			for i := 0; i < BlockCodes; i++ {
+				c.ctl[b*ctlBytes+i>>2] |= byte(l-1) << uint((i&3)*2)
+				v := lo // padding rows keep the block's one length
+				if r := b*BlockCodes + i; r < n {
+					v = codes[r] - ref
+					c.mins[b], c.maxs[b] = min(c.mins[b], codes[r]), max(c.maxs[b], codes[r])
+				}
+				var w [4]byte
+				binary.LittleEndian.PutUint32(w[:], v)
+				c.data = append(c.data, w[:l]...)
+			}
+			c.dataOff[b+1] = uint32(len(c.data))
+		}
+		c.data = append(c.data, make([]byte, dataSlack)...)
+		cols[fmt.Sprintf("for%d", l)] = modeColumn{c, codes, byte(l) << 1}
+	}
+	return cols
+}
+
+// TestSelectEveryMode reads every row of a column in each block mode
+// through Select, Lookup and DecodeBlock, and bounds Select's touched
+// bytes by what a decode of the block reads.
+func TestSelectEveryMode(t *testing.T) {
+	for name, mc := range modeColumns() {
+		c := mc.c
+		var buf [BlockCodes]uint32
+		for b := 0; b < c.Blocks(); b++ {
+			if c.Modes()[b] != mc.mode {
+				t.Fatalf("%s: block %d has mode %d, want %d", name, b, c.Modes()[b], mc.mode)
+			}
+			rows := c.DecodeBlock(b, &buf)
+			for r := 0; r < rows; r++ {
+				i := b*BlockCodes + r
+				want := mc.codes[i]
+				got, touched := c.Select(b, r)
+				if got != want || buf[r] != want || c.Lookup(nil, i) != want {
+					t.Fatalf("%s: row %d: Select %d, DecodeBlock %d, Lookup %d, want %d",
+						name, i, got, buf[r], c.Lookup(nil, i), want)
+				}
+				if touched < 1 || touched > c.BlockBytes(b) {
+					t.Fatalf("%s: row %d: Select touched %d bytes, a decode reads %d", name, i, touched, c.BlockBytes(b))
+				}
+			}
+		}
+	}
+}
+
+// TestSumBytes pins the word sum against a byte loop at every length a
+// uniform one-byte delta block asks for, over all-0xFF bytes (the lane
+// carry edge) and random ones.
+func TestSumBytes(t *testing.T) {
+	rng := datagen.NewRand(0x5B)
+	for _, fill := range []string{"ff", "random"} {
+		data := make([]byte, BlockCodes)
+		for i := range data {
+			data[i] = 0xFF
+			if fill == "random" {
+				data[i] = byte(rng.Uint32())
+			}
+		}
+		want := uint32(0)
+		for n := 1; n <= BlockCodes; n++ {
+			want += uint32(data[n-1])
+			if got := sumBytes(data, n); got != want {
+				t.Fatalf("%s: sumBytes(%d) = %d, want %d", fill, n, got, want)
+			}
+		}
 	}
 }

@@ -496,8 +496,9 @@ func TestReportCSV(t *testing.T) {
 }
 
 // TestLookupBenchShape pins the lookup axis payload: every layout arm
-// appears for both the projection-gather and ORDER-BY shapes, with
-// positive finite throughput and the lookup count as the row base.
+// appears for both the projection-gather and ORDER-BY shapes, and the
+// compressed gather once more over sparse sorted rows, with positive
+// finite throughput.
 func TestLookupBenchShape(t *testing.T) {
 	cfg := Quick()
 	cfg.Widths = []int{16}
@@ -510,11 +511,11 @@ func TestLookupBenchShape(t *testing.T) {
 		if e.NsPerScan <= 0 || e.RowsPerSec <= 0 {
 			t.Fatalf("non-positive measurement: %+v", e)
 		}
-		seen[e.Mode+"/"+e.Layout]++
+		seen[e.Mode+"/"+e.Layout+"/"+e.Data]++
 	}
 	for _, want := range []string{
-		"lookup/ByteSlice", "lookup/HBP", "lookup/ByteSliceC",
-		"order_by/ByteSlice", "order_by/HBP", "order_by/ByteSliceC",
+		"lookup/ByteSlice/", "lookup/HBP/", "lookup/ByteSliceC/", "lookup/ByteSliceC/sorted_sparse",
+		"order_by/ByteSlice/", "order_by/HBP/", "order_by/ByteSliceC/",
 	} {
 		if seen[want] != 1 {
 			t.Fatalf("arm %s appeared %d times, want 1 (all: %v)", want, seen[want], seen)

@@ -17,9 +17,12 @@ import (
 //
 //   - mode "lookup": the point-lookup/join-probe gather, rows in random
 //     order — the access pattern HBP's one-bank-load lookup is built for.
-//     The block-decoding ByteSliceC arm gets the same rows ascending,
-//     which is the only shape the facade ever hands it (each visited
-//     512-code block then decodes exactly once).
+//     The ByteSliceC arm gets the same rows ascending, which is the only
+//     shape the facade ever hands it: about cfg.Lookups/cfg.N·512 rows
+//     fall in each 512-code block, so a dense block decodes once for all
+//     of its rows. A second ByteSliceC row (data "sorted_sparse") gathers
+//     one ascending row per 8 blocks of sorted, delta-coded codes, so
+//     every block reads its one row by a select, without a decode.
 //   - mode "order_by": the ORDER-BY materialisation — an ascending row
 //     list gathered and radix-sorted by code (kernel.SortCodes), as the
 //     native Table.OrderBy runs it.
@@ -73,6 +76,17 @@ func LookupBench(cfg Config) []ScanBenchEntry {
 			en.Mode, en.Layout = "order_by", arm.layout
 			out = append(out, en)
 		}
+
+		sorted := compress.New(datagen.Sorted(datagen.NewRand(cfg.Seed), cfg.N, k), k, nil)
+		var sparse []int32
+		for b := 0; b < sorted.Blocks(); b += 8 {
+			sparse = append(sparse, int32(b*compress.BlockCodes+rng.IntN(sorted.BlockRows(b))))
+		}
+		sparseGot := make([]uint32, len(sparse))
+		ns := measureScan(func() { check(kernel.LookupManyCompressed(kernel.Exec{}, sorted, sparse, sparseGot)) })
+		en := entry(k, "native", 1, ns, len(sparse))
+		en.Mode, en.Layout, en.Data = "lookup", "ByteSliceC", "sorted_sparse"
+		out = append(out, en)
 	}
 	return out
 }

@@ -29,7 +29,8 @@ type ScanBenchEntry struct {
 	RowsPerSec float64 `json:"rows_per_sec"`
 	// Data names the code distribution ("uniform" when empty; "sorted",
 	// "clustered" for the zone-map benchmarks; "uniform60" for the
-	// operator axis's tie-heavy arm).
+	// operator axis's tie-heavy arm; "sorted_sparse" for the compressed
+	// lookup of one row per 8 blocks of sorted codes).
 	Data string `json:"data,omitempty"`
 	// Mode distinguishes the composite benchmarks: "" is a plain scan
 	// (the payload's Op); "op_le"/"op_ge"/"op_eq"/"op_between" the plain

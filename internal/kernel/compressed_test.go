@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"byteslice/internal/bitvec"
@@ -289,5 +290,74 @@ func TestCompressedKernelsCancelAndIsolate(t *testing.T) {
 		t.Fatal("worker panic did not surface as an error")
 	} else if _, isPanic := err.(*PanicError); !isPanic {
 		t.Fatalf("want *PanicError, got %T: %v", err, err)
+	}
+}
+
+// TestLookupManyCompressedCrossover gathers 1, 2, decodeRows−1,
+// decodeRows, decodeRows+1 and all of the rows of every block, serially
+// and under a cancellable context and a stage, from a column in each
+// block mode build makes (uniform one-byte delta and FOR, mixed delta and
+// FOR), so each mode takes both the select and the decode side. Stage
+// bytes stay below a decode of every visited block while each block holds
+// one row, and equal it once every row is read.
+func TestLookupManyCompressedCrossover(t *testing.T) {
+	const n = 6*compress.BlockCodes + 100
+	rng := datagen.NewRand(0xC805)
+	delta1, deltaMixed, for1, forMixed := make([]uint32, n), make([]uint32, n), make([]uint32, n), make([]uint32, n)
+	for i := 1; i < n; i++ {
+		delta1[i] = delta1[i-1] + rng.Uint32N(8)
+		gap := rng.Uint32N(200)
+		if rng.Uint32N(4) == 0 {
+			gap = rng.Uint32N(60000)
+		}
+		deltaMixed[i] = deltaMixed[i-1] + gap
+	}
+	for i := range for1 {
+		for1[i] = 5000 + rng.Uint32N(200)
+		forMixed[i] = rng.Uint32N(1 << 24)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for name, codes := range map[string][]uint32{"delta1": delta1, "deltaMixed": deltaMixed, "for1": for1, "forMixed": forMixed} {
+		c := compress.New(codes, 32, nil)
+		wantMode := map[string]byte{"delta1": 3, "deltaMixed": 1, "for1": 2, "forMixed": 0}[name]
+		var decodeBytes int64
+		for b := 0; b < c.Blocks(); b++ {
+			if c.Modes()[b] != wantMode {
+				t.Fatalf("%s: block %d has mode %d, want %d", name, b, c.Modes()[b], wantMode)
+			}
+			decodeBytes += int64(c.BlockBytes(b))
+		}
+		for _, per := range []int{1, 2, decodeRows - 1, decodeRows, decodeRows + 1, compress.BlockCodes} {
+			var rows []int32
+			for b := 0; b < c.Blocks(); b++ {
+				picked := rng.Perm(c.BlockRows(b))
+				picked = picked[:min(per, len(picked))]
+				slices.Sort(picked)
+				for _, r := range picked {
+					rows = append(rows, int32(b*compress.BlockCodes+r))
+				}
+			}
+			for _, x := range []Exec{{}, {Ctx: ctx, Stage: &obs.Stage{}}} {
+				out := make([]uint32, len(rows))
+				if err := LookupManyCompressed(x, c, rows, out); err != nil {
+					t.Fatal(err)
+				}
+				for i, r := range rows {
+					if out[i] != codes[r] {
+						t.Fatalf("%s per=%d: row %d = %d, want %d", name, per, r, out[i], codes[r])
+					}
+				}
+				if x.Stage == nil {
+					continue
+				}
+				switch got := x.Stage.Snapshot().BytesTouched; {
+				case per == 1 && got >= decodeBytes:
+					t.Fatalf("%s: one row per block touched %d bytes, decoding every block reads %d", name, got, decodeBytes)
+				case per == compress.BlockCodes && got != decodeBytes:
+					t.Fatalf("%s: every row touched %d bytes, want the %d a decode of every block reads", name, got, decodeBytes)
+				}
+			}
+		}
 	}
 }

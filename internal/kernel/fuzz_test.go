@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"context"
 	"encoding/binary"
 	"testing"
 
@@ -239,6 +240,47 @@ func FuzzNativeVsEngine(f *testing.F) {
 				gotX, gotOK := mustExtremeCompressed(t, x, cc, mask, isMin)
 				if gotOK != wantOK || (wantOK && gotX != wantX) {
 					t.Fatalf("k=%d n=%d isMin=%v: compressed extreme = %d/%v, engine %d/%v", k, n, isMin, gotX, gotOK, wantX, wantOK)
+				}
+			}
+		}
+
+		// The compressed gather over ascending row lists: every row (each
+		// block decodes), the clustered mask's rows, one row per three
+		// blocks (each selects), and the rows on both sides of every
+		// block edge and the last partial block's last rows; serially and
+		// under a cancellable context.
+		var edges, sparse []int32
+		for e := 0; e <= n; e += compress.BlockCodes {
+			for r := e - 2; r < e+2; r++ {
+				if r >= 0 && r < n && (len(edges) == 0 || r > int(edges[len(edges)-1])) {
+					edges = append(edges, int32(r))
+				}
+			}
+		}
+		for r := n - 3; r < n; r++ {
+			if r >= 0 && (len(edges) == 0 || r > int(edges[len(edges)-1])) {
+				edges = append(edges, int32(r))
+			}
+		}
+		for r := int(prevSeed) % compress.BlockCodes; r < n; r += 3 * compress.BlockCodes {
+			sparse = append(sparse, int32(r))
+		}
+		every := make([]int32, n)
+		for i := range every {
+			every[i] = int32(i)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		for _, rows := range [][]int32{every, runs.Positions(nil), sparse, edges} {
+			for _, gx := range []Exec{{}, {Ctx: ctx, Workers: workers}} {
+				out := make([]uint32, len(rows))
+				if err := LookupManyCompressed(gx, cc, rows, out); err != nil {
+					t.Fatal(err)
+				}
+				for i, r := range rows {
+					if out[i] != codes[r] {
+						t.Fatalf("k=%d n=%d: LookupManyCompressed row %d of %d = %d, want %d", k, n, r, len(rows), out[i], codes[r])
+					}
 				}
 			}
 		}

@@ -154,13 +154,26 @@ func (s *Server) exec(ctx context.Context, req *Request, tenant string) (*Respon
 	if wantExplain {
 		resp.Explain = res.Explain()
 	}
-	resp.Checksum = resp.fingerprint()
+	// One pass renders the body up to its checksum and hashes the
+	// checksum text; /query writes the rendered bytes.
+	bp := bodyPool.Get().(*[]byte)
+	var sum uint64
+	var ok bool
+	*bp, sum, ok = appendContent((*bp)[:0], resp, true)
+	resp.Checksum = checksumHex(sum)
+	if ok {
+		resp.body = bp
+	} else {
+		putBody(bp)
+	}
 	if mode == "miss" {
 		// Store a copy: Do stamps per-request fields (tenant, elapsed) on
 		// the returned response, and the cached object must stay frozen —
 		// concurrent hits read it without locks. The slices and maps
-		// inside are shared but never mutated after this point.
+		// inside are shared but never mutated after this point; the
+		// render buffer is this request's alone.
 		stored := *resp
+		stored.body = nil
 		s.cache.put(key, &stored)
 	}
 	return resp, nil
@@ -211,7 +224,7 @@ func (s *Server) execRows(req *Request, b binding, res *byteslice.Result, resp *
 		if err != nil {
 			return badQueryErr(err)
 		}
-		d := &ColumnData{}
+		d := &ColumnData{digits: col.Digits()}
 		switch col.Kind() {
 		case byteslice.KindInt:
 			d.Rows, d.Ints, err = b.tbl.ProjectInt(name, kept, opts...)

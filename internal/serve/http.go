@@ -101,7 +101,29 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, resp)
+	writeResponse(w, resp)
+}
+
+// writeResponse writes resp's body, the bytes writeJSON would write,
+// from the render buffer its exec pass filled or, on a cache hit, from a
+// pooled one it renders into now without hashing (the checksum is the
+// cached one). A value encoding/json refuses takes writeJSON itself.
+func writeResponse(w http.ResponseWriter, resp *Response) {
+	bp, ok := resp.body, true
+	if bp == nil {
+		bp = bodyPool.Get().(*[]byte)
+		*bp, _, ok = appendContent((*bp)[:0], resp, false)
+	}
+	if ok {
+		*bp, ok = appendTail(*bp, resp)
+	}
+	if ok {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(*bp) //nolint:errcheck // best effort past the status line
+	} else {
+		writeJSON(w, resp)
+	}
+	putBody(bp)
 }
 
 // TableInfo is one row of GET /tables.

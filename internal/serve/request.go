@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"encoding/hex"
 	"encoding/json"
-	"hash/fnv"
 	"sort"
 	"strconv"
 	"strings"
@@ -363,6 +361,9 @@ type ColumnData struct {
 	Ints     []int64   `json:"ints,omitempty"`
 	Decimals []float64 `json:"decimals,omitempty"`
 	Strings  []string  `json:"strings,omitempty"`
+	// digits is a decimal column's scale: Decimals render from their
+	// fixed-point integers at it.
+	digits int
 }
 
 // Response is the JSON body of a successful query. Responses are shared
@@ -402,6 +403,10 @@ type Response struct {
 	Tenant    string  `json:"tenant"`
 	ElapsedMs float64 `json:"elapsed_ms"`
 	Explain   string  `json:"explain,omitempty"`
+
+	// body is the rendered body up to the checksum (appendContent), from
+	// the render pass that computed Checksum; nil on a cache hit.
+	body *[]byte
 }
 
 // ErrorResponse is the JSON body of a failed query.
@@ -411,57 +416,15 @@ type ErrorResponse struct {
 }
 
 // fingerprint computes the response's content checksum: FNV-1a 64 over
-// a text rendering of the content. The text is the one fmt's %d, %g and
-// %s verbs produce (strconv's shortest 'g' form is exactly %g's), built
-// in one reused buffer that is hashed whenever it fills.
+// a text rendering of the content, in hex. The text is the one fmt's %d,
+// %g and %s verbs produce (strconv's shortest 'g' form is exactly %g's).
+// It is the hash-only entry of the body render (appendContent), which
+// exec runs once per computed answer to write the body and hash this
+// text from the same digits.
 func (r *Response) fingerprint() string {
-	h := fnv.New64a()
-	buf := make([]byte, 0, 4096)
-	// flush hashes and empties buf once the next piece might not fit.
-	flush := func() {
-		if len(buf) > cap(buf)-64 {
-			h.Write(buf) //nolint:errcheck // hash.Write never fails
-			buf = buf[:0]
-		}
-	}
-	buf = strconv.AppendInt(append(buf, "count="...), int64(r.Count), 10)
-	if r.Value != nil {
-		buf = strconv.AppendFloat(append(buf, "|value="...), *r.Value, 'g', -1, 64)
-	}
-	if r.IntValue != nil {
-		buf = strconv.AppendInt(append(buf, "|int="...), *r.IntValue, 10)
-	}
-	if r.StrValue != nil {
-		buf = append(append(buf, "|str="...), *r.StrValue...)
-	}
-	for _, id := range r.RowIDs {
-		flush()
-		buf = strconv.AppendInt(append(buf, "|r"...), int64(id), 10)
-	}
-	cols := make([]string, 0, len(r.Data))
-	for c := range r.Data {
-		cols = append(cols, c)
-	}
-	sort.Strings(cols)
-	for _, c := range cols {
-		d := r.Data[c]
-		buf = append(append(buf, "|col="...), c...)
-		if d.Ints == nil && d.Decimals == nil && d.Strings == nil {
-			continue // ids without values render nothing
-		}
-		for i, row := range d.Rows {
-			flush()
-			buf = append(strconv.AppendInt(append(buf, ';'), int64(row), 10), '=')
-			switch {
-			case d.Ints != nil:
-				buf = strconv.AppendInt(buf, d.Ints[i], 10)
-			case d.Decimals != nil:
-				buf = strconv.AppendFloat(buf, d.Decimals[i], 'g', -1, 64)
-			default:
-				buf = append(buf, d.Strings[i]...)
-			}
-		}
-	}
-	h.Write(buf) //nolint:errcheck // hash.Write never fails
-	return hex.EncodeToString(h.Sum(nil))
+	bp := bodyPool.Get().(*[]byte)
+	var sum uint64
+	*bp, sum, _ = appendContent((*bp)[:0], r, true)
+	putBody(bp)
+	return checksumHex(sum)
 }

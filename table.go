@@ -781,8 +781,8 @@ func (t *Table) ProjectString(col string, res *Result, opts ...QueryOption) ([]i
 // projectCodes looks up a column's codes for the non-NULL matching rows —
 // the scan-to-lookup conversion of §2, feeding an array of a standard
 // type — through the gather: natively ByteSlice stitches, HBP extracts
-// banks and compressed decodes each ascending block once; profiled runs
-// keep the modelled per-lookup engine path.
+// banks and compressed selects a sparse block's rows and decodes a dense
+// block once; profiled runs keep the modelled per-lookup engine path.
 func (t *Table) projectCodes(c *Column, res *Result, opts []QueryOption) ([]int32, []uint32, error) {
 	if res == nil {
 		return nil, nil, fmt.Errorf("byteslice: projection needs a filter result")
