@@ -208,9 +208,12 @@ func finish(stats bool, serve string) {
 	}
 }
 
-// snapshotBench builds an n-row mixed-kind table, saves it crash-atomically
-// with SaveFile, loads it back with LoadFile (verifying the checksummed v3
-// stream end to end) and reports both durations and the snapshot size.
+// snapshotBench builds an n-row mixed-kind table — raw ByteSlice columns,
+// a sorted compressed (ByteSliceC) column and a zone-mapped one — saves
+// it crash-atomically with SaveFile, loads it back with LoadFile (which
+// verifies the checksummed stream end to end and adopts each column's
+// stored layout) and reports both durations, the snapshot size and its
+// stored bytes per row.
 func snapshotBench(path string, n int, seed uint64) error {
 	if n == 0 {
 		n = 1 << 20
@@ -219,11 +222,15 @@ func snapshotBench(path string, n int, seed uint64) error {
 	ints := make([]int64, n)
 	decs := make([]float64, n)
 	strs := make([]string, n)
+	keys := make([]int64, n)
+	days := make([]int64, n)
 	words := []string{"AIR", "RAIL", "SHIP", "TRUCK", "MAIL"}
 	for i := 0; i < n; i++ {
 		ints[i] = int64(rng.IntN(100000))
 		decs[i] = float64(rng.IntN(1000000)) / 100
 		strs[i] = words[rng.IntN(len(words))]
+		keys[i] = int64(i / 4)
+		days[i] = int64(i / 512)
 	}
 	ic, err := byteslice.NewIntColumn("quantity", ints, 0, 100000)
 	if err != nil {
@@ -237,7 +244,15 @@ func snapshotBench(path string, n int, seed uint64) error {
 	if err != nil {
 		return err
 	}
-	tbl, err := byteslice.NewTable(ic, dc, sc)
+	kc, err := byteslice.NewIntColumn("orderkey", keys, 0, int64(n), byteslice.WithCompression())
+	if err != nil {
+		return err
+	}
+	zc, err := byteslice.NewIntColumn("shipday", days, 0, int64(n/512), byteslice.WithZoneMaps())
+	if err != nil {
+		return err
+	}
+	tbl, err := byteslice.NewTable(ic, dc, sc, kc, zc)
 	if err != nil {
 		return err
 	}
@@ -261,27 +276,48 @@ func snapshotBench(path string, n int, seed uint64) error {
 	if loaded.Len() != tbl.Len() {
 		return fmt.Errorf("snapshot round trip lost rows: %d vs %d", loaded.Len(), tbl.Len())
 	}
-
-	// Same query on both tables must agree — a semantic round-trip check
-	// beyond the row count, and it populates the observability registry
-	// that -stats/-obs-serve report.
-	q := []byteslice.Filter{byteslice.IntFilter("quantity", byteslice.Lt, 50000)}
-	before, err := tbl.Filter(q)
-	if err != nil {
-		return err
-	}
-	after, err := loaded.Filter(q)
-	if err != nil {
-		return err
-	}
-	if before.Count() != after.Count() {
-		return fmt.Errorf("snapshot round trip changed query result: %d vs %d matches", before.Count(), after.Count())
+	for _, c := range tbl.Columns() {
+		lc, err := loaded.Column(c.Name())
+		if err != nil {
+			return err
+		}
+		if lc.Format() != c.Format() || lc.HasZoneMaps() != c.HasZoneMaps() || lc.SizeBytes() != c.SizeBytes() {
+			return fmt.Errorf("snapshot round trip changed column %s: %s zoned=%v %d B, saved %s zoned=%v %d B",
+				c.Name(), lc.Format(), lc.HasZoneMaps(), lc.SizeBytes(), c.Format(), c.HasZoneMaps(), c.SizeBytes())
+		}
 	}
 
+	// Same queries on both tables must agree — a semantic round-trip check
+	// beyond the row count, over the raw, compressed and zone-mapped
+	// layouts, and it populates the observability registry that
+	// -stats/-obs-serve report.
+	for _, q := range [][]byteslice.Filter{
+		{byteslice.IntFilter("quantity", byteslice.Lt, 50000)},
+		{byteslice.IntFilter("orderkey", byteslice.Between, int64(n/8), int64(n/5))},
+		{byteslice.IntFilter("shipday", byteslice.Ge, int64(n/1024))},
+	} {
+		before, err := tbl.Filter(q)
+		if err != nil {
+			return err
+		}
+		after, err := loaded.Filter(q)
+		if err != nil {
+			return err
+		}
+		if before.Count() != after.Count() {
+			return fmt.Errorf("snapshot round trip changed query result on %s: %d vs %d matches", q[0].Col, before.Count(), after.Count())
+		}
+	}
+
+	var mem uint64
+	for _, c := range tbl.Columns() {
+		mem += c.SizeBytes()
+	}
 	mb := float64(info.Size()) / (1 << 20)
-	fmt.Printf("snapshot %s: %d rows, %.1f MiB\n", path, n, mb)
-	fmt.Printf("  save (write+fsync+rename): %8v  %7.1f MiB/s\n", saveDur.Round(time.Millisecond), mb/saveDur.Seconds())
-	fmt.Printf("  load (read+CRC+rebuild):   %8v  %7.1f MiB/s\n", loadDur.Round(time.Millisecond), mb/loadDur.Seconds())
+	fmt.Printf("snapshot %s: %d rows, %.1f MiB, %.2f stored B/row (%.2f B/row in memory; orderkey %s, shipday zoned %v)\n",
+		path, n, mb, float64(info.Size())/float64(n), float64(mem)/float64(n), kc.Format(), zc.HasZoneMaps())
+	fmt.Printf("  %-29s %8v  %7.1f MiB/s\n", "save (write+fsync+rename):", saveDur.Round(time.Millisecond), mb/saveDur.Seconds())
+	fmt.Printf("  %-29s %8v  %7.1f MiB/s\n", "load (read+CRC+check+adopt):", loadDur.Round(time.Millisecond), mb/loadDur.Seconds())
 	return nil
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"byteslice/internal/bitvec"
 	"byteslice/internal/compress"
+	"byteslice/internal/core"
 	"byteslice/internal/encoding"
 	"byteslice/internal/kernel"
 	"byteslice/internal/layout"
@@ -95,7 +96,7 @@ func (cfg columnConfig) build(id Column, k int, codes []uint32) (*Column, error)
 	if cfg.compress && (f == "" || f == FormatByteSlice) {
 		f = FormatByteSliceC
 	}
-	return newColumn(id, k, codes, cfg.nullRows, f, cfg.zoneMaps, true)
+	return newColumn(id, k, columnParts{codes: codes, nullRows: cfg.nullRows}, f, cfg.zoneMaps, true)
 }
 
 func applyOpts(opts []ColumnOption) columnConfig {
@@ -106,29 +107,69 @@ func applyOpts(opts []ColumnOption) columnConfig {
 	return cfg
 }
 
-// newColumn is the one place a column is assembled from its k-bit codes:
-// id carries the name, kind and encoder, and newColumn adds the NULL
-// vector, the histogram, the storage layout in format f and, when
-// zoneMaps is set and the layout is raw ByteSlice, the zone maps.
-// Construction, snapshot load, ingest seal and merge, and re-layout all
-// build through it. The codes must already lie in the encoder's domain.
-// A ByteSliceC request runs the build-time compression decision only when
-// decide is set (construction and re-layout, the caller's choice); a
-// loaded or merged column stays compressed, as its first build chose.
-func newColumn(id Column, k int, codes []uint32, nullRows []int, f Format, zoneMaps, decide bool) (*Column, error) {
+// columnParts is what newColumn assembles a column from: the codes, from
+// which it builds the storage layout and the histogram, and the NULL
+// rows. A snapshot (stream v4) supplies stored parts instead, already
+// checked, which newColumn adopts: the byte slices of a ByteSlice layout
+// or the streams of a compressed one (n rows either way; codes stays nil),
+// the histogram and the NULL vector.
+type columnParts struct {
+	codes    []uint32
+	nullRows []int
+
+	n      int
+	slices [][]byte
+	blocks *compress.Streams
+	hist   *histogram
+	nulls  *bitvec.Vector
+}
+
+// newColumn is the one place a column is assembled: id carries the name,
+// kind and encoder, and newColumn adds the NULL vector, the histogram,
+// the storage layout in format f and, when zoneMaps is set and the
+// layout is raw ByteSlice, the zone maps. Construction, snapshot load,
+// ingest seal and merge, and re-layout all build through it. It builds
+// each part from p's codes, which must already lie in the encoder's
+// domain, unless p holds that part stored; an adopted layout takes the
+// same arena regions, in the same order and sizes, as one built from
+// its codes. A ByteSliceC request runs the build-time compression
+// decision only when decide is set (construction and re-layout, the
+// caller's choice); a loaded or merged column stays compressed, as its
+// first build chose.
+func newColumn(id Column, k int, p columnParts, f Format, zoneMaps, decide bool) (*Column, error) {
 	build, err := builderFor(f)
 	if err != nil {
 		return nil, err
 	}
 	c := id
-	if c.nulls, err = buildNulls(nullRows, len(codes)); err != nil {
-		return nil, err
+	n := len(p.codes)
+	if p.slices != nil || p.blocks != nil {
+		n = p.n
 	}
-	c.hist = buildHistogram(codes, maxCodeFor(k))
-	if f == FormatByteSliceC && !decide {
-		c.data = compress.New(codes, k, arena)
-	} else {
-		c.data = build(codes, k, arena)
+	if c.nulls = p.nulls; c.nulls == nil {
+		if c.nulls, err = buildNulls(p.nullRows, n); err != nil {
+			return nil, err
+		}
+	}
+	if c.hist = p.hist; c.hist == nil {
+		c.hist = buildHistogram(p.codes, maxCodeFor(k))
+	}
+	switch {
+	case p.slices != nil:
+		bs := core.Adopt(p.slices, k, p.n)
+		bs.Register(arena)
+		c.data = bs
+	case p.blocks != nil:
+		cc, err := compress.Adopt(*p.blocks, k, p.n)
+		if err != nil {
+			return nil, err
+		}
+		cc.Register(arena)
+		c.data = cc
+	case f == FormatByteSliceC && !decide:
+		c.data = compress.New(p.codes, k, arena)
+	default:
+		c.data = build(p.codes, k, arena)
 	}
 	if bs, ok := byteSliceOf(c.data); ok && zoneMaps {
 		bs.BuildZoneMaps()

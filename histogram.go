@@ -20,14 +20,17 @@ type histogram struct {
 }
 
 func buildHistogram(codes []uint32, maxCode uint32) *histogram {
-	h := &histogram{
-		total:       len(codes),
-		bucketWidth: (uint64(maxCode) + histBuckets) / histBuckets,
-	}
+	h := newHistogram(maxCode, len(codes))
 	for _, c := range codes {
 		h.counts[uint64(c)/h.bucketWidth]++
 	}
 	return h
+}
+
+// newHistogram returns an empty histogram over [0, maxCode] for a column
+// of total rows.
+func newHistogram(maxCode uint32, total int) *histogram {
+	return &histogram{total: total, bucketWidth: (uint64(maxCode) + histBuckets) / histBuckets}
 }
 
 // cumulative estimates the number of codes strictly below c.

@@ -35,6 +35,20 @@ func New(n int) *Vector {
 	return &Vector{words: make([]uint64, (n+63)/64), n: n}
 }
 
+// Adopt wraps words as a vector of n bits without copying them: bit i is
+// bit i%64 of words[i/64]. The words must number ⌈n/64⌉ and hold no bit
+// at or past n; Adopt reports false otherwise. Nobody may write the words
+// afterwards except through the vector.
+func Adopt(words []uint64, n int) (*Vector, bool) {
+	if n < 0 || len(words) != (n+63)/64 {
+		return nil, false
+	}
+	if n%64 != 0 && words[len(words)-1]>>uint(n%64) != 0 {
+		return nil, false
+	}
+	return &Vector{words: words, n: n}, true
+}
+
 // Len returns the number of record bits.
 func (v *Vector) Len() int { return v.n }
 

@@ -20,6 +20,9 @@ package compress
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
 	"math/bits"
 
 	"byteslice/internal/bitvec"
@@ -83,7 +86,7 @@ const modeDelta = 1
 // registering its streams with the arena for the cache model.
 func New(codes []uint32, k int, arena *cache.Arena) *Column {
 	c := build(codes, k)
-	c.register(arena)
+	c.Register(arena)
 	return c
 }
 
@@ -97,7 +100,7 @@ func NewBuilder(codes []uint32, k int, arena *cache.Arena) layout.Layout {
 	if !c.Wins() {
 		return core.New(codes, k, arena)
 	}
-	c.register(arena)
+	c.Register(arena)
 	return c
 }
 
@@ -198,7 +201,205 @@ func byteLen(v uint32) int {
 	return l
 }
 
-func (c *Column) register(arena *cache.Arena) {
+// Streams are a compressed column's stored parts: the control and data
+// streams, the per-block references and the per-block mode bytes. A
+// snapshot writes them and Adopt takes them back. The block offsets and
+// exact block bounds are not among them: the decode pass that checks a
+// stored column rebuilds them.
+type Streams struct {
+	Ctl   []byte   // Blocks()×CtlBlockBytes control bytes
+	Data  []byte   // value bytes and the dataSlack zero bytes after them
+	Refs  []uint32 // per-block decode base
+	Modes []byte   // per-block mode byte
+}
+
+// Streams returns the column's stored parts. They alias the column and
+// must not be written.
+func (c *Column) Streams() Streams {
+	return Streams{Ctl: c.ctl, Data: c.data, Refs: c.refs, Modes: c.modes}
+}
+
+// Adopt wraps stored streams as a column of n k-bit codes without copying
+// them, once one decode pass per block has checked that they are exactly
+// the streams build writes for the codes they decode to: each value in
+// its minimal byte length, the tail block's padding values zero, the
+// reference and the mode byte as build chooses them, every code inside
+// the 2^k domain, and the control lengths summing to the data stream,
+// whose slack bytes are zero. The same pass rebuilds the block offsets
+// and exact block bounds. Nobody may write the streams afterwards; call
+// Register to give the column its simulated addresses.
+func Adopt(s Streams, k, n int) (*Column, error) {
+	if k < 1 || k > 32 || n < 0 {
+		return nil, fmt.Errorf("compress: %d codes of width %d", n, k)
+	}
+	nblocks := (n + BlockCodes - 1) / BlockCodes
+	if len(s.Ctl) != nblocks*ctlBytes || len(s.Refs) != nblocks || len(s.Modes) != nblocks {
+		return nil, fmt.Errorf("compress: %d control bytes, %d references and %d modes for %d blocks",
+			len(s.Ctl), len(s.Refs), len(s.Modes), nblocks)
+	}
+	end := len(s.Data) - dataSlack
+	if end < 0 || uint64(end) > math.MaxUint32 {
+		return nil, fmt.Errorf("compress: a data stream of %d bytes", len(s.Data))
+	}
+	for _, v := range s.Data[end:] {
+		if v != 0 {
+			return nil, errors.New("compress: non-zero data slack")
+		}
+	}
+	c := &Column{
+		k:       k,
+		n:       n,
+		ctl:     s.Ctl,
+		data:    s.Data,
+		dataOff: make([]uint32, nblocks+1),
+		refs:    s.Refs,
+		mins:    make([]uint32, nblocks),
+		maxs:    make([]uint32, nblocks),
+		modes:   s.Modes,
+	}
+	for b := 0; b < nblocks; b++ {
+		if err := c.adoptBlock(b, end); err != nil {
+			return nil, fmt.Errorf("compress: block %d: %w", b, err)
+		}
+	}
+	if got := int(c.dataOff[nblocks]); got != end {
+		return nil, fmt.Errorf("compress: control lengths sum to %d data bytes, the stream holds %d", got, end)
+	}
+	return c, nil
+}
+
+// adoptBlock checks block b of an adopted column against build's
+// encoding (see Adopt) in one decode pass, and records where its data
+// ends and its exact bounds. The blocks before b are checked, so
+// dataOff[b] holds where its data starts; end is the data length before
+// the slack.
+func (c *Column) adoptBlock(b, end int) error {
+	ctl := c.ctl[b*ctlBytes : (b+1)*ctlBytes]
+	ref, mode := uint64(c.refs[b]), c.modes[b]
+	delta := ModeDelta(mode)
+	if ModeUniformLen(mode) == 1 {
+		return c.adoptUniform1(b, end, delta)
+	}
+	rows := c.BlockRows(b)
+	limit := uint64(1) << uint(c.k)
+	p := int(c.dataOff[b])
+	running, prev := ref, uint64(0)
+	mn, mx := uint64(math.MaxUint64), uint64(0)
+	minVal, first := uint32(math.MaxUint32), uint32(0)
+	ulen, uniform, sorted := 0, true, true
+	for i := 0; i < BlockCodes; i++ {
+		l := int(ctl[i>>2]>>uint((i&3)*2))&3 + 1
+		if p+l > end {
+			return errors.New("control lengths overrun the data stream")
+		}
+		v := binary.LittleEndian.Uint32(c.data[p:]) & LenMask[l]
+		p += l
+		if l > 1 && v>>uint(8*(l-1)) == 0 {
+			return fmt.Errorf("value %d stored in %d bytes", v, l)
+		}
+		if i == 0 {
+			ulen, first = l, v
+		} else if l != ulen {
+			uniform = false
+		}
+		if i >= rows {
+			if v != 0 {
+				return errors.New("non-zero padding value")
+			}
+			continue
+		}
+		code := ref + uint64(v)
+		if delta {
+			running += uint64(v)
+			code = running
+		}
+		if code >= limit {
+			return fmt.Errorf("code %d outside the %d-bit domain", code, c.k)
+		}
+		if code < prev {
+			sorted = false
+		}
+		prev = code
+		minVal = min(minVal, v)
+		mn, mx = min(mn, code), max(mx, code)
+	}
+	want := mode & modeDelta
+	if uniform {
+		want |= byte(ulen) << 1
+	}
+	switch {
+	case mode != want:
+		return fmt.Errorf("mode byte %#x, want %#x", mode, want)
+	case delta && first != 0:
+		return errors.New("a delta block's first gap is not 0")
+	case !delta && minVal != 0:
+		return errors.New("a frame-of-reference block's reference is not its minimum")
+	case !delta && sorted:
+		return errors.New("a frame-of-reference block of non-decreasing codes")
+	}
+	c.dataOff[b+1] = uint32(p)
+	c.mins[b], c.maxs[b] = uint32(mn), uint32(mx)
+	return nil
+}
+
+// adoptUniform1 is adoptBlock for a block whose mode byte marks uniform
+// one-byte values, the form build gives most sorted and clustered
+// blocks: every control field must say one byte, and the values are the
+// block's BlockCodes data bytes, checked and bounded without a control
+// walk.
+func (c *Column) adoptUniform1(b, end int, delta bool) error {
+	ctl := c.ctl[b*ctlBytes : (b+1)*ctlBytes]
+	for i := 0; i < ctlBytes; i += 8 {
+		if binary.LittleEndian.Uint64(ctl[i:]) != 0 {
+			return errors.New("a uniform one-byte block's control bytes give a longer value")
+		}
+	}
+	p := int(c.dataOff[b])
+	if p+BlockCodes > end {
+		return errors.New("control lengths overrun the data stream")
+	}
+	vals := c.data[p : p+BlockCodes]
+	rows := c.BlockRows(b)
+	for _, v := range vals[rows:] {
+		if v != 0 {
+			return errors.New("non-zero padding value")
+		}
+	}
+	ref := uint64(c.refs[b])
+	var hi uint64
+	if delta {
+		if vals[0] != 0 {
+			return errors.New("a delta block's first gap is not 0")
+		}
+		hi = ref + uint64(sumBytes(vals, rows))
+	} else {
+		mn, mx, sorted := vals[0], vals[0], true
+		for i := 1; i < rows; i++ {
+			v := vals[i]
+			mn, mx = min(mn, v), max(mx, v)
+			if v < vals[i-1] {
+				sorted = false
+			}
+		}
+		switch {
+		case mn != 0:
+			return errors.New("a frame-of-reference block's reference is not its minimum")
+		case sorted:
+			return errors.New("a frame-of-reference block of non-decreasing codes")
+		}
+		hi = ref + uint64(mx)
+	}
+	if hi >= uint64(1)<<uint(c.k) {
+		return fmt.Errorf("code %d outside the %d-bit domain", hi, c.k)
+	}
+	c.dataOff[b+1] = uint32(p + BlockCodes)
+	c.mins[b], c.maxs[b] = uint32(ref), uint32(hi)
+	return nil
+}
+
+// Register assigns the control and data streams their simulated
+// addresses, in that order, as New does; a nil arena leaves them zero.
+func (c *Column) Register(arena *cache.Arena) {
 	if arena != nil {
 		c.ctlAddr = arena.Alloc(uint64(len(c.ctl)))
 		c.dataAddr = arena.Alloc(uint64(len(c.data)))

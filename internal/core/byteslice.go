@@ -14,6 +14,9 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
+
 	"byteslice/internal/bitvec"
 	"byteslice/internal/cache"
 	"byteslice/internal/layout"
@@ -73,11 +76,7 @@ func New(codes []uint32, k int, arena *cache.Arena) *ByteSlice {
 		slices[j] = slices[j][:padded]
 	}
 	b := Adopt(slices, k, len(codes))
-	if arena != nil {
-		for j := range b.addrs {
-			b.addrs[j] = arena.Alloc(uint64(padded))
-		}
-	}
+	b.Register(arena)
 	return b
 }
 
@@ -123,6 +122,52 @@ func Adopt(slices [][]byte, k, n int) *ByteSlice {
 		slices:    slices,
 		addrs:     make([]uint64, nb),
 		earlyStop: true,
+	}
+}
+
+// CheckSlices reports why slices cannot be adopted as a column of n
+// k-bit codes, or nil when they can: they must be ⌈k/8⌉ equal runs of
+// whole segments (at least one) covering n codes, as AppendCodes and New
+// lay them out, with no padding bit set below a code's last byte and
+// every byte past n zero. A stored column's slices pass it before Adopt.
+func CheckSlices(slices [][]byte, k, n int) error {
+	nb := (k + 7) / 8
+	if k < 1 || k > 32 || len(slices) != nb || n < 0 {
+		return fmt.Errorf("core: %d byte slices for %d-bit codes", len(slices), k)
+	}
+	for j, s := range slices {
+		if len(s) != len(slices[0]) || len(s) < n || len(s) == 0 || len(s)%SegmentSize != 0 {
+			return fmt.Errorf("core: byte slice %d holds %d bytes, not whole segments covering %d codes", j, len(s), n)
+		}
+		for _, v := range s[n:] {
+			if v != 0 {
+				return fmt.Errorf("core: byte slice %d has a non-zero byte past row %d", j, n)
+			}
+		}
+	}
+	if pad := 8*nb - k; pad > 0 {
+		var acc uint64
+		last := slices[nb-1]
+		for i := 0; i < len(last); i += 8 {
+			acc |= binary.LittleEndian.Uint64(last[i:])
+		}
+		if padBits := (uint64(1)<<pad - 1) * 0x0101010101010101; acc&padBits != 0 {
+			return fmt.Errorf("core: padding bits set below %d-bit codes", k)
+		}
+	}
+	return nil
+}
+
+// Register assigns the byte slices their simulated addresses, one arena
+// region per slice in slice order, as New does for the slices it builds;
+// an adopted column registers through it to take the same regions. A nil
+// arena leaves the addresses zero.
+func (b *ByteSlice) Register(arena *cache.Arena) {
+	if arena == nil {
+		return
+	}
+	for j := range b.addrs {
+		b.addrs[j] = arena.Alloc(uint64(len(b.slices[j])))
 	}
 }
 

@@ -46,14 +46,8 @@ func (b *ByteSlice) BuildZoneMaps() {
 			hi = b.n
 		}
 		mn, mx := byte(0xFF), byte(0x00)
-		for i := lo; i < hi; i++ {
-			v := b.slices[0][i]
-			if v < mn {
-				mn = v
-			}
-			if v > mx {
-				mx = v
-			}
+		for _, v := range b.slices[0][lo:hi] {
+			mn, mx = min(mn, v), max(mx, v)
 		}
 		z.min[seg], z.max[seg] = mn, mx
 	}

@@ -71,8 +71,8 @@ func faultTable(t *testing.T) *byteslice.Table {
 	return tbl
 }
 
-// encodeV2 serialises the table in the current stream format.
-func encodeV2(t *testing.T, tbl *byteslice.Table) []byte {
+// encodeCurrent serialises the table in the current stream format.
+func encodeCurrent(t *testing.T, tbl *byteslice.Table) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if _, err := tbl.WriteTo(&buf); err != nil {
@@ -93,11 +93,11 @@ func readNoPanic(t *testing.T, what string, off int, data []byte) (tbl *byteslic
 	return byteslice.ReadTable(bytes.NewReader(data))
 }
 
-// TestFaultSweepTruncate: a v2 snapshot cut at every possible byte offset
-// is rejected with ErrCorrupt — never a panic, never a silently short
-// table.
+// TestFaultSweepTruncate: a snapshot in the current stream format cut at
+// every possible byte offset is rejected with ErrCorrupt — never a panic,
+// never a silently short table.
 func TestFaultSweepTruncate(t *testing.T) {
-	full := encodeV2(t, faultTable(t))
+	full := encodeCurrent(t, faultTable(t))
 	for off := 0; off < len(full); off++ {
 		tbl, err := readNoPanic(t, "truncate", off, faultio.Truncate(full, off))
 		if err == nil {
@@ -109,11 +109,12 @@ func TestFaultSweepTruncate(t *testing.T) {
 	}
 }
 
-// TestFaultSweepBitFlip: flipping any single bit of a v2 snapshot is
-// detected — the framing catches structural bytes, the per-section CRC32-C
-// catches everything else. No flip may yield a wrong table silently.
+// TestFaultSweepBitFlip: flipping any single bit of a snapshot in the
+// current stream format is detected — the framing catches structural
+// bytes, the per-section CRC32-C catches everything else. No flip may
+// yield a wrong table silently.
 func TestFaultSweepBitFlip(t *testing.T) {
-	full := encodeV2(t, faultTable(t))
+	full := encodeCurrent(t, faultTable(t))
 	for _, mask := range []byte{0x01, 0x80} {
 		for off := 0; off < len(full); off++ {
 			tbl, err := readNoPanic(t, fmt.Sprintf("flip&%#x", mask), off, faultio.Flip(full, off, mask))
@@ -131,7 +132,7 @@ func TestFaultSweepBitFlip(t *testing.T) {
 // that error (wrapping faultio.ErrInjected), not mislabelled as corruption
 // and not a panic.
 func TestFaultSweepReadError(t *testing.T) {
-	full := encodeV2(t, faultTable(t))
+	full := encodeCurrent(t, faultTable(t))
 	for off := 0; off < len(full); off++ {
 		func() {
 			defer func() {
@@ -154,7 +155,7 @@ func TestFaultSweepReadError(t *testing.T) {
 // short, at every byte offset) as an error, never a panic.
 func TestFaultSweepWriteError(t *testing.T) {
 	tbl := faultTable(t)
-	full := encodeV2(t, tbl)
+	full := encodeCurrent(t, tbl)
 	for _, short := range []bool{false, true} {
 		for off := 0; off < len(full); off++ {
 			func() {
@@ -226,7 +227,7 @@ func TestSaveFileCrashAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamLen := int64(len(encodeV2(t, newTbl)))
+	streamLen := int64(len(encodeCurrent(t, newTbl)))
 
 	defer byteslice.SetSaveWriterHook(nil)
 	for off := int64(0); off < streamLen; off++ {

@@ -12,7 +12,7 @@ import (
 // file, rename over the target, fsync the directory — so a crash at any
 // point leaves either the previous snapshot or the new one, never a
 // half-written hybrid. LoadFile reads a snapshot back; combined with the
-// checksummed v3 stream format, a snapshot that survives rename but was
+// checksummed stream format, a snapshot that survives rename but was
 // torn by hardware is detected at load, not silently queried.
 
 // saveWriterHook lets the fault-injection tests interpose on the byte
@@ -87,15 +87,21 @@ func isSyncUnsupported(err error) bool {
 }
 
 // LoadFile reads a snapshot written by SaveFile (or any WriteTo stream on
-// disk), rebuilding every column like ReadTable. Corruption and version
-// errors wrap ErrCorrupt / ErrVersion.
+// disk) like ReadTable. Knowing the file's size, it checks every declared
+// section length against the bytes the file still holds and then reads
+// each section into one allocation of exactly its length. Corruption and
+// version errors wrap ErrCorrupt / ErrVersion.
 func LoadFile(path string) (*Table, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("byteslice: load %s: %w", path, err)
 	}
 	defer f.Close() //nolint:errcheck // read-only
-	t, err := ReadTable(f)
+	info, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("byteslice: load %s: %w", path, err)
+	}
+	t, err := readTable(f, info.Size())
 	if err != nil {
 		return nil, fmt.Errorf("byteslice: load %s: %w", path, err)
 	}

@@ -18,11 +18,12 @@ import (
 // because the fuzzer would OOM); any accepted input re-serialises into a
 // stream that reads back with the same shape.
 func FuzzReadTable(f *testing.F) {
-	// Seeds: two valid v3 streams — a mixed int/string table with a
-	// zone-mapped column (recorded in the metadata flags byte) and a
-	// decimal/code table in the HBP and compressed layouts — and the
-	// committed v2 fixture, plus framed mutations of each so the fuzzer
-	// starts at interesting boundaries.
+	// Seeds: two valid streams in the current format (v4) — a mixed
+	// int/string table with a NULL bitmap and a zone-mapped column
+	// (recorded in the metadata flags byte), and a decimal/code table in
+	// the HBP and compressed layouts — and the committed v2 and v3
+	// fixtures, plus framed mutations of each so the fuzzer starts at
+	// interesting boundaries.
 	n := 40
 	ints := make([]int64, n)
 	strs := make([]string, n)
@@ -51,16 +52,21 @@ func FuzzReadTable(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	mixed := v3Stream(f, ic, sc)
-	other := v3Stream(f, dc, cc)
+	mixed := currentStream(f, ic, sc)
+	other := currentStream(f, dc, cc)
 	v2, err := os.ReadFile(filepath.Join("testdata", "snapshot_v2.bslc"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	v3, err := os.ReadFile(filepath.Join("testdata", "snapshot_v3.bslc"))
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(mixed)
 	f.Add(v2)
+	f.Add(v3)
 	f.Add(other)
-	for _, src := range [][]byte{mixed, v2, other} {
+	for _, src := range [][]byte{mixed, v2, v3, other} {
 		for _, off := range []int{0, 4, 6, len(src) / 2, len(src) - 5} {
 			f.Add(faultio.Flip(src, off, 0x10))
 			f.Add(faultio.Truncate(src, off))
@@ -97,8 +103,8 @@ func FuzzReadTable(f *testing.F) {
 	})
 }
 
-// v3Stream serialises a table of the given columns in the current format.
-func v3Stream(f *testing.F, cols ...*byteslice.Column) []byte {
+// currentStream serialises a table of the given columns in the current format.
+func currentStream(f *testing.F, cols ...*byteslice.Column) []byte {
 	f.Helper()
 	tbl, err := byteslice.NewTable(cols...)
 	if err != nil {
@@ -118,6 +124,7 @@ func FuzzReadTableErrors(f *testing.F) {
 	f.Add([]byte("BSLC"))
 	f.Add([]byte("BSLC\x02\x00T"))
 	f.Add([]byte("BSLC\x03\x00T"))
+	f.Add([]byte("BSLC\x04\x00T"))
 	f.Add([]byte("BSLC\x01\x00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, err := byteslice.ReadTable(bytes.NewReader(data))

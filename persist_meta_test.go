@@ -46,7 +46,7 @@ func FuzzSnapshotMeta(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		meta, body := columnMeta(col), le32(stored...)
+		meta, body := columnMetaV3(col), le32(stored...)
 		if _, err := ReadTable(bytes.NewReader(frameV3(f, meta, body))); err != nil {
 			f.Fatalf("seed %s rejected: %v", col.Name(), err)
 		}
@@ -135,6 +135,24 @@ func metaPayload(kind Kind, format Format, width byte, params func(*payloadBuf))
 	}
 	p.u64(0)
 	p.u8(0)
+	return p.Bytes()
+}
+
+// columnMetaV3 renders a column's metadata payload as a v3 stream stores
+// it: the fields v4 also starts with, the NULL rows, then the flags byte.
+func columnMetaV3(c *Column) []byte {
+	var p payloadBuf
+	metaHead(&p, c)
+	rows := c.nullRows()
+	p.u64(uint64(len(rows)))
+	for _, r := range rows {
+		p.u64(uint64(r))
+	}
+	var flags byte
+	if c.HasZoneMaps() {
+		flags |= metaZoneMaps
+	}
+	p.u8(flags)
 	return p.Bytes()
 }
 

@@ -133,10 +133,11 @@ func TestPersistFormatOverride(t *testing.T) {
 	}
 }
 
-// TestPersistVersions: a v3 stream loads; the same stream declaring the
+// TestPersistVersions: a v4 stream loads; the same stream declaring the
 // retired unframed v1, or an unknown future version, fails with
-// ErrVersion rather than being parsed as something it is not. (The v2
-// fixture's load is TestSnapshotReadsV2Fixture.)
+// ErrVersion rather than being parsed as something it is not. (The v2 and
+// v3 fixtures' loads are TestSnapshotReadsV2Fixture and
+// TestSnapshotReadsV3Fixture.)
 func TestPersistVersions(t *testing.T) {
 	col := intColumn(t, "v", []int64{1, 2, 3}, 0, 10)
 	tbl, _ := byteslice.NewTable(col)
@@ -146,9 +147,9 @@ func TestPersistVersions(t *testing.T) {
 	}
 	stream := buf.Bytes()
 	if got, err := byteslice.ReadTable(bytes.NewReader(stream)); err != nil || got.Len() != 3 {
-		t.Fatalf("v3 stream: %v", err)
+		t.Fatalf("v4 stream: %v", err)
 	}
-	for _, version := range []uint16{1, 4} {
+	for _, version := range []uint16{1, 5} {
 		patched := append([]byte{}, stream...)
 		binary.LittleEndian.PutUint16(patched[4:], version)
 		_, err := byteslice.ReadTable(bytes.NewReader(patched))

@@ -134,7 +134,7 @@ func (c *Column) withLayout(f Format) (*Column, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newColumn(*c, c.Width(), codes, c.nullRows(), f, c.HasZoneMaps(), true)
+	return newColumn(*c, c.Width(), columnParts{codes: codes, nullRows: c.nullRows()}, f, c.HasZoneMaps(), true)
 }
 
 // Columns returns the table's columns in schema order. The slice is a

@@ -690,7 +690,7 @@ func mergeTables(base *Table, delta []*Table) (*Table, error) {
 			}
 			off += p.n
 		}
-		col, err := newColumn(*c, c.Width(), codes, nullRows, c.Format(), c.HasZoneMaps(), false)
+		col, err := newColumn(*c, c.Width(), columnParts{codes: codes, nullRows: nullRows}, c.Format(), c.HasZoneMaps(), false)
 		if err != nil {
 			return nil, err
 		}
